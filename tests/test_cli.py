@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -182,6 +183,25 @@ class TestBenchCommand:
         # machine line first, then one console summary per executed run
         lines = out.strip().splitlines()
         assert sum(1 for line in lines if line.startswith("problem=")) == 200
+
+    # SHA-256 of the 20 histories, concatenated in sorted name order, that
+    # the bench below writes (numpy 2.4.6); any change to solver arithmetic
+    # that moves a single byte of any history changes it
+    HISTORY_SHA256 = "45fa419510397c9f84ee0364cbd01bce0ff3711766a453498db0102aea997f5d"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_history_bytes_pinned(self, tmp_path, capsys, workers):
+        out_dir = tmp_path / "bench"
+        code, _, _ = run_cli(
+            capsys,
+            "bench", "--seeds", "1", "--budget", "400", "--mode", "pip,extreme-barrier",
+            "--workers", workers, "--out", str(out_dir),
+        )
+        assert code == 0
+        paths = sorted(out_dir.glob("*.jsonl"), key=lambda p: p.name)
+        assert len(paths) == 20
+        digest = hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+        assert digest == self.HISTORY_SHA256
 
     def test_partial_failures_reported(self, tmp_path, capsys):
         # extreme barrier errors out on the equality problem but pip completes
