@@ -13,7 +13,7 @@ from .merit import (
     phi_prox,
     violation_summary,
 )
-from .mesh import MeshState, PollDirection, mesh_size, poll_directions, snap_to_mesh, update_frame
+from .mesh import MeshState, poll_directions, update_frame
 from .problem import Cache, Evaluation, ExternalEvaluator, Problem, evaluate, is_feasible, run_external
 from .solver import (
     InitializationError,
@@ -21,7 +21,6 @@ from .solver import (
     SolverConfig,
     check_run_invariants,
     solve,
-    solve_extreme_barrier,
 )
 from .suite import Instance, KnownOptimum, builtin_problems, load_problem_file, make_instances
 from .bench import (
@@ -47,10 +46,7 @@ __all__ = [
     "penalty_update_check",
     "violation_summary",
     "MeshState",
-    "PollDirection",
-    "mesh_size",
     "poll_directions",
-    "snap_to_mesh",
     "update_frame",
     "Problem",
     "Evaluation",
@@ -63,7 +59,6 @@ __all__ = [
     "RunRecord",
     "InitializationError",
     "solve",
-    "solve_extreme_barrier",
     "check_run_invariants",
     "KnownOptimum",
     "Instance",

@@ -141,17 +141,15 @@ def _as_view(run: Union[RunRecord, RunView], eq_tol: float) -> RunView:
 
 
 def run_matrix(
-    instances: Sequence[Instance],
-    modes: Sequence[str],
+    jobs: Sequence[Tuple[Instance, str]],
     budget: int,
     max_workers: Optional[int] = None,
     base_config: Optional[SolverConfig] = None,
 ) -> Dict[Key, RunRecord]:
-    """Run every (instance, mode) pair; individual failures become error
+    """Run each (instance, mode) job once; individual failures become error
     records and never abort the batch. Deterministic per key."""
-    if len(instances) == 0 or len(modes) == 0:
-        raise ValueError("instances and modes must be nonempty")
-    jobs = [(instance, mode) for instance in instances for mode in modes]
+    if len(jobs) == 0:
+        raise ValueError("jobs must be nonempty")
 
     def _run(instance: Instance, mode: str) -> RunRecord:
         if base_config is None:
@@ -175,7 +173,7 @@ def run_matrix(
 
     results: Dict[Key, RunRecord] = {}
     workers = max_workers if max_workers is not None else min(8, len(jobs))
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run, instance, mode) for instance, mode in jobs]
         for (instance, mode), future in zip(jobs, futures):
             record = future.result()

@@ -205,6 +205,8 @@ def cmd_bench(args, file_values: Dict[str, str]) -> int:
         modes = [tok for tok in mode_raw.split(",") if tok]
         no_search = resolve_option(args.no_search, file_values, "no-search", default=False, cast=_parse_bool)
         workers = resolve_option(args.workers, file_values, "workers", default=None, cast=int)
+        if workers is not None and workers < 1:
+            raise ValueError("--workers must be at least 1")
         out_dir = Path(resolve_option(args.out, file_values, "out", default="bench-out"))
         instances = make_instances(problems, x0_count, seeds)
     except (KeyError, ValueError, OSError) as exc:
@@ -233,21 +235,8 @@ def cmd_bench(args, file_values: Dict[str, str]) -> int:
     run_summaries: List[str] = []
     if pending:
         base = SolverConfig(max_evaluations=budget, search_enabled=not no_search)
-        records = run_matrix(
-            [inst for inst, _ in pending],
-            modes,
-            budget,
-            max_workers=workers,
-            base_config=base,
-        )
-        # run_matrix computes the full instance x mode product; keep only
-        # the pending pairs so resumed batches do not rewrite finished runs
-        wanted = {
-            (inst.problem.name, inst.x0_id, inst.seed, mode) for inst, mode in pending
-        }
+        records = run_matrix(pending, budget, max_workers=workers, base_config=base)
         for key, record in sorted(records.items()):
-            if key not in wanted:
-                continue
             name = f"{key[0]}__{key[1]}__seed{key[2]}__{key[3]}"
             write_history(record.rows, out_dir / f"{name}.jsonl")
             keys.append(name)

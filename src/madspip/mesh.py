@@ -7,123 +7,88 @@ incumbent, and polling is restricted to the frame of max-norm radius
 reachable normalized directions becomes dense on the unit sphere as the frame
 shrinks.
 
-Frame sizes are tracked as exact rationals relative to ``delta0`` (a dyadic
-with the default halving factor), which keeps all step arithmetic free of
-floating-point drift: point identity reduces to integer-step identity.
+The frame only ever halves or doubles, so every frame and mesh size is
+``delta0`` times a power of two and is held as its integer exponent.  Step
+arithmetic is integer arithmetic, free of floating-point drift: point
+identity reduces to integer-step identity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "MeshState",
-    "PollDirection",
-    "mesh_size",
     "update_frame",
     "poll_directions",
-    "snap_to_mesh",
     "snap_steps",
     "initial_frame_size",
 ]
 
-# Frame growth stops once delta_frame would exceed FRAME_CAP * delta0.
-FRAME_CAP = Fraction(1000)
+# Largest frame exponent: growth stops before delta_frame would exceed
+# 1000 * delta0 (2**9 = 512 <= 1000 < 1024).
+FRAME_CAP_EXP = 9
 
 
 @dataclass(frozen=True)
 class MeshState:
-    """Frame size, mesh size and their update factor, as exact ratios.
+    """Frame size ``delta_frame = delta0 * 2**exp``.
 
-    ``frame_ratio`` is ``delta_frame / delta0``.  The mesh ratio is derived,
-    never stored, so ``delta_mesh = min(delta_frame, delta_frame**2/delta0)``
-    holds by construction.
+    The mesh exponent is derived, never stored, so
+    ``delta_mesh = min(delta_frame, delta_frame**2/delta0)`` holds by
+    construction.
     """
 
     delta0: float
-    frame_ratio: Fraction = Fraction(1)
-    theta_delta: Fraction = Fraction(1, 2)
-    cap_ratio: Fraction = FRAME_CAP
+    exp: int = 0
 
     def __post_init__(self):
         if not (self.delta0 > 0.0):
             raise ValueError("delta0 must be positive")
-        if not (0 < self.theta_delta < 1):
-            raise ValueError("theta_delta must lie in (0, 1)")
-        if self.frame_ratio <= 0:
-            raise ValueError("frame size must be positive")
-
-    @staticmethod
-    def initial(delta0: float, theta_delta: Fraction = Fraction(1, 2)) -> "MeshState":
-        return MeshState(delta0=delta0, theta_delta=Fraction(theta_delta))
-
-    @staticmethod
-    def with_frame(delta0: float, delta_frame: float) -> "MeshState":
-        """State at an arbitrary frame size (ratio taken exactly from floats)."""
-        return MeshState(delta0=delta0, frame_ratio=Fraction(delta_frame) / Fraction(delta0))
 
     @property
-    def mesh_ratio(self) -> Fraction:
-        return min(self.frame_ratio, self.frame_ratio * self.frame_ratio)
+    def mesh_exp(self) -> int:
+        return min(self.exp, 2 * self.exp)
 
     @property
     def delta_frame(self) -> float:
-        return self.delta0 * float(self.frame_ratio)
+        return math.ldexp(self.delta0, self.exp)
 
     @property
     def delta_mesh(self) -> float:
-        return self.delta0 * float(self.mesh_ratio)
-
-
-@dataclass(frozen=True)
-class PollDirection:
-    """A mesh step: integer coordinates and the scaled displacement."""
-
-    steps: Tuple[int, ...]
-    displacement: Tuple[float, ...]
-
-
-def mesh_size(delta_frame: float, delta0: float) -> float:
-    """Mesh size for a given frame size: ``min(d, d*d/delta0)``."""
-    if delta_frame <= 0.0 or delta0 <= 0.0:
-        raise ValueError("frame and initial sizes must be positive")
-    return min(delta_frame, delta_frame * delta_frame / delta0)
+        return math.ldexp(self.delta0, self.mesh_exp)
 
 
 def update_frame(mesh: MeshState, success: bool) -> MeshState:
     """Grow the frame after a success, shrink it after a failure.
 
-    Growth that would push the frame past ``cap_ratio * delta0`` is skipped
-    (the state is returned unchanged), which bounds the frame while keeping
-    every reachable size an exact power of ``theta_delta`` times ``delta0``.
+    Growth past ``FRAME_CAP_EXP`` is skipped (the state is returned
+    unchanged), which bounds the frame by ``1000 * delta0``.
     """
     if success:
-        grown = mesh.frame_ratio / mesh.theta_delta
-        if grown > mesh.cap_ratio:
+        if mesh.exp >= FRAME_CAP_EXP:
             return mesh
-        return replace(mesh, frame_ratio=grown)
-    return replace(mesh, frame_ratio=mesh.frame_ratio * mesh.theta_delta)
+        return replace(mesh, exp=mesh.exp + 1)
+    return replace(mesh, exp=mesh.exp - 1)
 
 
 def poll_directions(n: int, mesh: MeshState, rng: np.random.Generator) -> list:
-    """Generate 2n poll directions on the mesh, closed under negation.
+    """Generate 2n poll step vectors on the mesh, closed under negation.
 
     A random unit vector defines a Householder basis; each column is scaled
     to max-norm ``delta_frame``, its coordinates are rounded toward zero onto
     the mesh, and the negated set is appended.  Every direction keeps at
     least one coordinate of magnitude ``delta_frame`` (exact on the leading
-    coordinate), and all trial points stay inside the frame.
+    coordinate), and all trial points stay inside the frame.  Each direction
+    is a tuple of integer steps of size ``delta_mesh``.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    ratio = mesh.frame_ratio / mesh.mesh_ratio  # frame radius in mesh steps
-    radius = float(ratio)
-    delta = mesh.delta_mesh
+    radius = float(1 << (mesh.exp - mesh.mesh_exp))  # frame radius in mesh steps
 
     v = rng.standard_normal(n)
     norm = float(np.linalg.norm(v))
@@ -137,54 +102,23 @@ def poll_directions(n: int, mesh: MeshState, rng: np.random.Generator) -> list:
     for j in range(n):
         col = basis[:, j]
         col = col / np.abs(col).max()  # leading coordinate becomes exactly +-1
-        steps = tuple(int(s) for s in np.trunc(col * radius))
-        step_sets.append(steps)
-
-    out = []
-    for steps in step_sets + [tuple(-s for s in steps) for steps in step_sets]:
-        out.append(
-            PollDirection(steps=steps, displacement=tuple(delta * s for s in steps))
-        )
-    return out
+        step_sets.append(tuple(int(s) for s in np.trunc(col * radius)))
+    return step_sets + [tuple(-s for s in steps) for steps in step_sets]
 
 
-def _round_half_away(x: float) -> int:
-    if x >= 0.0:
-        return math.floor(x + 0.5)
-    return -math.floor(-x + 0.5)
+def snap_steps(offset: Sequence[int], step: int) -> Tuple[int, ...]:
+    """Nearest mesh point to an integer displacement, in mesh steps.
 
-
-def _round_half_away_fraction(x: Fraction) -> int:
-    half = Fraction(1, 2)
-    if x >= 0:
-        return math.floor(x + half)
-    return -math.floor(-x + half)
-
-
-def snap_to_mesh(
-    anchor: Sequence[float], target: Sequence[float], delta_mesh: float
-) -> PollDirection:
-    """Nearest mesh point to ``target`` on the lattice anchored at ``anchor``.
-
-    Per-coordinate rounding to the nearest multiple of ``delta_mesh``, ties
-    away from zero.  Idempotent on points already on the mesh.
+    ``offset`` and the mesh size ``step`` are integers in one common unit;
+    each coordinate rounds to the nearest multiple of ``step``, ties away
+    from zero.  Idempotent on multiples of ``step``.
     """
-    if delta_mesh <= 0.0:
-        raise ValueError("mesh size must be positive")
-    steps = tuple(
-        _round_half_away((t - a) / delta_mesh) for a, t in zip(anchor, target)
+    if step < 1:
+        raise ValueError("mesh step must be a positive integer")
+    twice = 2 * step
+    return tuple(
+        (2 * q + step) // twice if q >= 0 else -((step - 2 * q) // twice) for q in offset
     )
-    return PollDirection(steps=steps, displacement=tuple(delta_mesh * s for s in steps))
-
-
-def snap_steps(offset: Sequence[Fraction], mesh_ratio: Fraction) -> Tuple[int, ...]:
-    """Exact-rational counterpart of :func:`snap_to_mesh`.
-
-    ``offset`` is the target displacement in units of ``delta0``; the result
-    is the integer step vector at mesh ratio ``mesh_ratio`` that lands
-    nearest (ties away from zero).
-    """
-    return tuple(_round_half_away_fraction(q / mesh_ratio) for q in offset)
 
 
 def initial_frame_size(bounds: Optional[Tuple[Sequence[float], Sequence[float]]]) -> float:

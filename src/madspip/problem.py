@@ -99,7 +99,7 @@ class Cache:
     """Exact-key map of evaluated points; one entry per distinct key.
 
     Keys are whatever exact representation the caller uses for points (the
-    solver passes rational mesh offsets, standalone callers the float tuple).
+    solver passes integer lattice offsets, standalone callers the float tuple).
     Insertion order equals evaluation order.
     """
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,6 +30,7 @@ import numpy as np
 from .merit import (
     MeritParams,
     Partition,
+    ViolationSummary,
     compute_b_ext,
     penalty_update_check,
     violation_summary,
@@ -50,7 +50,6 @@ __all__ = [
     "speculative_search",
     "reselect_incumbent",
     "solve",
-    "solve_extreme_barrier",
     "check_run_invariants",
 ]
 
@@ -135,22 +134,41 @@ class SolverState:
     mesh: MeshState
     record: RunRecord
     anchor: Tuple[float, ...]
-    x_unit: float  # original-variable length of one frame-ratio unit
-    q_incumbent: Tuple[Fraction, ...]
+    x_unit: float  # original-variable length of one delta0 unit
+    # Offsets from the anchor are integers in units of 2**-lattice_bits
+    # delta0 units, fine enough for every mesh an iteration can use.
+    lattice_bits: int
+    q_incumbent: Tuple[int, ...]
     incumbent: Evaluation
-    incumbent_merit: float
+    incumbent_summary: ViolationSummary
     partition: Optional[Partition] = None
     merit_params: Optional[MeritParams] = None
     iteration: int = 0
-    last_success_offset: Optional[Tuple[Fraction, ...]] = None
+    last_success_offset: Optional[Tuple[int, ...]] = None
     partition_version: int = 0
 
     @property
     def pip(self) -> bool:
         return self.config.mode == MODE_PIP
 
+    @property
+    def incumbent_merit(self) -> float:
+        return self.incumbent_summary.merit
 
-def _merit_of(state: SolverState, evaluation: Evaluation) -> float:
+    @property
+    def mesh_step(self) -> int:
+        """Mesh size in lattice units."""
+        shift = self.lattice_bits + self.mesh.mesh_exp
+        if shift < 0:
+            raise ValueError(
+                f"mesh 2**{self.mesh.mesh_exp} is finer than the lattice 2**-{self.lattice_bits}"
+            )
+        return 1 << shift
+
+
+def _summary_of(state: SolverState, evaluation: Evaluation) -> ViolationSummary:
+    """Summary under the current partition and ``rho``.  In extreme-barrier
+    mode only the merit is set: ``f`` on feasible points, ``+inf`` elsewhere."""
     if state.pip:
         return violation_summary(
             evaluation.f,
@@ -159,21 +177,37 @@ def _merit_of(state: SolverState, evaluation: Evaluation) -> float:
             state.partition,
             state.merit_params,
             failed=evaluation.failed,
-        ).merit
-    if evaluation.failed or any(v > 0.0 for v in evaluation.g):
-        return _INF
-    return evaluation.f
+        )
+    infeasible = evaluation.failed or any(v > 0.0 for v in evaluation.g)
+    return ViolationSummary(
+        phi_prox=None, c_int=None, c_ext=None, merit=_INF if infeasible else evaluation.f
+    )
 
 
-def _point_of(state: SolverState, q: Sequence[Fraction]) -> Tuple[float, ...]:
+def _lattice_bits(delta0: float, delta_stop: float) -> int:
+    """Bits below ``delta0`` needed by the finest mesh an iteration can use.
+
+    Iterations run only while ``delta_frame >= delta_stop``; at the lowest
+    such frame exponent ``e`` the mesh exponent is ``2 * e``.
+    """
+    exp = 0
+    while math.ldexp(delta0, exp - 1) >= delta_stop:
+        exp -= 1
+    return -2 * exp
+
+
+def _point_of(state: SolverState, q: Sequence[int]) -> Tuple[float, ...]:
     unit = state.x_unit
-    return tuple(a + unit * float(qi) for a, qi in zip(state.anchor, q))
+    scale = 1 << state.lattice_bits
+    # int / int is correctly rounded: one rounding away from the exact offset
+    return tuple(a + unit * (qi / scale) for a, qi in zip(state.anchor, q))
 
 
 def _append_row(
     state: SolverState,
     *,
     evaluation: Optional[Evaluation],
+    summary: Optional[ViolationSummary],
     x: Sequence[float],
     status: str,
     incumbent: bool,
@@ -184,11 +218,7 @@ def _append_row(
     eval_index = None
     if evaluation is not None:
         f, g, h, eval_index = evaluation.f, evaluation.g, evaluation.h, evaluation.eval_index
-        if state.pip:
-            summary = violation_summary(
-                f, g, h, state.partition, state.merit_params, failed=evaluation.failed
-            )
-            cint, cext = summary.c_int, summary.c_ext
+        cint, cext = summary.c_int, summary.c_ext
     if state.pip:
         rho = state.merit_params.rho
     state.record.rows.append(
@@ -235,10 +265,10 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
     # criterion and stopping thresholds compare against this scaled frame
     # size; evaluation points are mapped back to original coordinates.
     x_unit = config.delta0 if config.delta0 is not None else initial_frame_size(problem.bounds)
-    mesh = MeshState.initial(10.0 if problem.bounds is not None else x_unit)
+    mesh = MeshState(10.0 if problem.bounds is not None else x_unit)
     cache = Cache()
     rng = np.random.default_rng(config.seed)
-    q0 = tuple(Fraction(0) for _ in range(problem.n))
+    q0 = (0,) * problem.n
     ev0 = evaluate(problem, x0, cache, key=q0)
 
     record = RunRecord(
@@ -259,9 +289,10 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
         record=record,
         anchor=x0,
         x_unit=x_unit,
+        lattice_bits=_lattice_bits(mesh.delta0, config.delta_stop),
         q_incumbent=q0,
         incumbent=ev0,
-        incumbent_merit=_INF,
+        incumbent_summary=None,
     )
 
     if config.mode == MODE_PIP:
@@ -289,10 +320,11 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
         if any(v > 0.0 for v in ev0.g):
             raise InitializationError("extreme-barrier mode needs a feasible starting point")
 
-    state.incumbent_merit = _merit_of(state, ev0)
+    state.incumbent_summary = _summary_of(state, ev0)
     _append_row(
         state,
         evaluation=ev0,
+        summary=state.incumbent_summary,
         x=x0,
         status="unsuccessful",
         incumbent=True,
@@ -301,7 +333,7 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
     return state
 
 
-def speculative_search(state: SolverState) -> Optional[Tuple[Fraction, ...]]:
+def speculative_search(state: SolverState) -> Optional[Tuple[int, ...]]:
     """Candidate doubling the last successful displacement, on the mesh.
 
     Nothing is proposed without a prior success, when the snapped point
@@ -310,11 +342,11 @@ def speculative_search(state: SolverState) -> Optional[Tuple[Fraction, ...]]:
     offset = state.last_success_offset
     if offset is None:
         return None
-    mesh_ratio = state.mesh.mesh_ratio
-    steps = snap_steps(tuple(2 * q for q in offset), mesh_ratio)
+    mesh_step = state.mesh_step
+    steps = snap_steps(tuple(2 * q for q in offset), mesh_step)
     if all(s == 0 for s in steps):
         return None
-    q = tuple(qi + mesh_ratio * s for qi, s in zip(state.q_incumbent, steps))
+    q = tuple(qi + mesh_step * s for qi, s in zip(state.q_incumbent, steps))
     if not state.problem.contains(_point_of(state, q)):
         return None
     if q in state.cache:
@@ -329,48 +361,48 @@ def reselect_incumbent(state: SolverState) -> SolverState:
     evaluation; if every cached point has infinite merit the incumbent is
     kept and the run is flagged.
     """
-    best_key = None
-    best_ev = None
+    best_key = best_ev = best_summary = None
     best_merit = _INF
     for key, ev in state.cache.entries.items():  # insertion order = eval order
-        z = _merit_of(state, ev)
-        if z < best_merit:
-            best_key, best_ev, best_merit = key, ev, z
-    if best_ev is None or math.isinf(best_merit):
+        summary = _summary_of(state, ev)
+        if summary.merit < best_merit:
+            best_key, best_ev, best_summary, best_merit = key, ev, summary, summary.merit
+    if best_ev is None:
         state.record.flags.append("reselection-found-no-finite-merit")
-        state.incumbent_merit = _merit_of(state, state.incumbent)
+        state.incumbent_summary = _summary_of(state, state.incumbent)
         return state
     state.q_incumbent = best_key
     state.incumbent = best_ev
-    state.incumbent_merit = best_merit
+    state.incumbent_summary = best_summary
     return state
 
 
-def _try_candidate(state: SolverState, q: Tuple[Fraction, ...], kind: str):
-    """Evaluate one trial point. Returns (verdict, evaluation) with verdict in
-    {"accepted", "rejected", "nobudget"}."""
+def _try_candidate(state: SolverState, q: Tuple[int, ...], kind: str):
+    """Evaluate one trial point. Returns (verdict, evaluation, summary) with
+    verdict in {"accepted", "rejected", "nobudget"}."""
     x = _point_of(state, q)
     delta_frame = state.mesh.delta_frame
     if not state.problem.contains(x):
         _append_row(
             state,
             evaluation=None,
+            summary=None,
             x=x,
             status="rejected-bounds",
             incumbent=False,
             delta_frame=delta_frame,
         )
-        return "rejected", None
+        return "rejected", None, None
     hit = state.cache.get(q)
     if hit is None:
         if state.cache.eval_count >= state.config.max_evaluations:
-            return "nobudget", None
+            return "nobudget", None, None
         ev = evaluate(state.problem, x, state.cache, key=q)
         fresh = True
     else:
         ev, fresh = hit, False
-    z = _merit_of(state, ev)
-    improving = z < state.incumbent_merit
+    summary = _summary_of(state, ev)
+    improving = summary.merit < state.incumbent_merit
     if improving:
         status = "search-success" if kind == "search" else "poll-success"
     elif not fresh:
@@ -382,14 +414,13 @@ def _try_candidate(state: SolverState, q: Tuple[Fraction, ...], kind: str):
     _append_row(
         state,
         evaluation=ev,
+        summary=summary,
         x=x,
         status=status,
         incumbent=improving,
         delta_frame=delta_frame,
     )
-    if improving:
-        return "accepted", ev
-    return "rejected", ev
+    return ("accepted" if improving else "rejected"), ev, summary
 
 
 def iterate(state: SolverState) -> str:
@@ -401,53 +432,40 @@ def iterate(state: SolverState) -> str:
     rho_before = state.merit_params.rho if state.pip else None
     q_center = state.q_incumbent
     success_kind = None
-    accepted_q = None
 
     if state.config.search_enabled:
         q = speculative_search(state)
         if q is not None:
-            verdict, ev = _try_candidate(state, q, kind="search")
+            verdict, ev, summary = _try_candidate(state, q, kind="search")
             if verdict == "nobudget":
                 return "budget"
             if verdict == "accepted":
-                success_kind, accepted_q, accepted_ev = "search", q, ev
+                success_kind, accepted = "search", (q, ev, summary)
 
     if success_kind is None:
-        mesh_ratio = state.mesh.mesh_ratio
-        for direction in poll_directions(state.problem.n, state.mesh, state.rng):
-            q = tuple(
-                qi + mesh_ratio * s for qi, s in zip(q_center, direction.steps)
-            )
-            verdict, ev = _try_candidate(state, q, kind="poll")
+        mesh_step = state.mesh_step
+        for steps in poll_directions(state.problem.n, state.mesh, state.rng):
+            q = tuple(qi + mesh_step * s for qi, s in zip(q_center, steps))
+            verdict, ev, summary = _try_candidate(state, q, kind="poll")
             if verdict == "nobudget":
                 return "budget"
             if verdict == "accepted":
-                success_kind, accepted_q, accepted_ev = "poll", q, ev
+                success_kind, accepted = "poll", (q, ev, summary)
                 break
 
     success = success_kind is not None
     if success:
+        state.q_incumbent, state.incumbent, state.incumbent_summary = accepted
         state.last_success_offset = tuple(
-            a - b for a, b in zip(accepted_q, q_center)
+            a - b for a, b in zip(state.q_incumbent, q_center)
         )
-        state.q_incumbent = accepted_q
-        state.incumbent = accepted_ev
-        state.incumbent_merit = _merit_of(state, accepted_ev)
     state.mesh = update_frame(state.mesh, success)
     delta_next = state.mesh.delta_frame
 
     rho_reduced = False
     phi = None
     if state.pip and not success:
-        summary = violation_summary(
-            state.incumbent.f,
-            state.incumbent.g,
-            state.incumbent.h,
-            state.partition,
-            state.merit_params,
-            failed=state.incumbent.failed,
-        )
-        phi = summary.phi_prox if state.partition.g_int else None
+        phi = state.incumbent_summary.phi_prox if state.partition.g_int else None
         if penalty_update_check(delta_next, phi, state.merit_params):
             new_rho = state.merit_params.rho * state.merit_params.theta_rho
             state.merit_params = replace(state.merit_params, rho=new_rho)
@@ -467,16 +485,6 @@ def iterate(state: SolverState) -> str:
             state.record.partition_trace.extend((it, i) for i in moved)
             reselect_incumbent(state)
 
-    incumbent_summary = None
-    if state.pip:
-        incumbent_summary = violation_summary(
-            state.incumbent.f,
-            state.incumbent.g,
-            state.incumbent.h,
-            state.partition,
-            state.merit_params,
-            failed=state.incumbent.failed,
-        )
     state.record.iterations.append(
         {
             "iteration": it,
@@ -484,7 +492,7 @@ def iterate(state: SolverState) -> str:
             "kind": success_kind,
             "incumbent_eval_index": state.incumbent.eval_index,
             "incumbent_merit": state.incumbent_merit,
-            "incumbent_cint": incumbent_summary.c_int if incumbent_summary else None,
+            "incumbent_cint": state.incumbent_summary.c_int,
             "rho_before": rho_before,
             "rho": state.merit_params.rho if state.pip else None,
             "rho_reduced": rho_reduced,
@@ -526,8 +534,9 @@ def solve(
 ) -> RunRecord:
     """Run to budget exhaustion or convergence; deterministic in the seed.
 
-    Stops when the budget is spent, the frame size falls below
-    ``delta_stop``, or (pip mode) ``rho`` falls below ``rho_stop``.
+    Stops when the budget is spent (``budget-exhausted``), the frame size
+    falls below ``delta_stop`` (``delta-converged``), or in pip mode ``rho``
+    falls below ``rho_stop`` (``rho-converged``).
     """
     state = init_state(problem, x0, config)
     state.record.x0_id = x0_id
@@ -539,23 +548,12 @@ def solve(
             outcome = "delta-converged"
             break
         if state.pip and state.merit_params.rho < config.rho_stop:
-            outcome = "delta-converged"
+            outcome = "rho-converged"
             break
         if iterate(state) == "budget":
             outcome = "budget-exhausted"
             break
     return _finalize(state, outcome)
-
-
-def solve_extreme_barrier(
-    problem: Problem,
-    x0: Sequence[float],
-    config: SolverConfig,
-    x0_id: str = "x0",
-) -> RunRecord:
-    """Baseline: the same loop with ``f`` extended by ``+inf`` off the
-    feasible set. Inequality-only problems, feasible ``x0``."""
-    return solve(problem, x0, replace(config, mode=MODE_EXTREME_BARRIER), x0_id=x0_id)
 
 
 def error_record(

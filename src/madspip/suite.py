@@ -53,11 +53,7 @@ def _unit_disk(x):
     return x[0] + x[1], (x[0] * x[0] + x[1] * x[1] - 1.0,), ()
 
 
-def _sphere_eq_5(x):
-    return sum(v * v for v in x), (), (sum(x) - 1.0,)
-
-
-def _sphere_eq_3(x):
+def _sphere_eq(x):
     return sum(v * v for v in x), (), (sum(x) - 1.0,)
 
 
@@ -89,11 +85,11 @@ _BUILTINS: List[Tuple[Problem, KnownOptimum]] = [
         KnownOptimum(-_SQRT2, "linear objective over the unit disk; optimum at -(1,1)/sqrt(2)"),
     ),
     (
-        Problem("sphere-eq", 5, 0, 1, _sphere_eq_5, _box(-0.2, 0.95, 5)),
+        Problem("sphere-eq", 5, 0, 1, _sphere_eq, _box(-0.2, 0.95, 5)),
         KnownOptimum(0.2, "squared norm on the plane sum(x)=1; optimum x_i = 1/5 by symmetry"),
     ),
     (
-        Problem("sphere-eq-3", 3, 0, 1, _sphere_eq_3, _box(-0.2, 0.95, 3)),
+        Problem("sphere-eq-3", 3, 0, 1, _sphere_eq, _box(-0.2, 0.95, 3)),
         KnownOptimum(1.0 / 3.0, "squared norm on the plane sum(x)=1; optimum x_i = 1/3"),
     ),
     (
@@ -267,7 +263,9 @@ def load_problem_file(path, eval_exe: Optional[str] = None, timeout: float = 60.
     except KeyError as exc:
         raise ValueError(f"problem definition misses required key {exc}") from exc
     bounds = None
-    if "lower" in fields or "upper" in fields:
+    if ("lower" in fields) != ("upper" in fields):
+        raise ValueError("problem definition needs both lower and upper bounds, or neither")
+    if "lower" in fields:
         lower = tuple(float(v) for v in fields["lower"].split(","))
         upper = tuple(float(v) for v in fields["upper"].split(","))
         bounds = (lower, upper)

@@ -23,7 +23,7 @@ from madspip.bench import (
 )
 from madspip.cli import main as cli_main
 from madspip.merit import MeritParams, c_ext, c_int, compute_b_ext, merit, penalty_update_check, phi_prox
-from madspip.mesh import MeshState, mesh_size, snap_to_mesh, update_frame
+from madspip.mesh import MeshState, snap_steps, update_frame
 from madspip.problem import is_feasible, Evaluation
 from madspip.solver import SolverConfig, check_run_invariants, solve
 from madspip.suite import builtin_problem, initial_point, make_instances
@@ -40,7 +40,7 @@ def crit2_records():
     problems = [builtin_problem(n)[0] for n in ("unit-disk", "maxabs-lin", "two-ring")]
     instances = make_instances(problems, 2, list(range(1, 11)))
     start = time.monotonic()
-    records = run_matrix(instances, ["pip"], budget=1500, max_workers=4)
+    records = run_matrix([(inst, "pip") for inst in instances], budget=1500, max_workers=4)
     return records, time.monotonic() - start
 
 
@@ -53,7 +53,7 @@ def crit3_records():
         if inst.x0_id == "infeasible-0"
     ]
     start = time.monotonic()
-    records = run_matrix(instances, ["pip"], budget=3000, max_workers=4)
+    records = run_matrix([(inst, "pip") for inst in instances], budget=3000, max_workers=4)
     return records, time.monotonic() - start
 
 
@@ -90,16 +90,17 @@ class TestCriterion1FormulaSuite:
         assert penalty_update_check(0.5, -1.0, p) is True
         assert penalty_update_check(2.0, -1.0, p) is False
         assert penalty_update_check(1e-4, 0.0, p) is False
-        # mesh arithmetic
-        assert mesh_size(1.0, 1.0) == 1.0
-        assert mesh_size(0.5, 1.0) == 0.25
-        assert mesh_size(2.0, 1.0) == 2.0
-        assert update_frame(MeshState.initial(1.0), True).delta_frame == 2.0
-        shrunk = update_frame(MeshState.initial(1.0), False)
+        # mesh arithmetic: frame delta0 * 2**exp, mesh min(frame, frame**2/delta0)
+        assert MeshState(1.0, 0).delta_mesh == 1.0
+        assert MeshState(1.0, -1).delta_mesh == 0.25
+        assert MeshState(1.0, 1).delta_mesh == 2.0
+        assert update_frame(MeshState(1.0), True).delta_frame == 2.0
+        shrunk = update_frame(MeshState(1.0), False)
         assert (shrunk.delta_frame, shrunk.delta_mesh) == (0.5, 0.25)
-        assert update_frame(MeshState.with_frame(1.0, 1000.0), True).delta_frame == 1000.0
-        assert snap_to_mesh((0.0, 0.0), (0.26, -0.24), 0.25).displacement == (0.25, -0.25)
-        assert snap_to_mesh((0.0,), (0.125,), 0.25).displacement == (0.25,)
+        assert update_frame(MeshState(1.0, 9), True).delta_frame == 512.0  # growth cap
+        # snapping (0.26, -0.24) and 0.125 onto mesh 0.25, in units of 0.001
+        assert snap_steps((260, -240), 250) == (1, -1)
+        assert snap_steps((125,), 250) == (1,)
         # feasibility rule
         assert is_feasible(Evaluation((0.0,), 1.0, (-0.1,), (5e-9,), 0), EQ_TOL)
         assert not is_feasible(Evaluation((0.0,), 1.0, (1e-12,), (), 0), EQ_TOL)

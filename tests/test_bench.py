@@ -214,7 +214,8 @@ class TestRunMatrix:
     def test_cardinality_and_keys(self):
         problems = [builtin_problem("unit-disk")[0]]
         instances = make_instances(problems, 2, [1, 2])
-        records = run_matrix(instances, ["pip", "extreme-barrier"], budget=60)
+        jobs = [(inst, mode) for inst in instances for mode in ("pip", "extreme-barrier")]
+        records = run_matrix(jobs, budget=60)
         assert len(records) == 8
         for (problem, x0_id, seed, mode), record in records.items():
             assert record.problem_name == problem
@@ -224,8 +225,8 @@ class TestRunMatrix:
 
     def test_rerun_identical(self):
         instances = make_instances([builtin_problem("two-ring")[0]], 1, [3])
-        a = run_matrix(instances, ["pip"], budget=80)
-        b = run_matrix(instances, ["pip"], budget=80)
+        a = run_matrix([(inst, "pip") for inst in instances], budget=80)
+        b = run_matrix([(inst, "pip") for inst in instances], budget=80)
         key = next(iter(a))
         assert a[key].rows == b[key].rows
 
@@ -234,7 +235,8 @@ class TestRunMatrix:
         # from an infeasible point; those runs carry outcome=error while the
         # rest of the batch completes
         instances = make_instances([builtin_problem("sphere-eq")[0]], 2, [1])
-        records = run_matrix(instances, ["pip", "extreme-barrier"], budget=60)
+        jobs = [(inst, mode) for inst in instances for mode in ("pip", "extreme-barrier")]
+        records = run_matrix(jobs, budget=60)
         outcomes = {key: rec.outcome for key, rec in records.items()}
         assert all(
             outcomes[key] == "error" for key in outcomes if key[3] == "extreme-barrier"
@@ -268,4 +270,4 @@ class TestRunMatrix:
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
-            run_matrix([], ["pip"], budget=10)
+            run_matrix([], budget=10)

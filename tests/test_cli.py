@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import madspip.bench
 from madspip.cli import main, resolve_option, _read_config_file, _parse_history_name
 
 
@@ -122,6 +123,15 @@ class TestSolveCommand:
         # the external stub answers for the builtin's analytic formula
         assert machine_line(out)["best_feasible_f"] == 7.0
 
+    def test_one_sided_bounds_exit_2(self, tmp_path, capsys):
+        definition = tmp_path / "ext.txt"
+        definition.write_text("name = ext\nn = 1\nm = 0\np = 0\nlower = -1\nevaluator = /bin/true\n")
+        code, _, err = run_cli(
+            capsys, "solve", "--problem", str(definition), "--x0", "0", "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert "lower and upper" in err
+
     def test_missing_eval_exe_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys,
@@ -160,6 +170,46 @@ class TestBenchCommand:
         assert code == 0
         machine = machine_line(out)
         assert machine["skipped"] == 2 and machine["completed"] == 0
+
+    def test_one_solve_per_history(self, tmp_path, capsys, monkeypatch):
+        solved = []
+        real_solve = madspip.bench.solve
+
+        def counting_solve(problem, x0, config, x0_id="x0"):
+            solved.append((problem.name, x0_id, config.seed, config.mode))
+            return real_solve(problem, x0, config, x0_id=x0_id)
+
+        monkeypatch.setattr(madspip.bench, "solve", counting_solve)
+        out_dir = tmp_path / "bench"
+        args = (
+            "bench", "--problem", "unit-disk", "--x0-count", "2",
+            "--seeds", "1,2", "--budget", "40", "--out", str(out_dir),
+        )
+        code, out, _ = run_cli(capsys, *args, "--mode", "pip,extreme-barrier")
+        machine = machine_line(out)
+        assert code == 0 and machine["completed"] + machine["errors"] == 8
+        assert len(solved) == len(set(solved)) == 8
+
+        # adding a mode to a finished bench solves only the new pairs
+        other = tmp_path / "other"
+        code, _, _ = run_cli(capsys, *args[:-1], str(other), "--mode", "pip")
+        assert code == 0
+        solved.clear()
+        code, out, _ = run_cli(capsys, *args[:-1], str(other), "--mode", "pip,extreme-barrier")
+        assert code == 0
+        machine = machine_line(out)
+        assert machine["skipped"] == 4 and machine["completed"] + machine["errors"] == 4
+        assert len(solved) == 4
+        assert {key[3] for key in solved} == {"extreme-barrier"}
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exits_2(self, tmp_path, capsys, workers):
+        code, _, err = run_cli(
+            capsys, "bench", "--problem", "unit-disk", "--seeds", "1",
+            "--workers", workers, "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "workers" in err
 
     def test_empty_seeds_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(

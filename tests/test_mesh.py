@@ -1,128 +1,156 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from madspip.mesh import (
+    FRAME_CAP_EXP,
     MeshState,
     initial_frame_size,
-    mesh_size,
     poll_directions,
     snap_steps,
-    snap_to_mesh,
     update_frame,
 )
 
 
 class TestMeshSize:
     def test_at_initial(self):
-        assert mesh_size(1.0, 1.0) == 1.0
+        assert MeshState(1.0, 0).delta_mesh == 1.0
 
     def test_quadratic_branch(self):
-        assert mesh_size(0.5, 1.0) == 0.25
+        m = MeshState(1.0, -1)
+        assert (m.delta_frame, m.delta_mesh) == (0.5, 0.25)
+        assert m.mesh_exp == -2
 
     def test_linear_branch(self):
-        assert mesh_size(2.0, 1.0) == 2.0
+        m = MeshState(1.0, 1)
+        assert (m.delta_frame, m.delta_mesh) == (2.0, 2.0)
+        assert m.mesh_exp == 1
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            mesh_size(0.0, 1.0)
+            MeshState(0.0, -1)
         with pytest.raises(ValueError):
-            mesh_size(1.0, -1.0)
+            MeshState(-1.0, 1)
 
 
 class TestMeshState:
     def test_initial_state(self):
-        m = MeshState.initial(1.0)
+        m = MeshState(1.0)
+        assert m.exp == 0
         assert m.delta_frame == 1.0
         assert m.delta_mesh == 1.0
 
     def test_mesh_follows_frame(self):
-        m = MeshState(delta0=1.0, frame_ratio=Fraction(1, 2))
-        assert m.delta_mesh == pytest.approx(mesh_size(m.delta_frame, 1.0))
+        for delta0 in (1.0, 10.0, 0.3):
+            for exp in range(-6, 4):
+                m = MeshState(delta0, exp)
+                d = m.delta_frame
+                assert m.delta_mesh == pytest.approx(min(d, d * d / delta0), rel=1e-15)
+
+    def test_sizes_scale_with_delta0(self):
+        m = MeshState(10.0, -3)
+        assert m.delta_frame == 10.0 / 8
+        assert m.delta_mesh == 10.0 / 64
 
     def test_validation(self):
         with pytest.raises(ValueError):
             MeshState(delta0=0.0)
         with pytest.raises(ValueError):
-            MeshState(delta0=1.0, theta_delta=Fraction(3, 2))
+            MeshState(delta0=-1.0)
 
 
 class TestUpdateFrame:
     def test_success_grows(self):
-        m = update_frame(MeshState.initial(1.0), success=True)
+        m = update_frame(MeshState(1.0), success=True)
         assert m.delta_frame == 2.0
 
     def test_failure_shrinks_and_recomputes_mesh(self):
-        m = update_frame(MeshState.initial(1.0), success=False)
+        m = update_frame(MeshState(1.0), success=False)
         assert m.delta_frame == 0.5
         assert m.delta_mesh == 0.25
 
     def test_growth_cap(self):
-        at_cap = MeshState.with_frame(1.0, 1000.0)
+        # 2**9 = 512 is the largest frame ratio not above 1000
+        assert FRAME_CAP_EXP == 9
+        at_cap = MeshState(1.0, FRAME_CAP_EXP)
         grown = update_frame(at_cap, success=True)
         assert grown == at_cap  # cap leaves the whole state unchanged
-        assert grown.delta_frame == 1000.0
+        assert grown.delta_frame == 512.0
+        # the cap is reached by growth from the start and never passed
+        m = MeshState(1.0)
+        for _ in range(20):
+            m = update_frame(m, success=True)
+            assert m.delta_frame <= 1000.0
+        assert m == at_cap
         # shrinking away from the cap still works
-        assert update_frame(at_cap, success=False).delta_frame == 500.0
+        assert update_frame(at_cap, success=False).delta_frame == 256.0
 
     def test_mesh_never_exceeds_frame(self):
-        m = MeshState.initial(1.0)
+        m = MeshState(1.0)
         for success in [True, True, False, False, False, True, False] * 4:
             m = update_frame(m, success)
-            assert m.delta_mesh <= m.delta_frame + 1e-15
+            assert m.delta_mesh <= m.delta_frame
+
+
+def _max_step(steps):
+    return max(abs(s) for s in steps)
 
 
 class TestPollDirections:
     def test_n1_unit_mesh(self):
-        dirs = poll_directions(1, MeshState.initial(1.0), np.random.default_rng(0))
-        steps = sorted(d.steps for d in dirs)
-        assert steps == [(-1,), (1,)]
+        dirs = poll_directions(1, MeshState(1.0), np.random.default_rng(0))
+        assert sorted(dirs) == [(-1,), (1,)]
 
     def test_negation_closure(self):
-        dirs = poll_directions(2, MeshState.initial(1.0), np.random.default_rng(1))
+        dirs = poll_directions(2, MeshState(1.0), np.random.default_rng(1))
         assert len(dirs) == 4
         for d, neg in zip(dirs[:2], dirs[2:]):
-            assert tuple(-s for s in d.steps) == neg.steps
+            assert tuple(-s for s in d) == neg
+
+    def test_steps_are_ints(self):
+        dirs = poll_directions(3, MeshState(1.0, -3), np.random.default_rng(5))
+        assert all(type(s) is int for d in dirs for s in d)
 
     def test_frame_membership_and_step_bound(self):
         # fixed seed, delta=0.0625 so integer steps live on a radius-4 lattice
-        mesh = MeshState(delta0=1.0, frame_ratio=Fraction(1, 4))
+        mesh = MeshState(1.0, -2)
         assert mesh.delta_mesh == 0.0625
         dirs = poll_directions(3, mesh, np.random.default_rng(42))
         assert len(dirs) == 6
         for d in dirs:
-            assert max(abs(s) for s in d.steps) <= 4
-            assert max(abs(v) for v in d.displacement) <= 0.25 + 1e-15
+            assert _max_step(d) <= 4
+            assert _max_step(d) * mesh.delta_mesh <= mesh.delta_frame
 
     def test_leading_coordinate_spans_frame(self):
-        mesh = MeshState(delta0=1.0, frame_ratio=Fraction(1, 8))
+        mesh = MeshState(1.0, -3)
+        radius = 2 ** (mesh.exp - mesh.mesh_exp)
         for seed in range(20):
             dirs = poll_directions(3, mesh, np.random.default_rng(seed))
             for d in dirs:
-                assert max(abs(v) for v in d.displacement) >= mesh.delta_frame * 0.5
+                assert _max_step(d) == radius
+                assert _max_step(d) * mesh.delta_mesh >= mesh.delta_frame * 0.5
 
     def test_determinism(self):
-        mesh = MeshState(delta0=1.0, frame_ratio=Fraction(1, 16))
+        mesh = MeshState(1.0, -4)
         a = poll_directions(4, mesh, np.random.default_rng(123))
         b = poll_directions(4, mesh, np.random.default_rng(123))
         assert a == b
 
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
-            poll_directions(0, MeshState.initial(1.0), np.random.default_rng(0))
+            poll_directions(0, MeshState(1.0), np.random.default_rng(0))
 
     def test_density_proxy(self):
         # no 30-degree spherical cap stays empty across a shrinking-frame sweep
         rng = np.random.default_rng(2024)
         samples = []
-        mesh = MeshState.initial(1.0)
+        mesh = MeshState(1.0)
         for i in range(10_000):
             if i % 100 == 0:
-                mesh = MeshState(delta0=1.0, frame_ratio=Fraction(1, 2 ** (4 + (i // 100) % 8)))
+                mesh = MeshState(1.0, -(4 + (i // 100) % 8))
             first = poll_directions(3, mesh, rng)[0]
-            v = np.array(first.displacement, dtype=float)
+            v = np.array(first, dtype=float)
             samples.append(v / np.linalg.norm(v))
         samples = np.array(samples)
         probes = np.random.default_rng(7).standard_normal((500, 3))
@@ -134,31 +162,39 @@ class TestPollDirections:
 
 class TestSnap:
     def test_nearest_multiple(self):
-        d = snap_to_mesh((0.0, 0.0), (0.26, -0.24), 0.25)
-        assert d.displacement == (0.25, -0.25)
-        assert d.steps == (1, -1)
+        # (0.26, -0.24) onto mesh 0.25, in units of 0.01
+        assert snap_steps((26, -24), 25) == (1, -1)
+        # (13/16, -3/8) onto mesh 1/4, in units of 1/16
+        assert snap_steps((13, -6), 4) == (3, -2)
 
     def test_idempotent_on_mesh_points(self):
-        d = snap_to_mesh((1.0, 1.0), (1.0, 1.0), 0.125)
-        assert d.displacement == (0.0, 0.0)
+        assert snap_steps((0, 0), 8) == (0, 0)
+        for q in range(-40, 41, 8):
+            assert snap_steps((q,), 8) == (q // 8,)
 
     def test_tie_rounds_away_from_zero(self):
-        assert snap_to_mesh((0.0,), (0.125,), 0.25).displacement == (0.25,)
-        assert snap_to_mesh((0.0,), (-0.125,), 0.25).displacement == (-0.25,)
+        # 0.125 onto mesh 0.25, in units of 1/8, both signs
+        assert snap_steps((1,), 2) == (1,)
+        assert snap_steps((-1,), 2) == (-1,)
 
     def test_invalid_mesh_size(self):
         with pytest.raises(ValueError):
-            snap_to_mesh((0.0,), (1.0,), 0.0)
+            snap_steps((1,), 0)
+        with pytest.raises(ValueError):
+            snap_steps((1,), -4)
 
     def test_exact_steps_match_float_version(self):
-        offset = (Fraction(13, 16), Fraction(-3, 8))
-        steps = snap_steps(offset, Fraction(1, 4))
-        floats = snap_to_mesh((0.0, 0.0), (13 / 16, -3 / 8), 0.25)
-        assert steps == floats.steps
+        # the integer rounding agrees with rounding the float quotient
+        for step in (1, 2, 3, 4, 8, 25):
+            for q in range(-60, 61):
+                ratio = q / step
+                expected = math.floor(abs(ratio) + 0.5)
+                assert snap_steps((q,), step) == (int(math.copysign(expected, ratio)),)
 
     def test_exact_tie_away_from_zero(self):
-        assert snap_steps((Fraction(1, 8),), Fraction(1, 4)) == (1,)
-        assert snap_steps((Fraction(-1, 8),), Fraction(1, 4)) == (-1,)
+        assert snap_steps((3, -3, 5, -5), 2) == (2, -2, 3, -3)
+        assert snap_steps((2**70 + 2**69,), 2**70) == (2,)
+        assert snap_steps((-(2**70 + 2**69),), 2**70) == (-2,)
 
 
 class TestInitialFrameSize:

@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
@@ -14,7 +13,6 @@ from madspip.solver import (
     iterate,
     reselect_incumbent,
     solve,
-    solve_extreme_barrier,
     speculative_search,
     summary_line,
 )
@@ -153,10 +151,40 @@ class TestSpeculativeSearch:
             bounds=((-2.0, -2.0), (2.0, 2.0)),
         )
         state = init_state(problem, (-1.9, -1.9), SolverConfig(max_evaluations=100))
-        state.last_success_offset = (Fraction(-10), Fraction(-10))
+        state.last_success_offset = (-10 * 2**state.lattice_bits,) * 2
         evals_before = state.cache.eval_count
         assert speculative_search(state) is None
         assert state.cache.eval_count == evals_before
+
+
+class TestLattice:
+    def test_cache_keys_are_int_tuples(self):
+        problem, _ = builtin_problem("unit-disk")
+        state = init_state(problem, initial_point(problem, "feasible-0"), SolverConfig(max_evaluations=60, seed=1))
+        for _ in range(8):
+            iterate(state)
+        assert len(state.cache.entries) > 1
+        for key in state.cache.entries:
+            assert isinstance(key, tuple) and all(type(q) is int for q in key)
+
+    def test_lattice_covers_the_finest_iterated_mesh(self):
+        # delta0 = 1, delta_stop = 2**-5: the last frame iterated is 2**-5,
+        # whose mesh 2**-10 is the lattice unit
+        problem = Problem("bowl", 1, 0, 0, lambda x: (x[0] ** 2, (), ()))
+        config = SolverConfig(max_evaluations=500, delta_stop=2.0**-5, search_enabled=False)
+        state = init_state(problem, (0.0,), config)
+        assert state.lattice_bits == 10
+        record = solve(problem, (0.0,), config)
+        assert record.outcome == "delta-converged"
+        assert record.final_delta == 2.0**-6
+
+    def test_mesh_finer_than_lattice_rejected(self):
+        problem = Problem("bowl", 1, 0, 0, lambda x: (x[0] ** 2, (), ()))
+        state = init_state(problem, (0.0,), SolverConfig(max_evaluations=500, delta_stop=0.25))
+        assert state.lattice_bits == 4
+        state.mesh = replace(state.mesh, exp=-3)
+        with pytest.raises(ValueError):
+            iterate(state)
 
 
 class TestReselectIncumbent:
@@ -267,6 +295,16 @@ class TestSolve:
         assert record.partition_trace
         assert [idx for _, idx in record.partition_trace] == [0]
 
+    def test_rho_stop_exit_is_rho_converged(self):
+        # rho_stop above rho0 * theta_rho = 1e-3: the first rho cut ends the run
+        problem = Problem("bowl", 1, 0, 0, lambda x: (x[0] ** 2, (), ()))
+        config = SolverConfig(max_evaluations=500, rho_stop=1e-2, search_enabled=False)
+        record = solve(problem, (0.0,), config)
+        assert record.outcome == "rho-converged"
+        assert len(record.rho_trace) == 1
+        assert record.final_rho == pytest.approx(1e-3)
+        assert record.final_delta >= config.delta_stop
+
     def test_summary_line_fields(self):
         problem, _ = builtin_problem("unit-disk")
         record = solve(
@@ -281,7 +319,7 @@ class TestExtremeBarrier:
     def test_unit_disk_baseline(self):
         problem, optimum = builtin_problem("unit-disk")
         x0 = initial_point(problem, "feasible-0")
-        record = solve_extreme_barrier(problem, x0, SolverConfig(max_evaluations=1500, seed=1))
+        record = solve(problem, x0, SolverConfig(max_evaluations=1500, seed=1, mode="extreme-barrier"))
         assert record.mode == "extreme-barrier"
         assert record.best_feasible_f == pytest.approx(optimum.f_star, abs=1e-3)
 
@@ -289,13 +327,13 @@ class TestExtremeBarrier:
         problem, _ = builtin_problem("unit-disk")
         x0 = initial_point(problem, "infeasible-0")
         with pytest.raises(InitializationError):
-            solve_extreme_barrier(problem, x0, SolverConfig(max_evaluations=100, seed=1))
+            solve(problem, x0, SolverConfig(max_evaluations=100, seed=1, mode="extreme-barrier"))
 
     def test_equality_problem_rejected(self):
         problem, _ = builtin_problem("sphere-eq")
         x0 = initial_point(problem, "feasible-0")
         with pytest.raises(InitializationError):
-            solve_extreme_barrier(problem, x0, SolverConfig(max_evaluations=100, seed=1))
+            solve(problem, x0, SolverConfig(max_evaluations=100, seed=1, mode="extreme-barrier"))
 
     def test_matches_pip_on_unconstrained(self):
         # with no constraints the merit equals f, so both modes follow the
@@ -303,7 +341,7 @@ class TestExtremeBarrier:
         problem = Problem("sphere", 2, 0, 0, lambda x: (x[0] ** 2 + x[1] ** 2, (), ()))
         config = SolverConfig(max_evaluations=300, seed=7, search_enabled=False)
         pip = solve(problem, (1.0, -0.7), config)
-        baseline = solve_extreme_barrier(problem, (1.0, -0.7), config)
+        baseline = solve(problem, (1.0, -0.7), replace(config, mode="extreme-barrier"))
         pip_rows = [(r["x"], r["f"], r["status"], r["iteration"]) for r in pip.rows]
         eb_rows = [(r["x"], r["f"], r["status"], r["iteration"]) for r in baseline.rows]
         assert pip_rows == eb_rows

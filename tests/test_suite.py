@@ -237,3 +237,12 @@ class TestProblemFile:
         definition.write_text("name = t\nn = 1\n")
         with pytest.raises(ValueError):
             load_problem_file(definition)
+
+    @pytest.mark.parametrize("present", ["lower", "upper"])
+    def test_one_sided_bounds_rejected(self, tmp_path, present):
+        definition = tmp_path / "prob.txt"
+        definition.write_text(
+            f"name = t\nn = 1\nm = 0\np = 0\n{present} = -1\nevaluator = /bin/true\n"
+        )
+        with pytest.raises(ValueError, match="lower and upper"):
+            load_problem_file(definition)
