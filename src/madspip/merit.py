@@ -220,8 +220,8 @@ def violation_summary(
 ) -> ViolationSummary:
     """Full violation/merit summary of one raw evaluation under a partition.
 
-    Computed on demand from the stored raw outputs; never cache the result,
-    since ``rho`` and the partition change while a solver runs.
+    Computed on demand from the stored raw outputs; a kept result is valid
+    only until ``rho`` or the partition changes.
     """
     if failed:
         return ViolationSummary(phi_prox=_INF, c_int=_INF, c_ext=_INF, merit=_INF)
