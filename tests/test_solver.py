@@ -160,7 +160,8 @@ class TestSpeculativeSearch:
 class TestLattice:
     def test_cache_keys_are_int_tuples(self):
         problem, _ = builtin_problem("unit-disk")
-        state = init_state(problem, initial_point(problem, "feasible-0"), SolverConfig(max_evaluations=60, seed=1))
+        x0 = initial_point(problem, "feasible-0")
+        state = init_state(problem, x0, SolverConfig(max_evaluations=60, seed=1))
         for _ in range(8):
             iterate(state)
         assert len(state.cache.entries) > 1
