@@ -20,13 +20,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from .problem import Evaluation, is_feasible
 from .solver import RunRecord, SolverConfig, InitializationError, error_record, solve
 from .suite import Instance
 
 __all__ = [
     "ProfileCurve",
     "RunView",
-    "view_of_record",
     "view_of_history",
     "run_matrix",
     "convergence_index",
@@ -87,57 +87,30 @@ class RunView:
         return math.ceil(len(self.evals) / (self.n + 1))
 
 
-def view_of_record(record: RunRecord, eq_tol: float = 1e-8) -> RunView:
-    evals: List[Optional[Tuple[float, bool]]] = [None] * record.evals_used
-    for row in record.rows:
-        idx = row["eval_index"]
-        if idx is None or evals[idx] is not None:
-            continue  # bound rejections and cache hits spend no budget
-        feasible = (
-            row["status"] != "failed"
-            and all(v <= 0.0 for v in (row["g"] or []))
-            and all(abs(v) < eq_tol for v in (row["h"] or []))
-        )
-        evals[idx] = (row["f"], feasible)
-    return RunView(
-        problem=record.problem_name,
-        x0_id=record.x0_id,
-        seed=record.seed,
-        mode=record.mode,
-        n=record.n,
-        evals=tuple(e for e in evals if e is not None),
-    )
+def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, mode: str) -> RunView:
+    """Build a view from history rows, in memory or read back from JSONL
+    (``n`` comes from the rows).
 
-
-def view_of_history(
-    rows: Sequence[dict],
-    problem: str,
-    x0_id: str,
-    seed: int,
-    mode: str,
-    eq_tol: float = 1e-8,
-) -> RunView:
-    """Build a view from persisted JSONL rows (``n`` comes from the rows)."""
+    The first row of each ``eval_index`` is that evaluation; bound
+    rejections (no index) and cache hits (a repeated index) spend no budget.
+    """
     n = len(rows[0]["x"]) if rows else 0
     true_rows: Dict[int, Tuple[float, bool]] = {}
     for row in rows:
         idx = row.get("eval_index")
         if idx is None or idx in true_rows:
             continue
-        feasible = (
-            row.get("status") != "failed"
-            and all(v <= 0.0 for v in (row.get("g") or []))
-            and all(abs(v) < eq_tol for v in (row.get("h") or []))
-        )
-        true_rows[idx] = (row["f"], feasible)
+        failed = row.get("status") == "failed"
+        evaluation = Evaluation((), row["f"], row.get("g") or (), row.get("h") or (), idx, failed)
+        true_rows[idx] = (row["f"], is_feasible(evaluation))
     evals = tuple(true_rows[i] for i in sorted(true_rows))
     return RunView(problem=problem, x0_id=x0_id, seed=seed, mode=mode, n=n, evals=evals)
 
 
-def _as_view(run: Union[RunRecord, RunView], eq_tol: float) -> RunView:
+def _as_view(run: Union[RunRecord, RunView]) -> RunView:
     if isinstance(run, RunView):
         return run
-    return view_of_record(run, eq_tol)
+    return view_of_history(run.rows, *run.key)
 
 
 def run_matrix(
@@ -186,7 +159,6 @@ def convergence_index(
     f_star: float,
     f_ref: float,
     tau: float,
-    eq_tol: float = 1e-8,
 ) -> Optional[int]:
     """Smallest k such that some feasible evaluation among the first
     ``k * (n + 1)`` satisfies ``f <= f_star + tau * (f_ref - f_star)``."""
@@ -194,7 +166,7 @@ def convergence_index(
         raise ValueError("tau must be positive")
     if f_ref < f_star:
         raise ValueError("the reference value must not undercut f_star")
-    view = _as_view(history, eq_tol)
+    view = _as_view(history)
     threshold = f_star + tau * (f_ref - f_star)
     for index, (f, feasible) in enumerate(view.evals):
         if feasible and f <= threshold:
@@ -202,10 +174,10 @@ def convergence_index(
     return None
 
 
-def feasibility_index(history: Union[RunRecord, RunView], eq_tol: float = 1e-8) -> Optional[int]:
+def feasibility_index(history: Union[RunRecord, RunView]) -> Optional[int]:
     """Smallest k whose first ``k * (n + 1)`` evaluations contain a feasible
     point."""
-    view = _as_view(history, eq_tol)
+    view = _as_view(history)
     for index, (_, feasible) in enumerate(view.evals):
         if feasible:
             return math.ceil((index + 1) / (view.n + 1))
@@ -214,12 +186,8 @@ def feasibility_index(history: Union[RunRecord, RunView], eq_tol: float = 1e-8) 
 
 def _group_runs(
     records: Union[Dict[Key, Union[RunRecord, RunView]], Sequence[Union[RunRecord, RunView]]],
-    eq_tol: float,
 ):
-    views = [
-        _as_view(r, eq_tol)
-        for r in (records.values() if isinstance(records, dict) else records)
-    ]
+    views = [_as_view(r) for r in (records.values() if isinstance(records, dict) else records)]
     modes = sorted({v.mode for v in views})
     instances = sorted({v.instance_key for v in views})
     by_key = {v.key: v for v in views}
@@ -227,14 +195,12 @@ def _group_runs(
 
 
 def best_feasible_table(
-    records,
-    eq_tol: float = 1e-8,
-    known: Optional[Dict[str, float]] = None,
+    records, known: Optional[Dict[str, float]] = None
 ) -> Dict[InstanceKey, Optional[float]]:
     """Best known value per instance: the lowest feasible objective reached
     by any mode, improved by a known optimum when one is supplied for the
     problem. ``None`` marks instances no mode ever made feasible."""
-    views, _, instances, _ = _group_runs(records, eq_tol)
+    views, _, instances, _ = _group_runs(records)
     table: Dict[InstanceKey, Optional[float]] = {key: None for key in instances}
     for view in views:
         best = table[view.instance_key]
@@ -250,11 +216,11 @@ def best_feasible_table(
     return table
 
 
-def reference_table(records, eq_tol: float = 1e-8) -> Dict[InstanceKey, Optional[float]]:
+def reference_table(records) -> Dict[InstanceKey, Optional[float]]:
     """Normalization reference per instance: ``f(x0)`` when the starting
     point is feasible, else the largest objective among the modes' first
     feasible evaluations."""
-    views, _, instances, _ = _group_runs(records, eq_tol)
+    views, _, instances, _ = _group_runs(records)
     table: Dict[InstanceKey, Optional[float]] = {key: None for key in instances}
     from_x0 = set()
     for view in views:
@@ -284,10 +250,9 @@ def data_profile(
     tau: float,
     f_star_table: Dict[InstanceKey, Optional[float]],
     f_ref_table: Dict[InstanceKey, Optional[float]],
-    eq_tol: float = 1e-8,
 ) -> List[ProfileCurve]:
     """One curve per mode: fraction of instances tau-solved within k groups."""
-    views, modes, instances, by_key = _group_runs(records, eq_tol)
+    views, modes, instances, by_key = _group_runs(records)
     if not views:
         raise ValueError("no run records supplied")
     kept = [
@@ -304,9 +269,7 @@ def data_profile(
             view = by_key.get((key[0], key[1], key[2], mode))
             if view is None:
                 continue
-            index = convergence_index(
-                view, f_star_table[key], f_ref_table[key], tau, eq_tol
-            )
+            index = convergence_index(view, f_star_table[key], f_ref_table[key], tau)
             if index is not None:
                 solved_at.append(index)
         denominator = len(kept)
@@ -318,10 +281,10 @@ def data_profile(
     return curves
 
 
-def feasibility_profile(records, eq_tol: float = 1e-8) -> List[ProfileCurve]:
+def feasibility_profile(records) -> List[ProfileCurve]:
     """One curve per mode: fraction of instances with a feasible evaluation
     within k groups (denominator: all instances)."""
-    views, modes, instances, by_key = _group_runs(records, eq_tol)
+    views, modes, instances, by_key = _group_runs(records)
     if not views:
         raise ValueError("no run records supplied")
     k_max = _max_groups(views)
@@ -333,7 +296,7 @@ def feasibility_profile(records, eq_tol: float = 1e-8) -> List[ProfileCurve]:
             view = by_key.get((key[0], key[1], key[2], mode))
             if view is None:
                 continue
-            index = feasibility_index(view, eq_tol)
+            index = feasibility_index(view)
             if index is not None:
                 indices.append(index)
         denominator = len(instances)

@@ -1,9 +1,11 @@
 """Command-line entry points: solve one instance, run a benchmark matrix,
 compute profiles from stored histories, list builtin problems.
 
-Options may also come from a flat key = value config file (--config); a flag
-given on the command line always wins over the file.  Every command prints
-one machine-readable JSON line before its human-readable summary.
+Options may also come from a flat key = value config file (--config): its
+values become the subcommand's defaults and the command line is parsed again,
+so a flag always wins over the file and file values are checked as flags are.
+Every command prints one machine-readable JSON line before its human-readable
+summary.
 """
 
 from __future__ import annotations
@@ -64,36 +66,26 @@ def _read_config_file(path: str) -> Dict[str, str]:
     return values
 
 
-def resolve_option(flag_value, file_values: Dict[str, str], key: str, default=None, cast=None):
-    """Flag beats file beats default; file values are cast on the way in."""
-    if flag_value is not None:
-        return flag_value
-    if key in file_values:
-        raw = file_values[key]
-        return cast(raw) if cast is not None else raw
-    return default
+def _config_defaults(path: str) -> Dict[str, object]:
+    """Config file values keyed by argparse destination, ready for
+    ``set_defaults``; argparse converts the strings through each ``type=``."""
+    defaults: Dict[str, object] = {
+        key.replace("-", "_"): value for key, value in _read_config_file(path).items()
+    }
+    for key in ("no_search", "check_invariants"):
+        if key in defaults:
+            defaults[key] = _parse_bool(defaults[key])
+    if "out" in defaults:
+        defaults["histories"] = defaults["out"]  # profile reads where bench wrote
+    return defaults
 
 
 def _parse_bool(raw: str) -> bool:
     return raw.strip().lower() in ("1", "true", "yes", "on")
 
 
-def _parse_seeds(raw: str) -> List[int]:
-    raw = raw.strip()
-    if not raw:
-        return []
-    return [int(tok) for tok in raw.replace(" ", "").split(",") if tok]
-
-
-def _parse_taus(raw: str) -> List[float]:
-    raw = raw.strip()
-    if not raw:
-        return []
-    return [float(tok) for tok in raw.replace(" ", "").split(",") if tok]
-
-
-def _parse_vector(raw: str) -> List[float]:
-    return [float(tok) for tok in raw.replace(" ", "").split(",") if tok]
+def _parse_list(raw: str, cast) -> list:
+    return [cast(tok) for tok in raw.replace(" ", "").split(",") if tok]
 
 
 def _resolve_problem(name: Optional[str], eval_exe: Optional[str]):
@@ -113,53 +105,44 @@ def _resolve_problem(name: Optional[str], eval_exe: Optional[str]):
 def _resolve_x0(problem, x0: Optional[str], x0_file: Optional[str]):
     if x0_file is not None:
         text = Path(x0_file).read_text(encoding="utf-8")
-        return tuple(_parse_vector(text.replace("\n", ","))), Path(x0_file).stem
+        return tuple(_parse_list(text.replace("\n", ","), float)), Path(x0_file).stem
     if x0 is None:
         raise ValueError("one of --x0 or --x0-file is required")
     if any(c.isalpha() for c in x0):
         return initial_point(problem, x0), x0
-    return tuple(_parse_vector(x0)), "literal"
+    return tuple(_parse_list(x0, float)), "literal"
 
 
 def _history_filename(problem: str, x0_id: str, seed: int, mode: str) -> str:
     return f"{problem}__{x0_id}__seed{seed}__{mode}.jsonl"
 
 
-def cmd_solve(args, file_values: Dict[str, str]) -> int:
+def cmd_solve(args) -> int:
+    eval_exe = args.eval_exe
     try:
-        problem_name = resolve_option(args.problem, file_values, "problem")
-        eval_exe = resolve_option(args.eval_exe, file_values, "eval-exe")
         if eval_exe is not None and not Path(eval_exe).exists():
             raise ValueError(f"evaluator executable {eval_exe!r} does not exist")
-        problem, _ = _resolve_problem(problem_name, eval_exe)
+        problem, _ = _resolve_problem(args.problem, eval_exe)
         if eval_exe is not None and not isinstance(problem.evaluator, ExternalEvaluator):
             # swap a builtin's analytic evaluator for the external executable
             problem = dataclasses.replace(
                 problem, evaluator=ExternalEvaluator(eval_exe, problem.m, problem.p)
             )
-        x0_raw = resolve_option(args.x0, file_values, "x0")
-        x0_file = resolve_option(args.x0_file, file_values, "x0-file")
-        x0, x0_id = _resolve_x0(problem, x0_raw, x0_file)
-        seed = resolve_option(args.seed, file_values, "seed", default=0, cast=int)
-        budget = resolve_option(args.budget, file_values, "budget", default=1000, cast=int)
-        mode = resolve_option(args.mode, file_values, "mode", default="pip")
-        no_search = resolve_option(args.no_search, file_values, "no-search", default=False, cast=_parse_bool)
-        check = resolve_option(args.check_invariants, file_values, "check-invariants", default=False, cast=_parse_bool)
-        out_dir = Path(resolve_option(args.out, file_values, "out", default="."))
+        x0, x0_id = _resolve_x0(problem, args.x0, args.x0_file)
         config = SolverConfig(
-            max_evaluations=budget,
-            seed=seed,
-            mode=mode,
-            search_enabled=not no_search,
-            invariant_checks=False,
+            max_evaluations=args.budget,
+            seed=args.seed,
+            mode=args.mode,
+            search_enabled=not args.no_search,
         )
         record = solve(problem, x0, config, x0_id=x0_id)
     except (InitializationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    history_path = out_dir / _history_filename(problem.name, x0_id, seed, mode)
+    history_path = out_dir / _history_filename(problem.name, x0_id, args.seed, args.mode)
     write_history(record.rows, history_path)
     machine = {
         "command": "solve",
@@ -172,47 +155,37 @@ def cmd_solve(args, file_values: Dict[str, str]) -> int:
         "best_feasible_f": record.best_feasible_f,
         "outcome": record.outcome,
     }
-    if check:
+    if args.check_invariants:
         violations, logged = check_run_invariants(record)
         machine["invariant_violations"] = violations
         machine["invariant_warnings"] = logged
     print(json.dumps(machine))
     print(summary_line(record))
-    if check and machine["invariant_violations"]:
+    if args.check_invariants and machine["invariant_violations"]:
         for violation in machine["invariant_violations"]:
             print(f"invariant violation: {violation}", file=sys.stderr)
         return 1
     return 0
 
 
-def cmd_bench(args, file_values: Dict[str, str]) -> int:
+def cmd_bench(args) -> int:
     try:
-        seeds_raw = resolve_option(args.seeds, file_values, "seeds")
-        if seeds_raw is None:
+        if args.seeds is None:
             raise ValueError("--seeds is required for bench")
-        seeds = _parse_seeds(seeds_raw) if isinstance(seeds_raw, str) else seeds_raw
+        seeds = _parse_list(args.seeds, int)
         if not seeds:
             raise ValueError("at least one seed is required")
-        problem_names = resolve_option(args.problem, file_values, "problem")
-        if problem_names is None:
-            names = list(DEFAULT_BENCH_NAMES)
-        else:
-            names = [tok for tok in problem_names.split(",") if tok]
+        names = DEFAULT_BENCH_NAMES if args.problem is None else _parse_list(args.problem, str)
         problems = [builtin_problem(name)[0] for name in names]
-        x0_count = resolve_option(args.x0_count, file_values, "x0-count", default=2, cast=int)
-        budget = resolve_option(args.budget, file_values, "budget", default=1500, cast=int)
-        mode_raw = resolve_option(args.mode, file_values, "mode", default="pip")
-        modes = [tok for tok in mode_raw.split(",") if tok]
-        no_search = resolve_option(args.no_search, file_values, "no-search", default=False, cast=_parse_bool)
-        workers = resolve_option(args.workers, file_values, "workers", default=None, cast=int)
-        if workers is not None and workers < 1:
+        modes = _parse_list(args.mode, str)
+        if args.workers is not None and args.workers < 1:
             raise ValueError("--workers must be at least 1")
-        out_dir = Path(resolve_option(args.out, file_values, "out", default="bench-out"))
-        instances = make_instances(problems, x0_count, seeds)
+        instances = make_instances(problems, args.x0_count, seeds)
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.txt"
     done = set()
@@ -234,8 +207,8 @@ def cmd_bench(args, file_values: Dict[str, str]) -> int:
     keys: List[str] = sorted(done)
     run_summaries: List[str] = []
     if pending:
-        base = SolverConfig(max_evaluations=budget, search_enabled=not no_search)
-        records = run_matrix(pending, budget, max_workers=workers, base_config=base)
+        base = SolverConfig(max_evaluations=args.budget, search_enabled=not args.no_search)
+        records = run_matrix(pending, args.budget, max_workers=args.workers, base_config=base)
         for key, record in sorted(records.items()):
             name = f"{key[0]}__{key[1]}__seed{key[2]}__{key[3]}"
             write_history(record.rows, out_dir / f"{name}.jsonl")
@@ -276,11 +249,14 @@ def _parse_history_name(name: str):
     return parts[0], parts[1], int(parts[2][4:]), parts[3]
 
 
-def cmd_profile(args, file_values: Dict[str, str]) -> int:
-    histories_dir = Path(resolve_option(args.histories, file_values, "out", default="bench-out"))
-    tau_raw = resolve_option(args.tau, file_values, "tau", default="0.1,0.001")
-    taus = _parse_taus(tau_raw) if isinstance(tau_raw, str) else tau_raw
-    out_dir = Path(resolve_option(args.out, file_values, "out", default=str(histories_dir)))
+def cmd_profile(args) -> int:
+    histories_dir = Path(args.histories)
+    out_dir = histories_dir if args.out is None else Path(args.out)
+    try:
+        taus = _parse_list(args.tau, float)
+    except ValueError as exc:
+        print(f"error: --tau: {exc}", file=sys.stderr)
+        return 2
     if not histories_dir.is_dir():
         print(f"error: history directory {histories_dir} does not exist", file=sys.stderr)
         return 2
@@ -328,7 +304,7 @@ def cmd_profile(args, file_values: Dict[str, str]) -> int:
     return 0
 
 
-def cmd_list(args, file_values: Dict[str, str]) -> int:
+def cmd_list(args) -> int:
     rows = [
         {
             "name": problem.name,
@@ -348,7 +324,9 @@ def cmd_list(args, file_values: Dict[str, str]) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: Optional[Dict[str, object]] = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``defaults`` (from a config file) replace every
+    subcommand's own defaults."""
     parser = argparse.ArgumentParser(prog="madspip")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -356,54 +334,54 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("--problem")
     solve_p.add_argument("--x0", help="builtin id (e.g. feasible-0) or comma-separated vector")
     solve_p.add_argument("--x0-file")
-    solve_p.add_argument("--seed", type=int)
-    solve_p.add_argument("--budget", type=int)
-    solve_p.add_argument("--mode", choices=["pip", "extreme-barrier"])
+    solve_p.add_argument("--seed", type=int, default=0)
+    solve_p.add_argument("--budget", type=int, default=1000)
+    solve_p.add_argument("--mode", choices=["pip", "extreme-barrier"], default="pip")
     solve_p.add_argument("--eval-exe", help="external blackbox executable")
-    solve_p.add_argument("--no-search", action="store_true", default=None)
-    solve_p.add_argument("--check-invariants", action="store_true", default=None)
-    solve_p.add_argument("--out")
-    solve_p.add_argument("--config")
+    solve_p.add_argument("--no-search", action="store_true")
+    solve_p.add_argument("--check-invariants", action="store_true")
+    solve_p.add_argument("--out", default=".")
 
     bench_p = sub.add_parser("bench", help="run an instance x mode matrix")
     bench_p.add_argument("--problem", help="comma-separated builtin names (default: canonical suite)")
-    bench_p.add_argument("--x0-count", type=int)
+    bench_p.add_argument("--x0-count", type=int, default=2)
     bench_p.add_argument("--seeds", help="comma-separated seeds")
-    bench_p.add_argument("--budget", type=int)
-    bench_p.add_argument("--mode", help="comma-separated modes, e.g. pip,extreme-barrier")
-    bench_p.add_argument("--no-search", action="store_true", default=None)
+    bench_p.add_argument("--budget", type=int, default=1500)
+    bench_p.add_argument("--mode", default="pip", help="comma-separated modes, e.g. pip,extreme-barrier")
+    bench_p.add_argument("--no-search", action="store_true")
     bench_p.add_argument("--workers", type=int)
-    bench_p.add_argument("--out")
-    bench_p.add_argument("--config")
+    bench_p.add_argument("--out", default="bench-out")
 
     profile_p = sub.add_parser("profile", help="compute profiles from stored histories")
-    profile_p.add_argument("--histories", help="directory of *.jsonl run histories")
-    profile_p.add_argument("--tau", help="comma-separated precisions (default 0.1,0.001)")
-    profile_p.add_argument("--out")
-    profile_p.add_argument("--config")
+    profile_p.add_argument("--histories", default="bench-out", help="directory of *.jsonl run histories")
+    profile_p.add_argument("--tau", default="0.1,0.001", help="comma-separated precisions (default 0.1,0.001)")
+    profile_p.add_argument("--out", help="output directory (default: the histories directory)")
 
     list_p = sub.add_parser("list", help="list builtin problems")
-    list_p.add_argument("--config")
+
+    for subparser in (solve_p, bench_p, profile_p, list_p):
+        subparser.add_argument("--config")
+        if defaults:
+            subparser.set_defaults(**defaults)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    file_values: Dict[str, str] = {}
-    if getattr(args, "config", None):
+    args = build_parser().parse_args(argv)
+    if args.config:
         try:
-            file_values = _read_config_file(args.config)
+            defaults = _config_defaults(args.config)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        args = build_parser(defaults).parse_args(argv)
     handlers = {
         "solve": cmd_solve,
         "bench": cmd_bench,
         "profile": cmd_profile,
         "list": cmd_list,
     }
-    return handlers[args.command](args, file_values)
+    return handlers[args.command](args)
 
 
 def entry() -> None:

@@ -39,6 +39,9 @@ log = logging.getLogger(__name__)
 
 _INF = math.inf
 
+#: Equality residuals count as satisfied when ``|h| < EQ_TOL``.
+EQ_TOL = 1e-8
+
 #: Allowed values of the ``status`` field in history rows.
 HISTORY_STATUSES = frozenset(
     ["search-success", "poll-success", "unsuccessful", "cache-hit", "rejected-bounds", "failed"]
@@ -187,15 +190,15 @@ def evaluate(
     return evaluation
 
 
-def is_feasible(evaluation: Evaluation, eq_tol: float = 1e-8) -> bool:
-    """Feasibility with the relaxed equality criterion ``|h| < eq_tol``.
+def is_feasible(evaluation: Evaluation, eq_tol: float = EQ_TOL) -> bool:
+    """The one feasibility rule: not failed, ``g <= 0`` exactly and
+    ``|h| < eq_tol``.
 
-    Inequalities are held exactly (``g <= 0``); failed evaluations are never
-    feasible.
+    Solver results, history views and profiles all go through it.
     """
     if evaluation.failed:
         return False
-    if any(v > 0.0 for v in evaluation.g):
+    if not all(v <= 0.0 for v in evaluation.g):
         return False
     return all(abs(v) < eq_tol for v in evaluation.h)
 

@@ -65,7 +65,7 @@ class InitializationError(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run controls: budget, tolerances, seed, mode and feature switches."""
+    """Run controls: budget, tolerances, seed, mode and the search switch."""
 
     max_evaluations: int
     seed: int = 0
@@ -73,22 +73,17 @@ class SolverConfig:
     rho0: float = 1e-1
     rho_stop: float = 1e-12
     eps_ext: float = 1e-14
-    eq_tol: float = 1e-8
     search_enabled: bool = True
     mode: str = MODE_PIP
-    invariant_checks: bool = False
-    delta0: Optional[float] = None
 
     def __post_init__(self):
         if self.max_evaluations < 1:
             raise ValueError("max_evaluations must be at least 1")
-        for name in ("delta_stop", "rho0", "rho_stop", "eps_ext", "eq_tol"):
+        for name in ("delta_stop", "rho0", "rho_stop", "eps_ext"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.mode not in (MODE_PIP, MODE_EXTREME_BARRIER):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.delta0 is not None and self.delta0 <= 0.0:
-            raise ValueError("delta0 must be positive")
 
 
 @dataclass
@@ -119,10 +114,6 @@ class RunRecord:
     @property
     def key(self) -> Tuple[str, str, int, str]:
         return (self.problem_name, self.x0_id, self.seed, self.mode)
-
-    @property
-    def instance_key(self) -> Tuple[str, str, int]:
-        return (self.problem_name, self.x0_id, self.seed)
 
 
 @dataclass
@@ -178,10 +169,8 @@ def _summary_of(state: SolverState, evaluation: Evaluation) -> ViolationSummary:
             state.merit_params,
             failed=evaluation.failed,
         )
-    infeasible = evaluation.failed or any(v > 0.0 for v in evaluation.g)
-    return ViolationSummary(
-        phi_prox=None, c_int=None, c_ext=None, merit=_INF if infeasible else evaluation.f
-    )
+    merit = evaluation.f if is_feasible(evaluation) else _INF
+    return ViolationSummary(phi_prox=None, c_int=None, c_ext=None, merit=merit)
 
 
 def _lattice_bits(delta0: float, delta_stop: float) -> int:
@@ -264,7 +253,7 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
     # customary scaled-variable setup for this family of solvers.  All
     # criterion and stopping thresholds compare against this scaled frame
     # size; evaluation points are mapped back to original coordinates.
-    x_unit = config.delta0 if config.delta0 is not None else initial_frame_size(problem.bounds)
+    x_unit = initial_frame_size(problem.bounds)
     mesh = MeshState(10.0 if problem.bounds is not None else x_unit)
     cache = Cache()
     rng = np.random.default_rng(config.seed)
@@ -317,7 +306,7 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
     else:
         if ev0.failed:
             raise InitializationError("starting evaluation failed")
-        if any(v > 0.0 for v in ev0.g):
+        if not is_feasible(ev0):
             raise InitializationError("extreme-barrier mode needs a feasible starting point")
 
     state.incumbent_summary = _summary_of(state, ev0)
@@ -515,14 +504,10 @@ def _finalize(state: SolverState, outcome: str) -> RunRecord:
     best_f = None
     best_point = None
     for ev in state.cache.entries.values():
-        if is_feasible(ev, state.config.eq_tol) and (best_f is None or ev.f < best_f):
+        if is_feasible(ev) and (best_f is None or ev.f < best_f):
             best_f, best_point = ev.f, ev.point
     record.best_feasible_f = best_f
     record.best_feasible_point = best_point
-    if state.config.invariant_checks:
-        violations, warnings = check_run_invariants(record)
-        record.flags.extend(violations)
-        record.flags.extend(warnings)
     return record
 
 

@@ -237,13 +237,15 @@ def make_instances(
     return instances
 
 
-def load_problem_file(path, eval_exe: Optional[str] = None, timeout: float = 60.0) -> Problem:
+def load_problem_file(path, eval_exe: Optional[str] = None) -> Problem:
     """Read a problem from a flat key=value definition file.
 
     Keys: ``name``, ``n``, ``m``, ``p``, optional ``lower``/``upper``
     (comma-separated), and ``evaluator`` (path to an executable speaking the
     one-line stdin/stdout protocol).  ``eval_exe`` overrides the file's
-    evaluator path.
+    evaluator path.  The name becomes part of history file names, so it must
+    be nonempty and hold no ``__``, path separator or whitespace, and must
+    not start with ``.``.
     """
     fields: Dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -262,6 +264,13 @@ def load_problem_file(path, eval_exe: Optional[str] = None, timeout: float = 60.
         p = int(fields["p"])
     except KeyError as exc:
         raise ValueError(f"problem definition misses required key {exc}") from exc
+    if (
+        not name
+        or name.startswith(".")
+        or "__" in name
+        or any(c in "/\\" or c.isspace() for c in name)
+    ):
+        raise ValueError(f"problem name {name!r} cannot name a history file")
     bounds = None
     if ("lower" in fields) != ("upper" in fields):
         raise ValueError("problem definition needs both lower and upper bounds, or neither")
@@ -272,4 +281,4 @@ def load_problem_file(path, eval_exe: Optional[str] = None, timeout: float = 60.
     exe = eval_exe or fields.get("evaluator")
     if exe is None:
         raise ValueError("problem definition needs an evaluator (or pass --eval-exe)")
-    return Problem(name, n, m, p, ExternalEvaluator(exe, m, p, timeout), bounds)
+    return Problem(name, n, m, p, ExternalEvaluator(exe, m, p), bounds)

@@ -13,10 +13,11 @@ from madspip.bench import (
     read_curves_csv,
     reference_table,
     run_matrix,
-    view_of_record,
+    view_of_history,
 )
+from madspip.problem import read_history, write_history
 from madspip.solver import SolverConfig, solve
-from madspip.suite import builtin_problem, initial_point, make_instances
+from madspip.suite import builtin_problem, builtin_problems, initial_point, make_instances
 
 
 def view(problem, x0_id, seed, mode, n, evals):
@@ -244,15 +245,13 @@ class TestRunMatrix:
         assert all(outcomes[key] != "error" for key in outcomes if key[3] == "pip")
 
     def test_view_of_history_strict_equality_threshold(self):
-        from madspip.bench import view_of_history
-
         rows = [
             {"eval_index": 0, "x": [0.0, 0.0], "f": 1.0, "g": [], "h": [1e-7],
              "status": "unsuccessful"},
             {"eval_index": 1, "x": [0.1, 0.0], "f": 0.5, "g": [], "h": [2e-7],
              "status": "unsuccessful"},
         ]
-        v = view_of_history(rows, "eqp", "infeasible-0", 1, "pip", eq_tol=1e-8)
+        v = view_of_history(rows, "eqp", "infeasible-0", 1, "pip")
         assert all(not feasible for _, feasible in v.evals)
         curve = feasibility_profile([v])[0]
         assert all(f == 0.0 for f in curve.fraction)
@@ -265,8 +264,29 @@ class TestRunMatrix:
             SolverConfig(max_evaluations=100, seed=1),
             x0_id="feasible-0",
         )
-        v = view_of_record(record)
+        v = view_of_history(record.rows, *record.key)
         assert len(v.evals) == record.evals_used
+
+    def test_solver_and_bench_agree_on_feasibility(self, tmp_path):
+        # the solver's best feasible f and the bench's view of the history
+        # written to disk must apply the same feasibility rule
+        problems = [p for p, _ in builtin_problems()]
+        instances = make_instances(problems, 2, [1])
+        jobs = [(inst, mode) for inst in instances for mode in ("pip", "extreme-barrier")]
+        checked, flags = [], set()
+        for key, record in run_matrix(jobs, budget=300).items():
+            if record.outcome == "error":
+                continue  # extreme-barrier on equalities or infeasible starts
+            path = tmp_path / ("__".join(map(str, key)) + ".jsonl")
+            write_history(record.rows, path)
+            view = view_of_history(read_history(path), *key)
+            feasible_f = [f for f, feasible in view.evals if feasible]
+            assert record.best_feasible_f == (min(feasible_f) if feasible_f else None), key
+            flags.update(feasible for _, feasible in view.evals)
+            checked.append(key)
+        assert {key[0] for key in checked} == {p.name for p in problems}
+        assert {key[3] for key in checked} == {"pip", "extreme-barrier"}
+        assert flags == {True, False}
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):

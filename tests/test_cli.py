@@ -4,7 +4,7 @@ import json
 import pytest
 
 import madspip.bench
-from madspip.cli import main, resolve_option, _read_config_file, _parse_history_name
+from madspip.cli import main, _read_config_file, _parse_history_name
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +131,20 @@ class TestSolveCommand:
         )
         assert code == 2
         assert "lower and upper" in err
+
+    def test_unsafe_problem_name_exits_2(self, tmp_path, capsys):
+        exe = tmp_path / "zero.sh"
+        exe.write_text('#!/bin/sh\nread line\necho "0.0"\n')
+        exe.chmod(0o755)
+        definition = tmp_path / "ext.txt"
+        definition.write_text(f"name = ../escaped\nn = 1\nm = 0\np = 0\nevaluator = {exe}\n")
+        code, _, err = run_cli(
+            capsys, "solve", "--problem", str(definition), "--x0", "0",
+            "--budget", "10", "--out", str(tmp_path / "nm" / "out"),
+        )
+        assert code == 2
+        assert "../escaped" in err
+        assert not list(tmp_path.rglob("*.jsonl"))
 
     def test_missing_eval_exe_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -321,11 +335,40 @@ class TestListCommand:
 
 
 class TestConfigPrecedence:
-    def test_flag_beats_file_beats_default(self):
-        file_values = {"budget": "111"}
-        assert resolve_option(222, file_values, "budget", default=1000, cast=int) == 222
-        assert resolve_option(None, file_values, "budget", default=1000, cast=int) == 111
-        assert resolve_option(None, {}, "budget", default=1000, cast=int) == 1000
+    def test_flag_beats_file_beats_default(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        base = f"problem = unit-disk\nx0 = feasible-0\nout = {tmp_path}\n"
+        config.write_text(base + "budget = 20\n")
+        code, out, _ = run_cli(capsys, "solve", "--config", str(config), "--budget", "30")
+        assert code == 0 and machine_line(out)["evals"] == 30
+        code, out, _ = run_cli(capsys, "solve", "--config", str(config))
+        assert code == 0 and machine_line(out)["evals"] == 20
+        # no budget in the file: solve's own default of 1000 applies
+        config.write_text(base)
+        code, out, _ = run_cli(capsys, "solve", "--config", str(config))
+        assert code == 0 and 30 < machine_line(out)["evals"] <= 1000
+
+    @pytest.mark.parametrize(
+        "command,line",
+        [
+            ("solve", "budget = x"),
+            ("solve", "check-invariants = yes\nseed = 1.5"),
+            ("bench", "seeds = 1,x"),
+            ("bench", "workers = two"),
+            ("profile", "tau = 0.1,x"),
+        ],
+    )
+    def test_malformed_config_value_exits_2(self, tmp_path, capsys, command, line):
+        config = tmp_path / "bad.cfg"
+        config.write_text(
+            f"problem = unit-disk\nx0 = feasible-0\nseeds = 1\nout = {tmp_path}\n{line}\n"
+        )
+        try:
+            code = main([command, "--config", str(config)])
+        except SystemExit as exc:  # argparse rejects it as it rejects a bad flag
+            code = exc.code
+        assert code == 2
+        assert not list(tmp_path.glob("*.jsonl"))
 
     @pytest.mark.parametrize(
         "key,file_value,flag,flag_value,getter",

@@ -246,3 +246,18 @@ class TestProblemFile:
         )
         with pytest.raises(ValueError, match="lower and upper"):
             load_problem_file(definition)
+
+    @pytest.mark.parametrize(
+        "name", ["", "a__b", "../escaped", "a/b", "a\\b", "two words", "tab\tname", ".hidden"]
+    )
+    def test_unsafe_name_rejected(self, tmp_path, name):
+        definition = tmp_path / "prob.txt"
+        definition.write_text(f"name = {name}\nn = 1\nm = 0\np = 0\nevaluator = /bin/true\n")
+        with pytest.raises(ValueError, match="problem name"):
+            load_problem_file(definition)
+
+    @pytest.mark.parametrize("name", names())
+    def test_builtin_names_accepted(self, tmp_path, name):
+        definition = tmp_path / "prob.txt"
+        definition.write_text(f"name = {name}\nn = 1\nm = 0\np = 0\nevaluator = /bin/true\n")
+        assert load_problem_file(definition).name == name
