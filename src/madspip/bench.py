@@ -87,22 +87,43 @@ class RunView:
         return math.ceil(len(self.evals) / (self.n + 1))
 
 
+def _row_entry(row: dict, idx: int) -> Tuple[float, bool]:
+    """``(f, feasible)`` of an evaluation row; ``ValueError`` when ``f`` is not
+    a number, ``g`` or ``h`` is not a list, or the feasibility test meets an
+    entry that is not a number."""
+    f, g, h = row.get("f"), row.get("g") or [], row.get("h") or []
+    if not (isinstance(f, (int, float)) and isinstance(g, list) and isinstance(h, list)):
+        raise ValueError(f"evaluation {idx}: f is not a number or g, h are not lists")
+    evaluation = Evaluation((), f, g, h, idx, row.get("status") == "failed")
+    try:
+        return f, is_feasible(evaluation)
+    except TypeError as exc:  # an entry of g or h that is not a number
+        raise ValueError(f"evaluation {idx}: {exc}") from exc
+
+
 def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, mode: str) -> RunView:
     """Build a view from history rows, in memory or read back from JSONL
     (``n`` comes from the rows).
 
     The first row of each ``eval_index`` is that evaluation; bound
     rejections (no index) and cache hits (a repeated index) spend no budget.
+    A row that no run writes (not an object, a non-integer index, a bad
+    ``f``, ``g`` or ``h``, or no ``x`` list in the first row) raises
+    ``ValueError``.
     """
-    n = len(rows[0]["x"]) if rows else 0
     true_rows: Dict[int, Tuple[float, bool]] = {}
     for row in rows:
+        if not isinstance(row, dict):
+            raise ValueError("history row is not an object")
         idx = row.get("eval_index")
+        if idx is not None and not isinstance(idx, int):
+            raise ValueError(f"eval_index {idx!r} is not an integer")
         if idx is None or idx in true_rows:
             continue
-        failed = row.get("status") == "failed"
-        evaluation = Evaluation((), row["f"], row.get("g") or (), row.get("h") or (), idx, failed)
-        true_rows[idx] = (row["f"], is_feasible(evaluation))
+        true_rows[idx] = _row_entry(row, idx)
+    if rows and not isinstance(rows[0].get("x"), list):
+        raise ValueError("history row has no x list")
+    n = len(rows[0]["x"]) if rows else 0
     evals = tuple(true_rows[i] for i in sorted(true_rows))
     return RunView(problem=problem, x0_id=x0_id, seed=seed, mode=mode, n=n, evals=evals)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -268,7 +269,7 @@ def cmd_profile(args) -> int:
             problem, x0_id, seed, mode = _parse_history_name(path.name)
             rows = read_history(path)
             views.append(view_of_history(rows, problem, x0_id, seed, mode))
-        except (ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             warnings.append(f"skipping {path.name}: {exc}")
     if not views:
         print("error: no readable histories found", file=sys.stderr)
@@ -385,7 +386,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early (``madspip bench ... | head -1``): files are
+        # already written; point stdout at devnull so the flush at exit
+        # cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ All operations here are pure functions of their arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Sequence, Tuple
 
 __all__ = [
     "Partition",
@@ -43,14 +43,19 @@ class Partition:
 
     ``g_int`` holds the indices treated by the log barrier, ``g_ext`` the
     indices penalized quadratically.  Together they must cover ``range(m)``.
+    ``int_order`` and ``ext_order`` are the same indices, sorted once.
     """
 
     g_int: frozenset
     g_ext: frozenset
+    int_order: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    ext_order: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "g_int", frozenset(self.g_int))
         object.__setattr__(self, "g_ext", frozenset(self.g_ext))
+        object.__setattr__(self, "int_order", tuple(sorted(self.g_int)))
+        object.__setattr__(self, "ext_order", tuple(sorted(self.g_ext)))
         if self.g_int & self.g_ext:
             raise ValueError("g_int and g_ext must be disjoint")
         m = len(self.g_int) + len(self.g_ext)
@@ -220,13 +225,15 @@ def violation_summary(
 ) -> ViolationSummary:
     """Full violation/merit summary of one raw evaluation under a partition.
 
-    Computed on demand from the stored raw outputs; a kept result is valid
-    only until ``rho`` or the partition changes.
+    Computed on demand from the stored raw outputs.  In a kept result,
+    ``phi_prox``, ``c_int`` and ``c_ext`` stay valid until the partition
+    changes, and ``merit`` until ``rho`` changes as well:
+    ``merit(f, c_int, c_ext, params)`` re-prices it under a new ``rho``.
     """
     if failed:
         return ViolationSummary(phi_prox=_INF, c_int=_INF, c_ext=_INF, merit=_INF)
-    g_int_vals = [g[i] for i in sorted(partition.g_int)]
-    g_ext_vals = [g[i] for i in sorted(partition.g_ext)]
+    g_int_vals = [g[i] for i in partition.int_order]
+    g_ext_vals = [g[i] for i in partition.ext_order]
     cint = c_int(g_int_vals)
     cext = c_ext(g_ext_vals, h)
     phi = max(g_int_vals) if g_int_vals else -_INF

@@ -91,18 +91,16 @@ def poll_directions(n: int, mesh: MeshState, rng: np.random.Generator) -> list:
     radius = float(1 << (mesh.exp - mesh.mesh_exp))  # frame radius in mesh steps
 
     v = rng.standard_normal(n)
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(v.dot(v))  # what np.linalg.norm computes for a real vector
     while norm < 1e-12:  # essentially never; keeps the basis well defined
         v = rng.standard_normal(n)
-        norm = float(np.linalg.norm(v))
+        norm = math.sqrt(v.dot(v))
     v = v / norm
     basis = np.eye(n) - 2.0 * np.outer(v, v)
 
-    step_sets = []
-    for j in range(n):
-        col = basis[:, j]
-        col = col / np.abs(col).max()  # leading coordinate becomes exactly +-1
-        step_sets.append(tuple(int(s) for s in np.trunc(col * radius)))
+    # one row per basis column; its leading coordinate becomes exactly +-1
+    columns = basis.T / np.abs(basis).max(axis=0)[:, None]
+    step_sets = [tuple(steps) for steps in np.trunc(columns * radius).astype(np.int64).tolist()]
     return step_sets + [tuple(-s for s in steps) for steps in step_sets]
 
 

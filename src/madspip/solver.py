@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .merit import (
     Partition,
     ViolationSummary,
     compute_b_ext,
+    merit,
     penalty_update_check,
     violation_summary,
 )
@@ -137,6 +138,9 @@ class SolverState:
     iteration: int = 0
     last_success_offset: Optional[Tuple[int, ...]] = None
     partition_version: int = 0
+    # pip mode: each cached key's summary under the current partition, its
+    # merit priced at the rho in force when it was kept
+    kept: Dict[Tuple[int, ...], ViolationSummary] = field(default_factory=dict)
 
     @property
     def pip(self) -> bool:
@@ -157,11 +161,21 @@ class SolverState:
         return 1 << shift
 
 
-def _summary_of(state: SolverState, evaluation: Evaluation) -> ViolationSummary:
-    """Summary under the current partition and ``rho``.  In extreme-barrier
-    mode only the merit is set: ``f`` on feasible points, ``+inf`` elsewhere."""
-    if state.pip:
-        return violation_summary(
+def _summary_of(
+    state: SolverState, key: Tuple[int, ...], evaluation: Evaluation
+) -> ViolationSummary:
+    """Summary of the cached ``key`` under the current partition and ``rho``.
+
+    In pip mode the violation terms are computed once per key and partition
+    and kept; a kept summary is only re-priced.  In extreme-barrier mode only
+    the merit is set: ``f`` on feasible points, ``+inf`` elsewhere.
+    """
+    if not state.pip:
+        value = evaluation.f if is_feasible(evaluation) else _INF
+        return ViolationSummary(phi_prox=None, c_int=None, c_ext=None, merit=value)
+    kept = state.kept.get(key)
+    if kept is None:
+        kept = state.kept[key] = violation_summary(
             evaluation.f,
             evaluation.g,
             evaluation.h,
@@ -169,8 +183,8 @@ def _summary_of(state: SolverState, evaluation: Evaluation) -> ViolationSummary:
             state.merit_params,
             failed=evaluation.failed,
         )
-    merit = evaluation.f if is_feasible(evaluation) else _INF
-    return ViolationSummary(phi_prox=None, c_int=None, c_ext=None, merit=merit)
+        return kept
+    return replace(kept, merit=merit(evaluation.f, kept.c_int, kept.c_ext, state.merit_params))
 
 
 def _lattice_bits(delta0: float, delta_stop: float) -> int:
@@ -309,7 +323,7 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
         if not is_feasible(ev0):
             raise InitializationError("extreme-barrier mode needs a feasible starting point")
 
-    state.incumbent_summary = _summary_of(state, ev0)
+    state.incumbent_summary = _summary_of(state, q0, ev0)
     _append_row(
         state,
         evaluation=ev0,
@@ -346,23 +360,29 @@ def speculative_search(state: SolverState) -> Optional[Tuple[int, ...]]:
 def reselect_incumbent(state: SolverState) -> SolverState:
     """Re-pick the incumbent as the cache-wide merit minimizer.
 
-    Called after ``rho`` or the partition changed.  Ties go to the earliest
-    evaluation; if every cached point has infinite merit the incumbent is
-    kept and the run is flagged.
+    Called after ``rho`` or the partition changed (a partition move first
+    drops ``state.kept``).  Kept violation terms are only re-priced under the
+    new ``rho``; keys without them are summarized afresh.  Ties go to the
+    earliest evaluation; if every cached point has infinite merit the
+    incumbent is kept and the run is flagged.
     """
-    best_key = best_ev = best_summary = None
+    params = state.merit_params
+    best_key = None
     best_merit = _INF
     for key, ev in state.cache.entries.items():  # insertion order = eval order
-        summary = _summary_of(state, ev)
-        if summary.merit < best_merit:
-            best_key, best_ev, best_summary, best_merit = key, ev, summary, summary.merit
-    if best_ev is None:
+        kept = state.kept.get(key)
+        if kept is None:  # the partition moved
+            kept = _summary_of(state, key, ev)
+        value = merit(ev.f, kept.c_int, kept.c_ext, params)
+        if value < best_merit:
+            best_key, best_merit = key, value
+    if best_key is None:
         state.record.flags.append("reselection-found-no-finite-merit")
-        state.incumbent_summary = _summary_of(state, state.incumbent)
+        state.incumbent_summary = _summary_of(state, state.q_incumbent, state.incumbent)
         return state
     state.q_incumbent = best_key
-    state.incumbent = best_ev
-    state.incumbent_summary = best_summary
+    state.incumbent = state.cache.entries[best_key]
+    state.incumbent_summary = replace(state.kept[best_key], merit=best_merit)
     return state
 
 
@@ -390,7 +410,7 @@ def _try_candidate(state: SolverState, q: Tuple[int, ...], kind: str):
         fresh = True
     else:
         ev, fresh = hit, False
-    summary = _summary_of(state, ev)
+    summary = _summary_of(state, q, ev)
     improving = summary.merit < state.incumbent_merit
     if improving:
         status = "search-success" if kind == "search" else "poll-success"
@@ -471,6 +491,7 @@ def iterate(state: SolverState) -> str:
         if moved:
             state.partition = state.partition.moved_to_interior(moved)
             state.partition_version += 1
+            state.kept.clear()
             state.record.partition_trace.extend((it, i) for i in moved)
             reselect_incumbent(state)
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -255,6 +256,35 @@ class TestRunMatrix:
         assert all(not feasible for _, feasible in v.evals)
         curve = feasibility_profile([v])[0]
         assert all(f == 0.0 for f in curve.fraction)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"eval_index": 0, "x": [0.0]},
+            {"eval_index": 0, "x": [0.0], "f": "1.0"},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": 5},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": "abc"},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [None]},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "h": {"a": 1.0}},
+            {"eval_index": "0", "x": [0.0], "f": 1.0},
+            {"eval_index": [0], "x": [0.0], "f": 1.0},
+            {"eval_index": 0, "f": 1.0},
+            [0.0, 1.0],
+        ],
+    )
+    def test_view_of_history_rejects_rows_no_run_writes(self, row):
+        with pytest.raises(ValueError):
+            view_of_history([row], "p", "feasible-0", 1, "pip")
+
+    def test_view_of_history_reads_failed_and_constraint_free_rows(self):
+        rows = [
+            {"eval_index": 0, "x": [0.0], "f": 2.0, "g": None, "h": None},
+            {"eval_index": 1, "x": [1.0], "f": math.inf, "g": [math.inf], "h": [],
+             "status": "failed"},
+            {"eval_index": None, "x": [9.0], "f": None, "g": None, "h": None},
+        ]
+        v = view_of_history(rows, "p", "feasible-0", 1, "pip")
+        assert v.n == 1 and v.evals == ((2.0, True), (math.inf, False))
 
     def test_view_of_record_counts_true_evaluations(self):
         problem, _ = builtin_problem("unit-disk")

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -267,6 +271,32 @@ class TestBenchCommand:
         digest = hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
         assert digest == self.HISTORY_SHA256
 
+    def test_closed_stdout_exits_without_traceback(self, tmp_path, capsys):
+        # as in `madspip bench ... | head -1`, but the reader is gone before
+        # the first write, so every print meets a closed pipe
+        args = [
+            "bench", "--problem", "unit-disk,two-ring", "--x0-count", "2",
+            "--seeds", "1,2", "--budget", "60", "--mode", "pip,extreme-barrier",
+        ]
+        code, _, _ = run_cli(capsys, *args, "--out", str(tmp_path / "whole"))
+        assert code == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(madspip.bench.__file__).parents[1]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "madspip.cli", *args, "--out", str(tmp_path / "cut")],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
+        whole = sorted((tmp_path / "whole").iterdir())
+        cut = sorted((tmp_path / "cut").iterdir())
+        assert [p.name for p in cut] == [p.name for p in whole] and len(cut) == 17
+        assert all(a.read_bytes() == b.read_bytes() for a, b in zip(whole, cut))
+
     def test_partial_failures_reported(self, tmp_path, capsys):
         # extreme barrier errors out on the equality problem but pip completes
         out_dir = tmp_path / "bench"
@@ -319,6 +349,31 @@ class TestProfileCommand:
         code, out, _ = run_cli(capsys, "profile", "--histories", str(bench_dir))
         assert code == 0
         assert machine_line(out)["warnings"]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"eval_index": 0, "x": [0.0]}',
+            '{"eval_index": 0, "x": [0.0], "f": 1.0, "g": 5}',
+            '[0.0, 1.0]',
+        ],
+    )
+    def test_hostile_json_history_warns_but_succeeds(self, bench_dir, capsys, line):
+        (bench_dir / "unit-disk__feasible-9__seed1__pip.jsonl").write_text(line + "\n")
+        code, out, _ = run_cli(capsys, "profile", "--histories", str(bench_dir))
+        assert code == 0
+        machine = machine_line(out)
+        assert machine["histories"] == 16
+        assert [w.split(":")[0] for w in machine["warnings"]] == [
+            "skipping unit-disk__feasible-9__seed1__pip.jsonl"
+        ]
+
+    def test_unreadable_history_warns_but_succeeds(self, bench_dir, capsys):
+        (bench_dir / "unit-disk__feasible-9__seed1__pip.jsonl").mkdir()
+        code, out, _ = run_cli(capsys, "profile", "--histories", str(bench_dir))
+        assert code == 0
+        assert machine_line(out)["histories"] == 16
+        assert len(machine_line(out)["warnings"]) == 1
 
     def test_missing_directory_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "profile", "--histories", str(tmp_path / "none"))

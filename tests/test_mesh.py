@@ -160,6 +160,152 @@ class TestPollDirections:
         assert worst >= cos30
 
 
+# First n of the 2n steps (the rest are their negations) for
+# (n, frame exponent, seed), each from a fresh generator; recorded from the
+# per-column implementation, so a rewrite must keep every step and draw.
+PINNED_POLLS = {
+    (1, -1, 0): [(-2,)],
+    (2, -1, 0): [(0, 2), (2, 0)],
+    (3, -1, 0): [(2, 0, 0), (0, 2, 0), (0, 0, -2)],
+    (4, -1, 0): [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, -2, 0), (0, 0, 0, 2)],
+    (5, -1, 0): [
+        (2, 0, 0, 0, 0),
+        (0, 2, 0, 0, 0),
+        (0, 0, 0, 0, 2),
+        (0, 0, 0, 2, 0),
+        (0, 0, 2, 0, 0),
+    ],
+    (6, -1, 0): [
+        (2, 0, 0, 0, 0, 0),
+        (0, 2, 0, 0, 0, 0),
+        (0, 0, 0, 0, 2, -1),
+        (0, 0, 0, 2, 0, 0),
+        (0, 0, 2, 0, 0, 1),
+        (0, 0, -1, 0, 1, 2),
+    ],
+    (1, -4, 0): [(-16,)],
+    (2, -4, 0): [(0, 16), (16, 0)],
+    (3, -4, 0): [(16, 1, -6), (1, 16, 6), (-6, 7, -16)],
+    (4, -4, 0): [(16, 1, -6, 0), (1, 16, 6, 1), (-7, 7, -16, -5), (0, 1, -4, 16)],
+    (5, -4, 0): [
+        (16, 0, -3, 0, 3),
+        (0, 16, 3, 0, -3),
+        (-3, 3, -1, -3, 16),
+        (0, 0, -2, 16, 2),
+        (3, -3, 16, 2, 3),
+    ],
+    (6, -4, 0): [
+        (16, 0, -3, 0, 2, -1),
+        (0, 16, 3, 0, -2, 1),
+        (-3, 3, 1, -3, 16, -10),
+        (0, 0, -2, 16, 2, -1),
+        (3, -3, 16, 2, 6, 9),
+        (-2, 2, -12, -1, 10, 16),
+    ],
+    (1, -20, 0): [(-1048576,)],
+    (2, -20, 0): [(51881, 1048576), (1048576, -51881)],
+    (3, -20, 0): [
+        (1048576, 84589, -410077),
+        (85270, 1048576, 434336),
+        (-448055, 470772, -1048576),
+    ],
+    (4, -20, 0): [
+        (1048576, 82388, -399404, -65421),
+        (83033, 1048576, 422942, 69277),
+        (-461530, 484930, -1048576, -385067),
+        (-63968, 67211, -325829, 1048576),
+    ],
+    (5, -20, 0): [
+        (1048576, 49078, -237926, -38971, 199009),
+        (49307, 1048576, 251152, 41138, -210072),
+        (-246117, 258596, -120636, -205342, 1048576),
+        (-38451, 40400, -195857, 1048576, 163820),
+        (205860, -216297, 1048576, 171754, 255932),
+    ],
+    (6, -20, 0): [
+        (1048576, 41443, -200913, -32909, 168049, -113439),
+        (41606, 1048576, 211928, 34713, -177263, 119658),
+        (-246117, 258596, 79188, -205342, 1048576, -707824),
+        (-32537, 34186, -165732, 1048576, 138623, -93575),
+        (205860, -216297, 1048576, 171754, 455758, 592046),
+        (-156148, 164065, -795362, -130279, 665266, 1048576),
+    ],
+    (1, -1, 3): [(-2,)],
+    (2, -1, 3): [(0, 2), (2, 0)],
+    (3, -1, 3): [(0, 2, 0), (2, 0, 0), (0, 0, 2)],
+    (4, -1, 3): [(0, 2, 0, 0), (2, 0, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)],
+    (5, -1, 3): [
+        (0, 2, 0, 0, 0),
+        (2, 0, 0, 0, 0),
+        (0, 0, 2, 0, 0),
+        (0, 0, 0, 2, 0),
+        (0, 0, 0, 0, 2),
+    ],
+    (6, -1, 3): [
+        (0, 2, 0, 0, 0, 0),
+        (2, 0, 0, 0, 0, 0),
+        (0, 0, 2, 0, 0, 0),
+        (0, 0, 0, 2, 0, 0),
+        (0, 0, 0, 0, 2, 0),
+        (0, 0, 0, 0, 0, 2),
+    ],
+    (1, -4, 3): [(-16,)],
+    (2, -4, 3): [(3, 16), (16, -3)],
+    (3, -4, 3): [(3, 16, -2), (16, -3, 3), (-2, 3, 16)],
+    (4, -4, 3): [(4, 16, -2, 3), (16, -2, 3, -4), (-2, 3, 16, 0), (3, -4, 0, 16)],
+    (5, -4, 3): [
+        (4, 16, -2, 3, 2),
+        (16, -2, 3, -4, -3),
+        (-2, 3, 16, 0, 0),
+        (3, -4, 0, 16, 0),
+        (2, -3, 0, 0, 16),
+    ],
+    (6, -4, 3): [
+        (4, 16, -2, 3, 2, 1),
+        (16, -2, 3, -4, -3, -1),
+        (-2, 3, 16, 0, 0, 0),
+        (3, -4, 0, 16, 0, 0),
+        (2, -3, 0, 0, 16, 0),
+        (1, -1, 0, 0, 0, 16),
+    ],
+    (1, -20, 3): [(-1048576,)],
+    (2, -20, 3): [(237830, 1048576), (1048576, -237830)],
+    (3, -20, 3): [
+        (255401, 1048576, -171543),
+        (1048576, -220259, 214809),
+        (-170073, 212968, 1048576),
+    ],
+    (4, -20, 3): [
+        (287804, 1048576, -171543, 232952),
+        (1048576, -187856, 214809, -291706),
+        (-165018, 206637, 1048576, 45906),
+        (230360, -288460, 47191, 1048576),
+    ],
+    (5, -20, 3): [
+        (308400, 1048576, -171543, 232952, 185719),
+        (1048576, -167261, 214809, -291706, -232560),
+        (-161958, 202806, 1048576, 45055, 35920),
+        (225971, -282964, 46292, 1048576, -50117),
+        (176302, -220767, 36116, -49046, 1048576),
+    ],
+    (6, -20, 3): [
+        (313072, 1048576, -171543, 232952, 185719, 88458),
+        (1048576, -162589, 214809, -291706, -232560, -110768),
+        (-161279, 201956, 1048576, 44866, 35769, 17037),
+        (224998, -281746, 46092, 1048576, -49901, -23768),
+        (175559, -219837, 35964, -48839, 1048576, -18545),
+        (81285, -101786, 16651, -22613, -18028, 1048576),
+    ],
+}
+
+
+@pytest.mark.parametrize("n,exp,seed", sorted(PINNED_POLLS))
+def test_poll_directions_pinned(n, exp, seed):
+    dirs = poll_directions(n, MeshState(1.0, exp), np.random.default_rng(seed))
+    expected = PINNED_POLLS[(n, exp, seed)]
+    assert dirs == expected + [tuple(-s for s in steps) for steps in expected]
+
+
 class TestSnap:
     def test_nearest_multiple(self):
         # (0.26, -0.24) onto mesh 0.25, in units of 0.01

@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from madspip.merit import Partition
+import madspip.solver
+from madspip.merit import Partition, violation_summary
 from madspip.problem import Cache, Evaluation, Problem
 from madspip.solver import (
     InitializationError,
@@ -16,7 +17,7 @@ from madspip.solver import (
     speculative_search,
     summary_line,
 )
-from madspip.suite import builtin_problem, initial_point
+from madspip.suite import builtin_problem, builtin_problems, initial_point, x0_ids
 
 INF = math.inf
 
@@ -217,7 +218,7 @@ class TestReselectIncumbent:
         reselect_incumbent(state)
         assert state.incumbent.eval_index == 2
 
-    def test_rho_reduction_reranks_infeasible(self):
+    def test_rho_reduction_reranks_infeasible(self, monkeypatch):
         # A: feasible with f=5; B: cext=0.04 with f=1. At rho=0.1 B wins
         # (z=1.4), at rho=0.001 the penalty dominates and A wins.
         problem = Problem("stub", 1, 0, 1, lambda x: (0.0, (), (0.0,)))
@@ -230,10 +231,21 @@ class TestReselectIncumbent:
         state.merit_params = replace(state.merit_params, rho=0.1, b_ext=1.0)
         reselect_incumbent(state)
         assert state.incumbent is b
+        # the second call, under the same partition, only re-prices the
+        # violation terms the first one kept
+        summarized = []
+        monkeypatch.setattr(
+            madspip.solver, "violation_summary",
+            lambda *args, **kw: summarized.append(args) or violation_summary(*args, **kw),
+        )
         state.merit_params = replace(state.merit_params, rho=0.001)
         reselect_incumbent(state)
         assert state.incumbent is a
         assert state.incumbent_merit == 5.0
+        assert summarized == []
+        assert state.incumbent_summary == violation_summary(
+            a.f, a.g, a.h, state.partition, state.merit_params
+        )
 
     def test_all_infinite_keeps_incumbent_and_flags(self):
         state = self._state_with_cache({})
@@ -243,6 +255,100 @@ class TestReselectIncumbent:
         reselect_incumbent(state)
         assert state.incumbent is incumbent_before
         assert any("no-finite-merit" in f for f in state.record.flags)
+
+
+def _fresh(state, ev):
+    return violation_summary(
+        ev.f, ev.g, ev.h, state.partition, state.merit_params, failed=ev.failed
+    )
+
+
+def _rescan(state):
+    """Reselection by a fresh violation summary of every cache entry."""
+    best_key, best = None, None
+    for key, ev in state.cache.entries.items():
+        summary = _fresh(state, ev)
+        if summary.merit < (INF if best is None else best.merit):
+            best_key, best = key, summary
+    return best_key, best
+
+
+class TestKeptViolationTerms:
+    def test_reselection_matches_a_full_rescan(self, monkeypatch):
+        real = madspip.solver.reselect_incumbent
+        real_try = madspip.solver._try_candidate
+        causes = []
+
+        def checked_try(state, q, kind):
+            verdict, ev, summary = real_try(state, q, kind)
+            assert summary is None or summary == _fresh(state, ev)
+            return verdict, ev, summary
+
+        def checked(state):
+            q_before, flags_before = state.q_incumbent, list(state.record.flags)
+            real(state)
+            key, summary = _rescan(state)
+            if key is None:
+                flags_before.append("reselection-found-no-finite-merit")
+                key = q_before
+                summary = _fresh(state, state.cache.entries[q_before])
+            assert state.q_incumbent == key
+            assert state.incumbent is state.cache.entries[key]
+            assert state.incumbent_summary == summary
+            assert state.record.flags == flags_before
+            moves = state.record.partition_trace
+            moved = bool(moves) and moves[-1][0] == state.iteration
+            causes.append((state.record.problem_name, moved))
+            return state
+
+        monkeypatch.setattr(madspip.solver, "reselect_incumbent", checked)
+        monkeypatch.setattr(madspip.solver, "_try_candidate", checked_try)
+        runs = 0
+        for problem, _ in builtin_problems():
+            for x0_id in x0_ids(2):
+                record = solve(
+                    problem, initial_point(problem, x0_id),
+                    SolverConfig(max_evaluations=1500, seed=5), x0_id=x0_id,
+                )
+                assert len(record.rho_trace) >= 3
+                runs += 1
+        assert sum(not moved for _, moved in causes) >= 3 * runs
+        assert {name for name, moved in causes if moved} == {"unit-disk", "maxabs-lin", "two-ring"}
+
+    def test_cache_hit_repriced_after_rho_cut(self):
+        problem = constrained_problem([lambda x: x[0] - 1.0])
+        state = init_state(problem, (0.5, 0.0), SolverConfig(max_evaluations=10))
+        state.merit_params = replace(state.merit_params, rho=1e-3)
+        _, ev, summary = madspip.solver._try_candidate(state, state.q_incumbent, "poll")
+        assert ev is state.incumbent  # a cache hit
+        assert summary == _fresh(state, ev)
+        assert summary.merit != state.incumbent_merit
+
+    def test_one_summary_per_key_and_partition(self, monkeypatch):
+        # one fresh summary per evaluation, plus one per cached key when the
+        # partition moves; rescanning the cache at each rho cut breaks this
+        summarized = []
+        monkeypatch.setattr(
+            madspip.solver, "violation_summary",
+            lambda *args, **kw: summarized.append(args) or violation_summary(*args, **kw),
+        )
+        real = madspip.solver.reselect_incumbent
+        rescanned = []
+
+        def at_moves(state):
+            moves = state.record.partition_trace
+            if moves and moves[-1][0] == state.iteration:
+                rescanned.append(len(state.cache.entries))
+            return real(state)
+
+        monkeypatch.setattr(madspip.solver, "reselect_incumbent", at_moves)
+        problem, _ = builtin_problem("two-ring")
+        record = solve(
+            problem, initial_point(problem, "infeasible-0"),
+            SolverConfig(max_evaluations=1500, seed=5), x0_id="infeasible-0",
+        )
+        assert len(record.rho_trace) >= 3 and len(rescanned) >= 1
+        assert len(summarized) <= record.evals_used + sum(rescanned)
 
 
 class TestSolve:
