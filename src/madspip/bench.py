@@ -16,9 +16,10 @@ first ``k`` groups, over all instances.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .problem import Evaluation, is_feasible
 from .solver import RunRecord, SolverConfig, InitializationError, error_record, solve
@@ -134,14 +135,33 @@ def _as_view(run: Union[RunRecord, RunView]) -> RunView:
     return view_of_history(run.rows, *run.key)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_matrix(
     jobs: Sequence[Tuple[Instance, str]],
     budget: int,
     max_workers: Optional[int] = None,
     base_config: Optional[SolverConfig] = None,
+    on_record: Optional[Callable[[Key, RunRecord], None]] = None,
 ) -> Dict[Key, RunRecord]:
     """Run each (instance, mode) job once; individual failures become error
-    records and never abort the batch. Deterministic per key."""
+    records and never abort the batch. Deterministic per key.
+
+    At most ``max_workers`` jobs (default: the usable CPUs, at most one per
+    job) are in flight, and the next job starts only when a finished record
+    has been handed to ``on_record(key, record)``, which runs in the calling
+    thread in completion order.  By default the records are collected and
+    returned in job order; with ``on_record`` given, the result is empty and
+    a record lives only until its callback returns, so memory is bounded by
+    the worker count.  An exception from a job or from ``on_record`` stops
+    the batch once the jobs in flight have finished.
+    """
     if len(jobs) == 0:
         raise ValueError("jobs must be nonempty")
 
@@ -165,14 +185,33 @@ def run_matrix(
             )
         return record
 
-    results: Dict[Key, RunRecord] = {}
-    workers = max_workers if max_workers is not None else min(8, len(jobs))
+    keys = [(instance.problem.name, instance.x0_id, instance.seed, mode) for instance, mode in jobs]
+    collected: Dict[Key, RunRecord] = {}
+    if on_record is None:
+        on_record = collected.__setitem__
+    workers = max_workers if max_workers is not None else min(_usable_cpus(), len(jobs))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run, instance, mode) for instance, mode in jobs]
-        for (instance, mode), future in zip(jobs, futures):
-            record = future.result()
-            results[(instance.problem.name, instance.x0_id, instance.seed, mode)] = record
-    return results
+        queue = iter(zip(keys, jobs))
+        running = {}
+
+        def _submit_next() -> None:
+            job = next(queue, None)
+            if job is not None:
+                key, (instance, mode) = job
+                running[pool.submit(_run, instance, mode)] = key
+
+        def _hand_on(future) -> None:
+            # the future holds its record: once popped it is dropped here
+            on_record(running.pop(future), future.result())
+
+        for _ in range(workers):
+            _submit_next()
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            while done:
+                _hand_on(done.pop())
+                _submit_next()
+    return {key: collected[key] for key in keys if key in collected}
 
 
 def convergence_index(

@@ -27,7 +27,7 @@ from .bench import (
     run_matrix,
     view_of_history,
 )
-from .problem import ExternalEvaluator, read_history, write_history
+from .problem import ExternalEvaluator, read_history, write_atomic, write_history
 from .solver import (
     InitializationError,
     SolverConfig,
@@ -114,8 +114,9 @@ def _resolve_x0(problem, x0: Optional[str], x0_file: Optional[str]):
     return tuple(_parse_list(x0, float)), "literal"
 
 
-def _history_filename(problem: str, x0_id: str, seed: int, mode: str) -> str:
-    return f"{problem}__{x0_id}__seed{seed}__{mode}.jsonl"
+def _run_name(problem: str, x0_id: str, seed: int, mode: str) -> str:
+    """A run's manifest entry; its history is ``<name>.jsonl``."""
+    return f"{problem}__{x0_id}__seed{seed}__{mode}"
 
 
 def cmd_solve(args) -> int:
@@ -142,9 +143,13 @@ def cmd_solve(args) -> int:
         return 2
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    history_path = out_dir / _history_filename(problem.name, x0_id, args.seed, args.mode)
-    write_history(record.rows, history_path)
+    history_path = out_dir / f"{_run_name(problem.name, x0_id, args.seed, args.mode)}.jsonl"
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_history(record.rows, history_path)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     machine = {
         "command": "solve",
         "history": str(history_path),
@@ -187,39 +192,53 @@ def cmd_bench(args) -> int:
         return 2
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.txt"
-    done = set()
-    if manifest_path.exists():
-        done = {line.strip() for line in manifest_path.read_text().splitlines() if line.strip()}
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        done = set()
+        if manifest_path.exists():
+            done = {line.strip() for line in manifest_path.read_text().splitlines() if line.strip()}
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    pending = []
+    pending = {}  # run name -> (instance, mode); a repeated seed is solved once
     skipped = 0
     for instance in instances:
         for mode in modes:
-            key = f"{instance.problem.name}__{instance.x0_id}__seed{instance.seed}__{mode}"
-            if key in done and (out_dir / f"{key}.jsonl").exists():
+            name = _run_name(instance.problem.name, instance.x0_id, instance.seed, mode)
+            if name in done and (out_dir / f"{name}.jsonl").exists():
                 skipped += 1
             else:
-                pending.append((instance, mode))
+                pending.setdefault(name, (instance, mode))
 
-    completed = 0
-    errors = 0
-    keys: List[str] = sorted(done)
-    run_summaries: List[str] = []
-    if pending:
-        base = SolverConfig(max_evaluations=args.budget, search_enabled=not args.no_search)
-        records = run_matrix(pending, args.budget, max_workers=args.workers, base_config=base)
-        for key, record in sorted(records.items()):
-            name = f"{key[0]}__{key[1]}__seed{key[2]}__{key[3]}"
-            write_history(record.rows, out_dir / f"{name}.jsonl")
-            keys.append(name)
-            run_summaries.append(summary_line(record))
-            if record.outcome == "error":
-                errors += 1
-            else:
-                completed += 1
-    manifest_path.write_text("\n".join(sorted(set(keys))) + "\n", encoding="utf-8")
+    listed = set(done)
+    outcomes: List[tuple] = []  # (key, summary line, outcome) per finished run
+
+    def _keep(key, record) -> None:
+        # write and list each run as it finishes, so an interrupted bench
+        # keeps it; only its summary line outlives this call
+        name = _run_name(*key)
+        write_history(record.rows, out_dir / f"{name}.jsonl")
+        with manifest_path.open("a", encoding="utf-8") as fh:
+            fh.write(name + "\n")
+        listed.add(name)
+        outcomes.append((key, summary_line(record), record.outcome))
+
+    try:
+        if pending:
+            base = SolverConfig(max_evaluations=args.budget, search_enabled=not args.no_search)
+            run_matrix(
+                list(pending.values()), args.budget, max_workers=args.workers,
+                base_config=base, on_record=_keep,
+            )
+        write_atomic(manifest_path, "\n".join(sorted(listed)) + "\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    outcomes.sort()
+    errors = sum(1 for _, _, outcome in outcomes if outcome == "error")
+    completed = len(outcomes) - errors
 
     machine = {
         "command": "bench",
@@ -231,7 +250,7 @@ def cmd_bench(args) -> int:
         "skipped": skipped,
     }
     print(json.dumps(machine))
-    for line in run_summaries:
+    for _, line, _ in outcomes:
         print(line)
     print(
         f"bench: {completed} runs completed, {errors} errors, {skipped} skipped, "
@@ -278,7 +297,6 @@ def cmd_profile(args) -> int:
     known = {problem.name: optimum.f_star for problem, optimum in builtin_problems()}
     f_star = best_feasible_table(views, known=known)
     f_ref = reference_table(views)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
     def _emit(curves, stem):
@@ -288,9 +306,14 @@ def cmd_profile(args) -> int:
         export(curves, "svg", svg_path)
         written.extend([str(csv_path), str(svg_path)])
 
-    for tau in taus:
-        _emit(data_profile(views, tau, f_star, f_ref), f"data_profile_tau{tau:g}")
-    _emit(feasibility_profile(views), "feasibility_profile")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for tau in taus:
+            _emit(data_profile(views, tau, f_star, f_ref), f"data_profile_tau{tau:g}")
+        _emit(feasibility_profile(views), "feasibility_profile")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     machine = {
         "command": "profile",

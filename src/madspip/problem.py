@@ -17,8 +17,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import subprocess
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -304,17 +306,32 @@ def history_row(
     }
 
 
+_ROW_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to a sibling temp file that then replaces ``path``, so
+    a killed process leaves either the old file or the new one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_history(rows: Sequence[dict], path) -> None:
-    """Persist history rows as JSONL, one object per line.
+    """Persist history rows as JSONL, one object per line, atomically.
 
     Non-finite values are emitted as ``Infinity`` tokens, which
     :func:`json.loads` reads back; the byte stream is deterministic for a
-    given row sequence.
+    given row sequence.  Every row is encoded before any file is touched, so
+    a row that cannot be encoded leaves ``path`` as it was.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, separators=(",", ":")))
-            fh.write("\n")
+    write_atomic(path, "".join([_ROW_ENCODER.encode(row) + "\n" for row in rows]))
 
 
 def read_history(path) -> List[dict]:

@@ -138,9 +138,9 @@ class SolverState:
     iteration: int = 0
     last_success_offset: Optional[Tuple[int, ...]] = None
     partition_version: int = 0
-    # pip mode: each cached key's summary under the current partition, its
-    # merit priced at the rho in force when it was kept
-    kept: Dict[Tuple[int, ...], ViolationSummary] = field(default_factory=dict)
+    # pip mode: each cached key's (phi_prox, c_int, c_ext) under the current
+    # partition, as plain float tuples, which the cyclic GC stops tracking
+    kept: Dict[Tuple[int, ...], Tuple[float, float, float]] = field(default_factory=dict)
 
     @property
     def pip(self) -> bool:
@@ -167,7 +167,7 @@ def _summary_of(
     """Summary of the cached ``key`` under the current partition and ``rho``.
 
     In pip mode the violation terms are computed once per key and partition
-    and kept; a kept summary is only re-priced.  In extreme-barrier mode only
+    and kept; kept terms are only re-priced.  In extreme-barrier mode only
     the merit is set: ``f`` on feasible points, ``+inf`` elsewhere.
     """
     if not state.pip:
@@ -175,7 +175,7 @@ def _summary_of(
         return ViolationSummary(phi_prox=None, c_int=None, c_ext=None, merit=value)
     kept = state.kept.get(key)
     if kept is None:
-        kept = state.kept[key] = violation_summary(
+        summary = violation_summary(
             evaluation.f,
             evaluation.g,
             evaluation.h,
@@ -183,8 +183,10 @@ def _summary_of(
             state.merit_params,
             failed=evaluation.failed,
         )
-        return kept
-    return replace(kept, merit=merit(evaluation.f, kept.c_int, kept.c_ext, state.merit_params))
+        state.kept[key] = (summary.phi_prox, summary.c_int, summary.c_ext)
+        return summary
+    phi, cint, cext = kept
+    return ViolationSummary(phi, cint, cext, merit(evaluation.f, cint, cext, state.merit_params))
 
 
 def _lattice_bits(delta0: float, delta_stop: float) -> int:
@@ -372,8 +374,10 @@ def reselect_incumbent(state: SolverState) -> SolverState:
     for key, ev in state.cache.entries.items():  # insertion order = eval order
         kept = state.kept.get(key)
         if kept is None:  # the partition moved
-            kept = _summary_of(state, key, ev)
-        value = merit(ev.f, kept.c_int, kept.c_ext, params)
+            _summary_of(state, key, ev)
+            kept = state.kept[key]
+        _, cint, cext = kept
+        value = merit(ev.f, cint, cext, params)
         if value < best_merit:
             best_key, best_merit = key, value
     if best_key is None:
@@ -382,7 +386,7 @@ def reselect_incumbent(state: SolverState) -> SolverState:
         return state
     state.q_incumbent = best_key
     state.incumbent = state.cache.entries[best_key]
-    state.incumbent_summary = replace(state.kept[best_key], merit=best_merit)
+    state.incumbent_summary = ViolationSummary(*state.kept[best_key], best_merit)
     return state
 
 

@@ -1,8 +1,11 @@
 import math
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import madspip.bench
 from madspip.bench import (
     ProfileCurve,
     RunView,
@@ -321,3 +324,40 @@ class TestRunMatrix:
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             run_matrix([], budget=10)
+
+    def test_on_record_gets_each_record_in_the_calling_thread(self):
+        instances = make_instances([builtin_problem("sphere-eq")[0]], 2, [1, 2])
+        jobs = [(inst, mode) for inst in instances for mode in ("pip", "extreme-barrier")]
+        keys = [(i.problem.name, i.x0_id, i.seed, mode) for i, mode in jobs]
+        handed = []
+
+        def on_record(key, record):
+            handed.append((key, record.key, threading.get_ident()))
+
+        assert run_matrix(jobs, budget=60, max_workers=2, on_record=on_record) == {}
+        assert sorted(key for key, _, _ in handed) == sorted(keys)
+        assert all(key == record_key for key, record_key, _ in handed)
+        assert {thread for _, _, thread in handed} == {threading.get_ident()}
+        # by default the same records come back in job order
+        assert list(run_matrix(jobs, budget=60, max_workers=2)) == keys
+
+    def test_default_workers_are_the_usable_cpus(self, monkeypatch):
+        seen = []
+
+        class Capturing(ThreadPoolExecutor):
+            def __init__(self, max_workers=None):
+                seen.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(madspip.bench, "ThreadPoolExecutor", Capturing)
+        instances = make_instances([builtin_problem("unit-disk")[0]], 1, [1, 2, 3, 4, 5])
+        jobs = [(inst, "pip") for inst in instances]
+        os_mod = madspip.bench.os
+        monkeypatch.setattr(os_mod, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        run_matrix(jobs, budget=20)
+        run_matrix(jobs[:2], budget=20)
+        run_matrix(jobs, budget=20, max_workers=4)
+        monkeypatch.delattr(os_mod, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os_mod, "cpu_count", lambda: 4)
+        run_matrix(jobs, budget=20)
+        assert seen == [3, 2, 4, 4]

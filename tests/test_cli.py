@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,15 @@ def run_cli(capsys, *argv):
 
 def machine_line(out: str) -> dict:
     return json.loads(out.strip().splitlines()[0])
+
+
+def one_error_line(err: str) -> bool:
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def tree(path: Path) -> dict:
+    return {p.name: p.read_bytes() for p in path.iterdir()}
 
 
 class TestSolveCommand:
@@ -150,6 +160,16 @@ class TestSolveCommand:
         assert "../escaped" in err
         assert not list(tmp_path.rglob("*.jsonl"))
 
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("x")
+        code, _, err = run_cli(
+            capsys, "solve", "--problem", "unit-disk", "--x0", "feasible-0",
+            "--budget", "20", "--out", str(out),
+        )
+        assert code == 2
+        assert one_error_line(err)
+
     def test_missing_eval_exe_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys,
@@ -219,6 +239,23 @@ class TestBenchCommand:
         assert machine["skipped"] == 4 and machine["completed"] + machine["errors"] == 4
         assert len(solved) == 4
         assert {key[3] for key in solved} == {"extreme-barrier"}
+
+    def test_repeated_seed_solved_once(self, tmp_path, capsys, monkeypatch):
+        solved = []
+        real_solve = madspip.bench.solve
+
+        def counting_solve(*args, **kwargs):
+            solved.append(args[0].name)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(madspip.bench, "solve", counting_solve)
+        code, out, _ = run_cli(
+            capsys, "bench", "--problem", "unit-disk", "--x0-count", "1", "--seeds", "1,1",
+            "--budget", "40", "--out", str(tmp_path / "bench"),
+        )
+        assert code == 0 and len(solved) == 1
+        assert machine_line(out)["completed"] == 1
+        assert sum(1 for line in out.splitlines() if line.startswith("problem=")) == 1
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_exits_2(self, tmp_path, capsys, workers):
@@ -296,6 +333,89 @@ class TestBenchCommand:
         cut = sorted((tmp_path / "cut").iterdir())
         assert [p.name for p in cut] == [p.name for p in whole] and len(cut) == 17
         assert all(a.read_bytes() == b.read_bytes() for a, b in zip(whole, cut))
+
+    PINNED_BENCH = (
+        "bench", "--seeds", "1", "--budget", "400", "--mode", "pip,extreme-barrier",
+    )
+
+    def test_interrupted_bench_keeps_finished_runs_and_resumes(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        clean = tmp_path / "clean"
+        code, _, _ = run_cli(capsys, *self.PINNED_BENCH, "--workers", "1", "--out", str(clean))
+        assert code == 0
+        calls = []
+        real_solve = madspip.bench.solve
+
+        def interrupted_solve(*args, **kwargs):
+            calls.append(args[0].name)
+            if len(calls) == 5:
+                raise KeyboardInterrupt
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(madspip.bench, "solve", interrupted_solve)
+        cut = tmp_path / "cut"
+        with pytest.raises(KeyboardInterrupt):
+            main([*self.PINNED_BENCH, "--workers", "1", "--out", str(cut)])
+        assert len(calls) == 5
+        kept = tree(cut)
+        histories = {name for name in kept if name.endswith(".jsonl")}
+        assert len(histories) == 4 and set(kept) == histories | {"manifest.txt"}
+        assert all(kept[name] == (clean / name).read_bytes() for name in histories)
+        listed = kept["manifest.txt"].decode().splitlines()
+        assert sorted(f"{name}.jsonl" for name in listed) == sorted(histories)
+
+        monkeypatch.setattr(madspip.bench, "solve", real_solve)
+        code, out, _ = run_cli(capsys, *self.PINNED_BENCH, "--out", str(cut))
+        assert code == 0 and machine_line(out)["skipped"] == 4
+        assert tree(cut) == tree(clean)
+
+    def test_records_alive_bounded_by_workers(self, tmp_path, capsys, monkeypatch):
+        # each finished run is written and dropped before the next job
+        # starts, so at most --workers records exist when a solve begins
+        refs, alive_at_call = [], []
+        real_solve = madspip.bench.solve
+
+        def tracking_solve(*args, **kwargs):
+            alive_at_call.append(sum(ref() is not None for ref in refs))
+            record = real_solve(*args, **kwargs)
+            refs.append(weakref.ref(record))
+            return record
+
+        monkeypatch.setattr(madspip.bench, "solve", tracking_solve)
+        code, _, _ = run_cli(
+            capsys, *self.PINNED_BENCH, "--workers", "2", "--out", str(tmp_path / "bench")
+        )
+        assert code == 0
+        assert len(alive_at_call) == 20 and len(refs) == 13
+        assert max(alive_at_call) <= 2
+
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("x")
+        code, _, err = run_cli(
+            capsys, "bench", "--problem", "unit-disk", "--seeds", "1", "--budget", "20",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert one_error_line(err)
+
+    def test_failed_history_write_keeps_written_runs_listed(self, tmp_path, capsys):
+        out_dir = tmp_path / "bench"
+        (out_dir / "unit-disk__feasible-0__seed2__pip.jsonl").mkdir(parents=True)
+        code, _, err = run_cli(
+            capsys, "bench", "--problem", "unit-disk", "--x0-count", "1", "--seeds", "1,2",
+            "--budget", "50", "--workers", "1", "--out", str(out_dir),
+        )
+        assert code == 2
+        assert one_error_line(err)
+        manifest = (out_dir / "manifest.txt").read_text().splitlines()
+        assert manifest == ["unit-disk__feasible-0__seed1__pip"]
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "manifest.txt",
+            "unit-disk__feasible-0__seed1__pip.jsonl",
+            "unit-disk__feasible-0__seed2__pip.jsonl",
+        ]
 
     def test_partial_failures_reported(self, tmp_path, capsys):
         # extreme barrier errors out on the equality problem but pip completes
@@ -378,6 +498,15 @@ class TestProfileCommand:
     def test_missing_directory_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "profile", "--histories", str(tmp_path / "none"))
         assert code == 2
+
+    def test_out_is_a_file_exits_2(self, bench_dir, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("x")
+        code, _, err = run_cli(
+            capsys, "profile", "--histories", str(bench_dir), "--out", str(out)
+        )
+        assert code == 2
+        assert one_error_line(err)
 
 
 class TestListCommand:

@@ -253,3 +253,42 @@ class TestHistory:
         write_history(rows, a)
         write_history(rows, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unencodable_row_keeps_the_old_file(self, tmp_path):
+        good = history_row(
+            eval_index=0,
+            x=[0.0],
+            f=1.0,
+            g=[],
+            h=[],
+            cint=None,
+            cext=None,
+            rho=None,
+            delta_frame=1.0,
+            incumbent=True,
+            iteration=0,
+            status="unsuccessful",
+        )
+        path = tmp_path / "run.jsonl"
+        write_history([good, good], path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_history([good, {"x": object()}], path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.jsonl"]
+
+    def test_circular_row_rejected(self, tmp_path):
+        row = {"x": []}
+        row["x"].append(row)
+        with pytest.raises(ValueError, match="[Cc]ircular"):
+            write_history([row], tmp_path / "run.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path):
+        # a directory where the history should go: the rename fails after
+        # the temp file was written, and the temp file goes with it
+        (tmp_path / "run.jsonl").mkdir()
+        with pytest.raises(OSError):
+            write_history([{"eval_index": 0}], tmp_path / "run.jsonl")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.jsonl"]
+        assert (tmp_path / "run.jsonl").is_dir()

@@ -1,3 +1,4 @@
+import gc
 import math
 from dataclasses import replace
 
@@ -349,6 +350,21 @@ class TestKeptViolationTerms:
         )
         assert len(record.rho_trace) >= 3 and len(rescanned) >= 1
         assert len(summarized) <= record.evals_used + sum(rescanned)
+
+
+    def test_kept_terms_are_float_tuples_the_gc_does_not_track(self):
+        problem, _ = builtin_problem("two-ring")
+        state = init_state(
+            problem, initial_point(problem, "infeasible-0"),
+            SolverConfig(max_evaluations=300, seed=5),
+        )
+        while iterate(state) != "budget":
+            pass
+        gc.collect()
+        assert len(state.kept) > 100
+        for terms in state.kept.values():
+            assert type(terms) is tuple and [type(v) for v in terms] == [float] * 3
+            assert not gc.is_tracked(terms)
 
 
 class TestSolve:
