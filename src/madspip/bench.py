@@ -37,7 +37,6 @@ __all__ = [
     "data_profile",
     "feasibility_profile",
     "export",
-    "read_curves_csv",
 ]
 
 Key = Tuple[str, str, int, str]  # (problem, x0_id, seed, mode)
@@ -301,8 +300,31 @@ def reference_table(records) -> Dict[InstanceKey, Optional[float]]:
     return table
 
 
-def _max_groups(views: Sequence[RunView]) -> int:
-    return max((v.group_count for v in views), default=0)
+def _mode_curves(records, tau: float, index_of, counted=lambda key: True) -> List[ProfileCurve]:
+    """One curve per mode: the fraction of the ``counted`` instances whose
+    ``index_of(view, instance_key)`` is at most k, for each group count k."""
+    views, modes, instances, by_key = _group_runs(records)
+    if not views:
+        raise ValueError("no run records supplied")
+    kept = [key for key in instances if counted(key)]
+    groups = tuple(range(0, max(v.group_count for v in views) + 1))
+    curves = []
+    for mode in modes:
+        indices = []
+        for key in kept:
+            view = by_key.get((key[0], key[1], key[2], mode))
+            if view is None:
+                continue
+            index = index_of(view, key)
+            if index is not None:
+                indices.append(index)
+        denominator = len(kept)
+        fraction = tuple(
+            (sum(1 for s in indices if s <= k) / denominator) if denominator else 0.0
+            for k in groups
+        )
+        curves.append(ProfileCurve(label=mode, tau=tau, groups=groups, fraction=fraction))
+    return curves
 
 
 def data_profile(
@@ -311,61 +333,20 @@ def data_profile(
     f_star_table: Dict[InstanceKey, Optional[float]],
     f_ref_table: Dict[InstanceKey, Optional[float]],
 ) -> List[ProfileCurve]:
-    """One curve per mode: fraction of instances tau-solved within k groups."""
-    views, modes, instances, by_key = _group_runs(records)
-    if not views:
-        raise ValueError("no run records supplied")
-    kept = [
-        key
-        for key in instances
-        if f_star_table.get(key) is not None and f_ref_table.get(key) is not None
-    ]
-    k_max = _max_groups(views)
-    groups = tuple(range(0, k_max + 1))
-    curves = []
-    for mode in modes:
-        solved_at: List[int] = []
-        for key in kept:
-            view = by_key.get((key[0], key[1], key[2], mode))
-            if view is None:
-                continue
-            index = convergence_index(view, f_star_table[key], f_ref_table[key], tau)
-            if index is not None:
-                solved_at.append(index)
-        denominator = len(kept)
-        fraction = tuple(
-            (sum(1 for s in solved_at if s <= k) / denominator) if denominator else 0.0
-            for k in groups
-        )
-        curves.append(ProfileCurve(label=mode, tau=tau, groups=groups, fraction=fraction))
-    return curves
+    """One curve per mode: fraction of instances tau-solved within k groups
+    (denominator: the instances with both an ``f_star`` and an ``f_ref``)."""
+    return _mode_curves(
+        records,
+        tau,
+        lambda view, key: convergence_index(view, f_star_table[key], f_ref_table[key], tau),
+        lambda key: f_star_table.get(key) is not None and f_ref_table.get(key) is not None,
+    )
 
 
 def feasibility_profile(records) -> List[ProfileCurve]:
     """One curve per mode: fraction of instances with a feasible evaluation
     within k groups (denominator: all instances)."""
-    views, modes, instances, by_key = _group_runs(records)
-    if not views:
-        raise ValueError("no run records supplied")
-    k_max = _max_groups(views)
-    groups = tuple(range(0, k_max + 1))
-    curves = []
-    for mode in modes:
-        indices = []
-        for key in instances:
-            view = by_key.get((key[0], key[1], key[2], mode))
-            if view is None:
-                continue
-            index = feasibility_index(view)
-            if index is not None:
-                indices.append(index)
-        denominator = len(instances)
-        fraction = tuple(
-            (sum(1 for s in indices if s <= k) / denominator) if denominator else 0.0
-            for k in groups
-        )
-        curves.append(ProfileCurve(label=mode, tau=0.0, groups=groups, fraction=fraction))
-    return curves
+    return _mode_curves(records, 0.0, lambda view, key: feasibility_index(view))
 
 
 def export(curves: Sequence[ProfileCurve], format: str, path) -> None:
@@ -388,29 +369,6 @@ def _export_csv(curves: Sequence[ProfileCurve], path) -> None:
             lines.append(f"{curve.label},{curve.tau!r},{k},{fraction!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_curves_csv(path) -> List[ProfileCurve]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != "label,tau,k,fraction":
-        raise ValueError("not a profile CSV file")
-    data: Dict[Tuple[str, float], List[Tuple[int, float]]] = {}
-    for line in lines[1:]:
-        label, tau, k, fraction = line.split(",")
-        data.setdefault((label, float(tau)), []).append((int(k), float(fraction)))
-    curves = []
-    for (label, tau), points in data.items():
-        points.sort()
-        curves.append(
-            ProfileCurve(
-                label=label,
-                tau=tau,
-                groups=tuple(k for k, _ in points),
-                fraction=tuple(f for _, f in points),
-            )
-        )
-    return curves
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

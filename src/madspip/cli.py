@@ -184,6 +184,9 @@ def cmd_bench(args) -> int:
         names = DEFAULT_BENCH_NAMES if args.problem is None else _parse_list(args.problem, str)
         problems = [builtin_problem(name)[0] for name in names]
         modes = _parse_list(args.mode, str)
+        base = SolverConfig(max_evaluations=args.budget, search_enabled=not args.no_search)
+        for mode in modes:  # an unknown mode fails here, before any run
+            dataclasses.replace(base, mode=mode)
         if args.workers is not None and args.workers < 1:
             raise ValueError("--workers must be at least 1")
         instances = make_instances(problems, args.x0_count, seeds)
@@ -202,15 +205,16 @@ def cmd_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    pending = {}  # run name -> (instance, mode); a repeated seed is solved once
-    skipped = 0
+    runs = {}  # run name -> (instance, mode); a repeated seed or problem is one run
     for instance in instances:
         for mode in modes:
             name = _run_name(instance.problem.name, instance.x0_id, instance.seed, mode)
-            if name in done and (out_dir / f"{name}.jsonl").exists():
-                skipped += 1
-            else:
-                pending.setdefault(name, (instance, mode))
+            runs.setdefault(name, (instance, mode))
+    pending = [
+        job for name, job in runs.items()
+        if not (name in done and (out_dir / f"{name}.jsonl").exists())
+    ]
+    skipped = len(runs) - len(pending)
 
     listed = set(done)
     outcomes: List[tuple] = []  # (key, summary line, outcome) per finished run
@@ -227,10 +231,8 @@ def cmd_bench(args) -> int:
 
     try:
         if pending:
-            base = SolverConfig(max_evaluations=args.budget, search_enabled=not args.no_search)
             run_matrix(
-                list(pending.values()), args.budget, max_workers=args.workers,
-                base_config=base, on_record=_keep,
+                pending, args.budget, max_workers=args.workers, base_config=base, on_record=_keep
             )
         write_atomic(manifest_path, "\n".join(sorted(listed)) + "\n")
     except OSError as exc:
@@ -244,7 +246,7 @@ def cmd_bench(args) -> int:
         "command": "bench",
         "out": str(out_dir),
         "manifest": str(manifest_path),
-        "runs": len(instances) * len(modes),
+        "runs": len(runs),
         "completed": completed,
         "errors": errors,
         "skipped": skipped,
@@ -274,6 +276,8 @@ def cmd_profile(args) -> int:
     out_dir = histories_dir if args.out is None else Path(args.out)
     try:
         taus = _parse_list(args.tau, float)
+        if not all(tau > 0.0 for tau in taus):
+            raise ValueError("precisions must be positive")
     except ValueError as exc:
         print(f"error: --tau: {exc}", file=sys.stderr)
         return 2

@@ -100,7 +100,6 @@ class MeritParams:
     beta: float = 1.0 + 1e-9
     b_rho: float = 10.0
     b_c: float = 1e10
-    log_threshold: float = 1.0
 
     def __post_init__(self):
         if not (self.rho > 0.0):
@@ -111,8 +110,6 @@ class MeritParams:
             raise ValueError("beta must exceed 1")
         if min(self.b_int, self.b_ext, self.b_rho, self.b_c) <= 0.0:
             raise ValueError("scaling constants must be positive")
-        if self.log_threshold != 1.0:
-            raise ValueError("log threshold is fixed to 1")
 
 
 @dataclass(frozen=True)

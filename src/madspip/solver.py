@@ -103,12 +103,9 @@ class RunRecord:
     iterations: List[dict] = field(default_factory=list)
     outcome: str = "error"
     flags: List[str] = field(default_factory=list)
-    rho0: Optional[float] = None
     params: Optional[dict] = None
     evals_used: int = 0
-    f_x0: Optional[float] = None
     best_feasible_f: Optional[float] = None
-    best_feasible_point: Optional[Tuple[float, ...]] = None
     final_rho: Optional[float] = None
     final_delta: Optional[float] = None
 
@@ -282,7 +279,6 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
         seed=config.seed,
         mode=config.mode,
         n=problem.n,
-        f_x0=ev0.f,
     )
 
     state = SolverState(
@@ -307,7 +303,6 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
             )
         state.partition = Partition.from_initial(ev0.g, config.eps_ext)
         state.merit_params = MeritParams(rho=config.rho0, b_ext=compute_b_ext(ev0.f))
-        record.rho0 = config.rho0
         record.params = {
             "rho0": config.rho0,
             "theta_rho": state.merit_params.theta_rho,
@@ -527,12 +522,10 @@ def _finalize(state: SolverState, outcome: str) -> RunRecord:
     record.final_delta = state.mesh.delta_frame
     record.final_rho = state.merit_params.rho if state.pip else None
     best_f = None
-    best_point = None
     for ev in state.cache.entries.values():
         if is_feasible(ev) and (best_f is None or ev.f < best_f):
-            best_f, best_point = ev.f, ev.point
+            best_f = ev.f
     record.best_feasible_f = best_f
-    record.best_feasible_point = best_point
     return record
 
 
@@ -571,7 +564,6 @@ def error_record(
 ) -> RunRecord:
     """Record for a run that could not start."""
     rec = RunRecord(problem_name=problem_name, x0_id=x0_id, seed=seed, mode=mode, n=n)
-    rec.outcome = "error"
     rec.flags.append(message)
     return rec
 
@@ -615,7 +607,7 @@ def check_run_invariants(record: RunRecord):
     theta_rho = params["theta_rho"]
 
     # (a) rho trace: strictly decreasing by the exact contraction factor
-    prev = record.rho0
+    prev = params["rho0"]
     for it, value in record.rho_trace:
         expected = prev * theta_rho
         if value != expected:

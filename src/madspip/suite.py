@@ -36,7 +36,6 @@ __all__ = [
 @dataclass(frozen=True)
 class KnownOptimum:
     f_star: float
-    tolerance_note: str
 
 
 @dataclass(frozen=True)
@@ -82,27 +81,27 @@ _SQRT2 = math.sqrt(2.0)
 _BUILTINS: List[Tuple[Problem, KnownOptimum]] = [
     (
         Problem("unit-disk", 2, 1, 0, _unit_disk, _box(-1.1, 1.1, 2)),
-        KnownOptimum(-_SQRT2, "linear objective over the unit disk; optimum at -(1,1)/sqrt(2)"),
+        KnownOptimum(-_SQRT2),  # linear objective over the unit disk; optimum at -(1,1)/sqrt(2)
     ),
     (
         Problem("sphere-eq", 5, 0, 1, _sphere_eq, _box(-0.2, 0.95, 5)),
-        KnownOptimum(0.2, "squared norm on the plane sum(x)=1; optimum x_i = 1/5 by symmetry"),
+        KnownOptimum(0.2),  # squared norm on the plane sum(x)=1; optimum x_i = 1/5 by symmetry
     ),
     (
         Problem("sphere-eq-3", 3, 0, 1, _sphere_eq, _box(-0.2, 0.95, 3)),
-        KnownOptimum(1.0 / 3.0, "squared norm on the plane sum(x)=1; optimum x_i = 1/3"),
+        KnownOptimum(1.0 / 3.0),  # squared norm on the plane sum(x)=1; optimum x_i = 1/3
     ),
     (
         Problem("mixed-kkt", 3, 1, 1, _mixed_kkt, _box(-0.25, 1.1, 3)),
-        KnownOptimum(0.36, "active bound x_1 = 0.2, remaining mass split equally: (0.2, 0.4, 0.4)"),
+        KnownOptimum(0.36),  # active bound x_1 = 0.2, remaining mass split equally: (0.2, 0.4, 0.4)
     ),
     (
         Problem("maxabs-lin", 2, 1, 0, _maxabs_lin, _box(-2.0, 2.0, 2)),
-        KnownOptimum(0.5, "nonsmooth max-abs objective on the half-plane x_1+x_2 >= 1; optimum (0.5, 0.5)"),
+        KnownOptimum(0.5),  # nonsmooth max-abs objective on the half-plane x_1+x_2 >= 1; optimum (0.5, 0.5)
     ),
     (
         Problem("two-ring", 2, 2, 0, _two_ring, _box(-2.05, 2.05, 2)),
-        KnownOptimum(-2.0, "lowest point of the annulus 1 <= |x| <= 2 is (0, -2)"),
+        KnownOptimum(-2.0),  # lowest point of the annulus 1 <= |x| <= 2 is (0, -2)
     ),
 ]
 

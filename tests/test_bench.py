@@ -14,7 +14,6 @@ from madspip.bench import (
     data_profile,
     export,
     feasibility_profile,
-    read_curves_csv,
     reference_table,
     run_matrix,
     view_of_history,
@@ -82,7 +81,7 @@ class TestConvergenceIndex:
             SolverConfig(max_evaluations=300, seed=1),
             x0_id="feasible-0",
         )
-        k = convergence_index(record, optimum.f_star, record.f_x0, tau=0.5)
+        k = convergence_index(record, optimum.f_star, record.rows[0]["f"], tau=0.5)
         assert k is not None and k >= 1
 
 
@@ -194,8 +193,12 @@ class TestExport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "label,tau,k,fraction"
         assert len(lines) == 1 + len(curves[0].groups)
-        reread = read_curves_csv(path)
-        assert reread == curves
+        expected = [
+            f"{curve.label},{curve.tau!r},{k},{fraction!r}"
+            for curve in curves
+            for k, fraction in zip(curve.groups, curve.fraction)
+        ]
+        assert lines[1:] == expected
 
     def test_svg_structure(self, tmp_path):
         views = fixture_views()

@@ -257,6 +257,27 @@ class TestBenchCommand:
         assert machine_line(out)["completed"] == 1
         assert sum(1 for line in out.splitlines() if line.startswith("problem=")) == 1
 
+    def test_repeated_runs_counted_once(self, tmp_path, capsys):
+        args = (
+            "bench", "--problem", "unit-disk,unit-disk", "--x0-count", "1", "--seeds", "1,1",
+            "--budget", "40", "--out", str(tmp_path / "bench"),
+        )
+        for _ in range(2):  # the second pass skips the one finished run
+            code, out, _ = run_cli(capsys, *args)
+            machine = machine_line(out)
+            assert code == 0
+            assert machine["runs"] == machine["completed"] + machine["errors"] + machine["skipped"] == 1
+
+    @pytest.mark.parametrize("flag,value", [("--budget", "0"), ("--mode", "pip,foo")])
+    def test_bad_run_setting_exits_2_before_any_run(self, tmp_path, capsys, flag, value):
+        code, _, err = run_cli(
+            capsys, "bench", "--problem", "unit-disk", "--seeds", "1", "--budget", "40",
+            flag, value, "--out", str(tmp_path / "bench"),
+        )
+        assert code == 2
+        assert one_error_line(err)
+        assert not list(tmp_path.rglob("*.jsonl"))
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_exits_2(self, tmp_path, capsys, workers):
         code, _, err = run_cli(
@@ -495,6 +516,13 @@ class TestProfileCommand:
         assert machine_line(out)["histories"] == 16
         assert len(machine_line(out)["warnings"]) == 1
 
+    @pytest.mark.parametrize("tau", ["0", "-1", "0.1,0"])
+    def test_nonpositive_tau_exits_2(self, bench_dir, capsys, tau):
+        code, _, err = run_cli(capsys, "profile", "--histories", str(bench_dir), f"--tau={tau}")
+        assert code == 2
+        assert one_error_line(err) and err.startswith("error: --tau")
+        assert not list(bench_dir.glob("*.csv"))
+
     def test_missing_directory_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "profile", "--histories", str(tmp_path / "none"))
         assert code == 2
@@ -539,7 +567,11 @@ class TestConfigPrecedence:
             ("solve", "check-invariants = yes\nseed = 1.5"),
             ("bench", "seeds = 1,x"),
             ("bench", "workers = two"),
+            ("bench", "budget = 0"),
+            ("bench", "mode = pip,foo"),
             ("profile", "tau = 0.1,x"),
+            ("profile", "tau = 0"),
+            ("profile", "tau = -1"),
         ],
     )
     def test_malformed_config_value_exits_2(self, tmp_path, capsys, command, line):

@@ -248,8 +248,6 @@ class TestMeritParams:
             MeritParams(rho=0.1, theta_rho=1.5)
         with pytest.raises(ValueError):
             MeritParams(rho=0.1, beta=1.0)
-        with pytest.raises(ValueError):
-            MeritParams(rho=0.1, log_threshold=2.0)
 
     def test_defaults(self):
         p = MeritParams(rho=0.1)
@@ -258,4 +256,3 @@ class TestMeritParams:
         assert p.b_rho == 10.0
         assert p.b_c == 1e10
         assert p.b_int == 1.0
-        assert p.log_threshold == 1.0
