@@ -470,6 +470,67 @@ class TestExtremeBarrier:
         assert pip_rows == eb_rows
 
 
+# (problem, x0_id): (iterations of the rho cuts, partition moves) at seed 5
+# and budget 1500; rho starts at 0.1 and shrinks by 1e-2 at each cut
+PINNED_TRACES = {
+    ("unit-disk", "feasible-0"): ([12, 40, 71, 120, 134], []),
+    ("unit-disk", "infeasible-0"): ([18, 36, 73, 138, 156], [(1, 0)]),
+    ("sphere-eq", "feasible-0"): ([30, 54, 73, 150, 172], []),
+    ("sphere-eq", "infeasible-0"): ([52, 82, 103, 174], []),
+    ("sphere-eq-3", "feasible-0"): ([14, 80, 119, 160, 190], []),
+    ("sphere-eq-3", "infeasible-0"): ([28, 80, 99, 122, 224], []),
+    ("mixed-kkt", "feasible-0"): ([22, 86, 143], []),
+    ("mixed-kkt", "infeasible-0"): ([46, 200, 273], []),
+    ("maxabs-lin", "feasible-0"): ([16, 38, 67, 92, 110], []),
+    ("maxabs-lin", "infeasible-0"): ([26, 44, 59, 80, 112], [(2, 0)]),
+    ("two-ring", "feasible-0"): ([18, 42, 67, 94, 108], []),
+    ("two-ring", "infeasible-0"): ([24, 46, 81, 114, 174], [(2, 0)]),
+}
+
+
+class TestPinnedTraces:
+    def test_rho_and_partition_traces(self):
+        seen = set()
+        for problem, _ in builtin_problems():
+            for x0_id in ("feasible-0", "infeasible-0"):
+                record = solve(
+                    problem, initial_point(problem, x0_id),
+                    SolverConfig(max_evaluations=1500, seed=5), x0_id=x0_id,
+                )
+                cuts, moves = PINNED_TRACES[problem.name, x0_id]
+                rho, expected = 0.1, []
+                for it in cuts:
+                    rho *= 1e-2
+                    expected.append((it, rho))
+                assert record.rho_trace == expected
+                assert record.partition_trace == moves
+                assert check_run_invariants(record)[0] == []
+                seen.add((problem.name, x0_id))
+        assert seen == set(PINNED_TRACES)
+
+    def test_corrupted_run_verdicts(self):
+        # unit-disk cuts rho at iterations 12, 32, 49, 68 and 164; entries
+        # holding a cut are not compared with the entry before them
+        problem, _ = builtin_problem("unit-disk")
+        record = solve(
+            problem, initial_point(problem, "feasible-0"),
+            SolverConfig(max_evaluations=600, seed=3), x0_id="feasible-0",
+        )
+        entries = {e["iteration"]: e for e in record.iterations}
+        for it, shift in ((12, -1.0), (32, 1.0), (48, 1.0), (100, 1.0), (150, -1.0)):
+            entries[it]["incumbent_merit"] += shift
+        entries[60]["incumbent_cint"] = 0.5
+        violations, warnings = check_run_invariants(record)
+        assert sorted(violations) == [
+            "iteration 100: successful but merit did not strictly decrease",
+            "iteration 13: successful but merit did not strictly decrease",
+            "iteration 151: merit increased within a constant span",
+            "iteration 48: merit increased within a constant span",
+            "iteration 60: incumbent c_int 0.5 not negative",
+        ]
+        assert warnings == []
+
+
 class TestInvariantChecker:
     def test_clean_run_has_no_violations(self):
         problem, _ = builtin_problem("maxabs-lin")
