@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .problem import Evaluation, is_feasible
-from .solver import RunRecord, SolverConfig, InitializationError, error_record, solve
+from .solver import RunRecord, SolverConfig, InitializationError, solve
 from .suite import Instance
 
 __all__ = [
@@ -172,17 +172,12 @@ def run_matrix(
                 base_config, max_evaluations=budget, seed=instance.seed, mode=mode
             )
         try:
-            record = solve(instance.problem, instance.x0, config, x0_id=instance.x0_id)
+            return solve(instance.problem, instance.x0, config, x0_id=instance.x0_id)
         except InitializationError as exc:
-            record = error_record(
-                instance.problem.name,
-                instance.x0_id,
-                instance.seed,
-                mode,
-                instance.problem.n,
-                str(exc),
+            problem = instance.problem
+            return RunRecord(
+                problem.name, instance.x0_id, instance.seed, mode, problem.n, flags=[str(exc)]
             )
-        return record
 
     keys = [(instance.problem.name, instance.x0_id, instance.seed, mode) for instance, mode in jobs]
     collected: Dict[Key, RunRecord] = {}

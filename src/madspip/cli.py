@@ -182,8 +182,10 @@ def cmd_bench(args) -> int:
         if not seeds:
             raise ValueError("at least one seed is required")
         names = DEFAULT_BENCH_NAMES if args.problem is None else _parse_list(args.problem, str)
-        problems = [builtin_problem(name)[0] for name in names]
         modes = _parse_list(args.mode, str)
+        if not names or not modes:
+            raise ValueError("at least one problem and one mode are required")
+        problems = [builtin_problem(name)[0] for name in names]
         base = SolverConfig(max_evaluations=args.budget, search_enabled=not args.no_search)
         for mode in modes:  # an unknown mode fails here, before any run
             dataclasses.replace(base, mode=mode)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 __all__ = [
     "Partition",
@@ -194,22 +194,16 @@ def compute_b_ext(f0: float) -> float:
     return max(1.0, 10.0 ** math.floor(math.log10(abs(f0))))
 
 
-def penalty_update_check(
-    delta_next: float, phi_prox_val: Optional[float], params: MeritParams
-) -> bool:
+def penalty_update_check(delta_next: float, phi_prox_val: float, params: MeritParams) -> bool:
     """Whether the shrunken frame size is small enough to reduce ``rho``.
 
     Fires when ``delta_next <= min(b_rho * rho**beta, b_c * phi**2)``.  Meant
     to be called after an unsuccessful iteration only.  With no interior
-    constraints pass ``phi_prox_val=None``: the proximity term drops out and
-    the criterion reduces to its first argument.
+    constraints ``phi_prox_val`` is ``-inf``, so the proximity term is
+    ``+inf`` and the criterion reduces to its first argument.
     """
     term_rho = params.b_rho * params.rho**params.beta
-    if phi_prox_val is None:
-        bound = term_rho
-    else:
-        bound = min(term_rho, params.b_c * phi_prox_val * phi_prox_val)
-    return delta_next <= bound
+    return delta_next <= min(term_rho, params.b_c * phi_prox_val * phi_prox_val)
 
 
 def violation_summary(

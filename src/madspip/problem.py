@@ -75,6 +75,8 @@ class Problem:
                 raise ValueError("bounds must have one entry per variable")
             if any(l > u for l, u in zip(lower, upper)):
                 raise ValueError("lower bounds must not exceed upper bounds")
+            if not all(math.isfinite(u - l) for l, u in zip(lower, upper)):
+                raise ValueError("bounds must be finite, with a finite span")
             object.__setattr__(self, "bounds", (tuple(lower), tuple(upper)))
 
     def contains(self, point: Sequence[float]) -> bool:

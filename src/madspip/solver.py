@@ -30,7 +30,6 @@ import numpy as np
 from .merit import (
     MeritParams,
     Partition,
-    ViolationSummary,
     compute_b_ext,
     merit,
     penalty_update_check,
@@ -89,8 +88,9 @@ class SolverConfig:
 
 @dataclass
 class RunRecord:
-    """Everything observable about one run: per-evaluation rows, the rho and
-    partition traces, a per-iteration trace, and summary fields."""
+    """Everything observable about one run: per-evaluation rows, a
+    per-iteration trace, and summary fields.  The rho and partition traces
+    are views of the iteration trace."""
 
     problem_name: str
     x0_id: str
@@ -98,8 +98,6 @@ class RunRecord:
     mode: str
     n: int
     rows: List[dict] = field(default_factory=list)
-    rho_trace: List[Tuple[int, float]] = field(default_factory=list)
-    partition_trace: List[Tuple[int, int]] = field(default_factory=list)
     iterations: List[dict] = field(default_factory=list)
     outcome: str = "error"
     flags: List[str] = field(default_factory=list)
@@ -112,6 +110,16 @@ class RunRecord:
     @property
     def key(self) -> Tuple[str, str, int, str]:
         return (self.problem_name, self.x0_id, self.seed, self.mode)
+
+    @property
+    def rho_trace(self) -> List[Tuple[int, float]]:
+        """``(iteration, new rho)`` for each iteration that cut ``rho``."""
+        return [(e["iteration"], e["rho"]) for e in self.iterations if e["rho"] != e["rho_before"]]
+
+    @property
+    def partition_trace(self) -> List[Tuple[int, int]]:
+        """``(iteration, index)`` for each inequality moved to the interior set."""
+        return [(e["iteration"], i) for e in self.iterations for i in e["partition_moved"]]
 
 
 @dataclass
@@ -129,12 +137,11 @@ class SolverState:
     lattice_bits: int
     q_incumbent: Tuple[int, ...]
     incumbent: Evaluation
-    incumbent_summary: ViolationSummary
+    incumbent_merit: float
     partition: Optional[Partition] = None
     merit_params: Optional[MeritParams] = None
     iteration: int = 0
     last_success_offset: Optional[Tuple[int, ...]] = None
-    partition_version: int = 0
     # pip mode: each cached key's (phi_prox, c_int, c_ext) under the current
     # partition, as plain float tuples, which the cyclic GC stops tracking
     kept: Dict[Tuple[int, ...], Tuple[float, float, float]] = field(default_factory=dict)
@@ -142,10 +149,6 @@ class SolverState:
     @property
     def pip(self) -> bool:
         return self.config.mode == MODE_PIP
-
-    @property
-    def incumbent_merit(self) -> float:
-        return self.incumbent_summary.merit
 
     @property
     def mesh_step(self) -> int:
@@ -158,18 +161,16 @@ class SolverState:
         return 1 << shift
 
 
-def _summary_of(
-    state: SolverState, key: Tuple[int, ...], evaluation: Evaluation
-) -> ViolationSummary:
-    """Summary of the cached ``key`` under the current partition and ``rho``.
+def _merit_of(state: SolverState, key: Tuple[int, ...], evaluation: Evaluation) -> float:
+    """Merit of the cached ``key`` under the current partition and ``rho``.
 
     In pip mode the violation terms are computed once per key and partition
-    and kept; kept terms are only re-priced.  In extreme-barrier mode only
-    the merit is set: ``f`` on feasible points, ``+inf`` elsewhere.
+    and kept in ``state.kept``; kept terms are only re-priced.  In
+    extreme-barrier mode the merit is ``f`` on feasible points, ``+inf``
+    elsewhere.
     """
     if not state.pip:
-        value = evaluation.f if is_feasible(evaluation) else _INF
-        return ViolationSummary(phi_prox=None, c_int=None, c_ext=None, merit=value)
+        return evaluation.f if is_feasible(evaluation) else _INF
     kept = state.kept.get(key)
     if kept is None:
         summary = violation_summary(
@@ -181,9 +182,9 @@ def _summary_of(
             failed=evaluation.failed,
         )
         state.kept[key] = (summary.phi_prox, summary.c_int, summary.c_ext)
-        return summary
-    phi, cint, cext = kept
-    return ViolationSummary(phi, cint, cext, merit(evaluation.f, cint, cext, state.merit_params))
+        return summary.merit
+    _, cint, cext = kept
+    return merit(evaluation.f, cint, cext, state.merit_params)
 
 
 def _lattice_bits(delta0: float, delta_stop: float) -> int:
@@ -209,7 +210,7 @@ def _append_row(
     state: SolverState,
     *,
     evaluation: Optional[Evaluation],
-    summary: Optional[ViolationSummary],
+    key: Tuple[int, ...],
     x: Sequence[float],
     status: str,
     incumbent: bool,
@@ -220,9 +221,10 @@ def _append_row(
     eval_index = None
     if evaluation is not None:
         f, g, h, eval_index = evaluation.f, evaluation.g, evaluation.h, evaluation.eval_index
-        cint, cext = summary.c_int, summary.c_ext
     if state.pip:
         rho = state.merit_params.rho
+        if evaluation is not None:
+            _, cint, cext = state.kept[key]
     state.record.rows.append(
         history_row(
             eval_index=eval_index,
@@ -293,7 +295,7 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
         lattice_bits=_lattice_bits(mesh.delta0, config.delta_stop),
         q_incumbent=q0,
         incumbent=ev0,
-        incumbent_summary=None,
+        incumbent_merit=_INF,
     )
 
     if config.mode == MODE_PIP:
@@ -320,11 +322,11 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
         if not is_feasible(ev0):
             raise InitializationError("extreme-barrier mode needs a feasible starting point")
 
-    state.incumbent_summary = _summary_of(state, q0, ev0)
+    state.incumbent_merit = _merit_of(state, q0, ev0)
     _append_row(
         state,
         evaluation=ev0,
-        summary=state.incumbent_summary,
+        key=q0,
         x=x0,
         status="unsuccessful",
         incumbent=True,
@@ -363,30 +365,24 @@ def reselect_incumbent(state: SolverState) -> SolverState:
     earliest evaluation; if every cached point has infinite merit the
     incumbent is kept and the run is flagged.
     """
-    params = state.merit_params
     best_key = None
     best_merit = _INF
     for key, ev in state.cache.entries.items():  # insertion order = eval order
-        kept = state.kept.get(key)
-        if kept is None:  # the partition moved
-            _summary_of(state, key, ev)
-            kept = state.kept[key]
-        _, cint, cext = kept
-        value = merit(ev.f, cint, cext, params)
+        value = _merit_of(state, key, ev)
         if value < best_merit:
             best_key, best_merit = key, value
     if best_key is None:
         state.record.flags.append("reselection-found-no-finite-merit")
-        state.incumbent_summary = _summary_of(state, state.q_incumbent, state.incumbent)
+        state.incumbent_merit = _merit_of(state, state.q_incumbent, state.incumbent)
         return state
     state.q_incumbent = best_key
     state.incumbent = state.cache.entries[best_key]
-    state.incumbent_summary = ViolationSummary(*state.kept[best_key], best_merit)
+    state.incumbent_merit = best_merit
     return state
 
 
 def _try_candidate(state: SolverState, q: Tuple[int, ...], kind: str):
-    """Evaluate one trial point. Returns (verdict, evaluation, summary) with
+    """Evaluate one trial point. Returns (verdict, evaluation, merit) with
     verdict in {"accepted", "rejected", "nobudget"}."""
     x = _point_of(state, q)
     delta_frame = state.mesh.delta_frame
@@ -394,7 +390,7 @@ def _try_candidate(state: SolverState, q: Tuple[int, ...], kind: str):
         _append_row(
             state,
             evaluation=None,
-            summary=None,
+            key=q,
             x=x,
             status="rejected-bounds",
             incumbent=False,
@@ -409,8 +405,8 @@ def _try_candidate(state: SolverState, q: Tuple[int, ...], kind: str):
         fresh = True
     else:
         ev, fresh = hit, False
-    summary = _summary_of(state, q, ev)
-    improving = summary.merit < state.incumbent_merit
+    value = _merit_of(state, q, ev)
+    improving = value < state.incumbent_merit
     if improving:
         status = "search-success" if kind == "search" else "poll-success"
     elif not fresh:
@@ -422,13 +418,13 @@ def _try_candidate(state: SolverState, q: Tuple[int, ...], kind: str):
     _append_row(
         state,
         evaluation=ev,
-        summary=summary,
+        key=q,
         x=x,
         status=status,
         incumbent=improving,
         delta_frame=delta_frame,
     )
-    return ("accepted" if improving else "rejected"), ev, summary
+    return ("accepted" if improving else "rejected"), ev, value
 
 
 def iterate(state: SolverState) -> str:
@@ -444,26 +440,26 @@ def iterate(state: SolverState) -> str:
     if state.config.search_enabled:
         q = speculative_search(state)
         if q is not None:
-            verdict, ev, summary = _try_candidate(state, q, kind="search")
+            verdict, ev, value = _try_candidate(state, q, kind="search")
             if verdict == "nobudget":
                 return "budget"
             if verdict == "accepted":
-                success_kind, accepted = "search", (q, ev, summary)
+                success_kind, accepted = "search", (q, ev, value)
 
     if success_kind is None:
         mesh_step = state.mesh_step
         for steps in poll_directions(state.problem.n, state.mesh, state.rng):
             q = tuple(qi + mesh_step * s for qi, s in zip(q_center, steps))
-            verdict, ev, summary = _try_candidate(state, q, kind="poll")
+            verdict, ev, value = _try_candidate(state, q, kind="poll")
             if verdict == "nobudget":
                 return "budget"
             if verdict == "accepted":
-                success_kind, accepted = "poll", (q, ev, summary)
+                success_kind, accepted = "poll", (q, ev, value)
                 break
 
     success = success_kind is not None
     if success:
-        state.q_incumbent, state.incumbent, state.incumbent_summary = accepted
+        state.q_incumbent, state.incumbent, state.incumbent_merit = accepted
         state.last_success_offset = tuple(
             a - b for a, b in zip(state.q_incumbent, q_center)
         )
@@ -473,11 +469,10 @@ def iterate(state: SolverState) -> str:
     rho_reduced = False
     phi = None
     if state.pip and not success:
-        phi = state.incumbent_summary.phi_prox if state.partition.g_int else None
+        phi = state.kept[state.q_incumbent][0]
         if penalty_update_check(delta_next, phi, state.merit_params):
             new_rho = state.merit_params.rho * state.merit_params.theta_rho
             state.merit_params = replace(state.merit_params, rho=new_rho)
-            state.record.rho_trace.append((it, new_rho))
             rho_reduced = True
             reselect_incumbent(state)
 
@@ -489,9 +484,7 @@ def iterate(state: SolverState) -> str:
         )
         if moved:
             state.partition = state.partition.moved_to_interior(moved)
-            state.partition_version += 1
             state.kept.clear()
-            state.record.partition_trace.extend((it, i) for i in moved)
             reselect_incumbent(state)
 
     state.record.iterations.append(
@@ -501,15 +494,13 @@ def iterate(state: SolverState) -> str:
             "kind": success_kind,
             "incumbent_eval_index": state.incumbent.eval_index,
             "incumbent_merit": state.incumbent_merit,
-            "incumbent_cint": state.incumbent_summary.c_int,
+            "incumbent_cint": state.kept[state.q_incumbent][1] if state.pip else None,
             "rho_before": rho_before,
             "rho": state.merit_params.rho if state.pip else None,
-            "rho_reduced": rho_reduced,
             "delta_frame": delta_k,
             "delta_next": delta_next,
             "phi_prox": phi,
             "partition_moved": moved,
-            "partition_version": state.partition_version,
         }
     )
     return "successful" if success else "unsuccessful"
@@ -559,132 +550,94 @@ def solve(
     return _finalize(state, outcome)
 
 
-def error_record(
-    problem_name: str, x0_id: str, seed: int, mode: str, n: int, message: str
-) -> RunRecord:
-    """Record for a run that could not start."""
-    rec = RunRecord(problem_name=problem_name, x0_id=x0_id, seed=seed, mode=mode, n=n)
-    rec.flags.append(message)
-    return rec
-
-
-def _spans(iterations: Sequence[dict]):
-    """Group iteration-trace entries into maximal spans of constant
-    (rho, partition_version)."""
-    spans = []
-    current = []
-    current_key = None
-    for entry in iterations:
-        key = (entry["rho"], entry["partition_version"])
-        if key != current_key:
-            if current:
-                spans.append(current)
-            current, current_key = [], key
-        current.append(entry)
-    if current:
-        spans.append(current)
-    return spans
-
-
 def check_run_invariants(record: RunRecord):
     """Replay the recorded run against the convergence-theory properties.
 
-    Returns ``(violations, warnings)``.  Violations cover: the rho trace
-    shrinking by exactly ``theta_rho`` and only at unsuccessful iterations;
-    the frame-size criterion holding at every rho reduction (exact replay of
-    the relaxed bound); the incumbent staying strictly interior; incumbent
-    merit non-increasing within constant-(rho, partition) spans and strictly
-    decreasing exactly at successes; partition moves one-directional, at most
-    m total, and never sharing an iteration with a rho reduction.  The
-    late-run frame-feasibility property is asymptotic, so its failures are
-    reported as warnings, not violations.
+    Returns ``(violations, warnings)``.  Violations cover: rho shrinking by
+    exactly ``theta_rho`` and only at unsuccessful iterations; the frame-size
+    criterion holding at every rho reduction (exact replay of the relaxed
+    bound); the incumbent staying strictly interior; incumbent merit
+    non-increasing from one iteration to the next unless the later one cut
+    rho or moved the partition, and strictly decreasing exactly at
+    successes; partition moves one-directional, at most m total, and never
+    sharing an iteration with a rho reduction.  Violations come out in
+    iteration order.  The late-run frame-feasibility property is asymptotic,
+    so its failures are reported as warnings, not violations.
     """
     violations: List[str] = []
     warnings: List[str] = []
-    if record.mode != MODE_PIP or record.params is None:
+    if record.mode != MODE_PIP or record.params is None or not record.iterations:
         return violations, warnings
     params = record.params
-    theta_rho = params["theta_rho"]
-
-    # (a) rho trace: strictly decreasing by the exact contraction factor
-    prev = params["rho0"]
-    for it, value in record.rho_trace:
-        expected = prev * theta_rho
-        if value != expected:
-            violations.append(
-                f"rho at iteration {it} is {value!r}, expected {expected!r}"
-            )
-        prev = value
-
-    by_iteration = {entry["iteration"]: entry for entry in record.iterations}
-
-    # (b) criterion replay at each reduction; reductions only on failures
-    for it, _ in record.rho_trace:
-        entry = by_iteration.get(it)
-        if entry is None:
-            violations.append(f"rho reduction at {it} has no iteration entry")
-            continue
-        if entry["success"]:
-            violations.append(f"rho reduced at successful iteration {it}")
-        phi = entry["phi_prox"]
-        bound = params["b_rho"] * entry["rho_before"] ** params["beta"]
-        if phi is not None:
-            bound = min(bound, params["b_c"] * phi * phi)
-        if not entry["delta_next"] <= bound:
-            violations.append(
-                f"iteration {it}: delta_next {entry['delta_next']!r} exceeds criterion bound {bound!r}"
-            )
-
-    # (c) strict interior incumbent at every iteration
+    last_quarter = record.iterations[-1]["iteration"] * 3 / 4
+    rho = params["rho0"]
+    moved_indices: List[int] = []
+    late_cuts = set()
+    before = None
     for entry in record.iterations:
+        it = entry["iteration"]
+        cut = entry["rho"] != entry["rho_before"]
+        moved = entry["partition_moved"]
+        if cut:
+            # (a) rho shrinks by the exact contraction factor
+            expected = rho * params["theta_rho"]
+            if entry["rho"] != expected:
+                violations.append(
+                    f"rho at iteration {it} is {entry['rho']!r}, expected {expected!r}"
+                )
+            rho = entry["rho"]
+            # (b) reductions only on failures, and the criterion replays
+            if entry["success"]:
+                violations.append(f"rho reduced at successful iteration {it}")
+            phi = entry["phi_prox"]
+            bound = min(
+                params["b_rho"] * entry["rho_before"] ** params["beta"],
+                params["b_c"] * phi * phi,
+            )
+            if not entry["delta_next"] <= bound:
+                violations.append(
+                    f"iteration {it}: delta_next {entry['delta_next']!r} exceeds criterion bound {bound!r}"
+                )
+            # (e) partition moves never share an iteration with a rho cut
+            violations.extend(
+                f"iteration {it}: partition switch and rho reduction in the same iteration"
+                for _ in moved
+            )
+            if it >= last_quarter:
+                late_cuts.add(it)
+        # (c) strict interior incumbent at every iteration
         if not entry["incumbent_cint"] < 0.0:
             violations.append(
-                f"iteration {entry['iteration']}: incumbent c_int {entry['incumbent_cint']!r} not negative"
+                f"iteration {it}: incumbent c_int {entry['incumbent_cint']!r} not negative"
             )
-
-    # (d) merit monotone within constant-(rho, partition) spans
-    for span in _spans(record.iterations):
-        for before, after in zip(span, span[1:]):
-            if after["success"]:
-                if not after["incumbent_merit"] < before["incumbent_merit"]:
+        # (d) merit monotone while rho and the partition stay put
+        if before is not None and not cut and not moved:
+            if entry["success"]:
+                if not entry["incumbent_merit"] < before["incumbent_merit"]:
                     violations.append(
-                        f"iteration {after['iteration']}: successful but merit did not strictly decrease"
+                        f"iteration {it}: successful but merit did not strictly decrease"
                     )
-            elif after["incumbent_merit"] > before["incumbent_merit"]:
-                violations.append(
-                    f"iteration {after['iteration']}: merit increased within a constant span"
-                )
+            elif entry["incumbent_merit"] > before["incumbent_merit"]:
+                violations.append(f"iteration {it}: merit increased within a constant span")
+        moved_indices.extend(moved)
+        before = entry
 
-    # (e) partition moves: bounded, one-directional, never with a rho cut
-    if len(record.partition_trace) > params["m"]:
+    # (e) partition moves: bounded and one-directional
+    if len(moved_indices) > params["m"]:
         violations.append(
-            f"{len(record.partition_trace)} partition moves exceed the {params['m']} inequality constraints"
+            f"{len(moved_indices)} partition moves exceed the {params['m']} inequality constraints"
         )
-    moved_indices = [i for _, i in record.partition_trace]
     if len(moved_indices) != len(set(moved_indices)):
         violations.append("an inequality index moved to the interior set twice")
-    reduction_iterations = {it for it, _ in record.rho_trace}
-    for it, idx in record.partition_trace:
-        if it in reduction_iterations:
-            violations.append(
-                f"iteration {it}: partition switch and rho reduction in the same iteration"
-            )
 
     # Late-run frame feasibility (asymptotic: log only)
-    if record.rho_trace and record.iterations:
-        last_quarter = record.iterations[-1]["iteration"] * 3 / 4
-        rows_by_iter = {}
-        for row in record.rows:
-            rows_by_iter.setdefault(row["iteration"], []).append(row)
-        for it, _ in record.rho_trace:
-            if it < last_quarter:
-                continue
-            for row in rows_by_iter.get(it, []):
-                cint = row.get("cint")
-                if cint is not None and not cint < 0.0:
-                    warnings.append(
-                        f"iteration {it}: evaluated frame point with c_int {cint!r} (late-run frame not strictly interior)"
-                    )
+    for row in record.rows:
+        it = row["iteration"]
+        cint = row.get("cint")
+        if it in late_cuts and cint is not None and not cint < 0.0:
+            warnings.append(
+                f"iteration {it}: evaluated frame point with c_int {cint!r} (late-run frame not strictly interior)"
+            )
     return violations, warnings
 
 

@@ -146,6 +146,22 @@ class TestSolveCommand:
         assert code == 2
         assert "lower and upper" in err
 
+    @pytest.mark.parametrize("lower,upper", [("-inf,-inf", "inf,inf"), ("-1e308,0", "1e308,1")])
+    def test_bounds_without_finite_span_exit_2(self, tmp_path, capsys, lower, upper):
+        exe = tmp_path / "zero.sh"
+        exe.write_text('#!/bin/sh\nread line\necho "0.0"\n')
+        exe.chmod(0o755)
+        definition = tmp_path / "ext.txt"
+        definition.write_text(
+            f"name = ext\nn = 2\nm = 0\np = 0\nlower = {lower}\nupper = {upper}\nevaluator = {exe}\n"
+        )
+        code, _, err = run_cli(
+            capsys, "solve", "--problem", str(definition), "--x0", "0,0", "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert one_error_line(err)
+        assert not list(tmp_path.rglob("*.jsonl"))
+
     def test_unsafe_problem_name_exits_2(self, tmp_path, capsys):
         exe = tmp_path / "zero.sh"
         exe.write_text('#!/bin/sh\nread line\necho "0.0"\n')
@@ -268,7 +284,16 @@ class TestBenchCommand:
             assert code == 0
             assert machine["runs"] == machine["completed"] + machine["errors"] + machine["skipped"] == 1
 
-    @pytest.mark.parametrize("flag,value", [("--budget", "0"), ("--mode", "pip,foo")])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--budget", "0"),
+            ("--mode", "pip,foo"),
+            ("--mode", ""),
+            ("--mode", ","),
+            ("--problem", ","),
+        ],
+    )
     def test_bad_run_setting_exits_2_before_any_run(self, tmp_path, capsys, flag, value):
         code, _, err = run_cli(
             capsys, "bench", "--problem", "unit-disk", "--seeds", "1", "--budget", "40",

@@ -205,8 +205,8 @@ class TestPenaltyUpdateCheck:
 
     def test_empty_interior_set(self):
         # criterion reduces to the rho term when no constraint is interior
-        assert penalty_update_check(0.5, None, params(rho=0.1)) is True
-        assert penalty_update_check(2.0, None, params(rho=0.1)) is False
+        assert penalty_update_check(0.5, -INF, params(rho=0.1)) is True
+        assert penalty_update_check(2.0, -INF, params(rho=0.1)) is False
 
     @given(
         st.floats(min_value=1e-12, max_value=1e3),

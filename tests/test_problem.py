@@ -35,6 +35,15 @@ class TestProblem:
         with pytest.raises(ValueError):
             Problem("bad", 2, 0, 0, lambda x: (0.0, (), ()), bounds=((0.0, 0.0), (-1.0, 1.0)))
 
+    @pytest.mark.parametrize(
+        "lower,upper",
+        [(-INF, INF), (0.0, INF), (-1e308, 1e308), (math.nan, 1.0), (0.0, math.nan)],
+    )
+    def test_bounds_need_a_finite_span(self, lower, upper):
+        # an infinite span makes every trial point NaN or infinite
+        with pytest.raises(ValueError, match="finite"):
+            Problem("wide", 2, 0, 0, lambda x: (0.0, (), ()), bounds=((0.0, lower), (1.0, upper)))
+
     def test_contains(self):
         p = Problem("p", 2, 0, 0, lambda x: (0.0, (), ()), bounds=((-1.0, -1.0), (1.0, 1.0)))
         assert p.contains((0.0, 1.0))

@@ -244,9 +244,8 @@ class TestReselectIncumbent:
         assert state.incumbent is a
         assert state.incumbent_merit == 5.0
         assert summarized == []
-        assert state.incumbent_summary == violation_summary(
-            a.f, a.g, a.h, state.partition, state.merit_params
-        )
+        fresh = violation_summary(a.f, a.g, a.h, state.partition, state.merit_params)
+        assert state.kept[state.q_incumbent] == (fresh.phi_prox, fresh.c_int, fresh.c_ext)
 
     def test_all_infinite_keeps_incumbent_and_flags(self):
         state = self._state_with_cache({})
@@ -281,12 +280,16 @@ class TestKeptViolationTerms:
         causes = []
 
         def checked_try(state, q, kind):
-            verdict, ev, summary = real_try(state, q, kind)
-            assert summary is None or summary == _fresh(state, ev)
-            return verdict, ev, summary
+            verdict, ev, value = real_try(state, q, kind)
+            if ev is not None:
+                fresh = _fresh(state, ev)
+                assert value == fresh.merit
+                assert state.kept[q] == (fresh.phi_prox, fresh.c_int, fresh.c_ext)
+            return verdict, ev, value
 
         def checked(state):
             q_before, flags_before = state.q_incumbent, list(state.record.flags)
+            moved = not state.kept  # a partition move drops the kept terms
             real(state)
             key, summary = _rescan(state)
             if key is None:
@@ -295,10 +298,8 @@ class TestKeptViolationTerms:
                 summary = _fresh(state, state.cache.entries[q_before])
             assert state.q_incumbent == key
             assert state.incumbent is state.cache.entries[key]
-            assert state.incumbent_summary == summary
+            assert state.incumbent_merit == summary.merit
             assert state.record.flags == flags_before
-            moves = state.record.partition_trace
-            moved = bool(moves) and moves[-1][0] == state.iteration
             causes.append((state.record.problem_name, moved))
             return state
 
@@ -320,10 +321,10 @@ class TestKeptViolationTerms:
         problem = constrained_problem([lambda x: x[0] - 1.0])
         state = init_state(problem, (0.5, 0.0), SolverConfig(max_evaluations=10))
         state.merit_params = replace(state.merit_params, rho=1e-3)
-        _, ev, summary = madspip.solver._try_candidate(state, state.q_incumbent, "poll")
+        _, ev, value = madspip.solver._try_candidate(state, state.q_incumbent, "poll")
         assert ev is state.incumbent  # a cache hit
-        assert summary == _fresh(state, ev)
-        assert summary.merit != state.incumbent_merit
+        assert value == _fresh(state, ev).merit
+        assert value != state.incumbent_merit
 
     def test_one_summary_per_key_and_partition(self, monkeypatch):
         # one fresh summary per evaluation, plus one per cached key when the
@@ -337,8 +338,7 @@ class TestKeptViolationTerms:
         rescanned = []
 
         def at_moves(state):
-            moves = state.record.partition_trace
-            if moves and moves[-1][0] == state.iteration:
+            if not state.kept:  # a partition move drops the kept terms
                 rescanned.append(len(state.cache.entries))
             return real(state)
 
@@ -543,7 +543,8 @@ class TestInvariantChecker:
         problem, _ = builtin_problem("unit-disk")
         x0 = initial_point(problem, "feasible-0")
         record = solve(problem, x0, SolverConfig(max_evaluations=600, seed=3))
-        record.rho_trace[0] = (record.rho_trace[0][0], 0.05)
+        first_cut = next(e for e in record.iterations if e["rho"] != e["rho_before"])
+        first_cut["rho"] = 0.05
         violations, _ = check_run_invariants(record)
         assert any("expected" in v for v in violations)
 
@@ -554,9 +555,7 @@ class TestInvariantChecker:
         span_ids = [
             i
             for i, e in enumerate(record.iterations[1:], start=1)
-            if not e["rho_reduced"]
-            and e["rho"] == record.iterations[i - 1]["rho"]
-            and e["partition_version"] == record.iterations[i - 1]["partition_version"]
+            if e["rho"] == e["rho_before"] and not e["partition_moved"]
         ]
         record.iterations[span_ids[-1]]["incumbent_merit"] += 1.0
         violations, _ = check_run_invariants(record)
