@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -8,6 +10,8 @@ import madspip.solver
 from madspip.merit import Partition, violation_summary
 from madspip.problem import Cache, Evaluation, Problem
 from madspip.solver import (
+    MODE_EXTREME_BARRIER,
+    MODE_PIP,
     InitializationError,
     SolverConfig,
     check_run_invariants,
@@ -487,6 +491,44 @@ PINNED_TRACES = {
     ("two-ring", "infeasible-0"): ([24, 46, 81, 114, 174], [(2, 0)]),
 }
 
+# (problem, x0_id, mode): SHA-256 of a run's rows, iterations, params and
+# invariant verdicts, encoded as JSON, at seed 5 and budget 1500; a run that
+# cannot start is pinned by its error text
+PINNED_RUNS = {
+    ("unit-disk", "feasible-0", "pip"): "f9ad0d7e4a17b40be7cd3fd627b8192ee818c4dc514b827718247e5227dd4cd4",
+    ("unit-disk", "feasible-0", "extreme-barrier"): "d39a9b9ecc480143193a60c3e285ae461e60ced0aa44b134bd4e3e3bedf40263",
+    ("unit-disk", "infeasible-0", "pip"): "cb12b1c7cda4be9de595618e32f74c8aa7fcd7a1c4fb5754871228176e79ba66",
+    ("unit-disk", "infeasible-0", "extreme-barrier"): "extreme-barrier mode needs a feasible starting point",
+    ("sphere-eq", "feasible-0", "pip"): "af64d614bc7020e38b7b2465aaf117c33567c684bf9b061bf0efada9756d7745",
+    ("sphere-eq", "feasible-0", "extreme-barrier"): "extreme-barrier mode handles inequality constraints only (p must be 0)",
+    ("sphere-eq", "infeasible-0", "pip"): "ff32456daca2d0555552da640b1b7b64da9cd587b89a32b72d54b0268cf12472",
+    ("sphere-eq", "infeasible-0", "extreme-barrier"): "extreme-barrier mode handles inequality constraints only (p must be 0)",
+    ("sphere-eq-3", "feasible-0", "pip"): "38c99f1f11d1d4d7806f4b331770323e63e5e8ea986afd8046a5d6f859f92c96",
+    ("sphere-eq-3", "feasible-0", "extreme-barrier"): "extreme-barrier mode handles inequality constraints only (p must be 0)",
+    ("sphere-eq-3", "infeasible-0", "pip"): "87f286187e22f36d8153dd66a91498b581d2158e5fd2c617098d1f502be0ed5b",
+    ("sphere-eq-3", "infeasible-0", "extreme-barrier"): "extreme-barrier mode handles inequality constraints only (p must be 0)",
+    ("mixed-kkt", "feasible-0", "pip"): "f0ae807911979bae0476ffcb4eceaa534d6838a3dfd97225aa526a6cfc0048b1",
+    ("mixed-kkt", "feasible-0", "extreme-barrier"): "extreme-barrier mode handles inequality constraints only (p must be 0)",
+    ("mixed-kkt", "infeasible-0", "pip"): "f772cb214a6a8dd9629aea884cbea2d4cf2c29b5190ffedbfbf58dd037d26130",
+    ("mixed-kkt", "infeasible-0", "extreme-barrier"): "extreme-barrier mode handles inequality constraints only (p must be 0)",
+    ("maxabs-lin", "feasible-0", "pip"): "8509ac2c23d1dd09d9ee21e85630898814328dedb49f96e96c039bede43ad335",
+    ("maxabs-lin", "feasible-0", "extreme-barrier"): "5524ecd1e8d7ac25a2b6b68d3c3837ee8eb59c603ae5ba397ebda51ef1234e13",
+    ("maxabs-lin", "infeasible-0", "pip"): "2c46651fdec7d5f75255acdc597d5bde751736df77810a29ed0227b6a7cd38ce",
+    ("maxabs-lin", "infeasible-0", "extreme-barrier"): "extreme-barrier mode needs a feasible starting point",
+    ("two-ring", "feasible-0", "pip"): "91fd3a0a4847ba66b4c3aefc0610a930ddbf73f9cacce0cfdb0f0dd38a6ac21c",
+    ("two-ring", "feasible-0", "extreme-barrier"): "d12b025445d10685ade9df03ed7ab0faf54557b5df7c52aead1f6957fd83348d",
+    ("two-ring", "infeasible-0", "pip"): "111eda7aff47eeb57ae013463b8e09705ef65fff58c7c28d0402cda74ed4e301",
+    ("two-ring", "infeasible-0", "extreme-barrier"): "extreme-barrier mode needs a feasible starting point",
+}
+
+
+def _run_digest(record):
+    blob = json.dumps(
+        [record.rows, record.iterations, record.params, check_run_invariants(record)],
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
 
 class TestPinnedTraces:
     def test_rho_and_partition_traces(self):
@@ -507,6 +549,20 @@ class TestPinnedTraces:
                 assert check_run_invariants(record)[0] == []
                 seen.add((problem.name, x0_id))
         assert seen == set(PINNED_TRACES)
+
+    def test_rows_and_iterations_pinned(self):
+        seen = {}
+        for problem, _ in builtin_problems():
+            for x0_id in ("feasible-0", "infeasible-0"):
+                for mode in (MODE_PIP, MODE_EXTREME_BARRIER):
+                    config = SolverConfig(max_evaluations=1500, seed=5, mode=mode)
+                    try:
+                        record = solve(problem, initial_point(problem, x0_id), config, x0_id=x0_id)
+                    except InitializationError as exc:
+                        seen[problem.name, x0_id, mode] = str(exc)
+                    else:
+                        seen[problem.name, x0_id, mode] = _run_digest(record)
+        assert seen == PINNED_RUNS
 
     def test_corrupted_run_verdicts(self):
         # unit-disk cuts rho at iterations 12, 32, 49, 68 and 164; entries
