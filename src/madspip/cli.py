@@ -39,6 +39,7 @@ from .suite import (
     DEFAULT_BENCH_NAMES,
     builtin_problem,
     builtin_problems,
+    check_name_part,
     initial_point,
     load_problem_file,
     make_instances,
@@ -104,14 +105,19 @@ def _resolve_problem(name: Optional[str], eval_exe: Optional[str]):
 
 
 def _resolve_x0(problem, x0: Optional[str], x0_file: Optional[str]):
+    """``(point, x0 id)``: a file's numbers under the file's stem, or an
+    ``--x0`` that is a literal point when every token is a float (``1e-3,0``)
+    and a builtin id (``feasible-0``) otherwise."""
     if x0_file is not None:
+        x0_id = check_name_part("x0 id (the --x0-file stem)", Path(x0_file).stem)
         text = Path(x0_file).read_text(encoding="utf-8")
-        return tuple(_parse_list(text.replace("\n", ","), float)), Path(x0_file).stem
+        return tuple(_parse_list(text.replace("\n", ","), float)), x0_id
     if x0 is None:
         raise ValueError("one of --x0 or --x0-file is required")
-    if any(c.isalpha() for c in x0):
+    try:
+        return tuple(_parse_list(x0, float)), "literal"
+    except ValueError:
         return initial_point(problem, x0), x0
-    return tuple(_parse_list(x0, float)), "literal"
 
 
 def _run_name(problem: str, x0_id: str, seed: int, mode: str) -> str:

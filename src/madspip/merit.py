@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 __all__ = [
     "Partition",
@@ -112,13 +112,14 @@ class MeritParams:
             raise ValueError("scaling constants must be positive")
 
 
-@dataclass(frozen=True)
-class ViolationSummary:
+class ViolationSummary(NamedTuple):
     """Violation measures and merit value of one evaluated point.
 
     ``phi_prox`` is ``-inf`` when no constraint is assigned to the interior
     set (maximum over an empty set).  ``merit`` is ``+inf`` whenever
-    ``c_int >= 0`` or the evaluation failed.
+    ``c_int >= 0`` or the evaluation failed.  A named tuple: one is built per
+    fresh evaluation, and a tuple builds about three times faster than a
+    frozen dataclass.
     """
 
     phi_prox: float
@@ -216,18 +217,34 @@ def violation_summary(
 ) -> ViolationSummary:
     """Full violation/merit summary of one raw evaluation under a partition.
 
-    Computed on demand from the stored raw outputs.  In a kept result,
+    Computed on demand from the stored raw outputs, with the arithmetic of
+    :func:`phi_prox`, :func:`c_int` and :func:`c_ext` in one pass per index
+    set (tests hold the two to the same bits).  In a kept result,
     ``phi_prox``, ``c_int`` and ``c_ext`` stay valid until the partition
     changes, and ``merit`` until ``rho`` changes as well:
     ``merit(f, c_int, c_ext, params)`` re-prices it under a new ``rho``.
     """
     if failed:
-        return ViolationSummary(phi_prox=_INF, c_int=_INF, c_ext=_INF, merit=_INF)
-    g_int_vals = [g[i] for i in partition.int_order]
-    g_ext_vals = [g[i] for i in partition.ext_order]
-    cint = c_int(g_int_vals)
-    cext = c_ext(g_ext_vals, h)
-    phi = max(g_int_vals) if g_int_vals else -_INF
-    return ViolationSummary(
-        phi_prox=phi, c_int=cint, c_ext=cext, merit=merit(f, cint, cext, params)
-    )
+        return ViolationSummary(_INF, _INF, _INF, _INF)
+    phi = -_INF
+    prod = 1.0
+    for i in partition.int_order:
+        v = g[i]
+        if v > phi:
+            phi = v
+        v = -v
+        prod *= v if v < 1.0 else 1.0  # min(1.0, -v)
+    if not partition.int_order:
+        cint = -1.0
+    elif phi > 0.0:
+        cint = phi
+    else:
+        cint = -prod
+    cext = 0.0
+    for i in partition.ext_order:
+        v = g[i]
+        if v > 0.0:
+            cext += v * v
+    for v in h:
+        cext += v * v
+    return ViolationSummary(phi, cint, cext, merit(f, cint, cext, params))

@@ -16,7 +16,7 @@ identity reduces to integer-step identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,23 +40,22 @@ class MeshState:
 
     The mesh exponent is derived, never stored, so
     ``delta_mesh = min(delta_frame, delta_frame**2/delta0)`` holds by
-    construction.
+    construction.  ``delta_frame`` is computed once, at construction, since
+    every trial point's history row reads it.
     """
 
     delta0: float
     exp: int = 0
+    delta_frame: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.delta0 > 0.0):
             raise ValueError("delta0 must be positive")
+        object.__setattr__(self, "delta_frame", math.ldexp(self.delta0, self.exp))
 
     @property
     def mesh_exp(self) -> int:
         return min(self.exp, 2 * self.exp)
-
-    @property
-    def delta_frame(self) -> float:
-        return math.ldexp(self.delta0, self.exp)
 
     @property
     def delta_mesh(self) -> float:
@@ -72,8 +71,8 @@ def update_frame(mesh: MeshState, success: bool) -> MeshState:
     if success:
         if mesh.exp >= FRAME_CAP_EXP:
             return mesh
-        return replace(mesh, exp=mesh.exp + 1)
-    return replace(mesh, exp=mesh.exp - 1)
+        return MeshState(mesh.delta0, mesh.exp + 1)
+    return MeshState(mesh.delta0, mesh.exp - 1)
 
 
 def poll_directions(n: int, mesh: MeshState, rng: np.random.Generator) -> list:
@@ -95,13 +94,24 @@ def poll_directions(n: int, mesh: MeshState, rng: np.random.Generator) -> list:
     while norm < 1e-12:  # essentially never; keeps the basis well defined
         v = rng.standard_normal(n)
         norm = math.sqrt(v.dot(v))
-    v = v / norm
-    basis = np.eye(n) - 2.0 * np.outer(v, v)
+    u = [vi / norm for vi in v.tolist()]
 
-    # one row per basis column; its leading coordinate becomes exactly +-1
-    columns = basis.T / np.abs(basis).max(axis=0)[:, None]
-    step_sets = [tuple(steps) for steps in np.trunc(columns * radius).astype(np.int64).tolist()]
-    return step_sets + [tuple(-s for s in steps) for steps in step_sets]
+    # The Householder basis I - 2 u u^T, one row at a time, in the operation
+    # order numpy uses for it: (u_i * u_j), doubled, subtracted from the
+    # identity (off the diagonal, -2.0 * p and 0.0 - 2.0 * p differ at most
+    # in the sign of a zero, which truncation erases).  The basis is
+    # symmetric, so row j is column j; scaled by its largest magnitude, its
+    # leading coordinate becomes exactly +-1.
+    step_sets = []
+    negated = []
+    for j, uj in enumerate(u):
+        row = [-2.0 * (ui * uj) for ui in u]
+        row[j] = 1.0 - 2.0 * (uj * uj)
+        scale = max(map(abs, row))
+        steps = [int(b / scale * radius) for b in row]  # int() truncates
+        step_sets.append(tuple(steps))
+        negated.append(tuple([-s for s in steps]))
+    return step_sets + negated
 
 
 def snap_steps(offset: Sequence[int], step: int) -> Tuple[int, ...]:

@@ -83,7 +83,10 @@ class Problem:
         if self.bounds is None:
             return True
         lower, upper = self.bounds
-        return all(l <= x <= u for l, x, u in zip(lower, point, upper))
+        for l, x, u in zip(lower, point, upper):
+            if not l <= x <= u:
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -124,9 +127,11 @@ class Cache:
         return key in self.entries
 
     def store(self, key: Hashable, evaluation: Evaluation) -> None:
-        if key in self.entries:
+        entries = self.entries
+        size = len(entries)
+        entries.setdefault(key, evaluation)  # one hash of the key, not two
+        if len(entries) == size:
             raise ValueError("cache already holds an evaluation for this key")
-        self.entries[key] = evaluation
 
 
 def _sanitize(
@@ -143,25 +148,22 @@ def _sanitize(
         raise ValueError(
             f"evaluator returned {1 + len(g_raw) + len(h_raw)} outputs, expected {1 + m + p}"
         )
-    failed = False
     f = float(f_raw)
-    if not math.isfinite(f):
-        f, failed = _INF, True
-    g = []
-    for v in g_raw:
-        v = float(v)
-        if not math.isfinite(v):
-            v, failed = _INF, True
-        g.append(v)
-    h = []
-    for v in h_raw:
-        v = float(v)
-        if not math.isfinite(v):
-            # an equality residual enters the penalty squared; a non-finite
-            # value is meaningless there, so the whole point is a failure
-            v, failed = _INF, True
-        h.append(v)
-    return Evaluation(point, f, tuple(g), tuple(h), eval_index, failed=failed)
+    g = tuple(map(float, g_raw))
+    h = tuple(map(float, h_raw))
+    # the sum is finite only when every output is: an inf or nan propagates,
+    # and finite outputs that overflow it merely take the path below
+    if math.isfinite(f + sum(g) + sum(h)):
+        return Evaluation(point, f, g, h, eval_index)
+    # a non-finite output is stored as +inf and fails the point; an equality
+    # residual enters the penalty squared, where a non-finite value is
+    # meaningless, so it fails the whole point too
+    finite = math.isfinite
+    failed = not (finite(f) and all(map(finite, g)) and all(map(finite, h)))
+    f = f if finite(f) else _INF
+    g = tuple([v if finite(v) else _INF for v in g])
+    h = tuple([v if finite(v) else _INF for v in h])
+    return Evaluation(point, f, g, h, eval_index, failed=failed)
 
 
 def evaluate(
@@ -177,7 +179,7 @@ def evaluate(
     """
     if len(point) != problem.n:
         raise ValueError("point length does not match problem dimension")
-    point = tuple(float(x) for x in point)
+    point = tuple(map(float, point))
     if key is None:
         key = point
     hit = cache.get(key)
@@ -202,9 +204,13 @@ def is_feasible(evaluation: Evaluation, eq_tol: float = EQ_TOL) -> bool:
     """
     if evaluation.failed:
         return False
-    if not all(v <= 0.0 for v in evaluation.g):
-        return False
-    return all(abs(v) < eq_tol for v in evaluation.h)
+    for v in evaluation.g:
+        if not v <= 0.0:
+            return False
+    for v in evaluation.h:
+        if not abs(v) < eq_tol:
+            return False
+    return True
 
 
 def run_external(

@@ -22,7 +22,7 @@ inequality-only problem and a feasible starting point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,7 +36,7 @@ from .merit import (
     violation_summary,
 )
 from .mesh import MeshState, initial_frame_size, poll_directions, snap_steps, update_frame
-from .problem import Cache, Evaluation, Problem, evaluate, history_row, is_feasible
+from .problem import Cache, Evaluation, Problem, evaluate, is_feasible
 
 __all__ = [
     "MODE_PIP",
@@ -57,6 +57,11 @@ MODE_PIP = "pip"
 MODE_EXTREME_BARRIER = "extreme-barrier"
 
 _INF = math.inf
+
+# Finest lattice a run accepts.  Offsets become coordinates through
+# ``q * 2**-lattice_bits``, which is exact while that product is a normal
+# float, so the lattice stays far from the 2**-1022 normal range bound.
+_MAX_LATTICE_BITS = 900
 
 
 class InitializationError(Exception):
@@ -145,10 +150,12 @@ class SolverState:
     # pip mode: each cached key's (phi_prox, c_int, c_ext) under the current
     # partition, as plain float tuples, which the cyclic GC stops tracking
     kept: Dict[Tuple[int, ...], Tuple[float, float, float]] = field(default_factory=dict)
+    pip: bool = field(init=False)
+    lattice_scale: float = field(init=False)  # 2**-lattice_bits
 
-    @property
-    def pip(self) -> bool:
-        return self.config.mode == MODE_PIP
+    def __post_init__(self):
+        self.pip = self.config.mode == MODE_PIP
+        self.lattice_scale = math.ldexp(1.0, -self.lattice_bits)
 
     @property
     def mesh_step(self) -> int:
@@ -169,22 +176,17 @@ def _merit_of(state: SolverState, key: Tuple[int, ...], evaluation: Evaluation) 
     extreme-barrier mode the merit is ``f`` on feasible points, ``+inf``
     elsewhere.
     """
+    kept = state.kept.get(key)  # never set in extreme-barrier mode
+    if kept is not None:
+        return merit(evaluation.f, kept[1], kept[2], state.merit_params)
     if not state.pip:
         return evaluation.f if is_feasible(evaluation) else _INF
-    kept = state.kept.get(key)
-    if kept is None:
-        summary = violation_summary(
-            evaluation.f,
-            evaluation.g,
-            evaluation.h,
-            state.partition,
-            state.merit_params,
-            failed=evaluation.failed,
-        )
-        state.kept[key] = (summary.phi_prox, summary.c_int, summary.c_ext)
-        return summary.merit
-    _, cint, cext = kept
-    return merit(evaluation.f, cint, cext, state.merit_params)
+    summary = violation_summary(
+        evaluation.f, evaluation.g, evaluation.h,
+        state.partition, state.merit_params, evaluation.failed,
+    )
+    state.kept[key] = summary[:3]  # (phi_prox, c_int, c_ext), a plain tuple
+    return summary.merit
 
 
 def _lattice_bits(delta0: float, delta_stop: float) -> int:
@@ -199,48 +201,49 @@ def _lattice_bits(delta0: float, delta_stop: float) -> int:
     return -2 * exp
 
 
-def _point_of(state: SolverState, q: Sequence[int]) -> Tuple[float, ...]:
+def _point_of(state: SolverState, q: Sequence[int]) -> List[float]:
+    """Original coordinates of the lattice point ``q``, as the list that
+    its history row holds."""
     unit = state.x_unit
-    scale = 1 << state.lattice_bits
-    # int / int is correctly rounded: one rounding away from the exact offset
-    return tuple(a + unit * (qi / scale) for a, qi in zip(state.anchor, q))
+    scale = state.lattice_scale
+    # qi * scale is the exact offset qi / 2**lattice_bits rounded once:
+    # float(qi) rounds, and the power-of-two scale is exact in normal range
+    return [a + unit * (qi * scale) for a, qi in zip(state.anchor, q)]
 
 
 def _append_row(
     state: SolverState,
-    *,
     evaluation: Optional[Evaluation],
     key: Tuple[int, ...],
-    x: Sequence[float],
+    x: List[float],
     status: str,
     incumbent: bool,
     delta_frame: float,
 ) -> None:
-    cint = cext = rho = None
-    f = g = h = None
-    eval_index = None
-    if evaluation is not None:
-        f, g, h, eval_index = evaluation.f, evaluation.g, evaluation.h, evaluation.eval_index
-    if state.pip:
-        rho = state.merit_params.rho
-        if evaluation is not None:
+    """Append one history row, laid out as ``problem.history_row`` lays it
+    out; ``x`` becomes the row's own list."""
+    rho = state.merit_params.rho if state.pip else None
+    if evaluation is None:
+        f = g = h = eval_index = cint = cext = None
+    else:
+        f, g, h, eval_index = evaluation.f, list(evaluation.g), list(evaluation.h), evaluation.eval_index
+        cint = cext = None
+        if state.pip:
             _, cint, cext = state.kept[key]
-    state.record.rows.append(
-        history_row(
-            eval_index=eval_index,
-            x=x,
-            f=f,
-            g=g,
-            h=h,
-            cint=cint,
-            cext=cext,
-            rho=rho,
-            delta_frame=delta_frame,
-            incumbent=incumbent,
-            iteration=state.iteration,
-            status=status,
-        )
-    )
+    state.record.rows.append({
+        "eval_index": eval_index,
+        "x": x,
+        "f": f,
+        "g": g,
+        "h": h,
+        "cint": cint,
+        "cext": cext,
+        "rho": rho,
+        "delta_frame": delta_frame,
+        "incumbent": incumbent,
+        "iteration": state.iteration,
+        "status": status,
+    })
 
 
 def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> SolverState:
@@ -255,7 +258,9 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
         raise InitializationError(
             f"x0 has length {len(x0)}, problem {problem.name!r} needs {problem.n}"
         )
-    x0 = tuple(float(v) for v in x0)
+    x0 = tuple(map(float, x0))
+    if not all(map(math.isfinite, x0)):
+        raise InitializationError(f"x0 {x0!r} is not finite")
     if not problem.contains(x0):
         raise InitializationError("x0 violates the bound constraints")
     if config.mode == MODE_EXTREME_BARRIER and problem.p != 0:
@@ -270,6 +275,12 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
     # size; evaluation points are mapped back to original coordinates.
     x_unit = initial_frame_size(problem.bounds)
     mesh = MeshState(10.0 if problem.bounds is not None else x_unit)
+    lattice_bits = _lattice_bits(mesh.delta0, config.delta_stop)
+    if lattice_bits > _MAX_LATTICE_BITS:
+        raise InitializationError(
+            f"delta_stop {config.delta_stop!r} is too small for the initial frame size "
+            f"{mesh.delta0!r}: the mesh would need 2**-{lattice_bits} steps"
+        )
     cache = Cache()
     rng = np.random.default_rng(config.seed)
     q0 = (0,) * problem.n
@@ -292,7 +303,7 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
         record=record,
         anchor=x0,
         x_unit=x_unit,
-        lattice_bits=_lattice_bits(mesh.delta0, config.delta_stop),
+        lattice_bits=lattice_bits,
         q_incumbent=q0,
         incumbent=ev0,
         incumbent_merit=_INF,
@@ -323,15 +334,7 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
             raise InitializationError("extreme-barrier mode needs a feasible starting point")
 
     state.incumbent_merit = _merit_of(state, q0, ev0)
-    _append_row(
-        state,
-        evaluation=ev0,
-        key=q0,
-        x=x0,
-        status="unsuccessful",
-        incumbent=True,
-        delta_frame=mesh.delta_frame,
-    )
+    _append_row(state, ev0, q0, list(x0), "unsuccessful", True, mesh.delta_frame)
     return state
 
 
@@ -345,10 +348,10 @@ def speculative_search(state: SolverState) -> Optional[Tuple[int, ...]]:
     if offset is None:
         return None
     mesh_step = state.mesh_step
-    steps = snap_steps(tuple(2 * q for q in offset), mesh_step)
-    if all(s == 0 for s in steps):
+    steps = snap_steps([2 * q for q in offset], mesh_step)
+    if not any(steps):
         return None
-    q = tuple(qi + mesh_step * s for qi, s in zip(state.q_incumbent, steps))
+    q = tuple([qi + mesh_step * s for qi, s in zip(state.q_incumbent, steps)])
     if not state.problem.contains(_point_of(state, q)):
         return None
     if q in state.cache:
@@ -367,8 +370,14 @@ def reselect_incumbent(state: SolverState) -> SolverState:
     """
     best_key = None
     best_merit = _INF
+    kept = state.kept
+    params = state.merit_params
     for key, ev in state.cache.entries.items():  # insertion order = eval order
-        value = _merit_of(state, key, ev)
+        terms = kept.get(key)
+        if terms is not None:  # _merit_of's re-pricing, without the call
+            value = merit(ev.f, terms[1], terms[2], params)
+        else:
+            value = _merit_of(state, key, ev)
         if value < best_merit:
             best_key, best_merit = key, value
     if best_key is None:
@@ -387,24 +396,14 @@ def _try_candidate(state: SolverState, q: Tuple[int, ...], kind: str):
     x = _point_of(state, q)
     delta_frame = state.mesh.delta_frame
     if not state.problem.contains(x):
-        _append_row(
-            state,
-            evaluation=None,
-            key=q,
-            x=x,
-            status="rejected-bounds",
-            incumbent=False,
-            delta_frame=delta_frame,
-        )
+        _append_row(state, None, q, x, "rejected-bounds", False, delta_frame)
         return "rejected", None, None
-    hit = state.cache.get(q)
-    if hit is None:
+    ev = state.cache.get(q)
+    fresh = ev is None
+    if fresh:
         if state.cache.eval_count >= state.config.max_evaluations:
             return "nobudget", None, None
         ev = evaluate(state.problem, x, state.cache, key=q)
-        fresh = True
-    else:
-        ev, fresh = hit, False
     value = _merit_of(state, q, ev)
     improving = value < state.incumbent_merit
     if improving:
@@ -415,15 +414,7 @@ def _try_candidate(state: SolverState, q: Tuple[int, ...], kind: str):
         status = "failed"
     else:
         status = "unsuccessful"
-    _append_row(
-        state,
-        evaluation=ev,
-        key=q,
-        x=x,
-        status=status,
-        incumbent=improving,
-        delta_frame=delta_frame,
-    )
+    _append_row(state, ev, q, x, status, improving, delta_frame)
     return ("accepted" if improving else "rejected"), ev, value
 
 
@@ -449,7 +440,7 @@ def iterate(state: SolverState) -> str:
     if success_kind is None:
         mesh_step = state.mesh_step
         for steps in poll_directions(state.problem.n, state.mesh, state.rng):
-            q = tuple(qi + mesh_step * s for qi, s in zip(q_center, steps))
+            q = tuple([qi + mesh_step * s for qi, s in zip(q_center, steps)])
             verdict, ev, value = _try_candidate(state, q, kind="poll")
             if verdict == "nobudget":
                 return "budget"
@@ -460,9 +451,7 @@ def iterate(state: SolverState) -> str:
     success = success_kind is not None
     if success:
         state.q_incumbent, state.incumbent, state.incumbent_merit = accepted
-        state.last_success_offset = tuple(
-            a - b for a, b in zip(state.q_incumbent, q_center)
-        )
+        state.last_success_offset = tuple([a - b for a, b in zip(state.q_incumbent, q_center)])
     state.mesh = update_frame(state.mesh, success)
     delta_next = state.mesh.delta_frame
 
@@ -471,17 +460,17 @@ def iterate(state: SolverState) -> str:
     if state.pip and not success:
         phi = state.kept[state.q_incumbent][0]
         if penalty_update_check(delta_next, phi, state.merit_params):
-            new_rho = state.merit_params.rho * state.merit_params.theta_rho
-            state.merit_params = replace(state.merit_params, rho=new_rho)
+            p = state.merit_params
+            state.merit_params = MeritParams(
+                p.rho * p.theta_rho, p.b_int, p.b_ext, p.theta_rho, p.beta, p.b_rho, p.b_c
+            )
             rho_reduced = True
             reselect_incumbent(state)
 
     moved: List[int] = []
     if state.pip and not rho_reduced and not state.incumbent.failed:
         g = state.incumbent.g
-        moved = sorted(
-            i for i in state.partition.g_ext if g[i] <= -state.config.eps_ext
-        )
+        moved = [i for i in state.partition.ext_order if g[i] <= -state.config.eps_ext]
         if moved:
             state.partition = state.partition.moved_to_interior(moved)
             state.kept.clear()
@@ -514,7 +503,7 @@ def _finalize(state: SolverState, outcome: str) -> RunRecord:
     record.final_rho = state.merit_params.rho if state.pip else None
     best_f = None
     for ev in state.cache.entries.values():
-        if is_feasible(ev) and (best_f is None or ev.f < best_f):
+        if (best_f is None or ev.f < best_f) and is_feasible(ev):
             best_f = ev.f
     record.best_feasible_f = best_f
     return record

@@ -236,6 +236,27 @@ def make_instances(
     return instances
 
 
+def check_name_part(what: str, value: str) -> str:
+    """``value``, if it can stand as one ``__``-separated part of a history
+    file name (``<problem>__<x0 id>__seed<N>__<mode>.jsonl``); problem names
+    and starting-point ids both obey this rule.
+
+    A part is nonempty, holds no ``__``, path separator or whitespace, does
+    not start with ``.`` (a hidden or relative path) and does not end with
+    ``_``, which would run into the next separator.  ``ValueError`` names
+    ``what`` otherwise.
+    """
+    if (
+        not value
+        or value.startswith(".")
+        or value.endswith("_")
+        or "__" in value
+        or any(c in "/\\" or c.isspace() for c in value)
+    ):
+        raise ValueError(f"{what} {value!r} cannot name a history file")
+    return value
+
+
 def load_problem_file(path, eval_exe: Optional[str] = None) -> Problem:
     """Read a problem from a flat key=value definition file.
 
@@ -243,8 +264,7 @@ def load_problem_file(path, eval_exe: Optional[str] = None) -> Problem:
     (comma-separated), and ``evaluator`` (path to an executable speaking the
     one-line stdin/stdout protocol).  ``eval_exe`` overrides the file's
     evaluator path.  The name becomes part of history file names, so it must
-    be nonempty and hold no ``__``, path separator or whitespace, and must
-    not start with ``.``.
+    pass :func:`check_name_part`.
     """
     fields: Dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -263,13 +283,7 @@ def load_problem_file(path, eval_exe: Optional[str] = None) -> Problem:
         p = int(fields["p"])
     except KeyError as exc:
         raise ValueError(f"problem definition misses required key {exc}") from exc
-    if (
-        not name
-        or name.startswith(".")
-        or "__" in name
-        or any(c in "/\\" or c.isspace() for c in name)
-    ):
-        raise ValueError(f"problem name {name!r} cannot name a history file")
+    check_name_part("problem name", name)
     bounds = None
     if ("lower" in fields) != ("upper" in fields):
         raise ValueError("problem definition needs both lower and upper bounds, or neither")

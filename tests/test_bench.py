@@ -20,7 +20,7 @@ from madspip.bench import (
 )
 from madspip.problem import read_history, write_history
 from madspip.solver import SolverConfig, solve
-from madspip.suite import builtin_problem, builtin_problems, initial_point, make_instances
+from madspip.suite import Instance, builtin_problem, builtin_problems, initial_point, make_instances
 
 
 def view(problem, x0_id, seed, mode, n, evals):
@@ -230,6 +230,16 @@ class TestRunMatrix:
             assert record.x0_id == x0_id
             assert record.seed == seed
             assert record.mode == mode
+
+    def test_non_finite_start_is_an_error_record(self):
+        problem = builtin_problem("unit-disk")[0]
+        good = make_instances([problem], 1, [1])[0]
+        bad = Instance(problem, "feasible-1", (math.nan, 0.0), 1)
+        records = run_matrix([(good, "pip"), (bad, "pip")], budget=40)
+        assert records[good.problem.name, good.x0_id, 1, "pip"].outcome != "error"
+        record = records[problem.name, "feasible-1", 1, "pip"]
+        assert record.outcome == "error" and record.rows == []
+        assert any("not finite" in flag for flag in record.flags)
 
     def test_rerun_identical(self):
         instances = make_instances([builtin_problem("two-ring")[0]], 1, [3])

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import madspip.bench
-from madspip.cli import main, _read_config_file, _parse_history_name
+from madspip.cli import main, _read_config_file, _parse_history_name, _run_name
+from madspip.suite import check_name_part
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +102,49 @@ class TestSolveCommand:
         )
         assert code == 0
         assert machine_line(out)["x0_id"] == "start"
+
+    @pytest.mark.parametrize("literal", ["1e-3,0", "-2.5E-1, 1e-2", "0.1,0.1"])
+    def test_literal_x0_in_any_float_notation(self, tmp_path, capsys, literal):
+        code, out, _ = run_cli(
+            capsys,
+            "solve", "--problem", "unit-disk", "--x0", literal,
+            "--budget", "30", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert machine_line(out)["x0_id"] == "literal"
+        first = json.loads((tmp_path / "unit-disk__literal__seed0__pip.jsonl").read_text().splitlines()[0])
+        assert first["x"] == [float(v) for v in literal.split(",")]
+
+    @pytest.mark.parametrize("text", ["nan\n0\n", "0, inf\n"])
+    def test_non_finite_x0_file_exits_2(self, tmp_path, capsys, text):
+        exe = tmp_path / "one.sh"
+        exe.write_text('#!/bin/sh\nread line\necho "1.0"\n')
+        exe.chmod(0o755)
+        definition = tmp_path / "free.txt"
+        definition.write_text(f"name = free\nn = 2\nm = 0\np = 0\nevaluator = {exe}\n")
+        x0_file = tmp_path / "start.txt"
+        x0_file.write_text(text)
+        code, _, err = run_cli(
+            capsys,
+            "solve", "--problem", str(definition), "--x0-file", str(x0_file),
+            "--budget", "30", "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert one_error_line(err) and "not finite" in err
+        assert not list(tmp_path.rglob("*.jsonl"))
+
+    @pytest.mark.parametrize("stem", ["a__b", "start_", ".hidden", "two words"])
+    def test_x0_file_stem_must_name_a_history(self, tmp_path, capsys, stem):
+        x0_file = tmp_path / f"{stem}.txt"
+        x0_file.write_text("0.1, 0.2\n")
+        code, _, err = run_cli(
+            capsys,
+            "solve", "--problem", "unit-disk", "--x0-file", str(x0_file),
+            "--budget", "30", "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert one_error_line(err) and "x0 id" in err
+        assert not list(tmp_path.rglob("*.jsonl"))
 
     def test_external_blackbox_end_to_end(self, tmp_path, capsys):
         exe = tmp_path / "bb.sh"
@@ -662,3 +706,11 @@ class TestHistoryNames:
     def test_malformed(self):
         with pytest.raises(ValueError):
             _parse_history_name("nope.jsonl")
+
+    @pytest.mark.parametrize("problem", ["unit-disk", "_lead", "a_b", "ext-line"])
+    @pytest.mark.parametrize("x0_id", ["feasible-0", "literal", "_start", "x0.v2"])
+    def test_every_accepted_part_round_trips(self, problem, x0_id):
+        assert check_name_part("problem name", problem) == problem
+        assert check_name_part("x0 id", x0_id) == x0_id
+        name = _run_name(problem, x0_id, 7, "pip") + ".jsonl"
+        assert _parse_history_name(name) == (problem, x0_id, 7, "pip")

@@ -240,6 +240,31 @@ class TestViolationSummary:
         assert s.c_int == -1.0
 
 
+_g_value = st.one_of(
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False), st.sampled_from([0.0, -0.0, 1.0, -1.0, INF])
+)
+
+
+@given(
+    f=st.one_of(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), st.just(INF)),
+    g=st.lists(_g_value, max_size=5),
+    h=st.lists(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False), max_size=3),
+    interior=st.sets(st.integers(min_value=0, max_value=4)),
+    rho=st.sampled_from([0.1, 1e-3, 1e-7]),
+)
+def test_summary_matches_the_term_helpers(f, g, h, interior, rho):
+    # one pass per index set, bit for bit the arithmetic of the helpers
+    g_int = frozenset(i for i in interior if i < len(g))
+    partition = Partition(g_int, frozenset(range(len(g))) - g_int)
+    p = params(rho=rho)
+    gi = [g[i] for i in partition.int_order]
+    cint = c_int(gi)
+    cext = c_ext([g[i] for i in partition.ext_order], h)
+    expected = (phi_prox(gi) if gi else -INF, cint, cext, merit(f, cint, cext, p))
+    got = violation_summary(f, g, h, partition, p)
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
 class TestMeritParams:
     def test_validation(self):
         with pytest.raises(ValueError):

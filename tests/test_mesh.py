@@ -306,6 +306,32 @@ def test_poll_directions_pinned(n, exp, seed):
     assert dirs == expected + [tuple(-s for s in steps) for steps in expected]
 
 
+def _numpy_poll_directions(n, mesh, rng):
+    """The basis as numpy computes it: I - 2 v v^T, columns scaled by their
+    largest magnitude, truncated onto the mesh."""
+    radius = float(1 << (mesh.exp - mesh.mesh_exp))
+    v = rng.standard_normal(n)
+    norm = math.sqrt(v.dot(v))
+    while norm < 1e-12:
+        v = rng.standard_normal(n)
+        norm = math.sqrt(v.dot(v))
+    v = v / norm
+    basis = np.eye(n) - 2.0 * np.outer(v, v)
+    columns = basis.T / np.abs(basis).max(axis=0)[:, None]
+    step_sets = [tuple(s) for s in np.trunc(columns * radius).astype(np.int64).tolist()]
+    return step_sets + [tuple(-s for s in steps) for steps in step_sets]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_poll_directions_match_the_numpy_basis(n):
+    for exp in (9, 2, 0, -1, -7, -30):
+        for seed in range(60):
+            mesh = MeshState(1.0, exp)
+            assert poll_directions(n, mesh, np.random.default_rng(seed)) == _numpy_poll_directions(
+                n, mesh, np.random.default_rng(seed)
+            ), (n, exp, seed)
+
+
 class TestSnap:
     def test_nearest_multiple(self):
         # (0.26, -0.24) onto mesh 0.25, in units of 0.01

@@ -2,13 +2,15 @@ import gc
 import hashlib
 import json
 import math
+import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 import madspip.solver
 from madspip.merit import Partition, violation_summary
-from madspip.problem import Cache, Evaluation, Problem
+from madspip.problem import Cache, Evaluation, Problem, history_row
 from madspip.solver import (
     MODE_EXTREME_BARRIER,
     MODE_PIP,
@@ -69,6 +71,18 @@ class TestInitState:
         problem = constrained_problem([lambda x: -1.0], bounds=((0.0, 0.0), (1.0, 1.0)))
         with pytest.raises(InitializationError):
             init_state(problem, (2.0, 0.0), SolverConfig(max_evaluations=10))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x0_is_error(self, bad):
+        problem = Problem("c", 2, 0, 0, lambda x: (1.0, (), ()))
+        with pytest.raises(InitializationError, match="not finite"):
+            solve(problem, (bad, 0.0), SolverConfig(max_evaluations=30))
+
+    def test_delta_stop_finer_than_float_coordinates_is_error(self):
+        problem = Problem("c", 1, 0, 0, lambda x: (x[0], (), ()))
+        init_state(problem, (0.0,), SolverConfig(max_evaluations=10, delta_stop=1e-130))
+        with pytest.raises(InitializationError, match="delta_stop"):
+            init_state(problem, (0.0,), SolverConfig(max_evaluations=10, delta_stop=1e-140))
 
     def test_x0_wrong_length(self):
         problem = constrained_problem([lambda x: -1.0])
@@ -184,6 +198,21 @@ class TestLattice:
         record = solve(problem, (0.0,), config)
         assert record.outcome == "delta-converged"
         assert record.final_delta == 2.0**-6
+
+    def test_points_are_the_exact_offsets_rounded_once(self):
+        # x = anchor + unit * (q / 2**bits) with the quotient rounded once,
+        # for offsets beyond 2**53 and every lattice a run accepts
+        rng = random.Random(7)
+        problem = Problem("c", 1, 0, 0, lambda x: (x[0], (), ()))
+        state = init_state(problem, (0.3,), SolverConfig(max_evaluations=10))
+        for _ in range(3000):
+            bits = rng.randint(0, madspip.solver._MAX_LATTICE_BITS)
+            state.lattice_bits = bits
+            state.lattice_scale = math.ldexp(1.0, -bits)
+            state.x_unit = rng.uniform(1e-3, 1e3)
+            q = rng.randint(-(1 << (bits + 40)), 1 << (bits + 40))
+            exact = float(Fraction(q, 1 << bits))
+            assert madspip.solver._point_of(state, (q,)) == [0.3 + state.x_unit * exact]
 
     def test_mesh_finer_than_lattice_rejected(self):
         problem = Problem("bowl", 1, 0, 0, lambda x: (x[0] ** 2, (), ()))
@@ -377,6 +406,19 @@ class TestSolve:
         x0 = initial_point(problem, "feasible-0")
         record = solve(problem, x0, SolverConfig(max_evaluations=1500, seed=1), x0_id="feasible-0")
         assert record.best_feasible_f == pytest.approx(optimum.f_star, abs=1e-4)
+
+    def test_rows_are_laid_out_as_history_row_lays_them_out(self):
+        problem, _ = builtin_problem("two-ring")
+        x0 = initial_point(problem, "feasible-0")
+        for mode in (MODE_PIP, MODE_EXTREME_BARRIER):
+            record = solve(problem, x0, SolverConfig(max_evaluations=300, seed=2, mode=mode))
+            statuses = set()
+            for row in record.rows:
+                expected = history_row(**row)
+                assert list(row.items()) == list(expected.items())
+                assert [type(row[k]) for k in ("x", "g", "h")] == [type(expected[k]) for k in ("x", "g", "h")]
+                statuses.add(row["status"])
+            assert {"unsuccessful", "poll-success", "rejected-bounds"} <= statuses
 
     def test_budget_exhausted_after_init(self):
         problem, _ = builtin_problem("unit-disk")

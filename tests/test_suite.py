@@ -248,7 +248,8 @@ class TestProblemFile:
             load_problem_file(definition)
 
     @pytest.mark.parametrize(
-        "name", ["", "a__b", "../escaped", "a/b", "a\\b", "two words", "tab\tname", ".hidden"]
+        "name",
+        ["", "a__b", "../escaped", "a/b", "a\\b", "two words", "tab\tname", ".hidden", "ends_"],
     )
     def test_unsafe_name_rejected(self, tmp_path, name):
         definition = tmp_path / "prob.txt"
