@@ -398,6 +398,23 @@ class TestBenchCommand:
         digest = hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
         assert digest == self.HISTORY_SHA256
 
+    # SHA-256 of the six profile files, concatenated in sorted name order,
+    # that `profile` writes from the 20 histories pinned above (numpy 2.4.6)
+    PROFILE_SHA256 = "8d6d0ea9d1adb3e3b0c80698baeb0400cbe8a6d18c426f901d3b7345fdc94a20"
+
+    def test_profile_bytes_pinned(self, tmp_path, capsys):
+        out_dir = tmp_path / "bench"
+        code, _, _ = run_cli(capsys, *self.PINNED_BENCH, "--workers", "1", "--out", str(out_dir))
+        assert code == 0
+        code, out, _ = run_cli(
+            capsys, "profile", "--histories", str(out_dir), "--out", str(tmp_path / "profile")
+        )
+        assert code == 0 and machine_line(out)["warnings"] == []
+        paths = sorted((tmp_path / "profile").iterdir(), key=lambda p: p.name)
+        assert len(paths) == 6
+        digest = hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+        assert digest == self.PROFILE_SHA256
+
     def test_closed_stdout_exits_without_traceback(self, tmp_path, capsys):
         # as in `madspip bench ... | head -1`, but the reader is gone before
         # the first write, so every print meets a closed pipe

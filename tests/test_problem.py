@@ -1,9 +1,15 @@
+import inspect
+import json
 import math
 import stat
 
+import numpy as np
 import pytest
 
+from madspip.bench import view_of_history
+from madspip.cli import main
 from madspip.problem import (
+    EQ_TOL,
     Cache,
     Evaluation,
     ExternalEvaluator,
@@ -15,6 +21,8 @@ from madspip.problem import (
     run_external,
     write_history,
 )
+from madspip.solver import MODE_EXTREME_BARRIER, MODE_PIP, InitializationError, SolverConfig, solve
+from madspip.suite import builtin_problems, initial_point
 
 INF = math.inf
 
@@ -301,3 +309,162 @@ class TestHistory:
             write_history([{"eval_index": 0}], tmp_path / "run.jsonl")
         assert [p.name for p in tmp_path.iterdir()] == ["run.jsonl"]
         assert (tmp_path / "run.jsonl").is_dir()
+
+
+def read_per_line(path):
+    """The reference reader: one ``json.loads`` per stripped, nonblank line."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                rows.append(json.loads(line))
+    return rows
+
+
+def outcome(read, path):
+    try:
+        return "rows", repr(read(path))
+    except json.JSONDecodeError as exc:
+        return "error", str(exc)
+
+
+class TestReadHistory:
+    # each text is written as UTF-8 bytes, so "\r\n" endings reach the reader
+    ACCEPTED = {
+        "plain": '{"a":1}\n{"b":[1,2]}\n',
+        "blanks_and_crlf": '\n  {"a":1}  \r\n\r\n\t\n {"b":{"c":null}}\t\r\n \n',
+        "lone_cr_endings": '{"a":1}\r{"b":2}\r',
+        "no_final_newline": '{"a":1}\n{"b":2}',
+        "non_finite_tokens": '{"f":Infinity,"g":[-Infinity,NaN],"h":[]}\n',
+        "inner_whitespace": '{ "a" : [ 1 , 2.5e-3 ] , "b" : "x y" }\n',
+        "other_unicode_blanks": '\x0c{"a":1}\x0b\n\u3000\n',
+        "scalars_and_arrays": '1\n"s"\n[0.0, 1.0]\nnull\n',
+        "escapes": '{"s":"a\\"b\\\\c\\u00e9\\n"}\n',
+        "empty": "",
+        "only_blanks": "\n \r\n\t\n",
+    }
+    REJECTED = {
+        # joined by "," into one array, the two lines would read as [{"s": "},{"}]
+        "string_split_over_two_lines": '{"s":"}\n{"}\n',
+        "two_objects_on_one_line": '{"a":1}{"b":2}\n',
+        "two_objects_apart": '{"a":1} {"b":2}\n',
+        "trailing_garbage": '{"a":1}\n{"b":2} x\n',
+        "truncated": '{"a":1}\n{"eval_index": 0, "x": [0.0\n',
+        "not_json": '{"a":1}\nINVALID\n',
+        "byte_order_mark": '\ufeff{"a":1}\n',
+        "bare_word": "nan\n",
+        "control_character_in_string": '{"s":"a\tb"}\n',
+    }
+
+    @pytest.mark.parametrize("name", sorted(ACCEPTED))
+    def test_accepts_what_per_line_loads_accepts(self, tmp_path, name):
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(self.ACCEPTED[name].encode("utf-8"))
+        expected = outcome(read_per_line, path)
+        assert expected[0] == "rows"
+        assert outcome(read_history, path) == expected
+
+    @pytest.mark.parametrize("name", sorted(REJECTED))
+    def test_rejects_what_per_line_loads_rejects(self, tmp_path, name):
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(self.REJECTED[name].encode("utf-8"))
+        expected = outcome(read_per_line, path)
+        assert expected[0] == "error"
+        assert outcome(read_history, path) == expected
+
+    def test_profile_skips_each_rejected_file_once(self, tmp_path, capsys):
+        good = {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [], "h": [], "status": "unsuccessful"}
+        (tmp_path / "good__feasible-0__seed1__pip.jsonl").write_text(json.dumps(good) + "\n")
+        expected = []
+        for i, name in enumerate(sorted(self.REJECTED)):
+            path = tmp_path / f"bad{i}__feasible-0__seed1__pip.jsonl"
+            path.write_bytes(self.REJECTED[name].encode("utf-8"))
+            expected.append(f"skipping {path.name}: {outcome(read_per_line, path)[1]}")
+        assert main(["profile", "--histories", str(tmp_path), "--out", str(tmp_path / "out")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert json.loads(lines[0])["warnings"] == expected
+        assert [line for line in lines if line.startswith("warning: ")] == [
+            f"warning: {w}" for w in expected
+        ]
+
+
+def encoded_per_row(rows):
+    """The reference bytes: one ``JSONEncoder.encode`` per row."""
+    encoder = json.JSONEncoder(separators=(",", ":"))
+    return "".join(encoder.encode(row) + "\n" for row in rows).encode("utf-8")
+
+
+class TestWriteHistory:
+    @pytest.mark.parametrize("mode", [MODE_PIP, MODE_EXTREME_BARRIER])
+    @pytest.mark.parametrize("x0_id", ["feasible-0", "infeasible-0"])
+    def test_solver_rows_encode_as_per_row_encode(self, tmp_path, x0_id, mode):
+        for problem, _ in builtin_problems():
+            config = SolverConfig(max_evaluations=60, seed=3, mode=mode)
+            try:
+                rows = solve(problem, initial_point(problem, x0_id), config).rows
+            except InitializationError:  # bench writes an empty history
+                rows = []
+            path = tmp_path / f"{problem.name}.jsonl"
+            write_history(rows, path)
+            assert path.read_bytes() == encoded_per_row(rows), problem.name
+
+    def test_hand_made_rows_encode_as_per_row_encode(self, tmp_path):
+        rows = [
+            {"f": INF, "g": [-INF, math.nan], "h": (0.0, -0.0), "cint": None},
+            {"incumbent": True, "failed": False, "eval_index": 7, "big": 2**70, "neg": -3},
+            {"x": (1.5, (2, [3.25])), "nested": {"a": {"b": None}}, "empty": [], "e": {}},
+            {"np": np.float64(0.1), "np_inf": np.float64(INF), "np_list": [np.float64(-2.5e-300)]},
+            {"s": 'quote " back \\ tab \t newline \n \u00e9 \u2028 \U0001f600', "\u00e9": 1},
+            {1: "int key", 2.5: "float key", True: "bool key", None: "none key"},
+            {"tiny": 5e-324, "huge": 1.7976931348623157e308, "third": 1 / 3},
+        ]
+        path = tmp_path / "run.jsonl"
+        write_history(rows, path)
+        assert path.read_bytes() == encoded_per_row(rows)
+
+
+class TestEvaluation:
+    def test_fields_are_read_only(self):
+        ev = Evaluation((0.0,), 1.0, (), (), 0)
+        for name in ("point", "f", "g", "h", "eval_index", "failed"):
+            with pytest.raises(AttributeError):
+                setattr(ev, name, None)
+
+    def test_field_order_and_failed_default(self):
+        parameters = inspect.signature(Evaluation).parameters
+        assert list(parameters) == ["point", "f", "g", "h", "eval_index", "failed"]
+        assert parameters["failed"].default is False
+        assert [p.default for p in list(parameters.values())[:-1]] == [inspect.Parameter.empty] * 5
+        assert Evaluation((0.0,), 1.0, (2.0,), (3.0,), 4).failed is False
+
+    def test_equality_and_hash_follow_the_fields(self):
+        a = Evaluation((0.0, 1.0), 1.0, (-1.0,), (), 3)
+        b = Evaluation((0.0, 1.0), 1.0, (-1.0,), (), 3, False)
+        assert a == b and hash(a) == hash(b)
+        for other in (
+            Evaluation((0.0, 1.0), 1.0, (-1.0,), (), 3, True),
+            Evaluation((0.0, 1.0), 1.0, (-1.0,), (), 4),
+            Evaluation((0.0, 2.0), 1.0, (-1.0,), (), 3),
+        ):
+            assert a != other
+
+    @pytest.mark.parametrize(
+        "g,h,status",
+        [
+            ((0.0,), (), "unsuccessful"),
+            ((-0.0, -1.0), (), "unsuccessful"),
+            ((5e-324,), (), "unsuccessful"),
+            ((math.nan,), (), "unsuccessful"),
+            ((), (EQ_TOL,), "unsuccessful"),
+            ((), (-EQ_TOL,), "unsuccessful"),
+            ((), (math.nextafter(EQ_TOL, 0.0),), "poll-success"),
+            ((), (math.nan,), "unsuccessful"),
+            ((-1.0,), (0.0,), "failed"),
+            ((INF,), (INF,), "failed"),
+        ],
+    )
+    def test_view_feasibility_is_is_feasible(self, g, h, status):
+        row = {"eval_index": 0, "x": [0.0], "f": 2.0, "g": list(g), "h": list(h), "status": status}
+        (_, feasible), = view_of_history([row], "p", "feasible-0", 1, MODE_PIP).evals
+        assert feasible is is_feasible(Evaluation((0.0,), 2.0, g, h, 0, status == "failed"))
