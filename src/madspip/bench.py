@@ -21,7 +21,7 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .problem import Evaluation, is_feasible
+from .problem import feasible_outputs
 from .solver import RunRecord, SolverConfig, InitializationError, solve
 from .suite import Instance
 
@@ -94,9 +94,8 @@ def _row_entry(row: dict, idx: int) -> Tuple[float, bool]:
     f, g, h = row.get("f"), row.get("g") or [], row.get("h") or []
     if not (isinstance(f, (int, float)) and isinstance(g, list) and isinstance(h, list)):
         raise ValueError(f"evaluation {idx}: f is not a number or g, h are not lists")
-    evaluation = Evaluation((), f, g, h, idx, row.get("status") == "failed")
     try:
-        return f, is_feasible(evaluation)
+        return f, feasible_outputs(row.get("status") == "failed", g, h)
     except TypeError as exc:  # an entry of g or h that is not a number
         raise ValueError(f"evaluation {idx}: {exc}") from exc
 

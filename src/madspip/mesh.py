@@ -125,7 +125,7 @@ def snap_steps(offset: Sequence[int], step: int) -> Tuple[int, ...]:
         raise ValueError("mesh step must be a positive integer")
     twice = 2 * step
     return tuple(
-        (2 * q + step) // twice if q >= 0 else -((step - 2 * q) // twice) for q in offset
+        [(2 * q + step) // twice if q >= 0 else -((step - 2 * q) // twice) for q in offset]
     )
 
 

@@ -147,6 +147,9 @@ class SolverState:
     merit_params: Optional[MeritParams] = None
     iteration: int = 0
     last_success_offset: Optional[Tuple[int, ...]] = None
+    # the candidate speculative_search proposed and its mapped point, until
+    # _try_candidate takes them
+    search_candidate: Optional[Tuple[Tuple[int, ...], List[float]]] = None
     # pip mode: each cached key's (phi_prox, c_int, c_ext) under the current
     # partition, as plain float tuples, which the cyclic GC stops tracking
     kept: Dict[Tuple[int, ...], Tuple[float, float, float]] = field(default_factory=dict)
@@ -352,10 +355,12 @@ def speculative_search(state: SolverState) -> Optional[Tuple[int, ...]]:
     if not any(steps):
         return None
     q = tuple([qi + mesh_step * s for qi, s in zip(state.q_incumbent, steps)])
-    if not state.problem.contains(_point_of(state, q)):
+    x = _point_of(state, q)
+    if not state.problem.contains(x):
         return None
     if q in state.cache:
         return None
+    state.search_candidate = (q, x)
     return q
 
 
@@ -393,17 +398,23 @@ def reselect_incumbent(state: SolverState) -> SolverState:
 def _try_candidate(state: SolverState, q: Tuple[int, ...], kind: str):
     """Evaluate one trial point. Returns (verdict, evaluation, merit) with
     verdict in {"accepted", "rejected", "nobudget"}."""
-    x = _point_of(state, q)
-    delta_frame = state.mesh.delta_frame
-    if not state.problem.contains(x):
-        _append_row(state, None, q, x, "rejected-bounds", False, delta_frame)
-        return "rejected", None, None
-    ev = state.cache.get(q)
-    fresh = ev is None
-    if fresh:
-        if state.cache.eval_count >= state.config.max_evaluations:
-            return "nobudget", None, None
-        ev = evaluate(state.problem, x, state.cache, key=q)
+    proposed = state.search_candidate
+    if proposed is not None and proposed[0] is q:  # already mapped, inside the bounds
+        state.search_candidate = None
+        x = proposed[1]
+    else:
+        x = _point_of(state, q)
+        if not state.problem.contains(x):
+            _append_row(state, None, q, x, "rejected-bounds", False, state.mesh.delta_frame)
+            return "rejected", None, None
+    cache = state.cache
+    count = len(cache.entries)
+    if count >= state.config.max_evaluations and q not in cache:
+        return "nobudget", None, None
+    # evaluate's cache lookup is the only one: a cached point comes back
+    # as stored, and only a fresh one grows the cache
+    ev = evaluate(state.problem, x, cache, key=q)
+    fresh = len(cache.entries) > count
     value = _merit_of(state, q, ev)
     improving = value < state.incumbent_merit
     if improving:
@@ -414,7 +425,7 @@ def _try_candidate(state: SolverState, q: Tuple[int, ...], kind: str):
         status = "failed"
     else:
         status = "unsuccessful"
-    _append_row(state, ev, q, x, status, improving, delta_frame)
+    _append_row(state, ev, q, x, status, improving, state.mesh.delta_frame)
     return ("accepted" if improving else "rejected"), ev, value
 
 
