@@ -202,8 +202,8 @@ def is_feasible(evaluation: Evaluation, eq_tol: float = EQ_TOL) -> bool:
     """The one feasibility rule: not failed, ``g <= 0`` exactly and
     ``|h| < eq_tol``.
 
-    Solver results, history views and profiles all go through it (history
-    views through :func:`feasible_outputs`, which states the rule).
+    Solver results go through it; history views and profiles go through
+    :func:`feasible_outputs`, which states the rule for both.
     """
     return feasible_outputs(evaluation.failed, evaluation.g, evaluation.h, eq_tol)
 
@@ -358,8 +358,9 @@ def write_history(rows: Sequence[dict], path) -> None:
     # each container closes
     enc = _ROW_ENCODER
     encode = c_make_encoder(
-        {} if enc.check_circular else None, enc.default, encode_basestring_ascii, enc.indent, enc.key_separator,
-        enc.item_separator, enc.sort_keys, enc.skipkeys, enc.allow_nan,
+        {} if enc.check_circular else None, enc.default, encode_basestring_ascii,
+        enc.indent, enc.key_separator, enc.item_separator, enc.sort_keys,
+        enc.skipkeys, enc.allow_nan,
     )
     write_atomic(path, "".join(["".join(encode(row, 0)) + "\n" for row in rows]))
 
