@@ -89,15 +89,20 @@ class RunView:
 
 def _row_entry(row: dict, idx: int) -> Tuple[float, bool]:
     """``(f, feasible)`` of an evaluation row; ``ValueError`` when ``f`` is not
-    a number, ``g`` or ``h`` is not a list, or the feasibility test meets an
-    entry that is not a number."""
+    a float (a run writes every ``f`` as one), ``g`` or ``h`` is not a list,
+    the feasibility test meets an entry that is not a number, or ``f`` is
+    NaN, ``-inf``, or ``+inf`` on a feasible row."""
     f, g, h = row.get("f"), row.get("g") or [], row.get("h") or []
-    if not (isinstance(f, (int, float)) and isinstance(g, list) and isinstance(h, list)):
-        raise ValueError(f"evaluation {idx}: f is not a number or g, h are not lists")
+    if not (type(f) is float and isinstance(g, list) and isinstance(h, list)):
+        raise ValueError(f"evaluation {idx}: f is not a float or g, h are not lists")
     try:
-        return f, feasible_outputs(row.get("status") == "failed", g, h)
+        feasible = feasible_outputs(row.get("status") == "failed", g, h)
     except TypeError as exc:  # an entry of g or h that is not a number
         raise ValueError(f"evaluation {idx}: {exc}") from exc
+    # a run stores a non-finite f as +inf, and only on a failed evaluation
+    if f != f or f == -math.inf or (feasible and f == math.inf):
+        raise ValueError(f"evaluation {idx}: f {f!r} on a row that no run writes")
+    return f, feasible
 
 
 def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, mode: str) -> RunView:
@@ -107,7 +112,8 @@ def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, m
     The first row of each ``eval_index`` is that evaluation; bound
     rejections (no index) and cache hits (a repeated index) spend no budget.
     A row that no run writes (not an object, a non-integer index, a bad
-    ``f``, ``g`` or ``h``, or no ``x`` list in the first row) raises
+    ``f``, ``g`` or ``h``, a non-finite ``f`` that is not ``+inf`` on an
+    infeasible row, or no ``x`` list in the first row) raises
     ``ValueError``.
     """
     true_rows: Dict[int, Tuple[float, bool]] = {}
@@ -115,7 +121,7 @@ def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, m
         if not isinstance(row, dict):
             raise ValueError("history row is not an object")
         idx = row.get("eval_index")
-        if idx is not None and not isinstance(idx, int):
+        if idx is not None and type(idx) is not int:  # true is not index 1
             raise ValueError(f"eval_index {idx!r} is not an integer")
         if idx is None or idx in true_rows:
             continue

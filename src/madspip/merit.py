@@ -12,19 +12,21 @@ whenever ``c_int < 0`` and ``+inf`` otherwise.  Driving ``rho`` to zero drives
 the merit toward ``f`` on points that are strictly interior-feasible and
 exterior-feasible, and toward ``+inf`` everywhere else.
 
-All operations here are pure functions of their arguments.
+A run varies only ``rho`` and ``b_ext`` (:class:`MeritParams`).  ``b_int``
+and the constants of the ``rho`` update are the module constants ``B_INT``,
+``THETA_RHO``, ``BETA``, ``B_RHO`` and ``B_C``.  All operations here are pure
+functions of their arguments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Sequence, Tuple
 
 __all__ = [
     "Partition",
     "MeritParams",
-    "ViolationSummary",
     "phi_prox",
     "c_int",
     "c_ext",
@@ -36,30 +38,33 @@ __all__ = [
 
 _INF = math.inf
 
+#: Barrier scaling.  The log threshold is fixed to 1, which keeps the
+#: barrier term nonnegative on [-1, 0).
+B_INT = 1.0
+#: Factor by which ``rho`` shrinks whenever the update criterion fires.
+THETA_RHO = 1e-2
+#: ``beta``, ``b_rho`` and ``b_c`` relax the update criterion.
+BETA = 1.0 + 1e-9
+B_RHO = 10.0
+B_C = 1e10
+
 
 @dataclass(frozen=True)
 class Partition:
     """Disjoint split of the inequality-constraint indices ``0..m-1``.
 
     ``g_int`` holds the indices treated by the log barrier, ``g_ext`` the
-    indices penalized quadratically.  Together they must cover ``range(m)``.
-    ``int_order`` and ``ext_order`` are the same indices, sorted once.
+    indices penalized quadratically, each as a sorted tuple.  Together they
+    must cover ``range(m)``.
     """
 
-    g_int: frozenset
-    g_ext: frozenset
-    int_order: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    ext_order: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    g_int: Tuple[int, ...]
+    g_ext: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "g_int", frozenset(self.g_int))
-        object.__setattr__(self, "g_ext", frozenset(self.g_ext))
-        object.__setattr__(self, "int_order", tuple(sorted(self.g_int)))
-        object.__setattr__(self, "ext_order", tuple(sorted(self.g_ext)))
-        if self.g_int & self.g_ext:
-            raise ValueError("g_int and g_ext must be disjoint")
-        m = len(self.g_int) + len(self.g_ext)
-        if (self.g_int | self.g_ext) != frozenset(range(m)):
+        object.__setattr__(self, "g_int", tuple(sorted(self.g_int)))
+        object.__setattr__(self, "g_ext", tuple(sorted(self.g_ext)))
+        if sorted(self.g_int + self.g_ext) != list(range(self.m)):
             raise ValueError("g_int and g_ext must partition range(m)")
 
     @property
@@ -71,61 +76,32 @@ class Partition:
         """Partition by the starting point: indices with ``g <= -eps_ext``
         are safely interior and go to ``g_int``, everything else to ``g_ext``.
         """
-        g_int = frozenset(i for i, v in enumerate(g_values) if v <= -eps_ext)
-        g_ext = frozenset(range(len(g_values))) - g_int
+        g_int = [i for i, v in enumerate(g_values) if v <= -eps_ext]
+        g_ext = [i for i, v in enumerate(g_values) if not v <= -eps_ext]
         return Partition(g_int, g_ext)
 
     def moved_to_interior(self, indices: Iterable[int]) -> "Partition":
         """New partition with ``indices`` moved from g_ext to g_int."""
         moved = frozenset(indices)
-        if not moved <= self.g_ext:
+        if not moved <= frozenset(self.g_ext):
             raise ValueError("can only move indices currently in g_ext")
-        return Partition(self.g_int | moved, self.g_ext - moved)
+        return Partition(self.g_int + tuple(moved), [i for i in self.g_ext if i not in moved])
 
 
 @dataclass(frozen=True)
 class MeritParams:
-    """Penalty-barrier parameter ``rho`` and its scaling constants.
-
-    ``rho`` shrinks by the factor ``theta_rho`` whenever the update criterion
-    fires; ``b_int``/``b_ext`` rescale the barrier and penalty terms,
-    ``b_rho``/``b_c``/``beta`` relax the update criterion.  The log threshold
-    is fixed to 1, which keeps the barrier term nonnegative on [-1, 0).
-    """
+    """What a run varies in the merit: the penalty-barrier parameter ``rho``
+    and the exterior scaling ``b_ext``, fixed per run from ``|f(x0)|``.
+    Every other constant is a module constant."""
 
     rho: float
-    b_int: float = 1.0
     b_ext: float = 1.0
-    theta_rho: float = 1e-2
-    beta: float = 1.0 + 1e-9
-    b_rho: float = 10.0
-    b_c: float = 1e10
 
     def __post_init__(self):
         if not (self.rho > 0.0):
             raise ValueError("rho must be positive")
-        if not (0.0 < self.theta_rho < 1.0):
-            raise ValueError("theta_rho must lie in (0, 1)")
-        if not (self.beta > 1.0):
-            raise ValueError("beta must exceed 1")
-        if min(self.b_int, self.b_ext, self.b_rho, self.b_c) <= 0.0:
-            raise ValueError("scaling constants must be positive")
-
-
-class ViolationSummary(NamedTuple):
-    """Violation measures and merit value of one evaluated point.
-
-    ``phi_prox`` is ``-inf`` when no constraint is assigned to the interior
-    set (maximum over an empty set).  ``merit`` is ``+inf`` whenever
-    ``c_int >= 0`` or the evaluation failed.  A named tuple: one is built per
-    fresh evaluation, and a tuple builds about three times faster than a
-    frozen dataclass.
-    """
-
-    phi_prox: float
-    c_int: float
-    c_ext: float
-    merit: float
+        if not (self.b_ext > 0.0):
+            raise ValueError("b_ext must be positive")
 
 
 def phi_prox(g_int_values: Sequence[float]) -> float:
@@ -178,7 +154,7 @@ def merit(f: float, cint: float, cext: float, params: MeritParams) -> float:
         return _INF
     if math.isinf(f):
         return _INF
-    barrier = params.b_int * params.rho * math.log(-cint)
+    barrier = B_INT * params.rho * math.log(-cint)
     return f - barrier + (params.b_ext / params.rho) * cext
 
 
@@ -203,48 +179,46 @@ def penalty_update_check(delta_next: float, phi_prox_val: float, params: MeritPa
     constraints ``phi_prox_val`` is ``-inf``, so the proximity term is
     ``+inf`` and the criterion reduces to its first argument.
     """
-    term_rho = params.b_rho * params.rho**params.beta
-    return delta_next <= min(term_rho, params.b_c * phi_prox_val * phi_prox_val)
+    term_rho = B_RHO * params.rho**BETA
+    return delta_next <= min(term_rho, B_C * phi_prox_val * phi_prox_val)
 
 
 def violation_summary(
-    f: float,
     g: Sequence[float],
     h: Sequence[float],
     partition: Partition,
-    params: MeritParams,
     failed: bool = False,
-) -> ViolationSummary:
-    """Full violation/merit summary of one raw evaluation under a partition.
+) -> Tuple[float, float, float]:
+    """``(phi_prox, c_int, c_ext)`` of one raw evaluation under a partition.
 
-    Computed on demand from the stored raw outputs, with the arithmetic of
-    :func:`phi_prox`, :func:`c_int` and :func:`c_ext` in one pass per index
-    set (tests hold the two to the same bits).  In a kept result,
-    ``phi_prox``, ``c_int`` and ``c_ext`` stay valid until the partition
-    changes, and ``merit`` until ``rho`` changes as well:
-    ``merit(f, c_int, c_ext, params)`` re-prices it under a new ``rho``.
+    Computed with the arithmetic of :func:`phi_prox`, :func:`c_int` and
+    :func:`c_ext` in one pass per index set (tests hold the two to the same
+    bits).  ``phi_prox`` is ``-inf`` when no constraint is interior (maximum
+    over an empty set); a failed evaluation gives ``+inf`` throughout.  The
+    terms stay valid until the partition changes, and
+    ``merit(f, c_int, c_ext, params)`` prices them under any ``rho``.
     """
     if failed:
-        return ViolationSummary(_INF, _INF, _INF, _INF)
+        return (_INF, _INF, _INF)
     phi = -_INF
     prod = 1.0
-    for i in partition.int_order:
+    for i in partition.g_int:
         v = g[i]
         if v > phi:
             phi = v
         v = -v
         prod *= v if v < 1.0 else 1.0  # min(1.0, -v)
-    if not partition.int_order:
+    if not partition.g_int:
         cint = -1.0
     elif phi > 0.0:
         cint = phi
     else:
         cint = -prod
     cext = 0.0
-    for i in partition.ext_order:
+    for i in partition.g_ext:
         v = g[i]
         if v > 0.0:
             cext += v * v
     for v in h:
         cext += v * v
-    return ViolationSummary(phi, cint, cext, merit(f, cint, cext, params))
+    return (phi, cint, cext)

@@ -32,8 +32,6 @@ __all__ = [
     "is_feasible",
     "run_external",
     "ExternalEvaluator",
-    "HISTORY_STATUSES",
-    "history_row",
     "write_history",
     "read_history",
 ]
@@ -44,11 +42,6 @@ _INF = math.inf
 
 #: Equality residuals count as satisfied when ``|h| < EQ_TOL``.
 EQ_TOL = 1e-8
-
-#: Allowed values of the ``status`` field in history rows.
-HISTORY_STATUSES = frozenset(
-    ["search-success", "poll-success", "unsuccessful", "cache-hit", "rejected-bounds", "failed"]
-)
 
 
 @dataclass(frozen=True)
@@ -198,19 +191,17 @@ def evaluate(
     return evaluation
 
 
-def is_feasible(evaluation: Evaluation, eq_tol: float = EQ_TOL) -> bool:
+def is_feasible(evaluation: Evaluation) -> bool:
     """The one feasibility rule: not failed, ``g <= 0`` exactly and
-    ``|h| < eq_tol``.
+    ``|h| < EQ_TOL``.
 
     Solver results go through it; history views and profiles go through
     :func:`feasible_outputs`, which states the rule for both.
     """
-    return feasible_outputs(evaluation.failed, evaluation.g, evaluation.h, eq_tol)
+    return feasible_outputs(evaluation.failed, evaluation.g, evaluation.h)
 
 
-def feasible_outputs(
-    failed: bool, g: Sequence[float], h: Sequence[float], eq_tol: float = EQ_TOL
-) -> bool:
+def feasible_outputs(failed: bool, g: Sequence[float], h: Sequence[float]) -> bool:
     """:func:`is_feasible` on an evaluation's parts, for a history row that
     holds them without an :class:`Evaluation`.  The entries are tested in
     order, so a ``g`` or ``h`` entry that is not a number raises
@@ -221,7 +212,7 @@ def feasible_outputs(
         if not v <= 0.0:
             return False
     for v in h:
-        if not abs(v) < eq_tol:
+        if not abs(v) < EQ_TOL:
             return False
     return True
 
@@ -291,40 +282,6 @@ class ExternalEvaluator:
 
     def __call__(self, point: Sequence[float]):
         return run_external(self.path, point, self.timeout, self.m, self.p)
-
-
-def history_row(
-    *,
-    eval_index: Optional[int],
-    x: Sequence[float],
-    f: Optional[float],
-    g: Optional[Sequence[float]],
-    h: Optional[Sequence[float]],
-    cint: Optional[float],
-    cext: Optional[float],
-    rho: Optional[float],
-    delta_frame: float,
-    incumbent: bool,
-    iteration: int,
-    status: str,
-) -> dict:
-    """One evaluation-event row of the persisted run history."""
-    if status not in HISTORY_STATUSES:
-        raise ValueError(f"unknown history status {status!r}")
-    return {
-        "eval_index": eval_index,
-        "x": list(x),
-        "f": f,
-        "g": None if g is None else list(g),
-        "h": None if h is None else list(h),
-        "cint": cint,
-        "cext": cext,
-        "rho": rho,
-        "delta_frame": delta_frame,
-        "incumbent": incumbent,
-        "iteration": iteration,
-        "status": status,
-    }
 
 
 _ROW_ENCODER = json.JSONEncoder(separators=(",", ":"))

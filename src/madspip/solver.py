@@ -5,10 +5,13 @@ one speculative search point (the last successful displacement, doubled and
 snapped to the mesh), then polls 2n orthogonal directions opportunistically.
 Any strict merit decrease is a success and grows the frame; otherwise the
 frame shrinks and, when the shrunken frame is small against both the penalty
-parameter and the squared proximity measure, ``rho`` is cut by ``theta_rho``
-and the incumbent is re-selected from the cache under the new merit.
-Exterior inequality constraints found strictly feasible at the incumbent
-migrate to the interior (barrier) set, at most once per index per run.
+parameter and the squared proximity measure, ``rho`` is cut by
+``merit.THETA_RHO`` and the incumbent is re-selected from the cache under the
+new merit.  Exterior inequality constraints found strictly feasible at the
+incumbent migrate to the interior (barrier) set, at most once per index per
+run.  A point's violation terms ``(phi_prox, c_int, c_ext)`` are computed
+once per partition and kept in ``SolverState.kept``; a ``rho`` cut only
+re-prices them.
 
 ``rho`` reductions and partition switches never happen in the same iteration:
 the switch check is skipped whenever ``rho`` was just reduced, so the two
@@ -28,6 +31,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .merit import (
+    B_C,
+    B_INT,
+    B_RHO,
+    BETA,
+    THETA_RHO,
     MeritParams,
     Partition,
     compute_b_ext,
@@ -147,9 +155,6 @@ class SolverState:
     merit_params: Optional[MeritParams] = None
     iteration: int = 0
     last_success_offset: Optional[Tuple[int, ...]] = None
-    # the candidate speculative_search proposed and its mapped point, until
-    # _try_candidate takes them
-    search_candidate: Optional[Tuple[Tuple[int, ...], List[float]]] = None
     # pip mode: each cached key's (phi_prox, c_int, c_ext) under the current
     # partition, as plain float tuples, which the cyclic GC stops tracking
     kept: Dict[Tuple[int, ...], Tuple[float, float, float]] = field(default_factory=dict)
@@ -184,12 +189,9 @@ def _merit_of(state: SolverState, key: Tuple[int, ...], evaluation: Evaluation) 
         return merit(evaluation.f, kept[1], kept[2], state.merit_params)
     if not state.pip:
         return evaluation.f if is_feasible(evaluation) else _INF
-    summary = violation_summary(
-        evaluation.f, evaluation.g, evaluation.h,
-        state.partition, state.merit_params, evaluation.failed,
-    )
-    state.kept[key] = summary[:3]  # (phi_prox, c_int, c_ext), a plain tuple
-    return summary.merit
+    terms = violation_summary(evaluation.g, evaluation.h, state.partition, evaluation.failed)
+    state.kept[key] = terms
+    return merit(evaluation.f, terms[1], terms[2], state.merit_params)
 
 
 def _lattice_bits(delta0: float, delta_stop: float) -> int:
@@ -223,8 +225,14 @@ def _append_row(
     incumbent: bool,
     delta_frame: float,
 ) -> None:
-    """Append one history row, laid out as ``problem.history_row`` lays it
-    out; ``x`` becomes the row's own list."""
+    """Append one history row; this is the one statement of the row layout.
+
+    Keys come in this order.  ``status`` is one of ``search-success``,
+    ``poll-success``, ``unsuccessful``, ``cache-hit``, ``rejected-bounds``
+    and ``failed``.  A bounds rejection (no ``evaluation``) has ``None`` for
+    every evaluation field; ``cint``, ``cext`` and ``rho`` are ``None``
+    outside pip mode.  ``x`` becomes the row's own list.
+    """
     rho = state.merit_params.rho if state.pip else None
     if evaluation is None:
         f = g = h = eval_index = cint = cext = None
@@ -321,11 +329,11 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
         state.merit_params = MeritParams(rho=config.rho0, b_ext=compute_b_ext(ev0.f))
         record.params = {
             "rho0": config.rho0,
-            "theta_rho": state.merit_params.theta_rho,
-            "beta": state.merit_params.beta,
-            "b_rho": state.merit_params.b_rho,
-            "b_c": state.merit_params.b_c,
-            "b_int": state.merit_params.b_int,
+            "theta_rho": THETA_RHO,
+            "beta": BETA,
+            "b_rho": B_RHO,
+            "b_c": B_C,
+            "b_int": B_INT,
             "b_ext": state.merit_params.b_ext,
             "eps_ext": config.eps_ext,
             "m": problem.m,
@@ -341,8 +349,9 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
     return state
 
 
-def speculative_search(state: SolverState) -> Optional[Tuple[int, ...]]:
-    """Candidate doubling the last successful displacement, on the mesh.
+def speculative_search(state: SolverState) -> Optional[Tuple[Tuple[int, ...], List[float]]]:
+    """Candidate doubling the last successful displacement, on the mesh, as
+    its lattice point and mapped point ``(q, x)``.
 
     Nothing is proposed without a prior success, when the snapped point
     collapses onto the incumbent, leaves the bounds, or is already cached.
@@ -360,8 +369,7 @@ def speculative_search(state: SolverState) -> Optional[Tuple[int, ...]]:
         return None
     if q in state.cache:
         return None
-    state.search_candidate = (q, x)
-    return q
+    return q, x
 
 
 def reselect_incumbent(state: SolverState) -> SolverState:
@@ -395,14 +403,13 @@ def reselect_incumbent(state: SolverState) -> SolverState:
     return state
 
 
-def _try_candidate(state: SolverState, q: Tuple[int, ...], kind: str):
+def _try_candidate(
+    state: SolverState, q: Tuple[int, ...], kind: str, x: Optional[List[float]] = None
+):
     """Evaluate one trial point. Returns (verdict, evaluation, merit) with
-    verdict in {"accepted", "rejected", "nobudget"}."""
-    proposed = state.search_candidate
-    if proposed is not None and proposed[0] is q:  # already mapped, inside the bounds
-        state.search_candidate = None
-        x = proposed[1]
-    else:
+    verdict in {"accepted", "rejected", "nobudget"}.  A given ``x`` is the
+    point ``q`` already mapped and inside the bounds."""
+    if x is None:
         x = _point_of(state, q)
         if not state.problem.contains(x):
             _append_row(state, None, q, x, "rejected-bounds", False, state.mesh.delta_frame)
@@ -440,9 +447,10 @@ def iterate(state: SolverState) -> str:
     success_kind = None
 
     if state.config.search_enabled:
-        q = speculative_search(state)
-        if q is not None:
-            verdict, ev, value = _try_candidate(state, q, kind="search")
+        proposed = speculative_search(state)
+        if proposed is not None:
+            q, x = proposed
+            verdict, ev, value = _try_candidate(state, q, kind="search", x=x)
             if verdict == "nobudget":
                 return "budget"
             if verdict == "accepted":
@@ -472,16 +480,14 @@ def iterate(state: SolverState) -> str:
         phi = state.kept[state.q_incumbent][0]
         if penalty_update_check(delta_next, phi, state.merit_params):
             p = state.merit_params
-            state.merit_params = MeritParams(
-                p.rho * p.theta_rho, p.b_int, p.b_ext, p.theta_rho, p.beta, p.b_rho, p.b_c
-            )
+            state.merit_params = MeritParams(p.rho * THETA_RHO, p.b_ext)
             rho_reduced = True
             reselect_incumbent(state)
 
     moved: List[int] = []
     if state.pip and not rho_reduced and not state.incumbent.failed:
         g = state.incumbent.g
-        moved = [i for i in state.partition.ext_order if g[i] <= -state.config.eps_ext]
+        moved = [i for i in state.partition.g_ext if g[i] <= -state.config.eps_ext]
         if moved:
             state.partition = state.partition.moved_to_interior(moved)
             state.kept.clear()

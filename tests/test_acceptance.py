@@ -28,8 +28,6 @@ from madspip.problem import is_feasible, Evaluation
 from madspip.solver import SolverConfig, check_run_invariants, solve
 from madspip.suite import builtin_problem, initial_point, make_instances
 
-EQ_TOL = 1e-8
-
 
 def report(criterion: str, passed: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} ({detail})")
@@ -102,8 +100,8 @@ class TestCriterion1FormulaSuite:
         assert snap_steps((260, -240), 250) == (1, -1)
         assert snap_steps((125,), 250) == (1,)
         # feasibility rule
-        assert is_feasible(Evaluation((0.0,), 1.0, (-0.1,), (5e-9,), 0), EQ_TOL)
-        assert not is_feasible(Evaluation((0.0,), 1.0, (1e-12,), (), 0), EQ_TOL)
+        assert is_feasible(Evaluation((0.0,), 1.0, (-0.1,), (5e-9,), 0))
+        assert not is_feasible(Evaluation((0.0,), 1.0, (1e-12,), (), 0))
         # profile group arithmetic
         view = RunView("A", "feasible-0", 1, "pip", 2,
                        tuple([(10.0, True)] * 6 + [(2.0, True)]))

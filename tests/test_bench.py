@@ -286,6 +286,15 @@ class TestRunMatrix:
             {"eval_index": [0], "x": [0.0], "f": 1.0},
             {"eval_index": 0, "f": 1.0},
             [0.0, 1.0],
+            # true is not index 1, nor the number 1
+            {"eval_index": True, "x": [0.0], "f": 1.0},
+            {"eval_index": 0, "x": [0.0], "f": True},
+            # a run writes f as a float; this integer overflows one
+            {"eval_index": 0, "x": [0.0], "f": 10**400},
+            # a feasible non-finite f would become every mode's f*
+            {"eval_index": 0, "x": [0.0], "f": math.nan, "g": [], "h": []},
+            {"eval_index": 0, "x": [0.0], "f": -math.inf, "g": [-1.0], "h": [0.0]},
+            {"eval_index": 0, "x": [0.0], "f": math.inf, "g": [-1.0], "h": []},
         ],
     )
     def test_view_of_history_rejects_rows_no_run_writes(self, row):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -5,6 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from madspip.merit import (
+    B_C,
+    B_INT,
+    B_RHO,
+    BETA,
+    THETA_RHO,
     MeritParams,
     Partition,
     c_ext,
@@ -19,31 +25,32 @@ from madspip.merit import (
 INF = math.inf
 
 
-def params(rho=0.1, **kw):
-    return MeritParams(rho=rho, **kw)
+def params(rho=0.1):
+    return MeritParams(rho=rho)
 
 
 class TestPartition:
     def test_disjoint_cover(self):
-        p = Partition(frozenset({0, 2}), frozenset({1}))
+        p = Partition([2, 0], [1])
         assert p.m == 3
+        assert p.g_int == (0, 2) and p.g_ext == (1,)
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
-            Partition(frozenset({0}), frozenset({0, 1}))
+            Partition([0], [0, 1])
 
     def test_gap_rejected(self):
         with pytest.raises(ValueError):
-            Partition(frozenset({0}), frozenset({2}))
+            Partition([0], [2])
 
     def test_from_initial_threshold(self):
         p = Partition.from_initial([-0.5, 0.3], eps_ext=1e-14)
-        assert p.g_int == {0} and p.g_ext == {1}
+        assert p.g_int == (0,) and p.g_ext == (1,)
 
     def test_move_is_one_directional(self):
-        p = Partition(frozenset(), frozenset({0, 1}))
-        moved = p.moved_to_interior([1])
-        assert moved.g_int == {1}
+        p = Partition((), (0, 1, 2))
+        moved = p.moved_to_interior([2, 1])
+        assert moved.g_int == (1, 2) and moved.g_ext == (0,)
         with pytest.raises(ValueError):
             moved.moved_to_interior([1])
 
@@ -221,23 +228,23 @@ class TestPenaltyUpdateCheck:
 
 class TestViolationSummary:
     def test_summary_consistency(self):
-        partition = Partition(frozenset({0}), frozenset({1}))
-        s = violation_summary(1.0, [-0.5, 0.3], [0.2], partition, params(rho=0.1))
-        assert s.phi_prox == -0.5
-        assert s.c_int == -0.5
-        assert s.c_ext == pytest.approx(0.09 + 0.04)
-        assert s.merit == pytest.approx(merit(1.0, -0.5, 0.13, params(rho=0.1)))
+        partition = Partition([0], [1])
+        terms = violation_summary([-0.5, 0.3], [0.2], partition)
+        assert type(terms) is tuple
+        phi, cint, cext = terms
+        assert phi == -0.5
+        assert cint == -0.5
+        assert cext == pytest.approx(0.09 + 0.04)
 
     def test_failed_evaluation(self):
-        partition = Partition(frozenset(), frozenset({0}))
-        s = violation_summary(1.0, [0.0], [], partition, params(rho=0.1), failed=True)
-        assert s.merit == INF and s.c_int == INF
+        partition = Partition((), [0])
+        assert violation_summary([0.0], [], partition, failed=True) == (INF, INF, INF)
 
     def test_empty_interior_phi_is_minus_infinity(self):
-        partition = Partition(frozenset(), frozenset({0}))
-        s = violation_summary(1.0, [0.5], [], partition, params(rho=0.1))
-        assert s.phi_prox == -INF
-        assert s.c_int == -1.0
+        partition = Partition((), [0])
+        phi, cint, _ = violation_summary([0.5], [], partition)
+        assert phi == -INF
+        assert cint == -1.0
 
 
 _g_value = st.one_of(
@@ -246,22 +253,18 @@ _g_value = st.one_of(
 
 
 @given(
-    f=st.one_of(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), st.just(INF)),
     g=st.lists(_g_value, max_size=5),
     h=st.lists(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False), max_size=3),
     interior=st.sets(st.integers(min_value=0, max_value=4)),
-    rho=st.sampled_from([0.1, 1e-3, 1e-7]),
 )
-def test_summary_matches_the_term_helpers(f, g, h, interior, rho):
+def test_summary_matches_the_term_helpers(g, h, interior):
     # one pass per index set, bit for bit the arithmetic of the helpers
-    g_int = frozenset(i for i in interior if i < len(g))
-    partition = Partition(g_int, frozenset(range(len(g))) - g_int)
-    p = params(rho=rho)
-    gi = [g[i] for i in partition.int_order]
-    cint = c_int(gi)
-    cext = c_ext([g[i] for i in partition.ext_order], h)
-    expected = (phi_prox(gi) if gi else -INF, cint, cext, merit(f, cint, cext, p))
-    got = violation_summary(f, g, h, partition, p)
+    partition = Partition(
+        [i for i in range(len(g)) if i in interior], [i for i in range(len(g)) if i not in interior]
+    )
+    gi = [g[i] for i in partition.g_int]
+    expected = (phi_prox(gi) if gi else -INF, c_int(gi), c_ext([g[i] for i in partition.g_ext], h))
+    got = violation_summary(g, h, partition)
     assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
@@ -270,14 +273,12 @@ class TestMeritParams:
         with pytest.raises(ValueError):
             MeritParams(rho=0.0)
         with pytest.raises(ValueError):
-            MeritParams(rho=0.1, theta_rho=1.5)
+            MeritParams(rho=0.1, b_ext=0.0)
         with pytest.raises(ValueError):
-            MeritParams(rho=0.1, beta=1.0)
+            MeritParams(rho=math.nan)
 
     def test_defaults(self):
-        p = MeritParams(rho=0.1)
-        assert p.theta_rho == 1e-2
-        assert p.beta == 1.0 + 1e-9
-        assert p.b_rho == 10.0
-        assert p.b_c == 1e10
-        assert p.b_int == 1.0
+        # a run varies rho and b_ext only; the rest are module constants
+        assert [f.name for f in dataclasses.fields(MeritParams)] == ["rho", "b_ext"]
+        assert MeritParams(rho=0.1).b_ext == 1.0
+        assert (THETA_RHO, BETA, B_RHO, B_C, B_INT) == (1e-2, 1.0 + 1e-9, 10.0, 1e10, 1.0)

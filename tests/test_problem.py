@@ -15,7 +15,6 @@ from madspip.problem import (
     ExternalEvaluator,
     Problem,
     evaluate,
-    history_row,
     is_feasible,
     read_history,
     run_external,
@@ -121,7 +120,7 @@ class TestEvaluate:
 class TestIsFeasible:
     def test_relaxed_equality(self):
         ev = Evaluation((0.0,), 1.0, (-0.1,), (5e-9,), 0)
-        assert is_feasible(ev, eq_tol=1e-8)
+        assert is_feasible(ev)
 
     def test_strict_inequality(self):
         ev = Evaluation((0.0,), 1.0, (1e-12,), (), 0)
@@ -133,7 +132,7 @@ class TestIsFeasible:
 
     def test_equality_at_tolerance_excluded(self):
         ev = Evaluation((0.0,), 1.0, (), (1e-8,), 0)
-        assert not is_feasible(ev, eq_tol=1e-8)
+        assert not is_feasible(ev)
 
 
 class TestRunExternal:
@@ -176,116 +175,51 @@ class TestRunExternal:
         assert ev.failed and ev.f == INF
 
 
+def _row(eval_index=0, x=(0.0,), f=1.0, g=(), h=(), cint=None, cext=None, rho=None,
+        delta_frame=1.0, incumbent=False, iteration=0, status="unsuccessful"):
+    """A history row, keys in the order the solver writes them."""
+    return {
+        "eval_index": eval_index,
+        "x": list(x),
+        "f": f,
+        "g": None if g is None else list(g),
+        "h": None if h is None else list(h),
+        "cint": cint,
+        "cext": cext,
+        "rho": rho,
+        "delta_frame": delta_frame,
+        "incumbent": incumbent,
+        "iteration": iteration,
+        "status": status,
+    }
+
+
 class TestHistory:
     def test_round_trip(self, tmp_path):
         rows = [
-            history_row(
-                eval_index=0,
-                x=[0.1, 0.2],
-                f=1.5,
-                g=[-0.1],
-                h=[],
-                cint=-0.1,
-                cext=0.0,
-                rho=0.1,
-                delta_frame=1.0,
-                incumbent=True,
-                iteration=0,
-                status="unsuccessful",
-            ),
-            history_row(
-                eval_index=None,
-                x=[9.0, 9.0],
-                f=None,
-                g=None,
-                h=None,
-                cint=None,
-                cext=None,
-                rho=0.1,
-                delta_frame=1.0,
-                incumbent=False,
-                iteration=1,
-                status="rejected-bounds",
-            ),
+            _row(x=[0.1, 0.2], f=1.5, g=[-0.1], cint=-0.1, cext=0.0, rho=0.1, incumbent=True),
+            _row(eval_index=None, x=[9.0, 9.0], f=None, g=None, h=None, rho=0.1, iteration=1,
+                 status="rejected-bounds"),
         ]
         path = tmp_path / "run.jsonl"
         write_history(rows, path)
         assert read_history(path) == rows
 
     def test_infinity_round_trips(self, tmp_path):
-        row = history_row(
-            eval_index=0,
-            x=[0.0],
-            f=INF,
-            g=[INF],
-            h=[],
-            cint=INF,
-            cext=INF,
-            rho=0.1,
-            delta_frame=1.0,
-            incumbent=False,
-            iteration=1,
-            status="failed",
-        )
+        failed = _row(f=INF, g=[INF], cint=INF, cext=INF, rho=0.1, iteration=1, status="failed")
         path = tmp_path / "run.jsonl"
-        write_history([row], path)
+        write_history([failed], path)
         assert read_history(path)[0]["f"] == INF
 
-    def test_unknown_status_rejected(self):
-        with pytest.raises(ValueError):
-            history_row(
-                eval_index=0,
-                x=[0.0],
-                f=0.0,
-                g=[],
-                h=[],
-                cint=None,
-                cext=None,
-                rho=None,
-                delta_frame=1.0,
-                incumbent=False,
-                iteration=0,
-                status="meh",
-            )
-
     def test_deterministic_bytes(self, tmp_path):
-        rows = [
-            history_row(
-                eval_index=i,
-                x=[i * 0.1],
-                f=float(i),
-                g=[],
-                h=[],
-                cint=None,
-                cext=None,
-                rho=None,
-                delta_frame=0.5,
-                incumbent=False,
-                iteration=i,
-                status="unsuccessful",
-            )
-            for i in range(5)
-        ]
+        rows = [_row(eval_index=i, x=[i * 0.1], f=float(i), delta_frame=0.5, iteration=i) for i in range(5)]
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_history(rows, a)
         write_history(rows, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_unencodable_row_keeps_the_old_file(self, tmp_path):
-        good = history_row(
-            eval_index=0,
-            x=[0.0],
-            f=1.0,
-            g=[],
-            h=[],
-            cint=None,
-            cext=None,
-            rho=None,
-            delta_frame=1.0,
-            incumbent=True,
-            iteration=0,
-            status="unsuccessful",
-        )
+        good = _row(incumbent=True)
         path = tmp_path / "run.jsonl"
         write_history([good, good], path)
         before = path.read_bytes()

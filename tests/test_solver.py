@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 import madspip.solver
-from madspip.merit import Partition, violation_summary
-from madspip.problem import Cache, Evaluation, Problem, history_row
+from madspip.merit import Partition, merit, violation_summary
+from madspip.problem import Cache, Evaluation, Problem
 from madspip.solver import (
     MODE_EXTREME_BARRIER,
     MODE_PIP,
@@ -40,19 +40,19 @@ class TestInitState:
     def test_partition_split(self):
         problem = constrained_problem([lambda x: -0.5, lambda x: 0.3])
         state = init_state(problem, (0.0, 0.0), SolverConfig(max_evaluations=10))
-        assert state.partition.g_int == {0}
-        assert state.partition.g_ext == {1}
+        assert state.partition.g_int == (0,)
+        assert state.partition.g_ext == (1,)
 
     def test_all_violated_gives_empty_interior(self):
         problem = constrained_problem([lambda x: 0.1, lambda x: 0.2])
         state = init_state(problem, (0.0, 0.0), SolverConfig(max_evaluations=10))
-        assert state.partition.g_int == set()
-        assert state.partition.g_ext == {0, 1}
+        assert state.partition.g_int == ()
+        assert state.partition.g_ext == (0, 1)
 
     def test_boundary_within_tolerance_goes_exterior(self):
         problem = constrained_problem([lambda x: -1e-16])
         state = init_state(problem, (0.0, 0.0), SolverConfig(max_evaluations=10))
-        assert state.partition.g_ext == {0}
+        assert state.partition.g_ext == (0,)
 
     def test_b_ext_from_f0(self):
         def evaluator(x):
@@ -148,16 +148,16 @@ class TestSpeculativeSearch:
 
     def test_doubles_last_displacement(self):
         state = self._state_after_success()
-        q = speculative_search(state)
-        assert q is not None
+        q, x = speculative_search(state)
         expected = tuple(
             qi + 2 * off for qi, off in zip(state.q_incumbent, state.last_success_offset)
         )
         assert q == expected
+        assert x == madspip.solver._point_of(state, q)
 
     def test_skips_cached_candidate(self):
         state = self._state_after_success()
-        q = speculative_search(state)
+        q, _ = speculative_search(state)
         state.cache.store(q, Evaluation(tuple(map(float, q)), 0.0, (), (), 99))
         assert speculative_search(state) is None
 
@@ -227,7 +227,7 @@ class TestReselectIncumbent:
     def _state_with_cache(self, entries):
         problem = Problem("stub", 1, 0, 0, lambda x: (100.0, (), ()))
         state = init_state(problem, (0.0,), SolverConfig(max_evaluations=10))
-        state.partition = Partition(frozenset(), frozenset())
+        state.partition = Partition((), ())
         for key, ev in entries.items():
             state.cache.entries[key] = ev
         return state
@@ -277,8 +277,7 @@ class TestReselectIncumbent:
         assert state.incumbent is a
         assert state.incumbent_merit == 5.0
         assert summarized == []
-        fresh = violation_summary(a.f, a.g, a.h, state.partition, state.merit_params)
-        assert state.kept[state.q_incumbent] == (fresh.phi_prox, fresh.c_int, fresh.c_ext)
+        assert state.kept[state.q_incumbent] == violation_summary(a.g, a.h, state.partition)
 
     def test_all_infinite_keeps_incumbent_and_flags(self):
         state = self._state_with_cache({})
@@ -291,18 +290,18 @@ class TestReselectIncumbent:
 
 
 def _fresh(state, ev):
-    return violation_summary(
-        ev.f, ev.g, ev.h, state.partition, state.merit_params, failed=ev.failed
-    )
+    """``(terms, merit)`` of ``ev`` from a fresh violation summary."""
+    terms = violation_summary(ev.g, ev.h, state.partition, failed=ev.failed)
+    return terms, merit(ev.f, terms[1], terms[2], state.merit_params)
 
 
 def _rescan(state):
     """Reselection by a fresh violation summary of every cache entry."""
-    best_key, best = None, None
+    best_key, best = None, INF
     for key, ev in state.cache.entries.items():
-        summary = _fresh(state, ev)
-        if summary.merit < (INF if best is None else best.merit):
-            best_key, best = key, summary
+        _, value = _fresh(state, ev)
+        if value < best:
+            best_key, best = key, value
     return best_key, best
 
 
@@ -312,26 +311,26 @@ class TestKeptViolationTerms:
         real_try = madspip.solver._try_candidate
         causes = []
 
-        def checked_try(state, q, kind):
-            verdict, ev, value = real_try(state, q, kind)
+        def checked_try(state, q, kind, x=None):
+            verdict, ev, value = real_try(state, q, kind, x)
             if ev is not None:
-                fresh = _fresh(state, ev)
-                assert value == fresh.merit
-                assert state.kept[q] == (fresh.phi_prox, fresh.c_int, fresh.c_ext)
+                terms, fresh = _fresh(state, ev)
+                assert value == fresh
+                assert state.kept[q] == terms
             return verdict, ev, value
 
         def checked(state):
             q_before, flags_before = state.q_incumbent, list(state.record.flags)
             moved = not state.kept  # a partition move drops the kept terms
             real(state)
-            key, summary = _rescan(state)
+            key, best = _rescan(state)
             if key is None:
                 flags_before.append("reselection-found-no-finite-merit")
                 key = q_before
-                summary = _fresh(state, state.cache.entries[q_before])
+                _, best = _fresh(state, state.cache.entries[q_before])
             assert state.q_incumbent == key
             assert state.incumbent is state.cache.entries[key]
-            assert state.incumbent_merit == summary.merit
+            assert state.incumbent_merit == best
             assert state.record.flags == flags_before
             causes.append((state.record.problem_name, moved))
             return state
@@ -356,7 +355,7 @@ class TestKeptViolationTerms:
         state.merit_params = replace(state.merit_params, rho=1e-3)
         _, ev, value = madspip.solver._try_candidate(state, state.q_incumbent, "poll")
         assert ev is state.incumbent  # a cache hit
-        assert value == _fresh(state, ev).merit
+        assert value == _fresh(state, ev)[1]
         assert value != state.incumbent_merit
 
     def test_one_summary_per_key_and_partition(self, monkeypatch):
@@ -407,17 +406,31 @@ class TestSolve:
         record = solve(problem, x0, SolverConfig(max_evaluations=1500, seed=1), x0_id="feasible-0")
         assert record.best_feasible_f == pytest.approx(optimum.f_star, abs=1e-4)
 
-    def test_rows_are_laid_out_as_history_row_lays_them_out(self):
+    def test_rows_have_the_reference_layout(self):
+        # the literal row layout: key order, the status set, and list-valued
+        # x, g and h (None on a bounds rejection)
+        keys = [
+            "eval_index", "x", "f", "g", "h", "cint", "cext", "rho",
+            "delta_frame", "incumbent", "iteration", "status",
+        ]
+        known = {
+            "search-success", "poll-success", "unsuccessful", "cache-hit", "rejected-bounds", "failed",
+        }
         problem, _ = builtin_problem("two-ring")
         x0 = initial_point(problem, "feasible-0")
         for mode in (MODE_PIP, MODE_EXTREME_BARRIER):
             record = solve(problem, x0, SolverConfig(max_evaluations=300, seed=2, mode=mode))
             statuses = set()
             for row in record.rows:
-                expected = history_row(**row)
-                assert list(row.items()) == list(expected.items())
-                assert [type(row[k]) for k in ("x", "g", "h")] == [type(expected[k]) for k in ("x", "g", "h")]
+                assert list(row) == keys
+                assert type(row["x"]) is list
+                bounds = row["status"] == "rejected-bounds"
+                for k in ("g", "h"):
+                    assert row[k] is None if bounds else type(row[k]) is list
+                assert (row["cint"] is None) == (bounds or mode == MODE_EXTREME_BARRIER)
+                assert (row["rho"] is None) == (mode == MODE_EXTREME_BARRIER)
                 statuses.add(row["status"])
+            assert statuses <= known
             assert {"unsuccessful", "poll-success", "rejected-bounds"} <= statuses
 
     def test_budget_exhausted_after_init(self):

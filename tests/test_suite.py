@@ -60,7 +60,7 @@ class TestOptimaAttained:
         problem, optimum = builtin_problem(name)
         assert problem.contains(minimizer)
         ev = evaluate(problem, minimizer, Cache())
-        assert is_feasible(ev, eq_tol=1e-8)
+        assert is_feasible(ev)
         assert ev.f == pytest.approx(optimum.f_star, abs=1e-12)
 
 
@@ -145,7 +145,7 @@ class TestInitialPoints:
         for i in range(3):
             x0 = initial_point(problem, f"feasible-{i}")
             ev = evaluate(problem, x0, Cache())
-            assert is_feasible(ev, eq_tol=1e-8)
+            assert is_feasible(ev)
             assert problem.contains(x0)
 
     @pytest.mark.parametrize("name", names())
@@ -154,7 +154,7 @@ class TestInitialPoints:
         for i in range(3):
             x0 = initial_point(problem, f"infeasible-{i}")
             ev = evaluate(problem, x0, Cache())
-            assert not is_feasible(ev, eq_tol=1e-8)
+            assert not is_feasible(ev)
             assert problem.contains(x0)
 
     @pytest.mark.parametrize("name", ["sphere-eq", "sphere-eq-3", "mixed-kkt"])
@@ -162,7 +162,7 @@ class TestInitialPoints:
         problem, _ = builtin_problem(name)
         x0 = initial_point(problem, "feasible-0")
         ev = evaluate(problem, x0, Cache())
-        assert is_feasible(ev, eq_tol=1e-8)
+        assert is_feasible(ev)
 
     def test_deterministic(self):
         problem, _ = builtin_problem("unit-disk")
