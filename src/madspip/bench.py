@@ -88,17 +88,17 @@ class RunView:
 
 
 def _row_entry(row: dict, idx: int) -> Tuple[float, bool]:
-    """``(f, feasible)`` of an evaluation row; ``ValueError`` when ``f`` is not
-    a float (a run writes every ``f`` as one), ``g`` or ``h`` is not a list,
-    the feasibility test meets an entry that is not a number, or ``f`` is
-    NaN, ``-inf``, or ``+inf`` on a feasible row."""
+    """``(f, feasible)`` of an evaluation row; ``ValueError`` when ``f`` or an
+    entry of ``g`` or ``h`` is not a float (a run writes each as one), ``g``
+    or ``h`` is not a list, or ``f`` is NaN, ``-inf``, or ``+inf`` on a
+    feasible row."""
     f, g, h = row.get("f"), row.get("g") or [], row.get("h") or []
     if not (type(f) is float and isinstance(g, list) and isinstance(h, list)):
         raise ValueError(f"evaluation {idx}: f is not a float or g, h are not lists")
-    try:
-        feasible = feasible_outputs(row.get("status") == "failed", g, h)
-    except TypeError as exc:  # an entry of g or h that is not a number
-        raise ValueError(f"evaluation {idx}: {exc}") from exc
+    for v in g + h:  # false and 0 would pass the feasibility test as 0.0
+        if type(v) is not float:
+            raise ValueError(f"evaluation {idx}: g or h entry {v!r} is not a float")
+    feasible = feasible_outputs(row.get("status") == "failed", g, h)
     # a run stores a non-finite f as +inf, and only on a failed evaluation
     if f != f or f == -math.inf or (feasible and f == math.inf):
         raise ValueError(f"evaluation {idx}: f {f!r} on a row that no run writes")

@@ -12,10 +12,11 @@ whenever ``c_int < 0`` and ``+inf`` otherwise.  Driving ``rho`` to zero drives
 the merit toward ``f`` on points that are strictly interior-feasible and
 exterior-feasible, and toward ``+inf`` everywhere else.
 
-A run varies only ``rho`` and ``b_ext`` (:class:`MeritParams`).  ``b_int``
-and the constants of the ``rho`` update are the module constants ``B_INT``,
-``THETA_RHO``, ``BETA``, ``B_RHO`` and ``B_C``.  All operations here are pure
-functions of their arguments.
+A run varies only ``rho`` and ``b_ext`` (:class:`MeritParams`).  ``b_int``,
+the starting ``rho``, the interior threshold of the starting partition and
+the constants of the ``rho`` update are the module constants ``B_INT``,
+``RHO0``, ``EPS_EXT``, ``THETA_RHO``, ``BETA``, ``B_RHO`` and ``B_C``.  All
+operations here are pure functions of their arguments.
 """
 
 from __future__ import annotations
@@ -41,12 +42,16 @@ _INF = math.inf
 #: Barrier scaling.  The log threshold is fixed to 1, which keeps the
 #: barrier term nonnegative on [-1, 0).
 B_INT = 1.0
+#: ``rho`` at the start of every run.
+RHO0 = 1e-1
 #: Factor by which ``rho`` shrinks whenever the update criterion fires.
 THETA_RHO = 1e-2
 #: ``beta``, ``b_rho`` and ``b_c`` relax the update criterion.
 BETA = 1.0 + 1e-9
 B_RHO = 10.0
 B_C = 1e10
+#: An inequality is interior (barrier-treated) once ``g <= -EPS_EXT``.
+EPS_EXT = 1e-14
 
 
 @dataclass(frozen=True)
@@ -72,12 +77,12 @@ class Partition:
         return len(self.g_int) + len(self.g_ext)
 
     @staticmethod
-    def from_initial(g_values: Sequence[float], eps_ext: float) -> "Partition":
-        """Partition by the starting point: indices with ``g <= -eps_ext``
+    def from_initial(g_values: Sequence[float]) -> "Partition":
+        """Partition by the starting point: indices with ``g <= -EPS_EXT``
         are safely interior and go to ``g_int``, everything else to ``g_ext``.
         """
-        g_int = [i for i, v in enumerate(g_values) if v <= -eps_ext]
-        g_ext = [i for i, v in enumerate(g_values) if not v <= -eps_ext]
+        g_int = [i for i, v in enumerate(g_values) if v <= -EPS_EXT]
+        g_ext = [i for i, v in enumerate(g_values) if not v <= -EPS_EXT]
         return Partition(g_int, g_ext)
 
     def moved_to_interior(self, indices: Iterable[int]) -> "Partition":

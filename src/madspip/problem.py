@@ -18,6 +18,7 @@ import json
 import logging
 import math
 import os
+import signal
 import subprocess
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -203,9 +204,7 @@ def is_feasible(evaluation: Evaluation) -> bool:
 
 def feasible_outputs(failed: bool, g: Sequence[float], h: Sequence[float]) -> bool:
     """:func:`is_feasible` on an evaluation's parts, for a history row that
-    holds them without an :class:`Evaluation`.  The entries are tested in
-    order, so a ``g`` or ``h`` entry that is not a number raises
-    ``TypeError`` only if every entry before it passed."""
+    holds them without an :class:`Evaluation`."""
     if failed:
         return False
     for v in g:
@@ -231,17 +230,31 @@ def run_external(
     answers with one line of ``1 + m + p`` decimals ordered ``f g_1..g_m
     h_1..h_p``.  A nonzero exit status, a timeout or unparsable output yields
     the all-infinite failure triple, with the diagnostic kept in the run log.
+
+    The executable runs in a session of its own, and a timeout (or any
+    exception, ``KeyboardInterrupt`` included) kills its whole process
+    group, so children it started do not outlive the call.
     """
     line = " ".join(f"{float(x):.17g}" for x in point) + "\n"
     failure = (_INF, (_INF,) * m, (_INF,) * p)
     try:
-        proc = subprocess.run(
+        with subprocess.Popen(
             [executable_path],
-            input=line,
-            capture_output=True,
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
             text=True,
-            timeout=timeout,
-        )
+            start_new_session=True,
+        ) as proc:
+            try:
+                stdout, stderr = proc.communicate(line, timeout=timeout)
+            except BaseException:
+                # the leader is not reaped yet, so its pid still names the group
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                raise
     except (subprocess.TimeoutExpired, OSError) as exc:
         log.warning("external evaluator %s failed to run: %s", executable_path, exc)
         return failure
@@ -250,23 +263,23 @@ def run_external(
             "external evaluator %s exited with status %d: %s",
             executable_path,
             proc.returncode,
-            proc.stderr.strip(),
+            stderr.strip(),
         )
         return failure
-    tokens = proc.stdout.strip().split()
+    tokens = stdout.strip().split()
     if len(tokens) != 1 + m + p:
         log.warning(
             "external evaluator %s returned %d values, expected %d (output %r)",
             executable_path,
             len(tokens),
             1 + m + p,
-            proc.stdout,
+            stdout,
         )
         return failure
     try:
         values = [float(t) for t in tokens]
     except ValueError:
-        log.warning("external evaluator %s produced unparsable output %r", executable_path, proc.stdout)
+        log.warning("external evaluator %s produced unparsable output %r", executable_path, stdout)
         return failure
     return values[0], tuple(values[1 : 1 + m]), tuple(values[1 + m :])
 

@@ -35,6 +35,8 @@ from .merit import (
     B_INT,
     B_RHO,
     BETA,
+    EPS_EXT,
+    RHO0,
     THETA_RHO,
     MeritParams,
     Partition,
@@ -66,10 +68,8 @@ MODE_EXTREME_BARRIER = "extreme-barrier"
 
 _INF = math.inf
 
-# Finest lattice a run accepts.  Offsets become coordinates through
-# ``q * 2**-lattice_bits``, which is exact while that product is a normal
-# float, so the lattice stays far from the 2**-1022 normal range bound.
-_MAX_LATTICE_BITS = 900
+#: A run stops once its frame size falls below this.
+DELTA_STOP = 1e-9
 
 
 class InitializationError(Exception):
@@ -78,23 +78,17 @@ class InitializationError(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run controls: budget, tolerances, seed, mode and the search switch."""
+    """Run controls: budget, seed, the search switch and mode.  Tolerances
+    are module constants (``DELTA_STOP``, ``merit.RHO0``, ``merit.EPS_EXT``)."""
 
     max_evaluations: int
     seed: int = 0
-    delta_stop: float = 1e-9
-    rho0: float = 1e-1
-    rho_stop: float = 1e-12
-    eps_ext: float = 1e-14
     search_enabled: bool = True
     mode: str = MODE_PIP
 
     def __post_init__(self):
         if self.max_evaluations < 1:
             raise ValueError("max_evaluations must be at least 1")
-        for name in ("delta_stop", "rho0", "rho_stop", "eps_ext"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
         if self.mode not in (MODE_PIP, MODE_EXTREME_BARRIER):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -194,14 +188,16 @@ def _merit_of(state: SolverState, key: Tuple[int, ...], evaluation: Evaluation) 
     return merit(evaluation.f, terms[1], terms[2], state.merit_params)
 
 
-def _lattice_bits(delta0: float, delta_stop: float) -> int:
+def _lattice_bits(delta0: float) -> int:
     """Bits below ``delta0`` needed by the finest mesh an iteration can use.
 
-    Iterations run only while ``delta_frame >= delta_stop``; at the lowest
-    such frame exponent ``e`` the mesh exponent is ``2 * e``.
+    Iterations run only while ``delta_frame >= DELTA_STOP``; at the lowest
+    such frame exponent ``e`` the mesh exponent is ``2 * e``.  That is 58
+    bits for ``delta0 = 1`` and 66 for ``delta0 = 10``, far from the 2**-1022
+    normal-float bound below which ``_point_of``'s scaling stops being exact.
     """
     exp = 0
-    while math.ldexp(delta0, exp - 1) >= delta_stop:
+    while math.ldexp(delta0, exp - 1) >= DELTA_STOP:
         exp -= 1
     return -2 * exp
 
@@ -260,10 +256,11 @@ def _append_row(
 def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> SolverState:
     """Evaluate the starting point and set up partition, scalings and mesh.
 
-    In pip mode the inequality indices strictly inside by ``eps_ext`` seed
-    the interior set and the exterior scaling comes from ``|f(x0)|``; a
-    failed starting evaluation is an initialization error.  Extreme-barrier
-    mode additionally requires ``p == 0`` and a feasible ``x0``.
+    In pip mode the inequality indices strictly inside by ``merit.EPS_EXT``
+    seed the interior set, ``rho`` starts at ``merit.RHO0`` and the exterior
+    scaling comes from ``|f(x0)|``; a failed starting evaluation is an
+    initialization error.  Extreme-barrier mode additionally requires
+    ``p == 0`` and a feasible ``x0``.
     """
     if len(x0) != problem.n:
         raise InitializationError(
@@ -286,12 +283,7 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
     # size; evaluation points are mapped back to original coordinates.
     x_unit = initial_frame_size(problem.bounds)
     mesh = MeshState(10.0 if problem.bounds is not None else x_unit)
-    lattice_bits = _lattice_bits(mesh.delta0, config.delta_stop)
-    if lattice_bits > _MAX_LATTICE_BITS:
-        raise InitializationError(
-            f"delta_stop {config.delta_stop!r} is too small for the initial frame size "
-            f"{mesh.delta0!r}: the mesh would need 2**-{lattice_bits} steps"
-        )
+    lattice_bits = _lattice_bits(mesh.delta0)
     cache = Cache()
     rng = np.random.default_rng(config.seed)
     q0 = (0,) * problem.n
@@ -325,17 +317,17 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
             raise InitializationError(
                 "starting evaluation failed; the exterior scaling needs a finite f(x0)"
             )
-        state.partition = Partition.from_initial(ev0.g, config.eps_ext)
-        state.merit_params = MeritParams(rho=config.rho0, b_ext=compute_b_ext(ev0.f))
+        state.partition = Partition.from_initial(ev0.g)
+        state.merit_params = MeritParams(rho=RHO0, b_ext=compute_b_ext(ev0.f))
         record.params = {
-            "rho0": config.rho0,
+            "rho0": RHO0,
             "theta_rho": THETA_RHO,
             "beta": BETA,
             "b_rho": B_RHO,
             "b_c": B_C,
             "b_int": B_INT,
             "b_ext": state.merit_params.b_ext,
-            "eps_ext": config.eps_ext,
+            "eps_ext": EPS_EXT,
             "m": problem.m,
         }
     else:
@@ -487,7 +479,7 @@ def iterate(state: SolverState) -> str:
     moved: List[int] = []
     if state.pip and not rho_reduced and not state.incumbent.failed:
         g = state.incumbent.g
-        moved = [i for i in state.partition.g_ext if g[i] <= -state.config.eps_ext]
+        moved = [i for i in state.partition.g_ext if g[i] <= -EPS_EXT]
         if moved:
             state.partition = state.partition.moved_to_interior(moved)
             state.kept.clear()
@@ -534,9 +526,11 @@ def solve(
 ) -> RunRecord:
     """Run to budget exhaustion or convergence; deterministic in the seed.
 
-    Stops when the budget is spent (``budget-exhausted``), the frame size
-    falls below ``delta_stop`` (``delta-converged``), or in pip mode ``rho``
-    falls below ``rho_stop`` (``rho-converged``).
+    Stops when the budget is spent (``budget-exhausted``) or the frame size
+    falls below ``DELTA_STOP`` (``delta-converged``).  ``rho`` needs no stop
+    of its own: a cut needs the next frame at most ``B_RHO * rho**BETA``, and
+    that frame is at least ``DELTA_STOP / 2``, so ``rho`` never falls below
+    ``RHO0 * THETA_RHO**5 = 1e-11``.
     """
     state = init_state(problem, x0, config)
     state.record.x0_id = x0_id
@@ -544,11 +538,8 @@ def solve(
         if state.cache.eval_count >= config.max_evaluations:
             outcome = "budget-exhausted"
             break
-        if state.mesh.delta_frame < config.delta_stop:
+        if state.mesh.delta_frame < DELTA_STOP:
             outcome = "delta-converged"
-            break
-        if state.pip and state.merit_params.rho < config.rho_stop:
-            outcome = "rho-converged"
             break
         if iterate(state) == "budget":
             outcome = "budget-exhausted"

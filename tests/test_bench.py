@@ -295,6 +295,14 @@ class TestRunMatrix:
             {"eval_index": 0, "x": [0.0], "f": math.nan, "g": [], "h": []},
             {"eval_index": 0, "x": [0.0], "f": -math.inf, "g": [-1.0], "h": [0.0]},
             {"eval_index": 0, "x": [0.0], "f": math.inf, "g": [-1.0], "h": []},
+            # a run writes every g and h entry as a float; false and 0 compare
+            # as the number 0 and would make these rows feasible
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [False], "h": []},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [], "h": [False]},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [0], "h": []},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [-1.0, 0], "h": []},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [], "h": [0]},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [True], "h": []},
         ],
     )
     def test_view_of_history_rejects_rows_no_run_writes(self, row):

@@ -582,6 +582,7 @@ class TestProfileCommand:
         [
             '{"eval_index": 0, "x": [0.0]}',
             '{"eval_index": 0, "x": [0.0], "f": 1.0, "g": 5}',
+            '{"eval_index": 0, "x": [0.0], "f": 1.0, "g": [false], "h": []}',
             '[0.0, 1.0]',
         ],
     )

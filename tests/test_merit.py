@@ -44,7 +44,7 @@ class TestPartition:
             Partition([0], [2])
 
     def test_from_initial_threshold(self):
-        p = Partition.from_initial([-0.5, 0.3], eps_ext=1e-14)
+        p = Partition.from_initial([-0.5, 0.3])
         assert p.g_int == (0,) and p.g_ext == (1,)
 
     def test_move_is_one_directional(self):

@@ -1,7 +1,11 @@
+import contextlib
 import inspect
 import json
 import math
+import os
+import signal
 import stat
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +28,16 @@ from madspip.solver import MODE_EXTREME_BARRIER, MODE_PIP, InitializationError, 
 from madspip.suite import builtin_problems, initial_point
 
 INF = math.inf
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process; a zombie has already exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
 
 
 def sphere_problem():
@@ -167,6 +181,43 @@ class TestRunExternal:
         exe = make_script(tmp_path, "short.sh", 'read line; echo "1.0"')
         f, g, h = run_external(exe, (0.0,), timeout=10.0, m=1, p=0)
         assert f == INF and g == (INF,)
+
+    def test_timeout_returns_the_failure_triple(self, tmp_path):
+        exe = make_script(tmp_path, "slow.sh", "exec sleep 30")
+        start = time.monotonic()
+        assert run_external(exe, (0.0,), timeout=0.3, m=1, p=1) == (INF, (INF,), (INF,))
+        assert time.monotonic() - start < 10.0
+
+    def test_missing_executable_returns_the_failure_triple(self, tmp_path):
+        missing = str(tmp_path / "no-such-evaluator")
+        assert run_external(missing, (0.0,), timeout=10.0, m=1, p=0) == (INF, (INF,), ())
+
+    def test_non_executable_returns_the_failure_triple(self, tmp_path):
+        path = tmp_path / "plain.sh"
+        path.write_text('#!/bin/sh\necho "1.0"\n')
+        assert run_external(str(path), (0.0,), timeout=10.0, m=0, p=0) == (INF, (), ())
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+    def test_timeout_kills_the_evaluators_own_children(self, tmp_path):
+        # the evaluator's shell waits on a background child; the timeout must
+        # take the child down with the shell rather than orphan it
+        pidfile = tmp_path / "child.pid"
+        exe = make_script(tmp_path, "spawner.sh", f'sleep 30 &\necho $! > "{pidfile}"\nwait')
+        pid = None
+        try:
+            assert run_external(exe, (0.0,), timeout=0.5, m=1, p=0) == (INF, (INF,), ())
+            pid = int(pidfile.read_text())
+            deadline = time.monotonic() + 5.0
+            while _running(pid) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not _running(pid)
+        finally:
+            if pid is None and pidfile.exists():
+                with contextlib.suppress(ValueError):
+                    pid = int(pidfile.read_text())
+            if pid is not None and _running(pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_wrapper_marks_failed_through_evaluate(self, tmp_path):
         exe = make_script(tmp_path, "inf2.sh", 'read line; echo "inf 0 0"')

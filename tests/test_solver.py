@@ -9,9 +9,10 @@ from fractions import Fraction
 import pytest
 
 import madspip.solver
-from madspip.merit import Partition, merit, violation_summary
+from madspip.merit import B_RHO, BETA, RHO0, THETA_RHO, Partition, merit, violation_summary
 from madspip.problem import Cache, Evaluation, Problem
 from madspip.solver import (
+    DELTA_STOP,
     MODE_EXTREME_BARRIER,
     MODE_PIP,
     InitializationError,
@@ -77,12 +78,6 @@ class TestInitState:
         problem = Problem("c", 2, 0, 0, lambda x: (1.0, (), ()))
         with pytest.raises(InitializationError, match="not finite"):
             solve(problem, (bad, 0.0), SolverConfig(max_evaluations=30))
-
-    def test_delta_stop_finer_than_float_coordinates_is_error(self):
-        problem = Problem("c", 1, 0, 0, lambda x: (x[0], (), ()))
-        init_state(problem, (0.0,), SolverConfig(max_evaluations=10, delta_stop=1e-130))
-        with pytest.raises(InitializationError, match="delta_stop"):
-            init_state(problem, (0.0,), SolverConfig(max_evaluations=10, delta_stop=1e-140))
 
     def test_x0_wrong_length(self):
         problem = constrained_problem([lambda x: -1.0])
@@ -189,24 +184,25 @@ class TestLattice:
             assert isinstance(key, tuple) and all(type(q) is int for q in key)
 
     def test_lattice_covers_the_finest_iterated_mesh(self):
-        # delta0 = 1, delta_stop = 2**-5: the last frame iterated is 2**-5,
-        # whose mesh 2**-10 is the lattice unit
+        # no bounds, so delta0 = 1: the last frame iterated is 2**-29, the
+        # smallest power of two not below DELTA_STOP = 1e-9, and its mesh
+        # 2**-58 is the lattice unit
         problem = Problem("bowl", 1, 0, 0, lambda x: (x[0] ** 2, (), ()))
-        config = SolverConfig(max_evaluations=500, delta_stop=2.0**-5, search_enabled=False)
+        config = SolverConfig(max_evaluations=500, search_enabled=False)
         state = init_state(problem, (0.0,), config)
-        assert state.lattice_bits == 10
+        assert state.lattice_bits == 58
         record = solve(problem, (0.0,), config)
         assert record.outcome == "delta-converged"
-        assert record.final_delta == 2.0**-6
+        assert record.final_delta == 2.0**-30
 
     def test_points_are_the_exact_offsets_rounded_once(self):
         # x = anchor + unit * (q / 2**bits) with the quotient rounded once,
-        # for offsets beyond 2**53 and every lattice a run accepts
+        # for offsets beyond 2**53 and lattices far finer than a run uses
         rng = random.Random(7)
         problem = Problem("c", 1, 0, 0, lambda x: (x[0], (), ()))
         state = init_state(problem, (0.3,), SolverConfig(max_evaluations=10))
         for _ in range(3000):
-            bits = rng.randint(0, madspip.solver._MAX_LATTICE_BITS)
+            bits = rng.randint(0, 900)
             state.lattice_bits = bits
             state.lattice_scale = math.ldexp(1.0, -bits)
             state.x_unit = rng.uniform(1e-3, 1e3)
@@ -216,9 +212,9 @@ class TestLattice:
 
     def test_mesh_finer_than_lattice_rejected(self):
         problem = Problem("bowl", 1, 0, 0, lambda x: (x[0] ** 2, (), ()))
-        state = init_state(problem, (0.0,), SolverConfig(max_evaluations=500, delta_stop=0.25))
-        assert state.lattice_bits == 4
-        state.mesh = replace(state.mesh, exp=-3)
+        state = init_state(problem, (0.0,), SolverConfig(max_evaluations=500))
+        assert state.lattice_bits == 58
+        state.mesh = replace(state.mesh, exp=-30)
         with pytest.raises(ValueError):
             iterate(state)
 
@@ -477,15 +473,16 @@ class TestSolve:
         assert record.partition_trace
         assert [idx for _, idx in record.partition_trace] == [0]
 
-    def test_rho_stop_exit_is_rho_converged(self):
-        # rho_stop above rho0 * theta_rho = 1e-3: the first rho cut ends the run
-        problem = Problem("bowl", 1, 0, 0, lambda x: (x[0] ** 2, (), ()))
-        config = SolverConfig(max_evaluations=500, rho_stop=1e-2, search_enabled=False)
-        record = solve(problem, (0.0,), config)
-        assert record.outcome == "rho-converged"
-        assert len(record.rho_trace) == 1
-        assert record.final_rho == pytest.approx(1e-3)
-        assert record.final_delta >= config.delta_stop
+    def test_frame_floor_bounds_rho_after_five_cuts(self):
+        # a cut needs delta_next <= B_RHO * rho**BETA, and every iterated
+        # frame's successor is at least DELTA_STOP / 2
+        floor = DELTA_STOP / 2
+        fifth_cut_bound = B_RHO * (RHO0 * THETA_RHO**4) ** BETA
+        sixth_cut_bound = B_RHO * (RHO0 * THETA_RHO**5) ** BETA
+        assert sixth_cut_bound < floor <= fifth_cut_bound, (
+            "the solver has no rho stop because the frame floor DELTA_STOP / 2 allows a "
+            "5th rho cut (to RHO0 * THETA_RHO**5) and no 6th; these constants change that"
+        )
 
     def test_summary_line_fields(self):
         problem, _ = builtin_problem("unit-disk")

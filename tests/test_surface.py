@@ -1,7 +1,9 @@
 """The package's public surface: the exported names and each submodule's
 ``__all__`` are pinned, and every module's ``__all__`` names something that
-exists."""
+exists.  ``SolverConfig``'s fields are pinned too, and the tolerance constants
+stay out of every ``__all__``, so a setting that grows back shows in a diff."""
 
+import dataclasses
 import importlib
 import pkgutil
 
@@ -83,3 +85,14 @@ def test_every_module_is_pinned():
 def test_module_exports_exactly_the_pinned_names(module):
     mod = importlib.import_module(f"madspip.{module}")
     assert getattr(mod, "__all__", None) == MODULE_NAMES[module]
+
+
+def test_solver_config_holds_only_what_callers_set():
+    fields = tuple(f.name for f in dataclasses.fields(madspip.SolverConfig))
+    assert fields == ("max_evaluations", "seed", "search_enabled", "mode")
+
+
+@pytest.mark.parametrize("module", ["madspip"] + [f"madspip.{m}" for m in MODULES])
+def test_tolerance_constants_stay_unexported(module):
+    exported = set(getattr(importlib.import_module(module), "__all__", ()))
+    assert exported.isdisjoint({"DELTA_STOP", "RHO0", "EPS_EXT"})
