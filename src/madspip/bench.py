@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import InitVar, dataclass, field, replace
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .problem import feasible_outputs
 from .solver import RunRecord, SolverConfig, InitializationError, solve
@@ -64,15 +64,37 @@ class ProfileCurve:
 
 @dataclass(frozen=True)
 class RunView:
-    """The slice of one run that profiles need: per-evaluation objective and
-    feasibility, in evaluation order."""
+    """The slice of one run that profiles need, built from its
+    per-evaluation ``(f, feasible)`` pairs in evaluation order.
+
+    A profile depends on a run only through its strict improvements of the
+    best feasible ``f``, so the view keeps ``count``, the number of
+    evaluations, and ``steps``: one ``(position, f)`` pair per improvement,
+    the first feasible evaluation included.  Its memory grows with the
+    improvements, not the evaluations.
+    """
 
     problem: str
     x0_id: str
     seed: int
     mode: str
     n: int
-    evals: Tuple[Tuple[float, bool], ...]
+    evals: InitVar[Iterable[Tuple[float, bool]]]
+    count: int = field(init=False)
+    steps: Tuple[Tuple[int, float], ...] = field(init=False)
+
+    def __post_init__(self, evals):
+        steps = []
+        best = None
+        position = -1
+        for position, (f, feasible) in enumerate(evals):
+            # the first feasible f, then each one below the best so far: an
+            # equal f (-0.0 after 0.0 too) is no improvement
+            if feasible and (best is None or f < best):
+                best = f
+                steps.append((position, f))
+        object.__setattr__(self, "count", position + 1)
+        object.__setattr__(self, "steps", tuple(steps))
 
     @property
     def key(self) -> Key:
@@ -84,20 +106,21 @@ class RunView:
 
     @property
     def group_count(self) -> int:
-        return math.ceil(len(self.evals) / (self.n + 1))
+        return math.ceil(self.count / (self.n + 1))
 
 
 def _row_entry(row: dict, idx: int) -> Tuple[float, bool]:
     """``(f, feasible)`` of an evaluation row; ``ValueError`` when ``f`` or an
     entry of ``g`` or ``h`` is not a float (a run writes each as one), ``g``
-    or ``h`` is not a list, or ``f`` is NaN, ``-inf``, or ``+inf`` on a
-    feasible row."""
-    f, g, h = row.get("f"), row.get("g") or [], row.get("h") or []
-    if not (type(f) is float and isinstance(g, list) and isinstance(h, list)):
+    or ``h`` is not a list or tuple, or ``f`` is NaN, ``-inf``, or ``+inf``
+    on a feasible row."""
+    f, g, h = row.get("f"), row.get("g") or (), row.get("h") or ()
+    if not (type(f) is float and isinstance(g, (list, tuple)) and isinstance(h, (list, tuple))):
         raise ValueError(f"evaluation {idx}: f is not a float or g, h are not lists")
-    for v in g + h:  # false and 0 would pass the feasibility test as 0.0
-        if type(v) is not float:
-            raise ValueError(f"evaluation {idx}: g or h entry {v!r} is not a float")
+    for part in (g, h):
+        for v in part:  # false and 0 would pass the feasibility test as 0.0
+            if type(v) is not float:
+                raise ValueError(f"evaluation {idx}: g or h entry {v!r} is not a float")
     feasible = feasible_outputs(row.get("status") == "failed", g, h)
     # a run stores a non-finite f as +inf, and only on a failed evaluation
     if f != f or f == -math.inf or (feasible and f == math.inf):
@@ -111,10 +134,11 @@ def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, m
 
     The first row of each ``eval_index`` is that evaluation; bound
     rejections (no index) and cache hits (a repeated index) spend no budget.
-    A row that no run writes (not an object, a non-integer index, a bad
-    ``f``, ``g`` or ``h``, a non-finite ``f`` that is not ``+inf`` on an
-    infeasible row, or no ``x`` list in the first row) raises
-    ``ValueError``.
+    ``x``, ``g`` and ``h`` may be lists (read back) or tuples (a record's
+    rows in memory).  A row that no run writes (not an object, a non-integer
+    index, a bad ``f``, ``g`` or ``h``, a non-finite ``f`` that is not
+    ``+inf`` on an infeasible row, or no ``x`` array in the first row)
+    raises ``ValueError``.
     """
     true_rows: Dict[int, Tuple[float, bool]] = {}
     for row in rows:
@@ -126,11 +150,11 @@ def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, m
         if idx is None or idx in true_rows:
             continue
         true_rows[idx] = _row_entry(row, idx)
-    if rows and not isinstance(rows[0].get("x"), list):
+    if rows and not isinstance(rows[0].get("x"), (list, tuple)):
         raise ValueError("history row has no x list")
     n = len(rows[0]["x"]) if rows else 0
-    evals = tuple(true_rows[i] for i in sorted(true_rows))
-    return RunView(problem=problem, x0_id=x0_id, seed=seed, mode=mode, n=n, evals=evals)
+    evals = (true_rows[i] for i in sorted(true_rows))
+    return RunView(problem, x0_id, seed, mode, n, evals)
 
 
 def _as_view(run: Union[RunRecord, RunView]) -> RunView:
@@ -227,9 +251,11 @@ def convergence_index(
         raise ValueError("the reference value must not undercut f_star")
     view = _as_view(history)
     threshold = f_star + tau * (f_ref - f_star)
-    for index, (f, feasible) in enumerate(view.evals):
-        if feasible and f <= threshold:
-            return math.ceil((index + 1) / (view.n + 1))
+    # the first feasible f at or below the threshold undercuts every
+    # feasible f before it, so it is an improvement step
+    for position, f in view.steps:
+        if f <= threshold:
+            return math.ceil((position + 1) / (view.n + 1))
     return None
 
 
@@ -237,10 +263,9 @@ def feasibility_index(history: Union[RunRecord, RunView]) -> Optional[int]:
     """Smallest k whose first ``k * (n + 1)`` evaluations contain a feasible
     point."""
     view = _as_view(history)
-    for index, (_, feasible) in enumerate(view.evals):
-        if feasible:
-            return math.ceil((index + 1) / (view.n + 1))
-    return None
+    if not view.steps:
+        return None
+    return math.ceil((view.steps[0][0] + 1) / (view.n + 1))
 
 
 def _group_runs(
@@ -263,10 +288,10 @@ def best_feasible_table(
     table: Dict[InstanceKey, Optional[float]] = {key: None for key in instances}
     for view in views:
         best = table[view.instance_key]
-        for f, feasible in view.evals:
-            if feasible and (best is None or f < best):
-                best = f
-        table[view.instance_key] = best
+        if view.steps:
+            f = view.steps[-1][1]  # the run's best, first reached
+            if best is None or f < best:
+                table[view.instance_key] = f
     if known:
         for key in table:
             f_star = known.get(key[0])
@@ -283,20 +308,16 @@ def reference_table(records) -> Dict[InstanceKey, Optional[float]]:
     table: Dict[InstanceKey, Optional[float]] = {key: None for key in instances}
     from_x0 = set()
     for view in views:
-        if not view.evals:
-            continue
-        f0, feasible0 = view.evals[0]
-        if feasible0:
-            table[view.instance_key] = f0
+        if view.steps and view.steps[0][0] == 0:  # x0 is feasible: f(x0)
+            table[view.instance_key] = view.steps[0][1]
             from_x0.add(view.instance_key)
     for view in views:
         key = view.instance_key
-        if key in from_x0:
+        if key in from_x0 or not view.steps:
             continue
-        first_feasible = next((f for f, feasible in view.evals if feasible), None)
-        if first_feasible is not None:
-            current = table[key]
-            table[key] = first_feasible if current is None else max(current, first_feasible)
+        first_feasible = view.steps[0][1]
+        current = table[key]
+        table[key] = first_feasible if current is None else max(current, first_feasible)
     return table
 
 

@@ -272,11 +272,15 @@ def cmd_bench(args) -> int:
 
 
 def _parse_history_name(name: str):
+    """The run key of a history that :func:`_run_name` names; a seed spelt
+    any other way (``seed05``, ``seed+5``, non-ASCII digits) is refused, so
+    no two files parse to one key."""
     stem = name[: -len(".jsonl")] if name.endswith(".jsonl") else name
     parts = stem.split("__")
-    if len(parts) != 4 or not parts[2].startswith("seed"):
+    seed = parts[2][4:] if len(parts) == 4 and parts[2].startswith("seed") else ""
+    if not (seed.isascii() and seed.isdigit() and str(int(seed)) == seed):
         raise ValueError(f"history file name {name!r} does not encode a run key")
-    return parts[0], parts[1], int(parts[2][4:]), parts[3]
+    return parts[0], parts[1], int(seed), parts[3]
 
 
 def cmd_profile(args) -> int:

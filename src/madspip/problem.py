@@ -20,6 +20,7 @@ import math
 import os
 import signal
 import subprocess
+from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
@@ -299,29 +300,44 @@ class ExternalEvaluator:
 
 _ROW_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
+#: Rows encoded per write: the text of one batch is the most of a history
+#: held as strings at once.
+_WRITE_BATCH = 64
 
-def write_atomic(path, text: str) -> None:
-    """Write ``text`` to a sibling temp file that then replaces ``path``, so
-    a killed process leaves either the old file or the new one."""
+
+@contextmanager
+def _atomic_file(path):
+    """A text file open for writing on a sibling temp file, which replaces
+    ``path`` when the block ends and is removed when it raises, so a killed
+    process leaves either the old file or the new one."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through :func:`_atomic_file`."""
+    with _atomic_file(path) as fh:
+        fh.write(text)
+
+
 def write_history(rows: Sequence[dict], path) -> None:
     """Persist history rows as JSONL, one object per line, atomically.
 
-    Each line is ``_ROW_ENCODER.encode(row)``.  Non-finite values are
-    emitted as ``Infinity`` tokens, which :func:`json.loads` reads back; the
-    byte stream is deterministic for a given row sequence.  Every row is
-    encoded before any file is touched, so a row that cannot be encoded
-    leaves ``path`` as it was.
+    Each line is ``_ROW_ENCODER.encode(row)``; tuples and lists both become
+    arrays.  Non-finite values are emitted as ``Infinity`` tokens, which
+    :func:`json.loads` reads back; the byte stream is deterministic for a
+    given row sequence.  Rows are encoded and written in batches into the
+    sibling temp file of :func:`_atomic_file`, so the whole history is never
+    one string; the temp file replaces ``path`` only after the last row is
+    written, and a row that cannot be encoded removes it and leaves ``path``
+    as it was.
     """
     # the C encoder that JSONEncoder.encode builds afresh for every call, built
     # once for all the rows; its circular-reference markers empty again as
@@ -332,7 +348,10 @@ def write_history(rows: Sequence[dict], path) -> None:
         enc.indent, enc.key_separator, enc.item_separator, enc.sort_keys,
         enc.skipkeys, enc.allow_nan,
     )
-    write_atomic(path, "".join(["".join(encode(row, 0)) + "\n" for row in rows]))
+    with _atomic_file(path) as fh:
+        for start in range(0, len(rows), _WRITE_BATCH):
+            batch = rows[start : start + _WRITE_BATCH]
+            fh.write("".join(["".join(encode(row, 0)) + "\n" for row in batch]))
 
 
 # the scanner json.loads runs, without its per-call Python layers

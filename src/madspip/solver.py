@@ -203,8 +203,7 @@ def _lattice_bits(delta0: float) -> int:
 
 
 def _point_of(state: SolverState, q: Sequence[int]) -> List[float]:
-    """Original coordinates of the lattice point ``q``, as the list that
-    its history row holds."""
+    """Original coordinates of the lattice point ``q``."""
     unit = state.x_unit
     scale = state.lattice_scale
     # qi * scale is the exact offset qi / 2**lattice_bits rounded once:
@@ -216,7 +215,7 @@ def _append_row(
     state: SolverState,
     evaluation: Optional[Evaluation],
     key: Tuple[int, ...],
-    x: List[float],
+    x: Tuple[float, ...],
     status: str,
     incumbent: bool,
     delta_frame: float,
@@ -227,13 +226,19 @@ def _append_row(
     ``poll-success``, ``unsuccessful``, ``cache-hit``, ``rejected-bounds``
     and ``failed``.  A bounds rejection (no ``evaluation``) has ``None`` for
     every evaluation field; ``cint``, ``cext`` and ``rho`` are ``None``
-    outside pip mode.  ``x`` becomes the row's own list.
+    outside pip mode.
+
+    An evaluated row holds the cached evaluation's own ``point`` (as ``x``),
+    ``g`` and ``h`` tuples, never copies, and a bounds rejection its mapped
+    point as a tuple: each value is stored once, and the cyclic GC stops
+    tracking the row at its next full collection.  The JSON encoder writes
+    the tuples as arrays.
     """
     rho = state.merit_params.rho if state.pip else None
     if evaluation is None:
         f = g = h = eval_index = cint = cext = None
     else:
-        f, g, h, eval_index = evaluation.f, list(evaluation.g), list(evaluation.h), evaluation.eval_index
+        f, g, h, eval_index = evaluation.f, evaluation.g, evaluation.h, evaluation.eval_index
         cint = cext = None
         if state.pip:
             _, cint, cext = state.kept[key]
@@ -337,7 +342,7 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
             raise InitializationError("extreme-barrier mode needs a feasible starting point")
 
     state.incumbent_merit = _merit_of(state, q0, ev0)
-    _append_row(state, ev0, q0, list(x0), "unsuccessful", True, mesh.delta_frame)
+    _append_row(state, ev0, q0, ev0.point, "unsuccessful", True, mesh.delta_frame)
     return state
 
 
@@ -404,7 +409,7 @@ def _try_candidate(
     if x is None:
         x = _point_of(state, q)
         if not state.problem.contains(x):
-            _append_row(state, None, q, x, "rejected-bounds", False, state.mesh.delta_frame)
+            _append_row(state, None, q, tuple(x), "rejected-bounds", False, state.mesh.delta_frame)
             return "rejected", None, None
     cache = state.cache
     count = len(cache.entries)
@@ -424,7 +429,7 @@ def _try_candidate(
         status = "failed"
     else:
         status = "unsuccessful"
-    _append_row(state, ev, q, x, status, improving, state.mesh.delta_frame)
+    _append_row(state, ev, q, ev.point, status, improving, state.mesh.delta_frame)
     return ("accepted" if improving else "rejected"), ev, value
 
 

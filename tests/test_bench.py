@@ -4,6 +4,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, strategies as st
 
 import madspip.bench
 from madspip.bench import (
@@ -13,6 +14,7 @@ from madspip.bench import (
     convergence_index,
     data_profile,
     export,
+    feasibility_index,
     feasibility_profile,
     reference_table,
     run_matrix,
@@ -27,6 +29,10 @@ def view(problem, x0_id, seed, mode, n, evals):
     return RunView(problem=problem, x0_id=x0_id, seed=seed, mode=mode, n=n, evals=tuple(evals))
 
 
+A_EVALS = [(10.0, True), (9.0, True), (8.5, True), (8.0, True), (7.0, True), (6.0, True),
+           (2.0, True)]
+
+
 def fixture_views():
     """Three hand-built n=2 instances (groups of three evaluations).
 
@@ -36,9 +42,7 @@ def fixture_views():
     C: first feasible at evaluation index 3 (group 2) with value 5.0,
        which is also its best and reference value.
     """
-    a = view("A", "feasible-0", 1, "pip", 2, [(10.0, True), (9.0, True), (8.5, True),
-                                              (8.0, True), (7.0, True), (6.0, True),
-                                              (2.0, True)])
+    a = view("A", "feasible-0", 1, "pip", 2, A_EVALS)
     b = view("B", "infeasible-0", 1, "pip", 2, [(3.0, False), (2.0, False),
                                                 (1.0, False), (0.5, False), (0.1, False)])
     c = view("C", "infeasible-0", 1, "pip", 2, [(9.0, False), (8.0, False),
@@ -145,7 +149,7 @@ class TestProfiles:
 
     def test_identical_records_identical_curves(self):
         a = fixture_views()[0]
-        twin = view("A", "feasible-0", 1, "eb", 2, a.evals)
+        twin = view("A", "feasible-0", 1, "eb", 2, A_EVALS)
         curves = data_profile([a, twin], 0.1, best_feasible_table([a, twin]), reference_table([a, twin]))
         assert curves[0].fraction == curves[1].fraction
 
@@ -182,6 +186,106 @@ class TestProfiles:
             for curve in feasibility_profile(views) + data_profile(views, 0.3, f_star, f_ref):
                 assert all(b >= a for a, b in zip(curve.fraction, curve.fraction[1:]))
                 assert all(0.0 <= f <= 1.0 for f in curve.fraction)
+
+
+# The per-evaluation definitions that RunView's steps replace, kept as the
+# reference: each reads the full (f, feasible) sequence of a run.
+def per_eval_convergence(evals, n, threshold):
+    for index, (f, feasible) in enumerate(evals):
+        if feasible and f <= threshold:
+            return math.ceil((index + 1) / (n + 1))
+    return None
+
+
+def per_eval_feasibility(evals, n):
+    for index, (_, feasible) in enumerate(evals):
+        if feasible:
+            return math.ceil((index + 1) / (n + 1))
+    return None
+
+
+def per_eval_best_table(runs):
+    table = {}
+    for key, _, evals in runs:
+        best = table.get(key)
+        for f, feasible in evals:
+            if feasible and (best is None or f < best):
+                best = f
+        table[key] = best
+    return table
+
+
+def per_eval_reference_table(runs):
+    table = {key: None for key, _, _ in runs}
+    from_x0 = set()
+    for key, _, evals in runs:
+        if evals and evals[0][1]:
+            table[key] = evals[0][0]
+            from_x0.add(key)
+    for key, _, evals in runs:
+        if key in from_x0:
+            continue
+        first = next((f for f, feasible in evals if feasible), None)
+        if first is not None:
+            table[key] = first if table[key] is None else max(table[key], first)
+    return table
+
+
+def exact(table):
+    """A table with each float as its hex string, so -0.0 differs from 0.0."""
+    return {key: None if v is None else float.hex(v) for key, v in table.items()}
+
+
+# ties, repeated values and both zeros are drawn often; a run never writes a
+# feasible non-finite f, and stores an infeasible one as +inf
+_F = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+_EVAL = st.one_of(
+    st.tuples(_F, st.booleans()),
+    st.just((math.inf, False)),
+)
+_RUN = st.tuples(
+    st.sampled_from(["P", "Q"]), st.sampled_from(["pip", "eb"]), st.lists(_EVAL, max_size=30)
+)
+
+
+class TestCompressedViews:
+    @given(st.lists(_EVAL, max_size=40), st.integers(1, 4), _F, st.floats(0.0, 1e3),
+           st.sampled_from([1e-3, 0.1, 1.0]))
+    def test_indices_match_the_per_evaluation_definitions(self, evals, n, f_star, gap, tau):
+        v = view("P", "feasible-0", 1, "pip", n, evals)
+        assert v.count == len(evals)
+        assert v.group_count == math.ceil(len(evals) / (n + 1))
+        assert feasibility_index(v) == per_eval_feasibility(evals, n)
+        f_ref = f_star + gap
+        threshold = f_star + tau * (f_ref - f_star)
+        assert convergence_index(v, f_star, f_ref, tau) == per_eval_convergence(evals, n, threshold)
+
+    @given(st.lists(_RUN, min_size=1, max_size=6))
+    def test_tables_match_the_per_evaluation_definitions(self, runs):
+        by_key = {}
+        for problem, mode, evals in runs:
+            # one run per (instance, mode), as in a bench directory
+            by_key.setdefault((problem, "feasible-0", 1, mode), evals)
+        keyed = [(key[:3], key[3], evals) for key, evals in by_key.items()]
+        views = [view(*key, 2, evals) for key, evals in by_key.items()]
+        assert exact(best_feasible_table(views)) == exact(per_eval_best_table(keyed))
+        assert exact(reference_table(views)) == exact(per_eval_reference_table(keyed))
+
+    def test_steps_keep_the_first_of_equal_values(self):
+        v = view("P", "feasible-0", 1, "pip", 1,
+                 [(math.inf, False), (0.0, True), (-0.0, True), (0.0, True), (-1.0, False),
+                  (-0.5, True), (-0.5, True)])
+        assert v.count == 7
+        assert [(i, float.hex(f)) for i, f in v.steps] == [(1, "0x0.0p+0"), (5, "-0x1.0000000000000p-1")]
+
+    def test_empty_history(self):
+        v = view_of_history([], "P", "feasible-0", 1, "pip")
+        assert (v.n, v.count, v.steps, v.group_count) == (0, 0, (), 0)
+        assert feasibility_index(v) is None
+        assert best_feasible_table([v]) == reference_table([v]) == {("P", "feasible-0", 1): None}
 
 
 class TestExport:
@@ -269,7 +373,7 @@ class TestRunMatrix:
              "status": "unsuccessful"},
         ]
         v = view_of_history(rows, "eqp", "infeasible-0", 1, "pip")
-        assert all(not feasible for _, feasible in v.evals)
+        assert v.count == 2 and v.steps == ()  # neither evaluation is feasible
         curve = feasibility_profile([v])[0]
         assert all(f == 0.0 for f in curve.fraction)
 
@@ -317,7 +421,7 @@ class TestRunMatrix:
             {"eval_index": None, "x": [9.0], "f": None, "g": None, "h": None},
         ]
         v = view_of_history(rows, "p", "feasible-0", 1, "pip")
-        assert v.n == 1 and v.evals == ((2.0, True), (math.inf, False))
+        assert v.n == 1 and v.count == 2 and v.steps == ((0, 2.0),)
 
     def test_view_of_record_counts_true_evaluations(self):
         problem, _ = builtin_problem("unit-disk")
@@ -328,7 +432,7 @@ class TestRunMatrix:
             x0_id="feasible-0",
         )
         v = view_of_history(record.rows, *record.key)
-        assert len(v.evals) == record.evals_used
+        assert v.count == record.evals_used
 
     def test_solver_and_bench_agree_on_feasibility(self, tmp_path):
         # the solver's best feasible f and the bench's view of the history
@@ -336,20 +440,20 @@ class TestRunMatrix:
         problems = [p for p, _ in builtin_problems()]
         instances = make_instances(problems, 2, [1])
         jobs = [(inst, mode) for inst in instances for mode in ("pip", "extreme-barrier")]
-        checked, flags = [], set()
+        checked, feasible_starts = [], set()
         for key, record in run_matrix(jobs, budget=300).items():
             if record.outcome == "error":
                 continue  # extreme-barrier on equalities or infeasible starts
             path = tmp_path / ("__".join(map(str, key)) + ".jsonl")
             write_history(record.rows, path)
             view = view_of_history(read_history(path), *key)
-            feasible_f = [f for f, feasible in view.evals if feasible]
-            assert record.best_feasible_f == (min(feasible_f) if feasible_f else None), key
-            flags.update(feasible for _, feasible in view.evals)
+            best = view.steps[-1][1] if view.steps else None
+            assert record.best_feasible_f == best, key
+            feasible_starts.add(bool(view.steps) and view.steps[0][0] == 0)
             checked.append(key)
         assert {key[0] for key in checked} == {p.name for p in problems}
         assert {key[3] for key in checked} == {"pip", "extreme-barrier"}
-        assert flags == {True, False}
+        assert feasible_starts == {True, False}
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):

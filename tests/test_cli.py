@@ -596,6 +596,19 @@ class TestProfileCommand:
             "skipping unit-disk__feasible-9__seed1__pip.jsonl"
         ]
 
+    def test_second_spelling_of_a_seed_is_skipped(self, bench_dir, capsys):
+        # seed05 would parse to the run key of seed1's neighbour seed5 and
+        # feed the tables a history that the curves then drop
+        real = bench_dir / "two-ring__feasible-0__seed1__pip.jsonl"
+        (bench_dir / "two-ring__feasible-0__seed01__pip.jsonl").write_bytes(real.read_bytes())
+        code, out, _ = run_cli(capsys, "profile", "--histories", str(bench_dir))
+        assert code == 0
+        machine = machine_line(out)
+        assert machine["histories"] == 16
+        assert [w.split(":")[0] for w in machine["warnings"]] == [
+            "skipping two-ring__feasible-0__seed01__pip.jsonl"
+        ]
+
     def test_unreadable_history_warns_but_succeeds(self, bench_dir, capsys):
         (bench_dir / "unit-disk__feasible-9__seed1__pip.jsonl").mkdir()
         code, out, _ = run_cli(capsys, "profile", "--histories", str(bench_dir))
@@ -724,6 +737,20 @@ class TestHistoryNames:
     def test_malformed(self):
         with pytest.raises(ValueError):
             _parse_history_name("nope.jsonl")
+
+    @pytest.mark.parametrize(
+        "seed", ["05", "00", "+5", " 5", "5 ", "\u0665", "5_0", "-5", "", "5.0", "0x5"]
+    )
+    def test_seed_part_that_run_name_never_writes_is_rejected(self, seed):
+        # _run_name writes str(seed) of a non-negative int: only that spelling
+        # names a run, so two files cannot parse to one key
+        with pytest.raises(ValueError, match="does not encode a run key"):
+            _parse_history_name(f"two-ring__feasible-0__seed{seed}__pip.jsonl")
+
+    @pytest.mark.parametrize("seed", [0, 5, 10, 2**40])
+    def test_every_written_seed_round_trips(self, seed):
+        name = _run_name("two-ring", "feasible-0", seed, "pip") + ".jsonl"
+        assert _parse_history_name(name) == ("two-ring", "feasible-0", seed, "pip")
 
     @pytest.mark.parametrize("problem", ["unit-disk", "_lead", "a_b", "ext-line"])
     @pytest.mark.parametrize("x0_id", ["feasible-0", "literal", "_start", "x0.v2"])

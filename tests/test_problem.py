@@ -6,6 +6,7 @@ import os
 import signal
 import stat
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from madspip.problem import (
     write_history,
 )
 from madspip.solver import MODE_EXTREME_BARRIER, MODE_PIP, InitializationError, SolverConfig, solve
-from madspip.suite import builtin_problems, initial_point
+from madspip.suite import builtin_problem, builtin_problems, initial_point
 
 INF = math.inf
 
@@ -394,6 +395,24 @@ class TestWriteHistory:
             write_history(rows, path)
             assert path.read_bytes() == encoded_per_row(rows), problem.name
 
+    def test_streams_rows_without_holding_the_history_text(self, tmp_path):
+        # rows are encoded and written in batches: the whole history is never
+        # one string, so the write peaks well below the file it writes
+        problem, _ = builtin_problem("sphere-eq")
+        rows = solve(
+            problem, initial_point(problem, "feasible-0"), SolverConfig(max_evaluations=1500, seed=1)
+        ).rows[:1500]
+        assert len(rows) == 1500
+        path = tmp_path / "run.jsonl"
+        tracemalloc.start()
+        try:
+            write_history(rows, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == encoded_per_row(rows)
+        assert peak < path.stat().st_size / 2
+
     def test_hand_made_rows_encode_as_per_row_encode(self, tmp_path):
         rows = [
             {"f": INF, "g": [-INF, math.nan], "h": (0.0, -0.0), "cint": None},
@@ -451,5 +470,7 @@ class TestEvaluation:
     )
     def test_view_feasibility_is_is_feasible(self, g, h, status):
         row = {"eval_index": 0, "x": [0.0], "f": 2.0, "g": list(g), "h": list(h), "status": status}
-        (_, feasible), = view_of_history([row], "p", "feasible-0", 1, MODE_PIP).evals
+        view = view_of_history([row], "p", "feasible-0", 1, MODE_PIP)
+        assert view.count == 1
+        feasible = view.steps == ((0, 2.0),)
         assert feasible is is_feasible(Evaluation((0.0,), 2.0, g, h, 0, status == "failed"))

@@ -403,8 +403,8 @@ class TestSolve:
         assert record.best_feasible_f == pytest.approx(optimum.f_star, abs=1e-4)
 
     def test_rows_have_the_reference_layout(self):
-        # the literal row layout: key order, the status set, and list-valued
-        # x, g and h (None on a bounds rejection)
+        # the literal row layout: key order, the status set, and tuple-valued
+        # x, g and h (None on a bounds rejection), written as JSON arrays
         keys = [
             "eval_index", "x", "f", "g", "h", "cint", "cext", "rho",
             "delta_frame", "incumbent", "iteration", "status",
@@ -419,15 +419,52 @@ class TestSolve:
             statuses = set()
             for row in record.rows:
                 assert list(row) == keys
-                assert type(row["x"]) is list
+                assert type(row["x"]) is tuple
                 bounds = row["status"] == "rejected-bounds"
                 for k in ("g", "h"):
-                    assert row[k] is None if bounds else type(row[k]) is list
+                    assert row[k] is None if bounds else type(row[k]) is tuple
                 assert (row["cint"] is None) == (bounds or mode == MODE_EXTREME_BARRIER)
                 assert (row["rho"] is None) == (mode == MODE_EXTREME_BARRIER)
                 statuses.add(row["status"])
             assert statuses <= known
             assert {"unsuccessful", "poll-success", "rejected-bounds"} <= statuses
+
+    @pytest.mark.parametrize("name", ["two-ring", "mixed-kkt"])
+    def test_rows_share_the_cached_tuples_and_leave_the_gc(self, name):
+        # an evaluated row holds the cache entry's own point, g and h, so a
+        # held record stores each value once and, after a full collection,
+        # gives the cyclic GC no row to walk
+        problem, _ = builtin_problem(name)
+        state = init_state(
+            problem, initial_point(problem, "infeasible-0"),
+            SolverConfig(max_evaluations=300, seed=2),
+        )
+        while state.mesh.delta_frame >= DELTA_STOP and iterate(state) != "budget":
+            pass
+        entries = list(state.cache.entries.values())  # in eval_index order
+        rows = state.record.rows
+        gc.collect()
+        evaluated = 0
+        for row in rows:
+            assert not gc.is_tracked(row)
+            if row["eval_index"] is None:
+                assert type(row["x"]) is tuple and not gc.is_tracked(row["x"])
+                continue
+            ev = entries[row["eval_index"]]
+            assert row["x"] is ev.point and row["g"] is ev.g and row["h"] is ev.h
+            evaluated += 1
+        assert evaluated > len(entries) >= 100
+
+    def test_cache_hit_rows_hold_the_evaluated_point(self):
+        # the lattice maps the start (-0.0, -0.0) back to (0.0, 0.0); a later
+        # visit is a cache hit, and its row holds the point evaluated first
+        problem, _ = builtin_problem("two-ring")
+        record = solve(problem, (-0.0, -0.0), SolverConfig(max_evaluations=400, seed=1))
+        starts = [row for row in record.rows if row["eval_index"] == 0]
+        assert [row["status"] for row in starts[1:]] == ["cache-hit"] * (len(starts) - 1)
+        assert len(starts) >= 2
+        for row in starts:
+            assert [math.copysign(1.0, v) for v in row["x"]] == [-1.0, -1.0]
 
     def test_budget_exhausted_after_init(self):
         problem, _ = builtin_problem("unit-disk")
