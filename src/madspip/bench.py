@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import InitVar, dataclass, field, replace
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .problem import feasible_outputs
@@ -175,66 +176,49 @@ def run_matrix(
     jobs: Sequence[Tuple[Instance, str]],
     budget: int,
     max_workers: Optional[int] = None,
-    base_config: Optional[SolverConfig] = None,
-    on_record: Optional[Callable[[Key, RunRecord], None]] = None,
-) -> Dict[Key, RunRecord]:
+    search_enabled: bool = True,
+    on_record: Optional[Callable[[Key, RunRecord], object]] = None,
+) -> Dict[Key, object]:
     """Run each (instance, mode) job once; individual failures become error
     records and never abort the batch. Deterministic per key.
 
-    At most ``max_workers`` jobs (default: the usable CPUs, at most one per
-    job) are in flight, and the next job starts only when a finished record
-    has been handed to ``on_record(key, record)``, which runs in the calling
-    thread in completion order.  By default the records are collected and
-    returned in job order; with ``on_record`` given, the result is empty and
-    a record lives only until its callback returns, so memory is bounded by
-    the worker count.  An exception from a job or from ``on_record`` stops
-    the batch once the jobs in flight have finished.
+    A job solves and then, on the same pool thread, calls
+    ``on_record(key, record)``.  Its result is the callback's return value,
+    or the record when ``on_record`` is ``None``; the returned dict holds
+    the results in job order.  At most ``max_workers`` jobs (default: the
+    usable CPUs, at most one per job) are in flight, and a worker takes the
+    next job as soon as its own has finished.  A record outlives its job
+    only if the result keeps it, so with an ``on_record`` that drops it
+    memory is bounded by the worker count.  Once a job raises, in the solve
+    or in ``on_record``, no further job starts, and the exception is raised
+    when the jobs in flight have finished.
     """
     if len(jobs) == 0:
         raise ValueError("jobs must be nonempty")
+    stop = threading.Event()
 
-    def _run(instance: Instance, mode: str) -> RunRecord:
-        if base_config is None:
-            config = SolverConfig(max_evaluations=budget, seed=instance.seed, mode=mode)
-        else:
-            config = replace(
-                base_config, max_evaluations=budget, seed=instance.seed, mode=mode
-            )
+    def _job(key: Key, instance: Instance, mode: str):
+        if stop.is_set():
+            return None
         try:
-            return solve(instance.problem, instance.x0, config, x0_id=instance.x0_id)
-        except InitializationError as exc:
-            problem = instance.problem
-            return RunRecord(
-                problem.name, instance.x0_id, instance.seed, mode, problem.n, flags=[str(exc)]
-            )
+            config = SolverConfig(budget, instance.seed, search_enabled, mode)
+            try:
+                record = solve(instance.problem, instance.x0, config, x0_id=instance.x0_id)
+            except InitializationError as exc:
+                record = RunRecord(*key, instance.problem.n, flags=[str(exc)])
+            return record if on_record is None else on_record(key, record)
+        except BaseException:
+            stop.set()
+            raise
 
     keys = [(instance.problem.name, instance.x0_id, instance.seed, mode) for instance, mode in jobs]
-    collected: Dict[Key, RunRecord] = {}
-    if on_record is None:
-        on_record = collected.__setitem__
     workers = max_workers if max_workers is not None else min(_usable_cpus(), len(jobs))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        queue = iter(zip(keys, jobs))
-        running = {}
-
-        def _submit_next() -> None:
-            job = next(queue, None)
-            if job is not None:
-                key, (instance, mode) = job
-                running[pool.submit(_run, instance, mode)] = key
-
-        def _hand_on(future) -> None:
-            # the future holds its record: once popped it is dropped here
-            on_record(running.pop(future), future.result())
-
-        for _ in range(workers):
-            _submit_next()
-        while running:
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            while done:
-                _hand_on(done.pop())
-                _submit_next()
-    return {key: collected[key] for key in keys if key in collected}
+        try:
+            futures = [pool.submit(_job, key, *job) for key, job in zip(keys, jobs)]
+            return {key: future.result() for key, future in zip(keys, futures)}
+        finally:
+            stop.set()  # also after an interrupt in this thread: start no more jobs
 
 
 def convergence_index(
@@ -372,7 +356,8 @@ def feasibility_profile(records) -> List[ProfileCurve]:
 
 def export(curves: Sequence[ProfileCurve], format: str, path) -> None:
     """Write curves as CSV (columns label,tau,k,fraction) or as an SVG step
-    chart, deterministically."""
+    chart, deterministically; any label is safe (quoted in CSV when it holds
+    a comma, a quote or a line break, escaped as XML text in SVG)."""
     if len(curves) == 0:
         raise ValueError("no curves to export")
     if format == "csv":
@@ -383,13 +368,27 @@ def export(curves: Sequence[ProfileCurve], format: str, path) -> None:
         raise ValueError(f"unknown export format {format!r}")
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted RFC 4180 style when it needs it."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _export_csv(curves: Sequence[ProfileCurve], path) -> None:
     lines = ["label,tau,k,fraction"]
     for curve in curves:
+        label = _csv_field(curve.label)
         for k, fraction in zip(curve.groups, curve.fraction):
-            lines.append(f"{curve.label},{curve.tau!r},{k},{fraction!r}")
+            lines.append(f"{label},{curve.tau!r},{k},{fraction!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _xml_text(text: str) -> str:
+    """``text`` escaped as XML character data (``xml.sax.saxutils.escape``
+    would import ``urllib.request`` and the HTTP and SSL modules with it)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -454,7 +453,7 @@ def _export_svg(curves: Sequence[ProfileCurve], path) -> None:
             f'y2="{ly - 4}" stroke="{color}" stroke-width="1.8"/>'
         )
         parts.append(
-            f'<text x="{_W - _MARGIN - 80}" y="{ly}" font-size="12">{curve.label}</text>'
+            f'<text x="{_W - _MARGIN - 80}" y="{ly}" font-size="12">{_xml_text(curve.label)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .bench import (
     best_feasible_table,
@@ -43,6 +43,7 @@ from .suite import (
     initial_point,
     load_problem_file,
     make_instances,
+    read_key_values,
 )
 
 _CONFIG_KEYS = {
@@ -52,19 +53,10 @@ _CONFIG_KEYS = {
 
 
 def _read_config_file(path: str) -> Dict[str, str]:
-    values: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed config line: {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = value.strip()
+    values = read_key_values(path, "config")
+    for key in values:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
     return values
 
 
@@ -192,9 +184,8 @@ def cmd_bench(args) -> int:
         if not names or not modes:
             raise ValueError("at least one problem and one mode are required")
         problems = [builtin_problem(name)[0] for name in names]
-        base = SolverConfig(max_evaluations=args.budget, search_enabled=not args.no_search)
-        for mode in modes:  # an unknown mode fails here, before any run
-            dataclasses.replace(base, mode=mode)
+        for mode in modes:  # a bad budget or an unknown mode fails here, before any run
+            SolverConfig(max_evaluations=args.budget, mode=mode)
         if args.workers is not None and args.workers < 1:
             raise ValueError("--workers must be at least 1")
         instances = make_instances(problems, args.x0_count, seeds)
@@ -224,30 +215,27 @@ def cmd_bench(args) -> int:
     ]
     skipped = len(runs) - len(pending)
 
-    listed = set(done)
-    outcomes: List[tuple] = []  # (key, summary line, outcome) per finished run
-
-    def _keep(key, record) -> None:
+    def _keep(key, record):
         # write and list each run as it finishes, so an interrupted bench
-        # keeps it; only its summary line outlives this call
+        # keeps it; one O_APPEND write per line, so workers' lines never mix
         name = _run_name(*key)
         write_history(record.rows, out_dir / f"{name}.jsonl")
-        with manifest_path.open("a", encoding="utf-8") as fh:
-            fh.write(name + "\n")
-        listed.add(name)
-        outcomes.append((key, summary_line(record), record.outcome))
+        with manifest_path.open("ab", buffering=0) as fh:
+            fh.write(f"{name}\n".encode())
+        return summary_line(record), record.outcome
 
     try:
-        if pending:
-            run_matrix(
-                pending, args.budget, max_workers=args.workers, base_config=base, on_record=_keep
-            )
+        results = run_matrix(
+            pending, args.budget, max_workers=args.workers,
+            search_enabled=not args.no_search, on_record=_keep,
+        ) if pending else {}
+        listed = done | {_run_name(*key) for key in results}
         write_atomic(manifest_path, "\n".join(sorted(listed)) + "\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    outcomes.sort()
-    errors = sum(1 for _, _, outcome in outcomes if outcome == "error")
+    outcomes = sorted(results.items())  # (key, (summary line, outcome)) per run
+    errors = sum(1 for _, (_, outcome) in outcomes if outcome == "error")
     completed = len(outcomes) - errors
 
     machine = {
@@ -260,7 +248,7 @@ def cmd_bench(args) -> int:
         "skipped": skipped,
     }
     print(json.dumps(machine))
-    for _, line, _ in outcomes:
+    for _, (line, _) in outcomes:
         print(line)
     print(
         f"bench: {completed} runs completed, {errors} errors, {skipped} skipped, "

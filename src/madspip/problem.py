@@ -229,14 +229,15 @@ def run_external(
     Protocol: the point is written to stdin as a single line of
     whitespace-separated decimals (17 significant digits); the executable
     answers with one line of ``1 + m + p`` decimals ordered ``f g_1..g_m
-    h_1..h_p``.  A nonzero exit status, a timeout or unparsable output yields
-    the all-infinite failure triple, with the diagnostic kept in the run log.
+    h_1..h_p``.  A nonzero exit status, a timeout, or output that is not
+    UTF-8 or does not parse yields the all-infinite failure triple, with the
+    diagnostic kept in the run log; stderr only ever reaches the log.
 
     The executable runs in a session of its own, and a timeout (or any
     exception, ``KeyboardInterrupt`` included) kills its whole process
     group, so children it started do not outlive the call.
     """
-    line = " ".join(f"{float(x):.17g}" for x in point) + "\n"
+    line = (" ".join(f"{float(x):.17g}" for x in point) + "\n").encode()
     failure = (_INF, (_INF,) * m, (_INF,) * p)
     try:
         with subprocess.Popen(
@@ -244,7 +245,6 @@ def run_external(
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            text=True,
             start_new_session=True,
         ) as proc:
             try:
@@ -264,10 +264,15 @@ def run_external(
             "external evaluator %s exited with status %d: %s",
             executable_path,
             proc.returncode,
-            stderr.strip(),
+            stderr.decode("utf-8", "replace").strip(),
         )
         return failure
-    tokens = stdout.strip().split()
+    try:
+        stdout = stdout.decode("utf-8")
+    except UnicodeDecodeError:
+        log.warning("external evaluator %s wrote non-UTF-8 output %r", executable_path, stdout)
+        return failure
+    tokens = stdout.split()
     if len(tokens) != 1 + m + p:
         log.warning(
             "external evaluator %s returned %d values, expected %d (output %r)",

@@ -257,6 +257,23 @@ def check_name_part(what: str, value: str) -> str:
     return value
 
 
+def read_key_values(path, what: str) -> Dict[str, str]:
+    """The ``key = value`` lines of a flat file, both sides stripped; blank
+    lines and ``#`` comments are skipped, a later key wins, and a line
+    without ``=`` raises ``ValueError`` naming the file as ``what``."""
+    values: Dict[str, str] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"malformed {what} line: {line!r}")
+            key, _, value = line.partition("=")
+            values[key.strip()] = value.strip()
+    return values
+
+
 def load_problem_file(path, eval_exe: Optional[str] = None) -> Problem:
     """Read a problem from a flat key=value definition file.
 
@@ -266,16 +283,7 @@ def load_problem_file(path, eval_exe: Optional[str] = None) -> Problem:
     evaluator path.  The name becomes part of history file names, so it must
     pass :func:`check_name_part`.
     """
-    fields: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed problem definition line: {line!r}")
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
+    fields = read_key_values(path, "problem definition")
     try:
         name = fields["name"]
         n = int(fields["n"])

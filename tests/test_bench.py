@@ -1,7 +1,9 @@
+import csv
 import math
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, strategies as st
@@ -313,6 +315,17 @@ class TestExport:
         assert text.startswith("<svg")
         assert text.count("<polyline") == len(curves)
 
+    def test_any_label_round_trips(self, tmp_path):
+        label = 'a&b<c>,"d"\r\ne'
+        curves = [ProfileCurve(label, 0.1, (0, 1), (0.0, 0.5))]
+        export(curves, "csv", tmp_path / "p.csv")
+        export(curves, "svg", tmp_path / "p.svg")
+        with open(tmp_path / "p.csv", newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh))[1:] == [[label, "0.1", "0", "0.0"], [label, "0.1", "1", "0.5"]]
+        root = ElementTree.parse(tmp_path / "p.svg").getroot()
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[-1] == label.replace("\r\n", "\n")  # XML reads a line break as \n
+
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             export([], "csv", tmp_path / "x.csv")
@@ -459,21 +472,40 @@ class TestRunMatrix:
         with pytest.raises(ValueError):
             run_matrix([], budget=10)
 
-    def test_on_record_gets_each_record_in_the_calling_thread(self):
+    def test_on_record_runs_on_a_pool_thread_and_results_keep_job_order(self):
         instances = make_instances([builtin_problem("sphere-eq")[0]], 2, [1, 2])
         jobs = [(inst, mode) for inst in instances for mode in ("pip", "extreme-barrier")]
         keys = [(i.problem.name, i.x0_id, i.seed, mode) for i, mode in jobs]
-        handed = []
 
         def on_record(key, record):
-            handed.append((key, record.key, threading.get_ident()))
+            return key, record.key, threading.get_ident()
 
-        assert run_matrix(jobs, budget=60, max_workers=2, on_record=on_record) == {}
-        assert sorted(key for key, _, _ in handed) == sorted(keys)
-        assert all(key == record_key for key, record_key, _ in handed)
-        assert {thread for _, _, thread in handed} == {threading.get_ident()}
-        # by default the same records come back in job order
-        assert list(run_matrix(jobs, budget=60, max_workers=2)) == keys
+        results = run_matrix(jobs, budget=60, max_workers=2, on_record=on_record)
+        assert list(results) == keys
+        assert all(key == handed == record_key for key, (handed, record_key, _) in results.items())
+        assert threading.get_ident() not in {thread for _, _, thread in results.values()}
+        # without on_record the records themselves come back, in job order
+        records = run_matrix(jobs, budget=60, max_workers=2)
+        assert [record.key for record in records.values()] == keys
+
+    def test_no_job_starts_after_on_record_raises(self, monkeypatch):
+        instances = make_instances([builtin_problem("unit-disk")[0]], 1, [1, 2, 3, 4])
+        jobs = [(inst, "pip") for inst in instances]
+        solved = []
+        real_solve = madspip.bench.solve
+
+        def counting_solve(problem, x0, config, **kwargs):
+            solved.append(config.seed)
+            return real_solve(problem, x0, config, **kwargs)
+
+        def on_record(key, record):
+            if key[2] == 2:
+                raise RuntimeError("disk full")
+
+        monkeypatch.setattr(madspip.bench, "solve", counting_solve)
+        with pytest.raises(RuntimeError, match="disk full"):
+            run_matrix(jobs, budget=20, max_workers=1, on_record=on_record)
+        assert solved == [1, 2]
 
     def test_default_workers_are_the_usable_cpus(self, monkeypatch):
         seen = []

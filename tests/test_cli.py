@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -5,12 +6,14 @@ import subprocess
 import sys
 import weakref
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
 import madspip.bench
+import madspip.cli
 from madspip.cli import main, _read_config_file, _parse_history_name, _run_name
-from madspip.suite import check_name_part
+from madspip.suite import check_name_part, load_problem_file
 
 
 def run_cli(capsys, *argv):
@@ -384,7 +387,7 @@ class TestBenchCommand:
     # that moves a single byte of any history changes it
     HISTORY_SHA256 = "45fa419510397c9f84ee0364cbd01bce0ff3711766a453498db0102aea997f5d"
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
     def test_history_bytes_pinned(self, tmp_path, capsys, workers):
         out_dir = tmp_path / "bench"
         code, _, _ = run_cli(
@@ -496,6 +499,28 @@ class TestBenchCommand:
         assert code == 0
         assert len(alive_at_call) == 20 and len(refs) == 13
         assert max(alive_at_call) <= 2
+
+    def test_workers_append_whole_manifest_lines(self, tmp_path, capsys, monkeypatch):
+        # with the final sorted rewrite refused, the manifest is what the
+        # workers appended: one whole line per history, none lost or mixed
+        def refuse(path, text):
+            raise OSError("rewrite refused")
+
+        monkeypatch.setattr(madspip.cli, "write_atomic", refuse)
+        out_dir = tmp_path / "bench"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            code, _, _ = run_cli(
+                capsys, "bench", "--problem", "unit-disk,two-ring", "--x0-count", "2",
+                "--seeds", "1,2,3,4", "--budget", "20", "--workers", "4", "--out", str(out_dir),
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 2
+        listed = (out_dir / "manifest.txt").read_text().splitlines()
+        assert len(listed) == 16
+        assert sorted(listed) == sorted(p.stem for p in out_dir.glob("*.jsonl"))
 
     def test_out_is_a_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "taken"
@@ -609,6 +634,22 @@ class TestProfileCommand:
             "skipping two-ring__feasible-0__seed01__pip.jsonl"
         ]
 
+    @pytest.mark.parametrize("mode", ["a&b<c>", 'x,y"z'])
+    def test_hostile_mode_label_keeps_the_profiles_well_formed(self, tmp_path, capsys, mode):
+        # a mode label comes from the file name, which may hold XML and CSV
+        # metacharacters
+        row = {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [], "h": [], "status": "unsuccessful"}
+        (tmp_path / f"p__feasible-0__seed1__{mode}.jsonl").write_text(json.dumps(row) + "\n")
+        code, out, _ = run_cli(capsys, "profile", "--histories", str(tmp_path), "--tau", "0.1")
+        assert code == 0 and machine_line(out)["warnings"] == []
+        for name in ("data_profile_tau0.1", "feasibility_profile"):
+            root = ElementTree.parse(tmp_path / f"{name}.svg").getroot()
+            assert mode in [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+            with open(tmp_path / f"{name}.csv", newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["label", "tau", "k", "fraction"]
+            assert all(len(r) == 4 and r[0] == mode for r in rows[1:])
+
     def test_unreadable_history_warns_but_succeeds(self, bench_dir, capsys):
         (bench_dir / "unit-disk__feasible-9__seed1__pip.jsonl").mkdir()
         code, out, _ = run_cli(capsys, "profile", "--histories", str(bench_dir))
@@ -718,6 +759,14 @@ class TestConfigPrecedence:
         config.write_text("frobnicate = yes\n")
         with pytest.raises(ValueError):
             _read_config_file(str(config))
+
+    def test_key_value_readers_keep_their_own_malformed_line_label(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# a comment\n\nseed = 1\nno equals sign\n")
+        with pytest.raises(ValueError, match="malformed config line: 'no equals sign'"):
+            _read_config_file(str(path))
+        with pytest.raises(ValueError, match="malformed problem definition line: 'no equals sign'"):
+            load_problem_file(path)
 
     def test_no_search_via_file(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

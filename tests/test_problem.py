@@ -1,6 +1,7 @@
 import contextlib
 import inspect
 import json
+import logging
 import math
 import os
 import signal
@@ -219,6 +220,27 @@ class TestRunExternal:
             if pid is not None and _running(pid):
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(pid, signal.SIGKILL)
+
+    def test_undecodable_stdout_returns_the_failure_triple(self, tmp_path, caplog):
+        exe = make_script(tmp_path, "latin1.sh", r"read line; printf '1.0 \377\n'")
+        with caplog.at_level(logging.WARNING, logger="madspip.problem"):
+            assert run_external(exe, (0.0,), timeout=10.0, m=1, p=0) == (INF, (INF,), ())
+        assert "non-UTF-8 output" in caplog.text
+
+    def test_undecodable_stderr_keeps_a_correct_answer(self, tmp_path):
+        exe = make_script(
+            tmp_path, "noisy.sh", r"""read line; printf '\377\n' >&2; echo "1.0 -1.0" """
+        )
+        assert run_external(exe, (0.0,), timeout=10.0, m=1, p=0) == (1.0, (-1.0,), ())
+        problem = Problem("ext", 1, 1, 0, ExternalEvaluator(exe, 1, 0, timeout=10.0))
+        ev = evaluate(problem, (0.0,), Cache())
+        assert not ev.failed and (ev.f, ev.g) == (1.0, (-1.0,))
+
+    def test_undecodable_stderr_is_logged_on_a_nonzero_exit(self, tmp_path, caplog):
+        exe = make_script(tmp_path, "noisy_fail.sh", r"printf 'bad \377 byte\n' >&2; exit 3")
+        with caplog.at_level(logging.WARNING, logger="madspip.problem"):
+            assert run_external(exe, (0.0,), timeout=10.0, m=1, p=0) == (INF, (INF,), ())
+        assert "status 3: bad � byte" in caplog.text
 
     def test_wrapper_marks_failed_through_evaluate(self, tmp_path):
         exe = make_script(tmp_path, "inf2.sh", 'read line; echo "inf 0 0"')

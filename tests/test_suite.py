@@ -10,6 +10,7 @@ from madspip.suite import (
     initial_point,
     load_problem_file,
     make_instances,
+    read_key_values,
     x0_ids,
     DEFAULT_BENCH_NAMES,
 )
@@ -231,6 +232,11 @@ class TestProblemFile:
         problem = load_problem_file(definition, eval_exe=str(other))
         ev = evaluate(problem, (0.0,), Cache())
         assert ev.f == 9.0
+
+    def test_key_value_lines(self, tmp_path):
+        path = tmp_path / "flat.txt"
+        path.write_text("# comment\n\n  a = 1 \nb=x = y\n\t# indented comment\na = 2\nc =\n")
+        assert read_key_values(path, "test") == {"a": "2", "b": "x = y", "c": ""}
 
     def test_missing_key_rejected(self, tmp_path):
         definition = tmp_path / "prob.txt"
