@@ -119,35 +119,28 @@ def _run_name(problem: str, x0_id: str, seed: int, mode: str) -> str:
 
 def cmd_solve(args) -> int:
     eval_exe = args.eval_exe
-    try:
-        if eval_exe is not None and not Path(eval_exe).exists():
-            raise ValueError(f"evaluator executable {eval_exe!r} does not exist")
-        problem, _ = _resolve_problem(args.problem, eval_exe)
-        if eval_exe is not None and not isinstance(problem.evaluator, ExternalEvaluator):
-            # swap a builtin's analytic evaluator for the external executable
-            problem = dataclasses.replace(
-                problem, evaluator=ExternalEvaluator(eval_exe, problem.m, problem.p)
-            )
-        x0, x0_id = _resolve_x0(problem, args.x0, args.x0_file)
-        config = SolverConfig(
-            max_evaluations=args.budget,
-            seed=args.seed,
-            mode=args.mode,
-            search_enabled=not args.no_search,
+    if eval_exe is not None and not Path(eval_exe).exists():
+        raise ValueError(f"evaluator executable {eval_exe!r} does not exist")
+    problem, _ = _resolve_problem(args.problem, eval_exe)
+    if eval_exe is not None and not isinstance(problem.evaluator, ExternalEvaluator):
+        # swap a builtin's analytic evaluator for the external executable
+        problem = dataclasses.replace(
+            problem, evaluator=ExternalEvaluator(eval_exe, problem.m, problem.p)
         )
-        record = solve(problem, x0, config, x0_id=x0_id)
-    except (InitializationError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    x0, x0_id = _resolve_x0(problem, args.x0, args.x0_file)
+    config = SolverConfig(
+        max_evaluations=args.budget,
+        seed=args.seed,
+        mode=args.mode,
+        search_enabled=not args.no_search,
+    )
+    record = solve(problem, x0, config, x0_id=x0_id)
 
     out_dir = Path(args.out)
     history_path = out_dir / f"{_run_name(problem.name, x0_id, args.seed, args.mode)}.jsonl"
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_history(record.rows, history_path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_history(record.rows, history_path)
+
     machine = {
         "command": "solve",
         "history": str(history_path),
@@ -173,36 +166,29 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        if args.seeds is None:
-            raise ValueError("--seeds is required for bench")
-        seeds = _parse_list(args.seeds, int)
-        if not seeds:
-            raise ValueError("at least one seed is required")
-        names = DEFAULT_BENCH_NAMES if args.problem is None else _parse_list(args.problem, str)
-        modes = _parse_list(args.mode, str)
-        if not names or not modes:
-            raise ValueError("at least one problem and one mode are required")
-        problems = [builtin_problem(name)[0] for name in names]
-        for mode in modes:  # a bad budget or an unknown mode fails here, before any run
-            SolverConfig(max_evaluations=args.budget, mode=mode)
-        if args.workers is not None and args.workers < 1:
-            raise ValueError("--workers must be at least 1")
-        instances = make_instances(problems, args.x0_count, seeds)
-    except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.seeds is None:
+        raise ValueError("--seeds is required for bench")
+    seeds = _parse_list(args.seeds, int)
+    if not seeds:
+        raise ValueError("at least one seed is required")
+    names = DEFAULT_BENCH_NAMES if args.problem is None else _parse_list(args.problem, str)
+    modes = _parse_list(args.mode, str)
+    if not names or not modes:
+        raise ValueError("at least one problem and one mode are required")
+    problems = [builtin_problem(name)[0] for name in names]
+    for mode in modes:  # a bad budget, mode or seed fails here, before any run
+        for seed in seeds:
+            SolverConfig(max_evaluations=args.budget, mode=mode, seed=seed)
+    if args.workers is not None and args.workers < 1:
+        raise ValueError("--workers must be at least 1")
+    instances = make_instances(problems, args.x0_count, seeds)
 
     out_dir = Path(args.out)
     manifest_path = out_dir / "manifest.txt"
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        done = set()
-        if manifest_path.exists():
-            done = {line.strip() for line in manifest_path.read_text().splitlines() if line.strip()}
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    out_dir.mkdir(parents=True, exist_ok=True)
+    done = set()
+    if manifest_path.exists():
+        done = {line.strip() for line in manifest_path.read_text().splitlines() if line.strip()}
 
     runs = {}  # run name -> (instance, mode); a repeated seed or problem is one run
     for instance in instances:
@@ -224,16 +210,12 @@ def cmd_bench(args) -> int:
             fh.write(f"{name}\n".encode())
         return summary_line(record), record.outcome
 
-    try:
-        results = run_matrix(
-            pending, args.budget, max_workers=args.workers,
-            search_enabled=not args.no_search, on_record=_keep,
-        ) if pending else {}
-        listed = done | {_run_name(*key) for key in results}
-        write_atomic(manifest_path, "\n".join(sorted(listed)) + "\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = run_matrix(
+        pending, args.budget, max_workers=args.workers,
+        search_enabled=not args.no_search, on_record=_keep,
+    ) if pending else {}
+    listed = done | {_run_name(*key) for key in results}
+    write_atomic(manifest_path, "\n".join(sorted(listed)) + "\n")
     outcomes = sorted(results.items())  # (key, (summary line, outcome)) per run
     errors = sum(1 for _, (_, outcome) in outcomes if outcome == "error")
     completed = len(outcomes) - errors
@@ -262,12 +244,15 @@ def cmd_bench(args) -> int:
 def _parse_history_name(name: str):
     """The run key of a history that :func:`_run_name` names; a seed spelt
     any other way (``seed05``, ``seed+5``, non-ASCII digits) is refused, so
-    no two files parse to one key."""
+    no two files parse to one key, and so is any other part that
+    :func:`check_name_part` refuses."""
     stem = name[: -len(".jsonl")] if name.endswith(".jsonl") else name
     parts = stem.split("__")
     seed = parts[2][4:] if len(parts) == 4 and parts[2].startswith("seed") else ""
     if not (seed.isascii() and seed.isdigit() and str(int(seed)) == seed):
         raise ValueError(f"history file name {name!r} does not encode a run key")
+    for what, part in (("problem name", parts[0]), ("x0 id", parts[1]), ("mode", parts[3])):
+        check_name_part(what, part)
     return parts[0], parts[1], int(seed), parts[3]
 
 
@@ -276,14 +261,12 @@ def cmd_profile(args) -> int:
     out_dir = histories_dir if args.out is None else Path(args.out)
     try:
         taus = _parse_list(args.tau, float)
-        if not all(tau > 0.0 for tau in taus):
-            raise ValueError("precisions must be positive")
     except ValueError as exc:
-        print(f"error: --tau: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--tau: {exc}") from exc
+    if not all(tau > 0.0 for tau in taus):
+        raise ValueError("--tau: precisions must be positive")
     if not histories_dir.is_dir():
-        print(f"error: history directory {histories_dir} does not exist", file=sys.stderr)
-        return 2
+        raise ValueError(f"history directory {histories_dir} does not exist")
 
     views = []
     warnings = []
@@ -295,8 +278,7 @@ def cmd_profile(args) -> int:
         except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             warnings.append(f"skipping {path.name}: {exc}")
     if not views:
-        print("error: no readable histories found", file=sys.stderr)
-        return 2
+        raise ValueError("no readable histories found")
 
     known = {problem.name: optimum.f_star for problem, optimum in builtin_problems()}
     f_star = best_feasible_table(views, known=known)
@@ -310,14 +292,10 @@ def cmd_profile(args) -> int:
         export(curves, "svg", svg_path)
         written.extend([str(csv_path), str(svg_path)])
 
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for tau in taus:
-            _emit(data_profile(views, tau, f_star, f_ref), f"data_profile_tau{tau:g}")
-        _emit(feasibility_profile(views), "feasibility_profile")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for tau in taus:
+        _emit(data_profile(views, tau, f_star, f_ref), f"data_profile_tau{tau:g}")
+    _emit(feasibility_profile(views), "feasibility_profile")
 
     machine = {
         "command": "profile",
@@ -327,7 +305,8 @@ def cmd_profile(args) -> int:
     }
     print(json.dumps(machine))
     for warning in warnings:
-        print(f"warning: {warning}")
+        # a file name may hold a lone surrogate, which UTF-8 cannot encode
+        print(f"warning: {warning}".encode("utf-8", "backslashreplace").decode("utf-8"))
     print(f"profile: {len(views)} histories -> {len(written)} files in {out_dir}")
     return 0
 
@@ -395,21 +374,25 @@ def build_parser(defaults: Optional[Dict[str, object]] = None) -> argparse.Argum
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command.  Any failure a command raises (a bad option, file or
+    run setting) is reported here, and only here: one ``error:`` line on
+    stderr and exit 2."""
     args = build_parser().parse_args(argv)
-    if args.config:
-        try:
-            defaults = _config_defaults(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        args = build_parser(defaults).parse_args(argv)
-    handlers = {
+    handlers = {  # read per call, so a wrapper set on a module attribute runs
         "solve": cmd_solve,
         "bench": cmd_bench,
         "profile": cmd_profile,
         "list": cmd_list,
     }
-    return handlers[args.command](args)
+    try:
+        if args.config:
+            args = build_parser(_config_defaults(args.config)).parse_args(argv)
+        return handlers[args.command](args)
+    except BrokenPipeError:
+        raise  # stdout closed early: ``entry`` exits 1 without a message
+    except (InitializationError, KeyError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -138,5 +138,7 @@ def initial_frame_size(bounds: Optional[Tuple[Sequence[float], Sequence[float]]]
     spans = [u - l for l, u in zip(lower, upper)]
     if any(s <= 0.0 for s in spans):
         raise ValueError("bounds must have positive span in every coordinate")
-    log_sum = sum(math.log(s / 10.0) for s in spans)
+    log_sum = 0.0
+    for s in spans:  # left to right: from 3.12 on, sum() of floats is compensated
+        log_sum += math.log(s / 10.0)
     return math.exp(log_sum / len(spans))

@@ -91,6 +91,8 @@ class SolverConfig:
             raise ValueError("max_evaluations must be at least 1")
         if self.mode not in (MODE_PIP, MODE_EXTREME_BARRIER):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
 
 
 @dataclass

@@ -52,12 +52,21 @@ def _unit_disk(x):
     return x[0] + x[1], (x[0] * x[0] + x[1] * x[1] - 1.0,), ()
 
 
+def _fold(values) -> float:
+    """``values`` added left to right: the same bytes on every Python (from
+    3.12 on, ``sum()`` of floats is compensated)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _sphere_eq(x):
-    return sum(v * v for v in x), (), (sum(x) - 1.0,)
+    return _fold(v * v for v in x), (), (_fold(x) - 1.0,)
 
 
 def _mixed_kkt(x):
-    return sum(v * v for v in x), (x[0] - 0.2,), (sum(x) - 1.0,)
+    return _fold(v * v for v in x), (x[0] - 0.2,), (_fold(x) - 1.0,)
 
 
 def _maxabs_lin(x):
@@ -241,17 +250,20 @@ def check_name_part(what: str, value: str) -> str:
     file name (``<problem>__<x0 id>__seed<N>__<mode>.jsonl``); problem names
     and starting-point ids both obey this rule.
 
-    A part is nonempty, holds no ``__``, path separator or whitespace, does
-    not start with ``.`` (a hidden or relative path) and does not end with
-    ``_``, which would run into the next separator.  ``ValueError`` names
-    ``what`` otherwise.
+    A part is nonempty, holds no ``__``, path separator, whitespace or
+    unprintable character (a control character, or the lone surrogate that
+    stands for a file-name byte that is not UTF-8), does not start with
+    ``.`` (a hidden or relative path) and does not end with ``_``, which
+    would run into the next separator.  ``ValueError`` names ``what``
+    otherwise.
     """
     if (
         not value
         or value.startswith(".")
         or value.endswith("_")
         or "__" in value
-        or any(c in "/\\" or c.isspace() for c in value)
+        # every whitespace character but " " is unprintable
+        or any(c in "/\\ " or not c.isprintable() for c in value)
     ):
         raise ValueError(f"{what} {value!r} cannot name a history file")
     return value

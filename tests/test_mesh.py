@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import madspip.mesh
 from madspip.mesh import (
     FRAME_CAP_EXP,
     MeshState,
@@ -380,3 +381,14 @@ class TestInitialFrameSize:
     def test_degenerate_span_rejected(self):
         with pytest.raises(ValueError):
             initial_frame_size(((0.0,), (0.0,)))
+
+    def test_log_sum_left_to_right(self, monkeypatch):
+        # math.fsum stands in for the compensated sum() of Python 3.12 on
+        spans = (1.0, 2.0, 3.0, 13.0)
+        logs = [math.log(s / 10.0) for s in spans]
+        fold = 0.0
+        for v in logs:
+            fold += v
+        assert math.fsum(logs) != fold
+        monkeypatch.setattr(madspip.mesh, "sum", math.fsum, raising=False)
+        assert initial_frame_size(((0.0,) * 4, spans)) == math.exp(fold / 4)

@@ -37,6 +37,13 @@ def constrained_problem(g_of_x, name="toy", n=2, bounds=None):
     return Problem(name, n, len(g_of_x), 0, evaluator, bounds)
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"seed.*{seed}"):
+            SolverConfig(max_evaluations=10, seed=seed)
+
+
 class TestInitState:
     def test_partition_split(self):
         problem = constrained_problem([lambda x: -0.5, lambda x: 0.3])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import madspip.suite
 from madspip.problem import Cache, evaluate, is_feasible
 from madspip.suite import (
     builtin_problem,
@@ -16,6 +17,13 @@ from madspip.suite import (
 )
 
 GRID_CERT_MARGIN = 1e-6
+
+
+def left_fold(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def names():
@@ -268,3 +276,18 @@ class TestProblemFile:
         definition = tmp_path / "prob.txt"
         definition.write_text(f"name = {name}\nn = 1\nm = 0\np = 0\nevaluator = /bin/true\n")
         assert load_problem_file(definition).name == name
+
+
+class TestFixedOrderSums:
+    # From Python 3.12 on, sum() of floats is compensated; math.fsum stands in
+    # for it, so an evaluator that still calls sum() gives other bytes here
+    @pytest.mark.parametrize(
+        "x", [(1.0, 1e100, 1.0, -1e100, 0.0), (1.0, 2.0**-27, 2.0**-27, 2.0**-27, 0.0)]
+    )
+    def test_builtin_evaluators_sum_left_to_right(self, monkeypatch, x):
+        f = left_fold(v * v for v in x)
+        h = left_fold(x) - 1.0
+        assert (f, h) != (math.fsum(v * v for v in x), math.fsum(x) - 1.0)
+        monkeypatch.setattr(madspip.suite, "sum", math.fsum, raising=False)
+        assert madspip.suite._sphere_eq(x) == (f, (), (h,))
+        assert madspip.suite._mixed_kkt(x) == (f, (x[0] - 0.2,), (h,))
