@@ -16,9 +16,6 @@ first ``k`` groups, over all instances.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -164,61 +161,37 @@ def _as_view(run: Union[RunRecord, RunView]) -> RunView:
     return view_of_history(run.rows, *run.key)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the platform
-    has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_matrix(
     jobs: Sequence[Tuple[Instance, str]],
     budget: int,
-    max_workers: Optional[int] = None,
     search_enabled: bool = True,
     on_record: Optional[Callable[[Key, RunRecord], object]] = None,
 ) -> Dict[Key, object]:
-    """Run each (instance, mode) job once; individual failures become error
-    records and never abort the batch. Deterministic per key.
+    """Run each (instance, mode) job once, one after another in the calling
+    thread; individual failures become error records and never abort the
+    batch. Deterministic per key.
 
-    A job solves and then, on the same pool thread, calls
-    ``on_record(key, record)``.  Its result is the callback's return value,
-    or the record when ``on_record`` is ``None``; the returned dict holds
-    the results in job order.  At most ``max_workers`` jobs (default: the
-    usable CPUs, at most one per job) are in flight, and a worker takes the
-    next job as soon as its own has finished.  A record outlives its job
-    only if the result keeps it, so with an ``on_record`` that drops it
-    memory is bounded by the worker count.  Once a job raises, in the solve
-    or in ``on_record``, no further job starts, and the exception is raised
-    when the jobs in flight have finished.
+    A job solves and then calls ``on_record(key, record)``.  Its result is
+    the callback's return value, or the record when ``on_record`` is
+    ``None``; the returned dict holds the results in job order.  A record
+    outlives its job only if the result keeps it, so with an ``on_record``
+    that drops it one record is alive at a time.  A raise, in the solve or
+    in ``on_record``, propagates at once and no later job starts.  (A
+    Python evaluator holds the interpreter lock for its whole solve, so
+    threads could not overlap two jobs.)
     """
     if len(jobs) == 0:
         raise ValueError("jobs must be nonempty")
-    stop = threading.Event()
-
-    def _job(key: Key, instance: Instance, mode: str):
-        if stop.is_set():
-            return None
+    results: Dict[Key, object] = {}
+    for instance, mode in jobs:
+        key = (instance.problem.name, instance.x0_id, instance.seed, mode)
+        config = SolverConfig(budget, instance.seed, search_enabled, mode)
         try:
-            config = SolverConfig(budget, instance.seed, search_enabled, mode)
-            try:
-                record = solve(instance.problem, instance.x0, config, x0_id=instance.x0_id)
-            except InitializationError as exc:
-                record = RunRecord(*key, instance.problem.n, flags=[str(exc)])
-            return record if on_record is None else on_record(key, record)
-        except BaseException:
-            stop.set()
-            raise
-
-    keys = [(instance.problem.name, instance.x0_id, instance.seed, mode) for instance, mode in jobs]
-    workers = max_workers if max_workers is not None else min(_usable_cpus(), len(jobs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        try:
-            futures = [pool.submit(_job, key, *job) for key, job in zip(keys, jobs)]
-            return {key: future.result() for key, future in zip(keys, futures)}
-        finally:
-            stop.set()  # also after an interrupt in this thread: start no more jobs
+            record = solve(instance.problem, instance.x0, config, x0_id=instance.x0_id)
+        except InitializationError as exc:
+            record = RunRecord(*key, instance.problem.n, flags=[str(exc)])
+        results[key] = record if on_record is None else on_record(key, record)
+    return results
 
 
 def convergence_index(

@@ -134,11 +134,11 @@ def cmd_solve(args) -> int:
         mode=args.mode,
         search_enabled=not args.no_search,
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the budget is spent
     record = solve(problem, x0, config, x0_id=x0_id)
 
-    out_dir = Path(args.out)
     history_path = out_dir / f"{_run_name(problem.name, x0_id, args.seed, args.mode)}.jsonl"
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_history(record.rows, history_path)
 
     machine = {
@@ -203,7 +203,8 @@ def cmd_bench(args) -> int:
 
     def _keep(key, record):
         # write and list each run as it finishes, so an interrupted bench
-        # keeps it; one O_APPEND write per line, so workers' lines never mix
+        # keeps it; one O_APPEND write per line, so an interrupted bench
+        # leaves only whole manifest lines
         name = _run_name(*key)
         write_history(record.rows, out_dir / f"{name}.jsonl")
         with manifest_path.open("ab", buffering=0) as fh:
@@ -211,8 +212,7 @@ def cmd_bench(args) -> int:
         return summary_line(record), record.outcome
 
     results = run_matrix(
-        pending, args.budget, max_workers=args.workers,
-        search_enabled=not args.no_search, on_record=_keep,
+        pending, args.budget, search_enabled=not args.no_search, on_record=_keep,
     ) if pending else {}
     listed = done | {_run_name(*key) for key in results}
     write_atomic(manifest_path, "\n".join(sorted(listed)) + "\n")
@@ -356,7 +356,10 @@ def build_parser(defaults: Optional[Dict[str, object]] = None) -> argparse.Argum
     bench_p.add_argument("--budget", type=int, default=1500)
     bench_p.add_argument("--mode", default="pip", help="comma-separated modes, e.g. pip,extreme-barrier")
     bench_p.add_argument("--no-search", action="store_true")
-    bench_p.add_argument("--workers", type=int)
+    bench_p.add_argument(
+        "--workers", type=int,
+        help="checked (at least 1) but has no effect: runs go one at a time",
+    )
     bench_p.add_argument("--out", default="bench-out")
 
     profile_p = sub.add_parser("profile", help="compute profiles from stored histories")

@@ -38,7 +38,7 @@ def crit2_records():
     problems = [builtin_problem(n)[0] for n in ("unit-disk", "maxabs-lin", "two-ring")]
     instances = make_instances(problems, 2, list(range(1, 11)))
     start = time.monotonic()
-    records = run_matrix([(inst, "pip") for inst in instances], budget=1500, max_workers=4)
+    records = run_matrix([(inst, "pip") for inst in instances], budget=1500)
     return records, time.monotonic() - start
 
 
@@ -51,7 +51,7 @@ def crit3_records():
         if inst.x0_id == "infeasible-0"
     ]
     start = time.monotonic()
-    records = run_matrix([(inst, "pip") for inst in instances], budget=3000, max_workers=4)
+    records = run_matrix([(inst, "pip") for inst in instances], budget=3000)
     return records, time.monotonic() - start
 
 

@@ -2,7 +2,6 @@ import csv
 import math
 import random
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from xml.etree import ElementTree
 
 import pytest
@@ -472,7 +471,7 @@ class TestRunMatrix:
         with pytest.raises(ValueError):
             run_matrix([], budget=10)
 
-    def test_on_record_runs_on_a_pool_thread_and_results_keep_job_order(self):
+    def test_on_record_runs_in_the_calling_thread_and_results_keep_job_order(self):
         instances = make_instances([builtin_problem("sphere-eq")[0]], 2, [1, 2])
         jobs = [(inst, mode) for inst in instances for mode in ("pip", "extreme-barrier")]
         keys = [(i.problem.name, i.x0_id, i.seed, mode) for i, mode in jobs]
@@ -480,12 +479,12 @@ class TestRunMatrix:
         def on_record(key, record):
             return key, record.key, threading.get_ident()
 
-        results = run_matrix(jobs, budget=60, max_workers=2, on_record=on_record)
+        results = run_matrix(jobs, budget=60, on_record=on_record)
         assert list(results) == keys
         assert all(key == handed == record_key for key, (handed, record_key, _) in results.items())
-        assert threading.get_ident() not in {thread for _, _, thread in results.values()}
+        assert {thread for _, _, thread in results.values()} == {threading.get_ident()}
         # without on_record the records themselves come back, in job order
-        records = run_matrix(jobs, budget=60, max_workers=2)
+        records = run_matrix(jobs, budget=60)
         assert [record.key for record in records.values()] == keys
 
     def test_no_job_starts_after_on_record_raises(self, monkeypatch):
@@ -504,26 +503,5 @@ class TestRunMatrix:
 
         monkeypatch.setattr(madspip.bench, "solve", counting_solve)
         with pytest.raises(RuntimeError, match="disk full"):
-            run_matrix(jobs, budget=20, max_workers=1, on_record=on_record)
+            run_matrix(jobs, budget=20, on_record=on_record)
         assert solved == [1, 2]
-
-    def test_default_workers_are_the_usable_cpus(self, monkeypatch):
-        seen = []
-
-        class Capturing(ThreadPoolExecutor):
-            def __init__(self, max_workers=None):
-                seen.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(madspip.bench, "ThreadPoolExecutor", Capturing)
-        instances = make_instances([builtin_problem("unit-disk")[0]], 1, [1, 2, 3, 4, 5])
-        jobs = [(inst, "pip") for inst in instances]
-        os_mod = madspip.bench.os
-        monkeypatch.setattr(os_mod, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        run_matrix(jobs, budget=20)
-        run_matrix(jobs[:2], budget=20)
-        run_matrix(jobs, budget=20, max_workers=4)
-        monkeypatch.delattr(os_mod, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os_mod, "cpu_count", lambda: 4)
-        run_matrix(jobs, budget=20)
-        assert seen == [3, 2, 4, 4]

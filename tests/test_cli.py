@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 from xml.etree import ElementTree
@@ -223,7 +225,21 @@ class TestSolveCommand:
         assert "../escaped" in err
         assert not list(tmp_path.rglob("*.jsonl"))
 
-    def test_out_is_a_file_exits_2(self, tmp_path, capsys):
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the unusable --out fails before the solve spends any budget
+        calls = []
+        real_builtin_problem = madspip.cli.builtin_problem
+
+        def counting_problem(name):
+            problem, optimum = real_builtin_problem(name)
+
+            def evaluator(x):
+                calls.append(x)
+                return problem.evaluator(x)
+
+            return dataclasses.replace(problem, evaluator=evaluator), optimum
+
+        monkeypatch.setattr(madspip.cli, "builtin_problem", counting_problem)
         out = tmp_path / "taken"
         out.write_text("x")
         code, _, err = run_cli(
@@ -232,6 +248,7 @@ class TestSolveCommand:
         )
         assert code == 2
         assert one_error_line(err)
+        assert calls == []
 
     def test_missing_eval_exe_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -521,6 +538,25 @@ class TestBenchCommand:
         listed = (out_dir / "manifest.txt").read_text().splitlines()
         assert len(listed) == 16
         assert sorted(listed) == sorted(p.stem for p in out_dir.glob("*.jsonl"))
+
+    def test_workers_start_no_thread(self, tmp_path, capsys, monkeypatch):
+        # --workers is checked but has no effect: every solve runs in the
+        # calling thread
+        before = threading.active_count()
+        seen = []
+        real_solve = madspip.bench.solve
+
+        def counting_solve(*args, **kwargs):
+            seen.append((threading.active_count(), threading.get_ident()))
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(madspip.bench, "solve", counting_solve)
+        code, _, _ = run_cli(
+            capsys, "bench", "--problem", "unit-disk", "--x0-count", "2", "--seeds", "1,2",
+            "--budget", "20", "--workers", "4", "--out", str(tmp_path / "bench"),
+        )
+        assert code == 0 and len(seen) == 4
+        assert set(seen) == {(before, threading.get_ident())}
 
     def test_out_is_a_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "taken"
