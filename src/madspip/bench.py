@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .problem import feasible_outputs
 from .solver import RunRecord, SolverConfig, InitializationError, solve
@@ -126,39 +126,42 @@ def _row_entry(row: dict, idx: int) -> Tuple[float, bool]:
     return f, feasible
 
 
-def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, mode: str) -> RunView:
-    """Build a view from history rows, in memory or read back from JSONL
-    (``n`` comes from the rows).
-
-    The first row of each ``eval_index`` is that evaluation; bound
-    rejections (no index) and cache hits (a repeated index) spend no budget.
-    ``x``, ``g`` and ``h`` may be lists (read back) or tuples (a record's
-    rows in memory).  A row that no run writes (not an object, a non-integer
-    index, a bad ``f``, ``g`` or ``h``, a non-finite ``f`` that is not
-    ``+inf`` on an infeasible row, or no ``x`` array in the first row)
-    raises ``ValueError``.
-    """
-    true_rows: Dict[int, Tuple[float, bool]] = {}
+def _evaluations(rows: Iterable[dict]) -> Iterator[Tuple[float, bool]]:
+    """``(f, feasible)`` of each evaluation in ``rows``, in one pass."""
+    count = 0
     for row in rows:
         if not isinstance(row, dict):
             raise ValueError("history row is not an object")
         idx = row.get("eval_index")
-        if idx is not None and type(idx) is not int:  # true is not index 1
-            raise ValueError(f"eval_index {idx!r} is not an integer")
-        if idx is None or idx in true_rows:
+        if idx is None:  # a bounds rejection
             continue
-        true_rows[idx] = _row_entry(row, idx)
-    if rows and not isinstance(rows[0].get("x"), (list, tuple)):
+        if type(idx) is not int:  # true is not index 1
+            raise ValueError(f"eval_index {idx!r} is not an integer")
+        if idx == count:
+            count += 1
+            yield _row_entry(row, idx)
+        elif not 0 <= idx < count:
+            raise ValueError(f"eval_index {idx} skips ahead or is negative (next is {count})")
+
+
+def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, mode: str) -> RunView:
+    """Build a view from history rows, in memory or read back from JSONL
+    (``n`` comes from the rows), in one pass over them.
+
+    A run numbers its evaluations 0, 1, 2, ... in the order it makes them,
+    so a row's ``eval_index`` is the next number (a new evaluation), an
+    earlier one (a cache hit) or ``None`` (a bound rejection); the last two
+    spend no budget.  ``x``, ``g`` and ``h`` may be lists (read back) or
+    tuples (a record's rows in memory).  A row that no run writes (not an
+    object, an index that is not an integer, skips ahead or is negative, a
+    bad ``f``, ``g`` or ``h``, a non-finite ``f`` that is not ``+inf`` on an
+    infeasible row, or no ``x`` array in the first row) raises
+    ``ValueError``.
+    """
+    x = rows[0].get("x") if rows and isinstance(rows[0], dict) else ()
+    if not isinstance(x, (list, tuple)):
         raise ValueError("history row has no x list")
-    n = len(rows[0]["x"]) if rows else 0
-    evals = (true_rows[i] for i in sorted(true_rows))
-    return RunView(problem, x0_id, seed, mode, n, evals)
-
-
-def _as_view(run: Union[RunRecord, RunView]) -> RunView:
-    if isinstance(run, RunView):
-        return run
-    return view_of_history(run.rows, *run.key)
+    return RunView(problem, x0_id, seed, mode, len(x), _evaluations(rows))
 
 
 def run_matrix(
@@ -194,19 +197,13 @@ def run_matrix(
     return results
 
 
-def convergence_index(
-    history: Union[RunRecord, RunView],
-    f_star: float,
-    f_ref: float,
-    tau: float,
-) -> Optional[int]:
+def convergence_index(view: RunView, f_star: float, f_ref: float, tau: float) -> Optional[int]:
     """Smallest k such that some feasible evaluation among the first
     ``k * (n + 1)`` satisfies ``f <= f_star + tau * (f_ref - f_star)``."""
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     if f_ref < f_star:
         raise ValueError("the reference value must not undercut f_star")
-    view = _as_view(history)
     threshold = f_star + tau * (f_ref - f_star)
     # the first feasible f at or below the threshold undercuts every
     # feasible f before it, so it is an improvement step
@@ -216,33 +213,21 @@ def convergence_index(
     return None
 
 
-def feasibility_index(history: Union[RunRecord, RunView]) -> Optional[int]:
+def feasibility_index(view: RunView) -> Optional[int]:
     """Smallest k whose first ``k * (n + 1)`` evaluations contain a feasible
     point."""
-    view = _as_view(history)
     if not view.steps:
         return None
     return math.ceil((view.steps[0][0] + 1) / (view.n + 1))
 
 
-def _group_runs(
-    records: Union[Dict[Key, Union[RunRecord, RunView]], Sequence[Union[RunRecord, RunView]]],
-):
-    views = [_as_view(r) for r in (records.values() if isinstance(records, dict) else records)]
-    modes = sorted({v.mode for v in views})
-    instances = sorted({v.instance_key for v in views})
-    by_key = {v.key: v for v in views}
-    return views, modes, instances, by_key
-
-
 def best_feasible_table(
-    records, known: Optional[Dict[str, float]] = None
+    views: Sequence[RunView], known: Optional[Dict[str, float]] = None
 ) -> Dict[InstanceKey, Optional[float]]:
     """Best known value per instance: the lowest feasible objective reached
     by any mode, improved by a known optimum when one is supplied for the
     problem. ``None`` marks instances no mode ever made feasible."""
-    views, _, instances, _ = _group_runs(records)
-    table: Dict[InstanceKey, Optional[float]] = {key: None for key in instances}
+    table: Dict[InstanceKey, Optional[float]] = dict.fromkeys(v.instance_key for v in views)
     for view in views:
         best = table[view.instance_key]
         if view.steps:
@@ -257,12 +242,11 @@ def best_feasible_table(
     return table
 
 
-def reference_table(records) -> Dict[InstanceKey, Optional[float]]:
+def reference_table(views: Sequence[RunView]) -> Dict[InstanceKey, Optional[float]]:
     """Normalization reference per instance: ``f(x0)`` when the starting
     point is feasible, else the largest objective among the modes' first
     feasible evaluations."""
-    views, _, instances, _ = _group_runs(records)
-    table: Dict[InstanceKey, Optional[float]] = {key: None for key in instances}
+    table: Dict[InstanceKey, Optional[float]] = dict.fromkeys(v.instance_key for v in views)
     from_x0 = set()
     for view in views:
         if view.steps and view.steps[0][0] == 0:  # x0 is feasible: f(x0)
@@ -278,16 +262,18 @@ def reference_table(records) -> Dict[InstanceKey, Optional[float]]:
     return table
 
 
-def _mode_curves(records, tau: float, index_of, counted=lambda key: True) -> List[ProfileCurve]:
+def _mode_curves(
+    views: Sequence[RunView], tau: float, index_of, counted=lambda key: True
+) -> List[ProfileCurve]:
     """One curve per mode: the fraction of the ``counted`` instances whose
     ``index_of(view, instance_key)`` is at most k, for each group count k."""
-    views, modes, instances, by_key = _group_runs(records)
     if not views:
-        raise ValueError("no run records supplied")
-    kept = [key for key in instances if counted(key)]
+        raise ValueError("no run views supplied")
+    by_key = {v.key: v for v in views}
+    kept = [key for key in sorted({v.instance_key for v in views}) if counted(key)]
     groups = tuple(range(0, max(v.group_count for v in views) + 1))
     curves = []
-    for mode in modes:
+    for mode in sorted({v.mode for v in views}):
         indices = []
         for key in kept:
             view = by_key.get((key[0], key[1], key[2], mode))
@@ -306,7 +292,7 @@ def _mode_curves(records, tau: float, index_of, counted=lambda key: True) -> Lis
 
 
 def data_profile(
-    records,
+    views: Sequence[RunView],
     tau: float,
     f_star_table: Dict[InstanceKey, Optional[float]],
     f_ref_table: Dict[InstanceKey, Optional[float]],
@@ -314,17 +300,17 @@ def data_profile(
     """One curve per mode: fraction of instances tau-solved within k groups
     (denominator: the instances with both an ``f_star`` and an ``f_ref``)."""
     return _mode_curves(
-        records,
+        views,
         tau,
         lambda view, key: convergence_index(view, f_star_table[key], f_ref_table[key], tau),
         lambda key: f_star_table.get(key) is not None and f_ref_table.get(key) is not None,
     )
 
 
-def feasibility_profile(records) -> List[ProfileCurve]:
+def feasibility_profile(views: Sequence[RunView]) -> List[ProfileCurve]:
     """One curve per mode: fraction of instances with a feasible evaluation
     within k groups (denominator: all instances)."""
-    return _mode_curves(records, 0.0, lambda view, key: feasibility_index(view))
+    return _mode_curves(views, 0.0, lambda view, key: feasibility_index(view))
 
 
 def export(curves: Sequence[ProfileCurve], format: str, path) -> None:

@@ -69,8 +69,8 @@ class Problem:
             lower, upper = self.bounds
             if len(lower) != self.n or len(upper) != self.n:
                 raise ValueError("bounds must have one entry per variable")
-            if any(l > u for l, u in zip(lower, upper)):
-                raise ValueError("lower bounds must not exceed upper bounds")
+            if any(l >= u for l, u in zip(lower, upper)):
+                raise ValueError("lower bounds must lie below upper bounds")
             if not all(math.isfinite(u - l) for l, u in zip(lower, upper)):
                 raise ValueError("bounds must be finite, with a finite span")
             object.__setattr__(self, "bounds", (tuple(lower), tuple(upper)))

@@ -382,14 +382,8 @@ def reselect_incumbent(state: SolverState) -> SolverState:
     """
     best_key = None
     best_merit = _INF
-    kept = state.kept
-    params = state.merit_params
     for key, ev in state.cache.entries.items():  # insertion order = eval order
-        terms = kept.get(key)
-        if terms is not None:  # _merit_of's re-pricing, without the call
-            value = merit(ev.f, terms[1], terms[2], params)
-        else:
-            value = _merit_of(state, key, ev)
+        value = _merit_of(state, key, ev)
         if value < best_merit:
             best_key, best_merit = key, value
     if best_key is None:

@@ -123,11 +123,15 @@ def builtin_problems() -> List[Tuple[Problem, KnownOptimum]]:
     return list(_BUILTINS)
 
 
+class _UnknownProblem(KeyError):
+    __str__ = BaseException.__str__  # a plain KeyError prints its message's repr
+
+
 def builtin_problem(name: str) -> Tuple[Problem, KnownOptimum]:
     for problem, optimum in _BUILTINS:
         if problem.name == name:
             return problem, optimum
-    raise KeyError(f"no builtin problem named {name!r}")
+    raise _UnknownProblem(f"no builtin problem named {name!r}")
 
 
 def _x0_rng(problem_name: str, x0_id: str) -> np.random.Generator:

@@ -20,6 +20,7 @@ from madspip.bench import (
     feasibility_profile,
     reference_table,
     run_matrix,
+    view_of_history,
 )
 from madspip.cli import main as cli_main
 from madspip.merit import MeritParams, c_ext, c_int, compute_b_ext, merit, penalty_update_check, phi_prox
@@ -191,7 +192,7 @@ class TestCriterion4BaselineContrast:
                 SolverConfig(max_evaluations=1500, seed=seed, mode="extreme-barrier"),
                 x0_id="feasible-0",
             )
-            pair = [pip_record, eb_record]
+            pair = [view_of_history(r.rows, *r.key) for r in (pip_record, eb_record)]
             f_star = best_feasible_table(pair, known={"unit-disk": optimum.f_star})
             f_ref = reference_table(pair)
             curves = {c.label: c for c in data_profile(pair, 1e-3, f_star, f_ref)}

@@ -78,7 +78,7 @@ class TestConvergenceIndex:
         qualifying_index = 6
         assert (k - 1) * (a.n + 1) < qualifying_index + 1 <= k * (a.n + 1)
 
-    def test_accepts_run_records(self):
+    def test_solved_record_view(self):
         problem, optimum = builtin_problem("unit-disk")
         record = solve(
             problem,
@@ -86,7 +86,8 @@ class TestConvergenceIndex:
             SolverConfig(max_evaluations=300, seed=1),
             x0_id="feasible-0",
         )
-        k = convergence_index(record, optimum.f_star, record.rows[0]["f"], tau=0.5)
+        view = view_of_history(record.rows, *record.key)
+        k = convergence_index(view, optimum.f_star, record.rows[0]["f"], tau=0.5)
         assert k is not None and k >= 1
 
 
@@ -419,6 +420,10 @@ class TestRunMatrix:
             {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [-1.0, 0], "h": []},
             {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [], "h": [0]},
             {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [True], "h": []},
+            # a run numbers its evaluations 0, 1, 2, ...: a lone row is index 0
+            {"eval_index": 1, "x": [0.0], "f": 1.0},
+            {"eval_index": 3, "x": [0.0], "f": 1.0},
+            {"eval_index": -1, "x": [0.0], "f": 1.0},
         ],
     )
     def test_view_of_history_rejects_rows_no_run_writes(self, row):

@@ -376,6 +376,13 @@ class TestBenchCommand:
         assert code == 2
         assert "workers" in err
 
+    def test_unknown_problem_is_named_unquoted(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "bench", "--problem", "nosuch", "--seeds", "1", "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert err == "error: no builtin problem named 'nosuch'\n"
+
     def test_empty_seeds_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "bench", "--problem", "unit-disk", "--seeds", "", "--out", str(tmp_path)
@@ -645,6 +652,9 @@ class TestProfileCommand:
             '{"eval_index": 0, "x": [0.0], "f": 1.0, "g": 5}',
             '{"eval_index": 0, "x": [0.0], "f": 1.0, "g": [false], "h": []}',
             '[0.0, 1.0]',
+            # evaluation 7 right after evaluation 0
+            '{"eval_index": 0, "x": [0.0, 0.0], "f": 1.0, "g": [], "h": []}\n'
+            '{"eval_index": 7, "x": [0.5, 0.0], "f": 0.5, "g": [], "h": []}',
         ],
     )
     def test_hostile_json_history_warns_but_succeeds(self, bench_dir, capsys, line):

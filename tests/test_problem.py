@@ -57,6 +57,10 @@ class TestProblem:
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
             Problem("bad", 2, 0, 0, lambda x: (0.0, (), ()), bounds=((0.0, 0.0), (-1.0, 1.0)))
+        # a zero span leaves no frame to poll; its solve would fail in
+        # initial_frame_size, not here
+        with pytest.raises(ValueError, match="below"):
+            Problem("z", 2, 0, 0, lambda x: (0.0, (), ()), bounds=((0.0, -1.0), (0.0, 1.0)))
 
     @pytest.mark.parametrize(
         "lower,upper",
