@@ -27,7 +27,7 @@ from .bench import (
     run_matrix,
     view_of_history,
 )
-from .problem import ExternalEvaluator, read_history, write_atomic, write_history
+from .problem import ExternalEvaluator, read_history, write_history
 from .solver import (
     InitializationError,
     SolverConfig,
@@ -113,7 +113,7 @@ def _resolve_x0(problem, x0: Optional[str], x0_file: Optional[str]):
 
 
 def _run_name(problem: str, x0_id: str, seed: int, mode: str) -> str:
-    """A run's manifest entry; its history is ``<name>.jsonl``."""
+    """The stem of a run's history, ``<name>.jsonl``."""
     return f"{problem}__{x0_id}__seed{seed}__{mode}"
 
 
@@ -184,38 +184,26 @@ def cmd_bench(args) -> int:
     instances = make_instances(problems, args.x0_count, seeds)
 
     out_dir = Path(args.out)
-    manifest_path = out_dir / "manifest.txt"
     out_dir.mkdir(parents=True, exist_ok=True)
-    done = set()
-    if manifest_path.exists():
-        done = {line.strip() for line in manifest_path.read_text().splitlines() if line.strip()}
 
     runs = {}  # run name -> (instance, mode); a repeated seed or problem is one run
     for instance in instances:
         for mode in modes:
             name = _run_name(instance.problem.name, instance.x0_id, instance.seed, mode)
             runs.setdefault(name, (instance, mode))
-    pending = [
-        job for name, job in runs.items()
-        if not (name in done and (out_dir / f"{name}.jsonl").exists())
-    ]
+    # a run is finished when its history is a file: write_history renames
+    # it into place only when whole
+    pending = [job for name, job in runs.items() if not (out_dir / f"{name}.jsonl").is_file()]
     skipped = len(runs) - len(pending)
 
     def _keep(key, record):
-        # write and list each run as it finishes, so an interrupted bench
-        # keeps it; one O_APPEND write per line, so an interrupted bench
-        # leaves only whole manifest lines
-        name = _run_name(*key)
-        write_history(record.rows, out_dir / f"{name}.jsonl")
-        with manifest_path.open("ab", buffering=0) as fh:
-            fh.write(f"{name}\n".encode())
+        # write each run as it finishes, so an interrupted bench keeps it
+        write_history(record.rows, out_dir / f"{_run_name(*key)}.jsonl")
         return summary_line(record), record.outcome
 
     results = run_matrix(
         pending, args.budget, search_enabled=not args.no_search, on_record=_keep,
     ) if pending else {}
-    listed = done | {_run_name(*key) for key in results}
-    write_atomic(manifest_path, "\n".join(sorted(listed)) + "\n")
     outcomes = sorted(results.items())  # (key, (summary line, outcome)) per run
     errors = sum(1 for _, (_, outcome) in outcomes if outcome == "error")
     completed = len(outcomes) - errors
@@ -223,7 +211,6 @@ def cmd_bench(args) -> int:
     machine = {
         "command": "bench",
         "out": str(out_dir),
-        "manifest": str(manifest_path),
         "runs": len(runs),
         "completed": completed,
         "errors": errors,
@@ -265,8 +252,15 @@ def cmd_profile(args) -> int:
         raise ValueError(f"--tau: {exc}") from exc
     if not all(tau > 0.0 for tau in taus):
         raise ValueError("--tau: precisions must be positive")
+    stems = {}  # file stem -> tau; two taus that name one file would overwrite it
+    for tau in taus:
+        stem = f"data_profile_tau{tau:g}"
+        if stem in stems:
+            raise ValueError(f"--tau: {stems[stem]!r} and {tau!r} both name {stem}")
+        stems[stem] = tau
     if not histories_dir.is_dir():
         raise ValueError(f"history directory {histories_dir} does not exist")
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any read
 
     views = []
     warnings = []
@@ -292,9 +286,8 @@ def cmd_profile(args) -> int:
         export(curves, "svg", svg_path)
         written.extend([str(csv_path), str(svg_path)])
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for tau in taus:
-        _emit(data_profile(views, tau, f_star, f_ref), f"data_profile_tau{tau:g}")
+    for stem, tau in stems.items():
+        _emit(data_profile(views, tau, f_star, f_ref), stem)
     _emit(feasibility_profile(views), "feasibility_profile")
 
     machine = {

@@ -326,12 +326,6 @@ def _atomic_file(path):
         raise
 
 
-def write_atomic(path, text: str) -> None:
-    """Write ``text`` to ``path`` through :func:`_atomic_file`."""
-    with _atomic_file(path) as fh:
-        fh.write(text)
-
-
 def write_history(rows: Sequence[dict], path) -> None:
     """Persist history rows as JSONL, one object per line, atomically.
 

@@ -273,8 +273,8 @@ class TestBenchCommand:
         assert machine["runs"] == 8
         histories = sorted(p.name for p in out_dir.glob("*.jsonl"))
         assert len(histories) == 8
-        manifest = (out_dir / "manifest.txt").read_text().strip().splitlines()
-        assert len(manifest) == 8
+        assert sorted(p.name for p in out_dir.iterdir()) == histories
+        assert "manifest" not in machine
 
     def test_resume_skips_completed(self, tmp_path, capsys):
         out_dir = tmp_path / "bench"
@@ -319,6 +319,37 @@ class TestBenchCommand:
         assert machine["skipped"] == 4 and machine["completed"] + machine["errors"] == 4
         assert len(solved) == 4
         assert {key[3] for key in solved} == {"extreme-barrier"}
+
+    def test_history_on_disk_is_a_finished_run(self, tmp_path, capsys, monkeypatch):
+        # a history put in the directory by other means (copied in, or
+        # written by `solve --out`) is skipped, never re-read or re-solved
+        args = (
+            "bench", "--problem", "unit-disk", "--x0-count", "1",
+            "--seeds", "1,2", "--budget", "50",
+        )
+        first = tmp_path / "first"
+        code, _, _ = run_cli(capsys, *args, "--out", str(first))
+        assert code == 0
+        name = "unit-disk__feasible-0__seed1__pip.jsonl"
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        (fresh / name).write_bytes((first / name).read_bytes())
+        inode = (fresh / name).stat().st_ino
+        solved = []
+        real_solve = madspip.bench.solve
+
+        def counting_solve(problem, x0, config, x0_id="x0"):
+            solved.append((problem.name, x0_id, config.seed, config.mode))
+            return real_solve(problem, x0, config, x0_id=x0_id)
+
+        monkeypatch.setattr(madspip.bench, "solve", counting_solve)
+        code, out, _ = run_cli(capsys, *args, "--out", str(fresh))
+        assert code == 0
+        machine = machine_line(out)
+        assert machine["skipped"] == 1 and machine["completed"] == 1
+        assert solved == [("unit-disk", "feasible-0", 2, "pip")]
+        assert (fresh / name).read_bytes() == (first / name).read_bytes()
+        assert (fresh / name).stat().st_ino == inode
 
     def test_repeated_seed_solved_once(self, tmp_path, capsys, monkeypatch):
         solved = []
@@ -401,7 +432,6 @@ class TestBenchCommand:
         machine = machine_line(out)
         assert machine["runs"] == 200
         assert len(list(out_dir.glob("*.jsonl"))) == 200
-        assert len((out_dir / "manifest.txt").read_text().strip().splitlines()) == 200
         # machine line first, then one console summary per executed run
         lines = out.strip().splitlines()
         assert sum(1 for line in lines if line.startswith("problem=")) == 200
@@ -465,7 +495,7 @@ class TestBenchCommand:
         assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
         whole = sorted((tmp_path / "whole").iterdir())
         cut = sorted((tmp_path / "cut").iterdir())
-        assert [p.name for p in cut] == [p.name for p in whole] and len(cut) == 17
+        assert [p.name for p in cut] == [p.name for p in whole] and len(cut) == 16
         assert all(a.read_bytes() == b.read_bytes() for a, b in zip(whole, cut))
 
     PINNED_BENCH = (
@@ -494,10 +524,8 @@ class TestBenchCommand:
         assert len(calls) == 5
         kept = tree(cut)
         histories = {name for name in kept if name.endswith(".jsonl")}
-        assert len(histories) == 4 and set(kept) == histories | {"manifest.txt"}
+        assert len(histories) == 4 and set(kept) == histories
         assert all(kept[name] == (clean / name).read_bytes() for name in histories)
-        listed = kept["manifest.txt"].decode().splitlines()
-        assert sorted(f"{name}.jsonl" for name in listed) == sorted(histories)
 
         monkeypatch.setattr(madspip.bench, "solve", real_solve)
         code, out, _ = run_cli(capsys, *self.PINNED_BENCH, "--out", str(cut))
@@ -523,28 +551,6 @@ class TestBenchCommand:
         assert code == 0
         assert len(alive_at_call) == 20 and len(refs) == 13
         assert max(alive_at_call) <= 2
-
-    def test_workers_append_whole_manifest_lines(self, tmp_path, capsys, monkeypatch):
-        # with the final sorted rewrite refused, the manifest is what the
-        # workers appended: one whole line per history, none lost or mixed
-        def refuse(path, text):
-            raise OSError("rewrite refused")
-
-        monkeypatch.setattr(madspip.cli, "write_atomic", refuse)
-        out_dir = tmp_path / "bench"
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            code, _, _ = run_cli(
-                capsys, "bench", "--problem", "unit-disk,two-ring", "--x0-count", "2",
-                "--seeds", "1,2,3,4", "--budget", "20", "--workers", "4", "--out", str(out_dir),
-            )
-        finally:
-            sys.setswitchinterval(interval)
-        assert code == 2
-        listed = (out_dir / "manifest.txt").read_text().splitlines()
-        assert len(listed) == 16
-        assert sorted(listed) == sorted(p.stem for p in out_dir.glob("*.jsonl"))
 
     def test_workers_start_no_thread(self, tmp_path, capsys, monkeypatch):
         # --workers is checked but has no effect: every solve runs in the
@@ -575,22 +581,28 @@ class TestBenchCommand:
         assert code == 2
         assert one_error_line(err)
 
-    def test_failed_history_write_keeps_written_runs_listed(self, tmp_path, capsys):
+    def test_failed_history_write_keeps_written_runs(self, tmp_path, capsys):
+        # a directory with a history's name is not a finished run: bench
+        # tries to write over it and fails, keeping seed 1's history
         out_dir = tmp_path / "bench"
-        (out_dir / "unit-disk__feasible-0__seed2__pip.jsonl").mkdir(parents=True)
-        code, _, err = run_cli(
-            capsys, "bench", "--problem", "unit-disk", "--x0-count", "1", "--seeds", "1,2",
+        blocker = out_dir / "unit-disk__feasible-0__seed2__pip.jsonl"
+        blocker.mkdir(parents=True)
+        args = (
+            "bench", "--problem", "unit-disk", "--x0-count", "1", "--seeds", "1,2",
             "--budget", "50", "--workers", "1", "--out", str(out_dir),
         )
+        code, _, err = run_cli(capsys, *args)
         assert code == 2
         assert one_error_line(err)
-        manifest = (out_dir / "manifest.txt").read_text().splitlines()
-        assert manifest == ["unit-disk__feasible-0__seed1__pip"]
         assert sorted(p.name for p in out_dir.iterdir()) == [
-            "manifest.txt",
             "unit-disk__feasible-0__seed1__pip.jsonl",
             "unit-disk__feasible-0__seed2__pip.jsonl",
         ]
+        assert blocker.is_dir()
+        blocker.rmdir()
+        code, out, _ = run_cli(capsys, *args)
+        machine = machine_line(out)
+        assert code == 0 and machine["skipped"] == 1 and machine["completed"] == 1
 
     def test_partial_failures_reported(self, tmp_path, capsys):
         # extreme barrier errors out on the equality problem but pip completes
@@ -703,8 +715,9 @@ class TestProfileCommand:
         assert machine_line(out)["histories"] == 16
         assert len(machine_line(out)["warnings"]) == 1
 
-    @pytest.mark.parametrize("tau", ["0", "-1", "0.1,0"])
-    def test_nonpositive_tau_exits_2(self, bench_dir, capsys, tau):
+    # the last two name one file, data_profile_tau0.1, twice
+    @pytest.mark.parametrize("tau", ["0", "-1", "0.1,0", "0.1,0.1000001", "0.1,0.1"])
+    def test_bad_tau_exits_2(self, bench_dir, capsys, tau):
         code, _, err = run_cli(capsys, "profile", "--histories", str(bench_dir), f"--tau={tau}")
         assert code == 2
         assert one_error_line(err) and err.startswith("error: --tau")
@@ -714,7 +727,15 @@ class TestProfileCommand:
         code, _, err = run_cli(capsys, "profile", "--histories", str(tmp_path / "none"))
         assert code == 2
 
-    def test_out_is_a_file_exits_2(self, bench_dir, tmp_path, capsys):
+    def test_out_is_a_file_exits_2(self, bench_dir, tmp_path, capsys, monkeypatch):
+        reads = []
+        real_read = madspip.cli.read_history
+
+        def counting_read(path):
+            reads.append(path)
+            return real_read(path)
+
+        monkeypatch.setattr(madspip.cli, "read_history", counting_read)
         out = tmp_path / "taken"
         out.write_text("x")
         code, _, err = run_cli(
@@ -722,6 +743,7 @@ class TestProfileCommand:
         )
         assert code == 2
         assert one_error_line(err)
+        assert reads == []  # --out fails before any history is read
 
 
 class TestListCommand:
