@@ -29,6 +29,8 @@ from .bench import (
 )
 from .problem import ExternalEvaluator, read_history, write_history
 from .solver import (
+    MODE_EXTREME_BARRIER,
+    MODE_PIP,
     InitializationError,
     SolverConfig,
     check_run_invariants,
@@ -83,16 +85,15 @@ def _parse_list(raw: str, cast) -> list:
 
 
 def _resolve_problem(name: Optional[str], eval_exe: Optional[str]):
-    """A builtin name, or a path to a key=value problem definition file."""
+    """The problem of a builtin name, or of a path to a key=value problem definition file."""
     if name is None:
         raise ValueError("--problem is required")
     try:
-        problem, optimum = builtin_problem(name)
-        return problem, optimum
+        return builtin_problem(name)[0]
     except KeyError:
         pass
     if Path(name).is_file():
-        return load_problem_file(name, eval_exe=eval_exe), None
+        return load_problem_file(name, eval_exe=eval_exe)
     raise ValueError(f"unknown problem {name!r} (not a builtin, not a definition file)")
 
 
@@ -121,7 +122,7 @@ def cmd_solve(args) -> int:
     eval_exe = args.eval_exe
     if eval_exe is not None and not Path(eval_exe).exists():
         raise ValueError(f"evaluator executable {eval_exe!r} does not exist")
-    problem, _ = _resolve_problem(args.problem, eval_exe)
+    problem = _resolve_problem(args.problem, eval_exe)
     if eval_exe is not None and not isinstance(problem.evaluator, ExternalEvaluator):
         # swap a builtin's analytic evaluator for the external executable
         problem = dataclasses.replace(
@@ -336,7 +337,7 @@ def build_parser(defaults: Optional[Dict[str, object]] = None) -> argparse.Argum
     solve_p.add_argument("--x0-file")
     solve_p.add_argument("--seed", type=int, default=0)
     solve_p.add_argument("--budget", type=int, default=1000)
-    solve_p.add_argument("--mode", choices=["pip", "extreme-barrier"], default="pip")
+    solve_p.add_argument("--mode", choices=[MODE_PIP, MODE_EXTREME_BARRIER], default=MODE_PIP)
     solve_p.add_argument("--eval-exe", help="external blackbox executable")
     solve_p.add_argument("--no-search", action="store_true")
     solve_p.add_argument("--check-invariants", action="store_true")
@@ -347,7 +348,7 @@ def build_parser(defaults: Optional[Dict[str, object]] = None) -> argparse.Argum
     bench_p.add_argument("--x0-count", type=int, default=2)
     bench_p.add_argument("--seeds", help="comma-separated seeds")
     bench_p.add_argument("--budget", type=int, default=1500)
-    bench_p.add_argument("--mode", default="pip", help="comma-separated modes, e.g. pip,extreme-barrier")
+    bench_p.add_argument("--mode", default=MODE_PIP, help="comma-separated modes, e.g. pip,extreme-barrier")
     bench_p.add_argument("--no-search", action="store_true")
     bench_p.add_argument(
         "--workers", type=int,

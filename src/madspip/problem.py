@@ -172,7 +172,8 @@ def evaluate(
     """Evaluate ``point``, reusing the cache; one raw call per distinct key.
 
     On a miss the evaluator is called, its outputs sanitized and stored.
-    Evaluator exceptions become failed evaluations rather than propagating.
+    Evaluator exceptions become failed evaluations rather than propagating:
+    this is the one place that logs an evaluator's failure, with one warning.
     """
     if len(point) != problem.n:
         raise ValueError("point length does not match problem dimension")
@@ -185,8 +186,10 @@ def evaluate(
     index = len(cache.entries)
     try:
         raw = problem.evaluator(point)
-    except Exception:
-        log.warning("evaluator raised at %s; treating as failed evaluation", point, exc_info=True)
+    except Exception as exc:
+        log.warning(
+            "evaluator raised at %s; treating as failed evaluation: %s", point, exc, exc_info=True
+        )
         raw = None
     evaluation = _sanitize(point, raw, index, problem.m, problem.p)
     cache.store(key, evaluation)
@@ -229,64 +232,50 @@ def run_external(
     Protocol: the point is written to stdin as a single line of
     whitespace-separated decimals (17 significant digits); the executable
     answers with one line of ``1 + m + p`` decimals ordered ``f g_1..g_m
-    h_1..h_p``.  A nonzero exit status, a timeout, or output that is not
-    UTF-8 or does not parse yields the all-infinite failure triple, with the
-    diagnostic kept in the run log; stderr only ever reaches the log.
+    h_1..h_p``.  Every failure raises, and :func:`evaluate` turns it into
+    the failed evaluation: a timeout raises ``subprocess.TimeoutExpired``,
+    an executable that cannot start ``OSError``, and a nonzero exit status
+    (its message carries the stderr text) or stdout that is not UTF-8 or
+    does not parse ``ValueError``.  Stderr never reaches the result.
 
     The executable runs in a session of its own, and a timeout (or any
     exception, ``KeyboardInterrupt`` included) kills its whole process
     group, so children it started do not outlive the call.
     """
     line = (" ".join(f"{float(x):.17g}" for x in point) + "\n").encode()
-    failure = (_INF, (_INF,) * m, (_INF,) * p)
-    try:
-        with subprocess.Popen(
-            [executable_path],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            start_new_session=True,
-        ) as proc:
+    with subprocess.Popen(
+        [executable_path],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    ) as proc:
+        try:
+            stdout, stderr = proc.communicate(line, timeout=timeout)
+        except BaseException:
+            # the leader is not reaped yet, so its pid still names the group
             try:
-                stdout, stderr = proc.communicate(line, timeout=timeout)
-            except BaseException:
-                # the leader is not reaped yet, so its pid still names the group
-                try:
-                    os.killpg(proc.pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-                raise
-    except (subprocess.TimeoutExpired, OSError) as exc:
-        log.warning("external evaluator %s failed to run: %s", executable_path, exc)
-        return failure
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            raise
+    who = f"external evaluator {executable_path}"
     if proc.returncode != 0:
-        log.warning(
-            "external evaluator %s exited with status %d: %s",
-            executable_path,
-            proc.returncode,
-            stderr.decode("utf-8", "replace").strip(),
-        )
-        return failure
+        detail = stderr.decode("utf-8", "replace").strip()
+        raise ValueError(f"{who} exited with status {proc.returncode}: {detail}")
     try:
-        stdout = stdout.decode("utf-8")
+        text = stdout.decode("utf-8")
     except UnicodeDecodeError:
-        log.warning("external evaluator %s wrote non-UTF-8 output %r", executable_path, stdout)
-        return failure
-    tokens = stdout.split()
+        raise ValueError(f"{who} wrote non-UTF-8 output {stdout!r}") from None
+    tokens = text.split()
     if len(tokens) != 1 + m + p:
-        log.warning(
-            "external evaluator %s returned %d values, expected %d (output %r)",
-            executable_path,
-            len(tokens),
-            1 + m + p,
-            stdout,
+        raise ValueError(
+            f"{who} returned {len(tokens)} values, expected {1 + m + p} (output {text!r})"
         )
-        return failure
     try:
         values = [float(t) for t in tokens]
     except ValueError:
-        log.warning("external evaluator %s produced unparsable output %r", executable_path, stdout)
-        return failure
+        raise ValueError(f"{who} produced unparsable output {text!r}") from None
     return values[0], tuple(values[1 : 1 + m]), tuple(values[1 + m :])
 
 

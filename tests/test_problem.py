@@ -6,6 +6,7 @@ import math
 import os
 import signal
 import stat
+import subprocess
 import time
 import tracemalloc
 
@@ -20,6 +21,7 @@ from madspip.problem import (
     Evaluation,
     ExternalEvaluator,
     Problem,
+    _sanitize,
     evaluate,
     is_feasible,
     read_history,
@@ -170,8 +172,8 @@ class TestRunExternal:
 
     def test_nonzero_exit(self, tmp_path):
         exe = make_script(tmp_path, "fail.sh", "exit 1")
-        f, g, h = run_external(exe, (0.0,), timeout=10.0, m=1, p=1)
-        assert f == INF and g == (INF,) and h == (INF,)
+        with pytest.raises(ValueError, match="exited with status 1"):
+            run_external(exe, (0.0,), timeout=10.0, m=1, p=1)
 
     def test_inf_output(self, tmp_path):
         exe = make_script(tmp_path, "inf.sh", 'read line; echo "inf 0 0"')
@@ -180,28 +182,31 @@ class TestRunExternal:
 
     def test_malformed_output(self, tmp_path):
         exe = make_script(tmp_path, "garbage.sh", 'read line; echo "pelican"')
-        f, g, h = run_external(exe, (0.0,), timeout=10.0, m=0, p=0)
-        assert f == INF
+        with pytest.raises(ValueError, match="unparsable output 'pelican"):
+            run_external(exe, (0.0,), timeout=10.0, m=0, p=0)
 
     def test_wrong_count(self, tmp_path):
         exe = make_script(tmp_path, "short.sh", 'read line; echo "1.0"')
-        f, g, h = run_external(exe, (0.0,), timeout=10.0, m=1, p=0)
-        assert f == INF and g == (INF,)
+        with pytest.raises(ValueError, match="returned 1 values, expected 2"):
+            run_external(exe, (0.0,), timeout=10.0, m=1, p=0)
 
-    def test_timeout_returns_the_failure_triple(self, tmp_path):
+    def test_timeout_raises(self, tmp_path):
         exe = make_script(tmp_path, "slow.sh", "exec sleep 30")
         start = time.monotonic()
-        assert run_external(exe, (0.0,), timeout=0.3, m=1, p=1) == (INF, (INF,), (INF,))
+        with pytest.raises(subprocess.TimeoutExpired):
+            run_external(exe, (0.0,), timeout=0.3, m=1, p=1)
         assert time.monotonic() - start < 10.0
 
-    def test_missing_executable_returns_the_failure_triple(self, tmp_path):
+    def test_missing_executable_raises(self, tmp_path):
         missing = str(tmp_path / "no-such-evaluator")
-        assert run_external(missing, (0.0,), timeout=10.0, m=1, p=0) == (INF, (INF,), ())
+        with pytest.raises(FileNotFoundError):
+            run_external(missing, (0.0,), timeout=10.0, m=1, p=0)
 
-    def test_non_executable_returns_the_failure_triple(self, tmp_path):
+    def test_non_executable_raises(self, tmp_path):
         path = tmp_path / "plain.sh"
         path.write_text('#!/bin/sh\necho "1.0"\n')
-        assert run_external(str(path), (0.0,), timeout=10.0, m=0, p=0) == (INF, (), ())
+        with pytest.raises(PermissionError):
+            run_external(str(path), (0.0,), timeout=10.0, m=0, p=0)
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
     def test_timeout_kills_the_evaluators_own_children(self, tmp_path):
@@ -211,7 +216,8 @@ class TestRunExternal:
         exe = make_script(tmp_path, "spawner.sh", f'sleep 30 &\necho $! > "{pidfile}"\nwait')
         pid = None
         try:
-            assert run_external(exe, (0.0,), timeout=0.5, m=1, p=0) == (INF, (INF,), ())
+            with pytest.raises(subprocess.TimeoutExpired):
+                run_external(exe, (0.0,), timeout=0.5, m=1, p=0)
             pid = int(pidfile.read_text())
             deadline = time.monotonic() + 5.0
             while _running(pid) and time.monotonic() < deadline:
@@ -225,11 +231,10 @@ class TestRunExternal:
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(pid, signal.SIGKILL)
 
-    def test_undecodable_stdout_returns_the_failure_triple(self, tmp_path, caplog):
+    def test_undecodable_stdout_raises(self, tmp_path):
         exe = make_script(tmp_path, "latin1.sh", r"read line; printf '1.0 \377\n'")
-        with caplog.at_level(logging.WARNING, logger="madspip.problem"):
-            assert run_external(exe, (0.0,), timeout=10.0, m=1, p=0) == (INF, (INF,), ())
-        assert "non-UTF-8 output" in caplog.text
+        with pytest.raises(ValueError, match="non-UTF-8 output"):
+            run_external(exe, (0.0,), timeout=10.0, m=1, p=0)
 
     def test_undecodable_stderr_keeps_a_correct_answer(self, tmp_path):
         exe = make_script(
@@ -242,15 +247,50 @@ class TestRunExternal:
 
     def test_undecodable_stderr_is_logged_on_a_nonzero_exit(self, tmp_path, caplog):
         exe = make_script(tmp_path, "noisy_fail.sh", r"printf 'bad \377 byte\n' >&2; exit 3")
+        with pytest.raises(ValueError, match="status 3: bad \ufffd byte"):
+            run_external(exe, (0.0,), timeout=10.0, m=1, p=0)
+        problem = Problem("ext", 1, 1, 0, ExternalEvaluator(exe, 1, 0, timeout=10.0))
         with caplog.at_level(logging.WARNING, logger="madspip.problem"):
-            assert run_external(exe, (0.0,), timeout=10.0, m=1, p=0) == (INF, (INF,), ())
-        assert "status 3: bad � byte" in caplog.text
+            assert evaluate(problem, (0.0,), Cache()).failed
+        assert "status 3: bad \ufffd byte" in caplog.text
 
     def test_wrapper_marks_failed_through_evaluate(self, tmp_path):
         exe = make_script(tmp_path, "inf2.sh", 'read line; echo "inf 0 0"')
         problem = Problem("ext", 1, 1, 1, ExternalEvaluator(exe, 1, 1, timeout=10.0))
         ev = evaluate(problem, (0.0,), Cache())
         assert ev.failed and ev.f == INF
+
+    FAILURES = {
+        "nonzero_exit": ("read line; exit 2", 10.0),
+        "timeout": ("exec sleep 30", 0.3),
+        "missing_executable": (None, 10.0),
+        "non_executable": ("not executable", 10.0),
+        "non_utf8_stdout": (r"read line; printf '1.0 \377 0\n'", 10.0),
+        "wrong_count": ('read line; echo "1.0 2.0"', 10.0),
+        "unparsable_output": ('read line; echo "1.0 pelican 0"', 10.0),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FAILURES))
+    def test_every_failure_is_one_warning_and_the_failed_evaluation(self, tmp_path, caplog, kind):
+        # each way an external evaluation fails reaches the same failed
+        # Evaluation as a raising Python evaluator, with one logged line
+        body, timeout = self.FAILURES[kind]
+        if body is None:
+            exe = str(tmp_path / "no-such-evaluator")
+        else:
+            exe = make_script(tmp_path, f"{kind}.sh", body)
+            if kind == "non_executable":
+                os.chmod(exe, 0o644)
+        point = (0.25, -1.5)
+        problem = Problem("ext", 2, 1, 1, ExternalEvaluator(exe, 1, 1, timeout=timeout))
+        with caplog.at_level(logging.WARNING, logger="madspip.problem"):
+            ev = evaluate(problem, point, Cache())
+        assert ev == _sanitize(point, None, 0, 1, 1)
+        warnings = [
+            r for r in caplog.records if r.name == "madspip.problem" and r.levelno == logging.WARNING
+        ]
+        assert len(warnings) == 1
+        assert exe in warnings[0].getMessage()
 
 
 def _row(eval_index=0, x=(0.0,), f=1.0, g=(), h=(), cint=None, cext=None, rho=None,
