@@ -7,7 +7,7 @@ submodules (``madspip.merit``, ``madspip.mesh``, ``madspip.problem``, ...)."""
 
 from .problem import Evaluation, ExternalEvaluator, Problem, is_feasible
 from .solver import InitializationError, RunRecord, SolverConfig, check_run_invariants, solve
-from .suite import Instance, KnownOptimum, builtin_problems, load_problem_file, make_instances
+from .suite import Instance, builtin_problems, load_problem_file, make_instances
 from .bench import ProfileCurve, data_profile, export, feasibility_profile, run_matrix
 
 __version__ = "0.1.0"
@@ -22,7 +22,6 @@ __all__ = [
     "InitializationError",
     "solve",
     "check_run_invariants",
-    "KnownOptimum",
     "Instance",
     "builtin_problems",
     "make_instances",

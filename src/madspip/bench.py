@@ -28,8 +28,6 @@ __all__ = [
     "RunView",
     "view_of_history",
     "run_matrix",
-    "convergence_index",
-    "feasibility_index",
     "best_feasible_table",
     "reference_table",
     "data_profile",
@@ -155,12 +153,13 @@ def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, m
     tuples (a record's rows in memory).  A row that no run writes (not an
     object, an index that is not an integer, skips ahead or is negative, a
     bad ``f``, ``g`` or ``h``, a non-finite ``f`` that is not ``+inf`` on an
-    infeasible row, or no ``x`` array in the first row) raises
+    infeasible row, or no nonempty ``x`` array in the first row) raises
     ``ValueError``.
     """
     x = rows[0].get("x") if rows and isinstance(rows[0], dict) else ()
-    if not isinstance(x, (list, tuple)):
-        raise ValueError("history row has no x list")
+    # no rows at all is a run that could not start; n = 0 is no run's
+    if not isinstance(x, (list, tuple)) or (rows and not x):
+        raise ValueError("history row has no nonempty x list")
     return RunView(problem, x0_id, seed, mode, len(x), _evaluations(rows))
 
 
@@ -200,8 +199,8 @@ def run_matrix(
 def convergence_index(view: RunView, f_star: float, f_ref: float, tau: float) -> Optional[int]:
     """Smallest k such that some feasible evaluation among the first
     ``k * (n + 1)`` satisfies ``f <= f_star + tau * (f_ref - f_star)``."""
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < math.inf:  # nan too: inf * 0 would give a nan threshold
+        raise ValueError("tau must be positive and finite")
     if f_ref < f_star:
         raise ValueError("the reference value must not undercut f_star")
     threshold = f_star + tau * (f_ref - f_star)

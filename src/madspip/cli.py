@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -251,8 +252,8 @@ def cmd_profile(args) -> int:
         taus = _parse_list(args.tau, float)
     except ValueError as exc:
         raise ValueError(f"--tau: {exc}") from exc
-    if not all(tau > 0.0 for tau in taus):
-        raise ValueError("--tau: precisions must be positive")
+    if not all(0.0 < tau < math.inf for tau in taus):
+        raise ValueError("--tau: precisions must be positive and finite")
     stems = {}  # file stem -> tau; two taus that name one file would overwrite it
     for tau in taus:
         stem = f"data_profile_tau{tau:g}"

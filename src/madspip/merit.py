@@ -28,9 +28,6 @@ from typing import Iterable, Sequence, Tuple
 __all__ = [
     "Partition",
     "MeritParams",
-    "phi_prox",
-    "c_int",
-    "c_ext",
     "merit",
     "compute_b_ext",
     "penalty_update_check",
@@ -109,45 +106,6 @@ class MeritParams:
             raise ValueError("b_ext must be positive")
 
 
-def phi_prox(g_int_values: Sequence[float]) -> float:
-    """Proximity of a point to the interior-set boundary: max of the values.
-
-    Negative strictly inside, zero on the boundary, positive when some
-    interior constraint is violated.  ``+inf`` inputs propagate.
-    """
-    if len(g_int_values) == 0:
-        raise ValueError("phi_prox needs at least one constraint value")
-    return max(g_int_values)
-
-
-def c_int(g_int_values: Sequence[float]) -> float:
-    """Aggregated interior violation in ``[-1, +inf)``.
-
-    Equals ``-prod(min(1, -g))`` when every value is nonpositive and the
-    proximity measure otherwise.  The empty product makes the no-interior-set
-    case identically ``-1``.
-    """
-    if len(g_int_values) == 0:
-        return -1.0
-    if any(v > 0.0 for v in g_int_values):
-        return phi_prox(g_int_values)
-    prod = 1.0
-    for v in g_int_values:
-        prod *= min(1.0, -v)
-    return -prod
-
-
-def c_ext(g_ext_values: Sequence[float], h_values: Sequence[float]) -> float:
-    """Exterior violation: squared positive parts plus squared residuals."""
-    total = 0.0
-    for v in g_ext_values:
-        if v > 0.0:
-            total += v * v
-    for v in h_values:
-        total += v * v
-    return total
-
-
 def merit(f: float, cint: float, cext: float, params: MeritParams) -> float:
     """Merit value of a point given its objective and violation measures.
 
@@ -194,14 +152,19 @@ def violation_summary(
     partition: Partition,
     failed: bool = False,
 ) -> Tuple[float, float, float]:
-    """``(phi_prox, c_int, c_ext)`` of one raw evaluation under a partition.
+    """``(phi_prox, c_int, c_ext)`` of one raw evaluation under a partition,
+    in one pass per index set.
 
-    Computed with the arithmetic of :func:`phi_prox`, :func:`c_int` and
-    :func:`c_ext` in one pass per index set (tests hold the two to the same
-    bits).  ``phi_prox`` is ``-inf`` when no constraint is interior (maximum
-    over an empty set); a failed evaluation gives ``+inf`` throughout.  The
-    terms stay valid until the partition changes, and
-    ``merit(f, c_int, c_ext, params)`` prices them under any ``rho``.
+    ``phi_prox`` is the largest interior value ``g_i`` (negative strictly
+    inside, zero on the boundary, ``-inf`` when no constraint is interior).
+    ``c_int`` lies in ``[-1, +inf)``: ``-prod(min(1, -g_i))`` over the
+    interior values when ``phi_prox <= 0`` (``-1`` for an empty interior
+    set), and ``phi_prox`` itself when some interior constraint is violated.
+    ``c_ext`` is the sum of ``max(0, g_i)**2`` over the exterior values plus
+    the sum of ``h_j**2``.  ``+inf`` inputs propagate; a failed evaluation
+    gives ``+inf`` throughout.  The terms stay valid until the partition
+    changes, and ``merit(f, c_int, c_ext, params)`` prices them under any
+    ``rho``.
     """
     if failed:
         return (_INF, _INF, _INF)

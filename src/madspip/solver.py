@@ -52,13 +52,8 @@ __all__ = [
     "MODE_PIP",
     "MODE_EXTREME_BARRIER",
     "SolverConfig",
-    "SolverState",
     "RunRecord",
     "InitializationError",
-    "init_state",
-    "iterate",
-    "speculative_search",
-    "reselect_incumbent",
     "solve",
     "check_run_invariants",
 ]

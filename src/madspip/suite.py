@@ -21,13 +21,11 @@ import numpy as np
 from .problem import ExternalEvaluator, Problem
 
 __all__ = [
-    "KnownOptimum",
     "Instance",
     "builtin_problems",
     "builtin_problem",
     "DEFAULT_BENCH_NAMES",
     "initial_point",
-    "x0_ids",
     "make_instances",
     "load_problem_file",
 ]
@@ -188,7 +186,7 @@ _SAMPLERS: Dict[str, Callable] = {
     "unit-disk": _disk_point,
     "sphere-eq": lambda rng, feas: _plane_point(rng, 5, feas),
     "sphere-eq-3": lambda rng, feas: _plane_point(rng, 3, feas),
-    "mixed-kkt": lambda rng, feas: _mixed_point(rng, feas),
+    "mixed-kkt": _mixed_point,
     "maxabs-lin": _halfplane_point,
     "two-ring": _ring_point,
 }

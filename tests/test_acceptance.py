@@ -23,7 +23,14 @@ from madspip.bench import (
     view_of_history,
 )
 from madspip.cli import main as cli_main
-from madspip.merit import MeritParams, c_ext, c_int, compute_b_ext, merit, penalty_update_check, phi_prox
+from madspip.merit import (
+    MeritParams,
+    Partition,
+    compute_b_ext,
+    merit,
+    penalty_update_check,
+    violation_summary,
+)
 from madspip.mesh import MeshState, snap_steps, update_frame
 from madspip.problem import is_feasible, Evaluation
 from madspip.solver import SolverConfig, check_run_invariants, solve
@@ -59,18 +66,26 @@ def crit3_records():
 class TestCriterion1FormulaSuite:
     def test_formula_examples(self):
         start = time.monotonic()
-        # interior violation and proximity
-        assert phi_prox([-2.0, -0.5]) == -0.5
-        assert phi_prox([0.5, -2.0]) == 0.5
-        assert phi_prox([0.0, -1.0]) == 0.0
-        assert c_int([-3.0, -1.5]) == -1.0
-        assert c_int([-0.5, -0.25]) == pytest.approx(-0.125)
-        assert c_int([0.5, -2.0]) == 0.5
-        assert c_int([]) == -1.0
-        # exterior violation
-        assert c_ext([0.3, -1.0], [0.2]) == pytest.approx(0.13)
-        assert c_ext([-1.0, -2.0], []) == 0.0
-        assert c_ext([], [1.0, -1.0]) == pytest.approx(2.0)
+        # interior violation and proximity: (phi_prox, c_int) with every
+        # constraint interior
+        def interior(g):
+            return violation_summary(g, [], Partition(range(len(g)), ()))[:2]
+
+        assert interior([-2.0, -0.5])[0] == -0.5
+        assert interior([0.5, -2.0])[0] == 0.5
+        assert interior([0.0, -1.0])[0] == 0.0
+        assert interior([-3.0, -1.5])[1] == -1.0
+        assert interior([-0.5, -0.25])[1] == pytest.approx(-0.125)
+        assert interior([0.5, -2.0])[1] == 0.5
+        assert interior([])[1] == -1.0
+
+        # exterior violation: c_ext with every inequality exterior
+        def exterior(g, h):
+            return violation_summary(g, h, Partition((), range(len(g))))[2]
+
+        assert exterior([0.3, -1.0], [0.2]) == pytest.approx(0.13)
+        assert exterior([-1.0, -2.0], []) == 0.0
+        assert exterior([], [1.0, -1.0]) == pytest.approx(2.0)
         # merit values incl. the high-precision oracle fixture
         p = MeritParams(rho=0.1)
         assert merit(1.0, -1.0, 0.0, p) == 1.0

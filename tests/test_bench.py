@@ -71,6 +71,11 @@ class TestConvergenceIndex:
             convergence_index(a, f_star=2.0, f_ref=1.0, tau=0.1)
         with pytest.raises(ValueError):
             convergence_index(a, f_star=2.0, f_ref=10.0, tau=0.0)
+        # an infinite tau makes the threshold f_star + inf * 0 = nan when
+        # f_ref == f_star, so the instance would never count as solved
+        for tau in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                convergence_index(a, f_star=2.0, f_ref=10.0, tau=tau)
 
     def test_qualifying_eval_within_group_bounds(self):
         a = fixture_views()[0]
@@ -424,6 +429,8 @@ class TestRunMatrix:
             {"eval_index": 1, "x": [0.0], "f": 1.0},
             {"eval_index": 3, "x": [0.0], "f": 1.0},
             {"eval_index": -1, "x": [0.0], "f": 1.0},
+            # a run has at least one variable: an empty x would make n = 0
+            {"eval_index": 0, "x": [], "f": 1.0},
         ],
     )
     def test_view_of_history_rejects_rows_no_run_writes(self, row):

@@ -715,8 +715,10 @@ class TestProfileCommand:
         assert machine_line(out)["histories"] == 16
         assert len(machine_line(out)["warnings"]) == 1
 
-    # the last two name one file, data_profile_tau0.1, twice
-    @pytest.mark.parametrize("tau", ["0", "-1", "0.1,0", "0.1,0.1000001", "0.1,0.1"])
+    # "0.1,0.1000001" and "0.1,0.1" name one file, data_profile_tau0.1, twice
+    @pytest.mark.parametrize(
+        "tau", ["0", "-1", "0.1,0", "0.1,0.1000001", "0.1,0.1", "inf", "0.1,inf"]
+    )
     def test_bad_tau_exits_2(self, bench_dir, capsys, tau):
         code, _, err = run_cli(capsys, "profile", "--histories", str(bench_dir), f"--tau={tau}")
         assert code == 2

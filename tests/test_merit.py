@@ -13,12 +13,9 @@ from madspip.merit import (
     THETA_RHO,
     MeritParams,
     Partition,
-    c_ext,
-    c_int,
     compute_b_ext,
     merit,
     penalty_update_check,
-    phi_prox,
     violation_summary,
 )
 
@@ -27,6 +24,17 @@ INF = math.inf
 
 def params(rho=0.1):
     return MeritParams(rho=rho)
+
+
+def interior_terms(g):
+    """``(phi_prox, c_int)`` of ``g`` with every constraint interior."""
+    phi, cint, _ = violation_summary(g, [], Partition(range(len(g)), ()))
+    return phi, cint
+
+
+def exterior_term(g, h):
+    """``c_ext`` of ``g`` and ``h`` with every inequality exterior."""
+    return violation_summary(g, h, Partition((), range(len(g))))[2]
 
 
 class TestPartition:
@@ -57,58 +65,54 @@ class TestPartition:
 
 class TestPhiProx:
     def test_all_negative(self):
-        assert phi_prox([-2.0, -0.5]) == -0.5
+        assert interior_terms([-2.0, -0.5])[0] == -0.5
 
     def test_one_positive(self):
-        assert phi_prox([0.5, -2.0]) == 0.5
+        assert interior_terms([0.5, -2.0])[0] == 0.5
 
     def test_boundary(self):
-        assert phi_prox([0.0, -1.0]) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            phi_prox([])
+        assert interior_terms([0.0, -1.0])[0] == 0.0
 
     def test_infinity_propagates(self):
-        assert phi_prox([INF, -1.0]) == INF
+        assert interior_terms([INF, -1.0])[0] == INF
 
 
 class TestCInt:
     def test_deep_interior_saturates(self):
-        assert c_int([-3.0, -1.5]) == -1.0
+        assert interior_terms([-3.0, -1.5])[1] == -1.0
 
     def test_product_branch(self):
-        assert c_int([-0.5, -0.25]) == pytest.approx(-0.125)
+        assert interior_terms([-0.5, -0.25])[1] == pytest.approx(-0.125)
 
     def test_violation_branch(self):
-        assert c_int([0.5, -2.0]) == 0.5
+        assert interior_terms([0.5, -2.0])[1] == 0.5
 
     def test_empty_product(self):
-        assert c_int([]) == -1.0
+        assert interior_terms([])[1] == -1.0
 
     def test_boundary_value_zero(self):
         # a zero value keeps the product branch and yields exactly 0
-        assert c_int([0.0, -2.0]) == 0.0
+        assert interior_terms([0.0, -2.0])[1] == 0.0
 
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=0, max_size=6))
     def test_range_and_sign(self, values):
-        v = c_int(values)
+        v = interior_terms(values)[1]
         assert v >= -1.0
         assert (v <= 0.0) == all(x <= 0.0 for x in values)
 
 
 class TestCExt:
     def test_mixed(self):
-        assert c_ext([0.3, -1.0], [0.2]) == pytest.approx(0.13)
+        assert exterior_term([0.3, -1.0], [0.2]) == pytest.approx(0.13)
 
     def test_feasible(self):
-        assert c_ext([-1.0, -2.0], []) == 0.0
+        assert exterior_term([-1.0, -2.0], []) == 0.0
 
     def test_equalities_only(self):
-        assert c_ext([], [1.0, -1.0]) == pytest.approx(2.0)
+        assert exterior_term([], [1.0, -1.0]) == pytest.approx(2.0)
 
     def test_infinity(self):
-        assert c_ext([INF], []) == INF
+        assert exterior_term([INF], []) == INF
 
     # magnitudes kept above the square-underflow threshold: h**2 flushes to
     # zero below ~1e-162, where the zero-iff-feasible equivalence cannot hold
@@ -118,7 +122,7 @@ class TestCExt:
 
     @given(st.lists(_scale, max_size=5), st.lists(_scale, max_size=5))
     def test_nonnegative_zero_iff_feasible(self, g, h):
-        v = c_ext(g, h)
+        v = exterior_term(g, h)
         assert v >= 0.0
         assert (v == 0.0) == (all(x <= 0.0 for x in g) and all(x == 0.0 for x in h))
 
@@ -258,14 +262,29 @@ _g_value = st.one_of(
     interior=st.sets(st.integers(min_value=0, max_value=4)),
 )
 def test_summary_matches_the_term_helpers(g, h, interior):
-    # one pass per index set, bit for bit the arithmetic of the helpers
+    # bit for bit the formulas, each written out as its own left-to-right loop
     partition = Partition(
         [i for i in range(len(g)) if i in interior], [i for i in range(len(g)) if i not in interior]
     )
     gi = [g[i] for i in partition.g_int]
-    expected = (phi_prox(gi) if gi else -INF, c_int(gi), c_ext([g[i] for i in partition.g_ext], h))
+    phi = -INF
+    for v in gi:
+        phi = max(phi, v)
+    if any(v > 0.0 for v in gi):
+        cint = phi
+    else:
+        prod = 1.0
+        for v in gi:
+            prod *= min(1.0, -v)
+        cint = -prod
+    cext = 0.0
+    for i in partition.g_ext:
+        v = max(0.0, g[i])
+        cext += v * v
+    for v in h:
+        cext += v * v
     got = violation_summary(g, h, partition)
-    assert [v.hex() for v in got] == [v.hex() for v in expected]
+    assert [v.hex() for v in got] == [v.hex() for v in (phi, cint, cext)]
 
 
 class TestMeritParams:

@@ -6,10 +6,14 @@ stay out of every ``__all__``, so a setting that grows back shows in a diff."""
 import dataclasses
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import madspip
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PACKAGE_NAMES = [
     "Problem",
@@ -21,7 +25,6 @@ PACKAGE_NAMES = [
     "InitializationError",
     "solve",
     "check_run_invariants",
-    "KnownOptimum",
     "Instance",
     "builtin_problems",
     "make_instances",
@@ -36,13 +39,13 @@ PACKAGE_NAMES = [
 # each submodule's __all__, in order; None where the module declares none
 MODULE_NAMES = {
     "bench": [
-        "ProfileCurve", "RunView", "view_of_history", "run_matrix", "convergence_index",
-        "feasibility_index", "best_feasible_table", "reference_table", "data_profile",
+        "ProfileCurve", "RunView", "view_of_history", "run_matrix",
+        "best_feasible_table", "reference_table", "data_profile",
         "feasibility_profile", "export",
     ],
     "cli": None,
     "merit": [
-        "Partition", "MeritParams", "phi_prox", "c_int", "c_ext", "merit", "compute_b_ext",
+        "Partition", "MeritParams", "merit", "compute_b_ext",
         "penalty_update_check", "violation_summary",
     ],
     "mesh": ["MeshState", "update_frame", "poll_directions", "snap_steps", "initial_frame_size"],
@@ -51,13 +54,12 @@ MODULE_NAMES = {
         "ExternalEvaluator", "write_history", "read_history",
     ],
     "solver": [
-        "MODE_PIP", "MODE_EXTREME_BARRIER", "SolverConfig", "SolverState", "RunRecord",
-        "InitializationError", "init_state", "iterate", "speculative_search",
-        "reselect_incumbent", "solve", "check_run_invariants",
+        "MODE_PIP", "MODE_EXTREME_BARRIER", "SolverConfig", "RunRecord",
+        "InitializationError", "solve", "check_run_invariants",
     ],
     "suite": [
-        "KnownOptimum", "Instance", "builtin_problems", "builtin_problem", "DEFAULT_BENCH_NAMES",
-        "initial_point", "x0_ids", "make_instances", "load_problem_file",
+        "Instance", "builtin_problems", "builtin_problem", "DEFAULT_BENCH_NAMES",
+        "initial_point", "make_instances", "load_problem_file",
     ],
 }
 
@@ -68,6 +70,16 @@ def test_package_exports_exactly_the_pinned_names():
     assert madspip.__all__ == PACKAGE_NAMES
     for name in PACKAGE_NAMES:
         assert hasattr(madspip, name), name
+
+
+def test_readme_lists_the_package_exports():
+    # README's "The package exports N names: `a`, ..." sentence, count and names
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"The package exports (\d+) names: (.*?)\.\s", text, re.DOTALL)
+    assert match, "README has no 'The package exports N names: ...' sentence"
+    names = re.findall(r"`([^`]+)`", match.group(2))
+    assert int(match.group(1)) == len(madspip.__all__)
+    assert names == madspip.__all__
 
 
 @pytest.mark.parametrize("module", MODULES)
