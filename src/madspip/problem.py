@@ -113,10 +113,6 @@ class Cache:
     def __init__(self):
         self.entries: Dict[Hashable, Evaluation] = {}
 
-    @property
-    def eval_count(self) -> int:
-        return len(self.entries)
-
     def get(self, key: Hashable) -> Optional[Evaluation]:
         return self.entries.get(key)
 
@@ -238,9 +234,9 @@ def run_external(
     (its message carries the stderr text) or stdout that is not UTF-8 or
     does not parse ``ValueError``.  Stderr never reaches the result.
 
-    The executable runs in a session of its own, and a timeout (or any
-    exception, ``KeyboardInterrupt`` included) kills its whole process
-    group, so children it started do not outlive the call.
+    The executable runs in a session of its own, whose whole process group
+    is killed when the exchange ends, whatever its outcome, so children it
+    started do not outlive the call.
     """
     line = (" ".join(f"{float(x):.17g}" for x in point) + "\n").encode()
     with subprocess.Popen(
@@ -252,13 +248,13 @@ def run_external(
     ) as proc:
         try:
             stdout, stderr = proc.communicate(line, timeout=timeout)
-        except BaseException:
-            # the leader is not reaped yet, so its pid still names the group
+        finally:
+            # a pid stays allocated while it names a live group, so even a
+            # reaped leader's pid reaches only its own leftover children
             try:
                 os.killpg(proc.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
-            raise
     who = f"external evaluator {executable_path}"
     if proc.returncode != 0:
         detail = stderr.decode("utf-8", "replace").strip()

@@ -347,16 +347,15 @@ def speculative_search(state: SolverState) -> Optional[Tuple[Tuple[int, ...], Li
     """Candidate doubling the last successful displacement, on the mesh, as
     its lattice point and mapped point ``(q, x)``.
 
-    Nothing is proposed without a prior success, when the snapped point
-    collapses onto the incumbent, leaves the bounds, or is already cached.
+    Nothing is proposed without a prior success, when the point leaves the
+    bounds, or when it is cached, as the incumbent always is: a step that
+    snaps to zero proposes nothing.
     """
     offset = state.last_success_offset
     if offset is None:
         return None
     mesh_step = state.mesh_step
     steps = snap_steps([2 * q for q in offset], mesh_step)
-    if not any(steps):
-        return None
     q = tuple([qi + mesh_step * s for qi, s in zip(state.q_incumbent, steps)])
     x = _point_of(state, q)
     if not state.problem.contains(x):
@@ -366,7 +365,7 @@ def speculative_search(state: SolverState) -> Optional[Tuple[Tuple[int, ...], Li
     return q, x
 
 
-def reselect_incumbent(state: SolverState) -> SolverState:
+def reselect_incumbent(state: SolverState) -> None:
     """Re-pick the incumbent as the cache-wide merit minimizer.
 
     Called after ``rho`` or the partition changed (a partition move first
@@ -384,11 +383,10 @@ def reselect_incumbent(state: SolverState) -> SolverState:
     if best_key is None:
         state.record.flags.append("reselection-found-no-finite-merit")
         state.incumbent_merit = _merit_of(state, state.q_incumbent, state.incumbent)
-        return state
+        return
     state.q_incumbent = best_key
     state.incumbent = state.cache.entries[best_key]
     state.incumbent_merit = best_merit
-    return state
 
 
 def _try_candidate(
@@ -503,7 +501,7 @@ def iterate(state: SolverState) -> str:
 def _finalize(state: SolverState, outcome: str) -> RunRecord:
     record = state.record
     record.outcome = outcome
-    record.evals_used = state.cache.eval_count
+    record.evals_used = len(state.cache.entries)
     record.final_delta = state.mesh.delta_frame
     record.final_rho = state.merit_params.rho if state.pip else None
     best_f = None
@@ -531,7 +529,7 @@ def solve(
     state = init_state(problem, x0, config)
     state.record.x0_id = x0_id
     while True:
-        if state.cache.eval_count >= config.max_evaluations:
+        if len(state.cache.entries) >= config.max_evaluations:
             outcome = "budget-exhausted"
             break
         if state.mesh.delta_frame < DELTA_STOP:

@@ -192,19 +192,13 @@ _SAMPLERS: Dict[str, Callable] = {
 }
 
 
-def _clamp(point: Sequence[float], problem: Problem) -> Tuple[float, ...]:
-    if problem.bounds is None:
-        return tuple(point)
-    lower, upper = problem.bounds
-    return tuple(min(max(v, l), u) for v, l, u in zip(point, lower, upper))
-
-
 def initial_point(problem: Problem, x0_id: str) -> Tuple[float, ...]:
-    """Deterministic starting point for (problem, x0_id), clamped to bounds.
+    """Deterministic starting point for (problem, x0_id), inside its bounds.
 
-    Ids look like ``feasible-0`` or ``infeasible-1``.  Problems without a
-    bespoke sampler get a uniform draw in their bound box regardless of the
-    requested kind.
+    Ids look like ``feasible-0`` or ``infeasible-1``.  Every bespoke sampler
+    stays strictly inside its problem's box.  Problems without one get a
+    uniform draw in their bound box (or in ``[-1, 1]^n`` without bounds)
+    regardless of the requested kind.
     """
     kind, _, index = x0_id.partition("-")
     if kind not in ("feasible", "infeasible") or not index.isdigit():
@@ -212,13 +206,12 @@ def initial_point(problem: Problem, x0_id: str) -> Tuple[float, ...]:
     rng = _x0_rng(problem.name, x0_id)
     sampler = _SAMPLERS.get(problem.name)
     if sampler is not None:
-        point = sampler(rng, kind == "feasible")
-    elif problem.bounds is not None:
-        lower, upper = problem.bounds
-        point = tuple(float(rng.uniform(l, u)) for l, u in zip(lower, upper))
-    else:
-        point = tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=problem.n))
-    return _clamp(point, problem)
+        return sampler(rng, kind == "feasible")
+    if problem.bounds is None:
+        return tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=problem.n))
+    lower, upper = problem.bounds
+    # a draw l + (u - l) * r never rounds below l, but can round past u
+    return tuple(min(float(rng.uniform(l, u)), u) for l, u in zip(lower, upper))
 
 
 def x0_ids(count: int) -> List[str]:

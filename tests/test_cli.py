@@ -97,6 +97,21 @@ class TestSolveCommand:
         assert code == 0
         assert machine_line(out)["invariant_violations"] == []
 
+    def test_check_invariants_reports_each_violation_and_exits_1(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            madspip.cli, "check_run_invariants", lambda record: (["rho went up"], [])
+        )
+        code, out, err = run_cli(
+            capsys,
+            "solve", "--problem", "unit-disk", "--x0", "feasible-0",
+            "--budget", "50", "--check-invariants", "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert machine_line(out)["invariant_violations"] == ["rho went up"]
+        assert err == "invariant violation: rho went up\n"
+
     def test_x0_file(self, tmp_path, capsys):
         x0_file = tmp_path / "start.txt"
         x0_file.write_text("0.1, 0.2\n")
@@ -616,6 +631,17 @@ class TestBenchCommand:
         machine = machine_line(out)
         assert machine["completed"] == 1 and machine["errors"] == 1
 
+    def test_no_completed_run_exits_1(self, tmp_path, capsys):
+        # extreme barrier refuses the equality problem, so no run completes
+        code, out, err = run_cli(
+            capsys,
+            "bench", "--problem", "sphere-eq", "--x0-count", "1", "--seeds", "1",
+            "--budget", "50", "--mode", "extreme-barrier", "--out", str(tmp_path / "bench"),
+        )
+        assert code == 1 and err == ""
+        machine = machine_line(out)
+        assert machine["completed"] == 0 and machine["errors"] == 1 and machine["skipped"] == 0
+
 
 class TestProfileCommand:
     @pytest.fixture()
@@ -667,6 +693,8 @@ class TestProfileCommand:
             # evaluation 7 right after evaluation 0
             '{"eval_index": 0, "x": [0.0, 0.0], "f": 1.0, "g": [], "h": []}\n'
             '{"eval_index": 7, "x": [0.5, 0.0], "f": 0.5, "g": [], "h": []}',
+            # a row that is not an object after a well-formed first row
+            '{"eval_index": 0, "x": [0.0, 0.0], "f": 1.0, "g": [], "h": []}\n[0.0, 1.0]',
         ],
     )
     def test_hostile_json_history_warns_but_succeeds(self, bench_dir, capsys, line):
@@ -728,6 +756,12 @@ class TestProfileCommand:
     def test_missing_directory_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "profile", "--histories", str(tmp_path / "none"))
         assert code == 2
+
+    def test_no_readable_history_exits_2(self, tmp_path, capsys):
+        (tmp_path / "unit-disk__feasible-0__seed1__pip.jsonl").write_text("[0.0]\n")
+        code, out, err = run_cli(capsys, "profile", "--histories", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == "error: no readable histories found\n"
 
     def test_out_is_a_file_exits_2(self, bench_dir, tmp_path, capsys, monkeypatch):
         reads = []

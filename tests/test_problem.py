@@ -92,7 +92,7 @@ class TestEvaluate:
         first = evaluate(problem, (0.5, 0.5), cache)
         second = evaluate(problem, (0.5, 0.5), cache)
         assert first is second
-        assert cache.eval_count == 1
+        assert len(cache.entries) == 1
 
     def test_budget_counts_distinct_points(self):
         calls = []
@@ -105,7 +105,7 @@ class TestEvaluate:
         cache = Cache()
         for point in [(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]:
             evaluate(problem, point, cache)
-        assert cache.eval_count == 3
+        assert len(cache.entries) == 3
         assert len(calls) == 3
 
     def test_nan_objective_flags_failure(self):
@@ -218,6 +218,36 @@ class TestRunExternal:
         try:
             with pytest.raises(subprocess.TimeoutExpired):
                 run_external(exe, (0.0,), timeout=0.5, m=1, p=0)
+            pid = int(pidfile.read_text())
+            deadline = time.monotonic() + 5.0
+            while _running(pid) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not _running(pid)
+        finally:
+            if pid is None and pidfile.exists():
+                with contextlib.suppress(ValueError):
+                    pid = int(pidfile.read_text())
+            if pid is not None and _running(pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+    @pytest.mark.parametrize("answer", ['echo "1.0 -1.0"', "exit 3"], ids=["answer", "exit-3"])
+    def test_every_outcome_kills_the_evaluators_own_children(self, tmp_path, answer):
+        # a child left running in the background must not outlive an
+        # evaluation that ended normally, with an answer or a nonzero exit
+        pidfile = tmp_path / "child.pid"
+        exe = make_script(
+            tmp_path, "leaver.sh",
+            f'read line\nsleep 30 >/dev/null 2>&1 &\necho $! > "{pidfile}"\n{answer}',
+        )
+        pid = None
+        try:
+            if answer == "exit 3":
+                with pytest.raises(ValueError, match="exited with status 3"):
+                    run_external(exe, (0.0,), timeout=10.0, m=1, p=0)
+            else:
+                assert run_external(exe, (0.0,), timeout=10.0, m=1, p=0) == (1.0, (-1.0,), ())
             pid = int(pidfile.read_text())
             deadline = time.monotonic() + 5.0
             while _running(pid) and time.monotonic() < deadline:

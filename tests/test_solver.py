@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import madspip.solver
+from madspip.bench import view_of_history
 from madspip.merit import B_RHO, BETA, RHO0, THETA_RHO, Partition, merit, violation_summary
 from madspip.problem import Cache, Evaluation, Problem
 from madspip.solver import (
@@ -174,9 +175,9 @@ class TestSpeculativeSearch:
         )
         state = init_state(problem, (-1.9, -1.9), SolverConfig(max_evaluations=100))
         state.last_success_offset = (-10 * 2**state.lattice_bits,) * 2
-        evals_before = state.cache.eval_count
+        evals_before = len(state.cache.entries)
         assert speculative_search(state) is None
-        assert state.cache.eval_count == evals_before
+        assert len(state.cache.entries) == evals_before
 
 
 class TestLattice:
@@ -473,6 +474,25 @@ class TestSolve:
         for row in starts:
             assert [math.copysign(1.0, v) for v in row["x"]] == [-1.0, -1.0]
 
+    def test_nan_objective_rows_are_failed_and_infeasible(self):
+        # NaN right of x_0 = 0.55, close to the optimum (0.5, 0.5), so the
+        # poll keeps landing there, often at points whose g says feasible
+        def nan_right(x):
+            f = x[0] * x[0] + x[1] * x[1] if x[0] <= 0.55 else float("nan")
+            return f, (1.0 - x[0] - x[1],), ()
+
+        problem = Problem("nan-right", 2, 1, 0, nan_right, ((-2.0, -2.0), (2.0, 2.0)))
+        record = solve(problem, (0.2, 1.2), SolverConfig(max_evaluations=300, seed=1))
+        failed = [row for row in record.rows if row["status"] == "failed"]
+        assert any(row["g"][0] <= 0.0 for row in failed)
+        assert all(row["f"] == INF and row["x"][0] > 0.55 for row in failed)
+        # only the status keeps a failed row with g <= 0 infeasible: a view
+        # that took it as feasible would refuse its infinite f
+        view = view_of_history(record.rows, problem.name, "x0", 1, MODE_PIP)
+        assert view.count == record.evals_used == 300
+        assert view.steps[-1][1] == record.best_feasible_f
+        assert check_run_invariants(record) == ([], [])
+
     def test_budget_exhausted_after_init(self):
         problem, _ = builtin_problem("unit-disk")
         x0 = initial_point(problem, "feasible-0")
@@ -660,15 +680,20 @@ class TestPinnedTraces:
                         seen[problem.name, x0_id, mode] = _run_digest(record)
         assert seen == PINNED_RUNS
 
-    def test_corrupted_run_verdicts(self):
-        # unit-disk cuts rho at iterations 12, 32, 49, 68 and 164; entries
-        # holding a cut are not compared with the entry before them
+    @staticmethod
+    def _cut_run():
+        # unit-disk (m = 1) cuts rho at iterations 12, 32, 49, 68 and 164 and
+        # moves no index; entries holding a cut are not compared with the
+        # entry before them
         problem, _ = builtin_problem("unit-disk")
         record = solve(
             problem, initial_point(problem, "feasible-0"),
             SolverConfig(max_evaluations=600, seed=3), x0_id="feasible-0",
         )
-        entries = {e["iteration"]: e for e in record.iterations}
+        return record, {e["iteration"]: e for e in record.iterations}
+
+    def test_corrupted_run_verdicts(self):
+        record, entries = self._cut_run()
         for it, shift in ((12, -1.0), (32, 1.0), (48, 1.0), (100, 1.0), (150, -1.0)):
             entries[it]["incumbent_merit"] += shift
         entries[60]["incumbent_cint"] = 0.5
@@ -681,6 +706,36 @@ class TestPinnedTraces:
             "iteration 60: incumbent c_int 0.5 not negative",
         ]
         assert warnings == []
+
+    @pytest.mark.parametrize(
+        "edits, m, message",
+        [
+            ({12: {"success": True}}, 1, "rho reduced at successful iteration 12"),
+            (
+                {12: {"phi_prox": 0.0, "delta_next": 1.0}}, 1,
+                "iteration 12: delta_next 1.0 exceeds criterion bound 0.0",
+            ),
+            (
+                {12: {"partition_moved": [0]}}, 1,
+                "iteration 12: partition switch and rho reduction in the same iteration",
+            ),
+            (
+                {20: {"partition_moved": [0, 1]}}, 1,
+                "2 partition moves exceed the 1 inequality constraints",
+            ),
+            (
+                {20: {"partition_moved": [0]}, 40: {"partition_moved": [0]}}, 2,
+                "an inequality index moved to the interior set twice",
+            ),
+        ],
+        ids=["cut-at-success", "criterion-bound", "move-at-cut", "too-many-moves", "moved-twice"],
+    )
+    def test_each_corruption_gives_its_one_message(self, edits, m, message):
+        record, entries = self._cut_run()
+        for it, fields in edits.items():
+            entries[it].update(fields)
+        record.params["m"] = m
+        assert check_run_invariants(record) == ([message], [])
 
 
 class TestInvariantChecker:

@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import madspip.suite
-from madspip.problem import Cache, evaluate, is_feasible
+from madspip.problem import Cache, Problem, evaluate, is_feasible
 from madspip.suite import (
     builtin_problem,
     builtin_problems,
@@ -182,6 +183,31 @@ class TestInitialPoints:
         problem, _ = builtin_problem("unit-disk")
         with pytest.raises(ValueError):
             initial_point(problem, "wild-0")
+
+    def test_builtin_points_pinned(self):
+        # feasible-0..19 and infeasible-0..19 of every builtin, bit for bit
+        digest = hashlib.sha256()
+        for problem, _ in builtin_problems():
+            for kind in ("feasible", "infeasible"):
+                for i in range(20):
+                    for v in initial_point(problem, f"{kind}-{i}"):
+                        digest.update(float.hex(v).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "09b60fb56b324a926ada96a431744ac36b9bfe370f3f0fd57128b3a5d9cb857f"
+        )
+
+    @pytest.mark.parametrize(
+        "bounds", [((-3.0, 0.0, 10.0), (-2.0, 1e-9, 20.0)), None], ids=["bounded", "unbounded"]
+    )
+    def test_problem_without_a_sampler_draws_in_its_box(self, bounds):
+        problem = Problem("custom", 3, 0, 0, lambda x: (0.0, (), ()), bounds)
+        lower, upper = bounds or ((-1.0,) * 3, (1.0,) * 3)
+        ids = [f"{kind}-{i}" for kind in ("feasible", "infeasible") for i in range(50)]
+        points = [initial_point(problem, x0_id) for x0_id in ids]
+        assert points == [initial_point(problem, x0_id) for x0_id in ids]
+        assert len(set(points)) == len(points)
+        for x in points:
+            assert all(type(v) is float and l <= v <= u for v, l, u in zip(x, lower, upper))
 
 
 class TestMakeInstances:
