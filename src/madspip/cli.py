@@ -124,12 +124,13 @@ def cmd_solve(args) -> int:
     if eval_exe is not None and not Path(eval_exe).exists():
         raise ValueError(f"evaluator executable {eval_exe!r} does not exist")
     problem = _resolve_problem(args.problem, eval_exe)
+    # a builtin's starting points hold when its evaluator is swapped out
+    x0, x0_id = _resolve_x0(problem, args.x0, args.x0_file)
     if eval_exe is not None and not isinstance(problem.evaluator, ExternalEvaluator):
         # swap a builtin's analytic evaluator for the external executable
         problem = dataclasses.replace(
             problem, evaluator=ExternalEvaluator(eval_exe, problem.m, problem.p)
         )
-    x0, x0_id = _resolve_x0(problem, args.x0, args.x0_file)
     config = SolverConfig(
         max_evaluations=args.budget,
         seed=args.seed,

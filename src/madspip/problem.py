@@ -3,9 +3,10 @@
 An evaluator maps a point to ``(f, g, h)``: one objective, ``m`` inequality
 values (feasible when ``<= 0``) and ``p`` equality residuals (feasible when
 ``= 0``).  Raw outputs are sanitized once, at evaluation time: any non-finite
-objective or inequality value is stored as ``+inf``, any non-finite equality
-residual marks the whole evaluation as failed, and failed evaluations are
-never feasible and carry an infinite merit downstream.
+output is stored as ``+inf`` and marks the whole evaluation as failed (a NaN
+``f`` gives ``f=inf, failed=True``, an infinite ``g`` gives ``g=(inf,),
+failed=True``), and failed evaluations are never feasible and carry an
+infinite merit downstream.
 
 The cache maps exact point keys to evaluations so the budget counts true
 blackbox calls only.  External executables are driven through a one-line

@@ -139,9 +139,8 @@ class SolverState:
     # Offsets from the anchor are integers in units of 2**-lattice_bits
     # delta0 units, fine enough for every mesh an iteration can use.
     lattice_bits: int
-    q_incumbent: Tuple[int, ...]
-    incumbent: Evaluation
-    incumbent_merit: float
+    q_incumbent: Tuple[int, ...]  # the incumbent's cache key
+    incumbent_merit: float = _INF
     partition: Optional[Partition] = None
     merit_params: Optional[MeritParams] = None
     iteration: int = 0
@@ -215,7 +214,6 @@ def _append_row(
     x: Tuple[float, ...],
     status: str,
     incumbent: bool,
-    delta_frame: float,
 ) -> None:
     """Append one history row; this is the one statement of the row layout.
 
@@ -248,7 +246,7 @@ def _append_row(
         "cint": cint,
         "cext": cext,
         "rho": rho,
-        "delta_frame": delta_frame,
+        "delta_frame": state.mesh.delta_frame,
         "incumbent": incumbent,
         "iteration": state.iteration,
         "status": status,
@@ -310,8 +308,6 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
         x_unit=x_unit,
         lattice_bits=lattice_bits,
         q_incumbent=q0,
-        incumbent=ev0,
-        incumbent_merit=_INF,
     )
 
     if config.mode == MODE_PIP:
@@ -339,7 +335,7 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
             raise InitializationError("extreme-barrier mode needs a feasible starting point")
 
     state.incumbent_merit = _merit_of(state, q0, ev0)
-    _append_row(state, ev0, q0, ev0.point, "unsuccessful", True, mesh.delta_frame)
+    _append_row(state, ev0, q0, ev0.point, "unsuccessful", True)
     return state
 
 
@@ -371,8 +367,8 @@ def reselect_incumbent(state: SolverState) -> None:
     Called after ``rho`` or the partition changed (a partition move first
     drops ``state.kept``).  Kept violation terms are only re-priced under the
     new ``rho``; keys without them are summarized afresh.  Ties go to the
-    earliest evaluation; if every cached point has infinite merit the
-    incumbent is kept and the run is flagged.
+    earliest evaluation; if every cached point has infinite merit, the
+    incumbent's among them, the incumbent is kept and the run is flagged.
     """
     best_key = None
     best_merit = _INF
@@ -382,28 +378,27 @@ def reselect_incumbent(state: SolverState) -> None:
             best_key, best_merit = key, value
     if best_key is None:
         state.record.flags.append("reselection-found-no-finite-merit")
-        state.incumbent_merit = _merit_of(state, state.q_incumbent, state.incumbent)
-        return
-    state.q_incumbent = best_key
-    state.incumbent = state.cache.entries[best_key]
+    else:
+        state.q_incumbent = best_key
     state.incumbent_merit = best_merit
 
 
 def _try_candidate(
     state: SolverState, q: Tuple[int, ...], kind: str, x: Optional[List[float]] = None
 ):
-    """Evaluate one trial point. Returns (verdict, evaluation, merit) with
-    verdict in {"accepted", "rejected", "nobudget"}.  A given ``x`` is the
+    """Evaluate one trial point and install it as the incumbent when its
+    merit strictly improves.  Returns ``(accepted, evaluation, merit)``;
+    ``accepted`` is ``None`` when the budget is spent.  A given ``x`` is the
     point ``q`` already mapped and inside the bounds."""
     if x is None:
         x = _point_of(state, q)
         if not state.problem.contains(x):
-            _append_row(state, None, q, tuple(x), "rejected-bounds", False, state.mesh.delta_frame)
-            return "rejected", None, None
+            _append_row(state, None, q, tuple(x), "rejected-bounds", False)
+            return False, None, None
     cache = state.cache
     count = len(cache.entries)
     if count >= state.config.max_evaluations and q not in cache:
-        return "nobudget", None, None
+        return None, None, None
     # evaluate's cache lookup is the only one: a cached point comes back
     # as stored, and only a fresh one grows the cache
     ev = evaluate(state.problem, x, cache, key=q)
@@ -412,19 +407,20 @@ def _try_candidate(
     improving = value < state.incumbent_merit
     if improving:
         status = "search-success" if kind == "search" else "poll-success"
+        state.q_incumbent, state.incumbent_merit = q, value
     elif not fresh:
         status = "cache-hit"
     elif ev.failed:
         status = "failed"
     else:
         status = "unsuccessful"
-    _append_row(state, ev, q, ev.point, status, improving, state.mesh.delta_frame)
-    return ("accepted" if improving else "rejected"), ev, value
+    _append_row(state, ev, q, ev.point, status, improving)
+    return improving, ev, value
 
 
-def iterate(state: SolverState) -> str:
-    """Run one full iteration; returns "successful", "unsuccessful" or
-    "budget" when the evaluation budget ran out mid-iteration."""
+def iterate(state: SolverState) -> None:
+    """Run one full iteration.  When the budget runs out mid-iteration it
+    returns at once, with no trace entry; ``solve`` then stops the run."""
     state.iteration += 1
     it = state.iteration
     delta_k = state.mesh.delta_frame
@@ -436,26 +432,25 @@ def iterate(state: SolverState) -> str:
         proposed = speculative_search(state)
         if proposed is not None:
             q, x = proposed
-            verdict, ev, value = _try_candidate(state, q, kind="search", x=x)
-            if verdict == "nobudget":
-                return "budget"
-            if verdict == "accepted":
-                success_kind, accepted = "search", (q, ev, value)
+            accepted = _try_candidate(state, q, kind="search", x=x)[0]
+            if accepted is None:
+                return
+            if accepted:
+                success_kind = "search"
 
     if success_kind is None:
         mesh_step = state.mesh_step
         for steps in poll_directions(state.problem.n, state.mesh, state.rng):
             q = tuple([qi + mesh_step * s for qi, s in zip(q_center, steps)])
-            verdict, ev, value = _try_candidate(state, q, kind="poll")
-            if verdict == "nobudget":
-                return "budget"
-            if verdict == "accepted":
-                success_kind, accepted = "poll", (q, ev, value)
+            accepted = _try_candidate(state, q, kind="poll")[0]
+            if accepted is None:
+                return
+            if accepted:
+                success_kind = "poll"
                 break
 
     success = success_kind is not None
     if success:
-        state.q_incumbent, state.incumbent, state.incumbent_merit = accepted
         state.last_success_offset = tuple([a - b for a, b in zip(state.q_incumbent, q_center)])
     state.mesh = update_frame(state.mesh, success)
     delta_next = state.mesh.delta_frame
@@ -471,9 +466,9 @@ def iterate(state: SolverState) -> str:
             reselect_incumbent(state)
 
     moved: List[int] = []
-    if state.pip and not rho_reduced and not state.incumbent.failed:
-        g = state.incumbent.g
-        moved = [i for i in state.partition.g_ext if g[i] <= -EPS_EXT]
+    incumbent = state.cache.entries[state.q_incumbent]
+    if state.pip and not rho_reduced and not incumbent.failed:
+        moved = [i for i in state.partition.g_ext if incumbent.g[i] <= -EPS_EXT]
         if moved:
             state.partition = state.partition.moved_to_interior(moved)
             state.kept.clear()
@@ -484,7 +479,7 @@ def iterate(state: SolverState) -> str:
             "iteration": it,
             "success": success,
             "kind": success_kind,
-            "incumbent_eval_index": state.incumbent.eval_index,
+            "incumbent_eval_index": state.cache.entries[state.q_incumbent].eval_index,
             "incumbent_merit": state.incumbent_merit,
             "incumbent_cint": state.kept[state.q_incumbent][1] if state.pip else None,
             "rho_before": rho_before,
@@ -495,7 +490,6 @@ def iterate(state: SolverState) -> str:
             "partition_moved": moved,
         }
     )
-    return "successful" if success else "unsuccessful"
 
 
 def _finalize(state: SolverState, outcome: str) -> RunRecord:
@@ -535,9 +529,7 @@ def solve(
         if state.mesh.delta_frame < DELTA_STOP:
             outcome = "delta-converged"
             break
-        if iterate(state) == "budget":
-            outcome = "budget-exhausted"
-            break
+        iterate(state)
     return _finalize(state, outcome)
 
 

@@ -195,17 +195,18 @@ _SAMPLERS: Dict[str, Callable] = {
 def initial_point(problem: Problem, x0_id: str) -> Tuple[float, ...]:
     """Deterministic starting point for (problem, x0_id), inside its bounds.
 
-    Ids look like ``feasible-0`` or ``infeasible-1``.  Every bespoke sampler
-    stays strictly inside its problem's box.  Problems without one get a
-    uniform draw in their bound box (or in ``[-1, 1]^n`` without bounds)
-    regardless of the requested kind.
+    Ids look like ``feasible-0`` or ``infeasible-1``.  A builtin problem gets
+    its bespoke sampler, which stays strictly inside its box.  Every other
+    problem, a problem file named like a builtin included, gets a uniform
+    draw in its bound box (or in ``[-1, 1]^n`` without bounds) regardless of
+    the requested kind.
     """
     kind, _, index = x0_id.partition("-")
     if kind not in ("feasible", "infeasible") or not index.isdigit():
         raise ValueError(f"malformed x0 id {x0_id!r}; expected e.g. 'feasible-0'")
     rng = _x0_rng(problem.name, x0_id)
     sampler = _SAMPLERS.get(problem.name)
-    if sampler is not None:
+    if sampler is not None and problem == builtin_problem(problem.name)[0]:
         return sampler(rng, kind == "feasible")
     if problem.bounds is None:
         return tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=problem.n))

@@ -14,6 +14,7 @@ import pytest
 
 import madspip.bench
 import madspip.cli
+import madspip.suite
 from madspip.cli import main, _read_config_file, _parse_history_name, _run_name
 from madspip.suite import check_name_part, load_problem_file
 
@@ -200,6 +201,42 @@ class TestSolveCommand:
         assert code == 0
         # the external stub answers for the builtin's analytic formula
         assert machine_line(out)["best_feasible_f"] == 7.0
+
+    def test_eval_exe_keeps_the_builtin_starting_point(self, tmp_path, capsys):
+        exe = tmp_path / "const.sh"
+        exe.write_text('#!/bin/sh\nread line\necho "1.0 -1.0 -1.0"\n')
+        exe.chmod(0o755)
+        code, out, _ = run_cli(
+            capsys,
+            "solve", "--problem", "two-ring", "--x0", "feasible-0",
+            "--eval-exe", str(exe), "--budget", "5", "--out", str(tmp_path),
+        )
+        assert code == 0
+        history = Path(machine_line(out)["history"])
+        first = json.loads(history.read_text().splitlines()[0])
+        problem, _ = madspip.suite.builtin_problem("two-ring")
+        assert tuple(first["x"]) == madspip.suite.initial_point(problem, "feasible-0")
+
+    def test_problem_file_named_like_a_builtin_starts_from_an_id(self, tmp_path, capsys):
+        # a 3-D file named unit-disk gets the uniform draw, not the 2-D disk point
+        exe = tmp_path / "bowl.sh"
+        exe.write_text("#!/bin/sh\nawk '{print $1*$1 + $2*$2 + $3*$3, -1}'\n")
+        exe.chmod(0o755)
+        definition = tmp_path / "disk3.txt"
+        definition.write_text(
+            "name = unit-disk\nn = 3\nm = 1\np = 0\n"
+            f"lower = -1, -1, -1\nupper = 1, 1, 1\nevaluator = {exe}\n"
+        )
+        code, out, err = run_cli(
+            capsys,
+            "solve", "--problem", str(definition), "--x0", "feasible-0",
+            "--budget", "20", "--out", str(tmp_path),
+        )
+        assert code == 0, err
+        machine = machine_line(out)
+        assert (machine["problem"], machine["x0_id"]) == ("unit-disk", "feasible-0")
+        first = json.loads(Path(machine["history"]).read_text().splitlines()[0])
+        assert len(first["x"]) == 3 and all(-1.0 <= v <= 1.0 for v in first["x"])
 
     def test_one_sided_bounds_exit_2(self, tmp_path, capsys):
         definition = tmp_path / "ext.txt"

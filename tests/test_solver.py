@@ -102,16 +102,16 @@ class TestIterate:
         problem = Problem("flat", 1, 0, 0, evaluator)
         state = init_state(problem, (0.0,), SolverConfig(max_evaluations=50, search_enabled=False))
         delta_before = state.mesh.delta_frame
-        outcome = iterate(state)
-        assert outcome == "successful"
+        iterate(state)
+        assert state.record.iterations[-1]["success"]
         assert state.mesh.delta_frame == 2 * delta_before
 
     def test_unsuccessful_iteration_shrinks(self):
         problem = Problem("bowl", 1, 0, 0, lambda x: (x[0] ** 2, (), ()))
         state = init_state(problem, (0.0,), SolverConfig(max_evaluations=50, search_enabled=False))
         delta_before = state.mesh.delta_frame
-        outcome = iterate(state)
-        assert outcome == "unsuccessful"
+        iterate(state)
+        assert not state.record.iterations[-1]["success"]
         assert state.mesh.delta_frame == 0.5 * delta_before
 
     def test_rho_cut_gated_by_criterion(self):
@@ -244,7 +244,7 @@ class TestReselectIncumbent:
             }
         )
         reselect_incumbent(state)
-        assert state.incumbent.eval_index == 2
+        assert state.cache.entries[state.q_incumbent].eval_index == 2
 
     def test_tie_breaks_to_earliest(self):
         state = self._state_with_cache(
@@ -254,7 +254,7 @@ class TestReselectIncumbent:
             }
         )
         reselect_incumbent(state)
-        assert state.incumbent.eval_index == 2
+        assert state.cache.entries[state.q_incumbent].eval_index == 2
 
     def test_rho_reduction_reranks_infeasible(self, monkeypatch):
         # A: feasible with f=5; B: cext=0.04 with f=1. At rho=0.1 B wins
@@ -268,7 +268,7 @@ class TestReselectIncumbent:
         state.cache.entries[("b",)] = b
         state.merit_params = replace(state.merit_params, rho=0.1, b_ext=1.0)
         reselect_incumbent(state)
-        assert state.incumbent is b
+        assert state.cache.entries[state.q_incumbent] is b
         # the second call, under the same partition, only re-prices the
         # violation terms the first one kept
         summarized = []
@@ -278,7 +278,7 @@ class TestReselectIncumbent:
         )
         state.merit_params = replace(state.merit_params, rho=0.001)
         reselect_incumbent(state)
-        assert state.incumbent is a
+        assert state.cache.entries[state.q_incumbent] is a
         assert state.incumbent_merit == 5.0
         assert summarized == []
         assert state.kept[state.q_incumbent] == violation_summary(a.g, a.h, state.partition)
@@ -287,9 +287,10 @@ class TestReselectIncumbent:
         state = self._state_with_cache({})
         state.cache.entries.clear()
         state.cache.entries[("a",)] = Evaluation((1.0,), INF, (), (), 1, failed=True)
-        incumbent_before = state.incumbent
+        q_before = state.q_incumbent
         reselect_incumbent(state)
-        assert state.incumbent is incumbent_before
+        assert state.q_incumbent == q_before
+        assert state.incumbent_merit == INF
         assert any("no-finite-merit" in f for f in state.record.flags)
 
 
@@ -316,12 +317,12 @@ class TestKeptViolationTerms:
         causes = []
 
         def checked_try(state, q, kind, x=None):
-            verdict, ev, value = real_try(state, q, kind, x)
+            accepted, ev, value = real_try(state, q, kind, x)
             if ev is not None:
                 terms, fresh = _fresh(state, ev)
                 assert value == fresh
                 assert state.kept[q] == terms
-            return verdict, ev, value
+            return accepted, ev, value
 
         def checked(state):
             q_before, flags_before = state.q_incumbent, list(state.record.flags)
@@ -333,7 +334,6 @@ class TestKeptViolationTerms:
                 key = q_before
                 _, best = _fresh(state, state.cache.entries[q_before])
             assert state.q_incumbent == key
-            assert state.incumbent is state.cache.entries[key]
             assert state.incumbent_merit == best
             assert state.record.flags == flags_before
             causes.append((state.record.problem_name, moved))
@@ -357,10 +357,11 @@ class TestKeptViolationTerms:
         problem = constrained_problem([lambda x: x[0] - 1.0])
         state = init_state(problem, (0.5, 0.0), SolverConfig(max_evaluations=10))
         state.merit_params = replace(state.merit_params, rho=1e-3)
+        merit_before = state.incumbent_merit
         _, ev, value = madspip.solver._try_candidate(state, state.q_incumbent, "poll")
-        assert ev is state.incumbent  # a cache hit
+        assert ev is state.cache.entries[state.q_incumbent]  # a cache hit
         assert value == _fresh(state, ev)[1]
-        assert value != state.incumbent_merit
+        assert value != merit_before
 
     def test_one_summary_per_key_and_partition(self, monkeypatch):
         # one fresh summary per evaluation, plus one per cached key when the
@@ -394,8 +395,8 @@ class TestKeptViolationTerms:
             problem, initial_point(problem, "infeasible-0"),
             SolverConfig(max_evaluations=300, seed=5),
         )
-        while iterate(state) != "budget":
-            pass
+        while len(state.cache.entries) < 300:
+            iterate(state)
         gc.collect()
         assert len(state.kept) > 100
         for terms in state.kept.values():
@@ -447,8 +448,8 @@ class TestSolve:
             problem, initial_point(problem, "infeasible-0"),
             SolverConfig(max_evaluations=300, seed=2),
         )
-        while state.mesh.delta_frame >= DELTA_STOP and iterate(state) != "budget":
-            pass
+        while state.mesh.delta_frame >= DELTA_STOP and len(state.cache.entries) < 300:
+            iterate(state)
         entries = list(state.cache.entries.values())  # in eval_index order
         rows = state.record.rows
         gc.collect()

@@ -209,6 +209,21 @@ class TestInitialPoints:
         for x in points:
             assert all(type(v) is float and l <= v <= u for v, l, u in zip(x, lower, upper))
 
+    def test_problem_file_named_like_a_builtin_draws_in_its_box(self, tmp_path):
+        # only the builtin itself gets the bespoke sampler, not its name
+        definition = tmp_path / "prob.txt"
+        definition.write_text(
+            "name = two-ring\nn = 2\nm = 2\np = 0\nlower = -5, -5\nupper = 5, 5\n"
+            "evaluator = /bin/true\n"
+        )
+        problem = load_problem_file(definition)
+        ring, _ = builtin_problem("two-ring")
+        for x0_id in x0_ids(20):
+            rng = madspip.suite._x0_rng("two-ring", x0_id)
+            uniform = tuple(float(rng.uniform(-5.0, 5.0)) for _ in range(2))
+            assert initial_point(problem, x0_id) == uniform
+            assert uniform != initial_point(ring, x0_id)
+
 
 class TestMakeInstances:
     def test_cardinality(self):
