@@ -16,11 +16,11 @@ first ``k`` groups, over all instances.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .problem import feasible_outputs
-from .solver import RunRecord, SolverConfig, InitializationError, solve
+from .solver import RunRecord, SolverConfig, InitializationError, Steps, improvement_steps, solve
 from .suite import Instance
 
 __all__ = [
@@ -61,12 +61,14 @@ class ProfileCurve:
 @dataclass(frozen=True)
 class RunView:
     """The slice of one run that profiles need, built from its
-    per-evaluation ``(f, feasible)`` pairs in evaluation order.
+    per-evaluation ``(f, feasible)`` pairs in evaluation order, or, given
+    no ``evals``, from the ``count`` and ``steps`` a stop line holds.
 
     A profile depends on a run only through its strict improvements of the
     best feasible ``f``, so the view keeps ``count``, the number of
     evaluations, and ``steps``: one ``(position, f)`` pair per improvement,
-    the first feasible evaluation included.  Its memory grows with the
+    the first feasible evaluation included
+    (:func:`madspip.solver.improvement_steps`).  Its memory grows with the
     improvements, not the evaluations.
     """
 
@@ -75,22 +77,15 @@ class RunView:
     seed: int
     mode: str
     n: int
-    evals: InitVar[Iterable[Tuple[float, bool]]]
-    count: int = field(init=False)
-    steps: Tuple[Tuple[int, float], ...] = field(init=False)
+    evals: InitVar[Optional[Iterable[Tuple[float, bool]]]] = None
+    count: int = 0
+    steps: Steps = ()
 
     def __post_init__(self, evals):
-        steps = []
-        best = None
-        position = -1
-        for position, (f, feasible) in enumerate(evals):
-            # the first feasible f, then each one below the best so far: an
-            # equal f (-0.0 after 0.0 too) is no improvement
-            if feasible and (best is None or f < best):
-                best = f
-                steps.append((position, f))
-        object.__setattr__(self, "count", position + 1)
-        object.__setattr__(self, "steps", tuple(steps))
+        if evals is not None:
+            count, steps = improvement_steps(evals)
+            object.__setattr__(self, "count", count)
+            object.__setattr__(self, "steps", steps)
 
     @property
     def key(self) -> Key:
@@ -161,6 +156,43 @@ def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, m
     if not isinstance(x, (list, tuple)) or (rows and not x):
         raise ValueError("history row has no nonempty x list")
     return RunView(problem, x0_id, seed, mode, len(x), _evaluations(rows))
+
+
+def view_of_stop(stop: dict, problem: str, x0_id: str, seed: int, mode: str) -> RunView:
+    """Build a view from a history's stop line
+    (:func:`madspip.solver.stop_line`) alone, without its rows.
+
+    The line is checked as strictly as :func:`view_of_history` checks rows:
+    ``n >= 1`` and ``count >= 0`` are integers (not booleans), ``builtin``
+    is a boolean, and ``steps`` is a list of ``[position, f]`` pairs whose
+    positions are integers that strictly increase within ``[0, count)``
+    and whose ``f`` values are finite floats that strictly decrease.  Any
+    other line raises ``ValueError``.
+    """
+    n, count, steps = stop.get("n"), stop.get("count"), stop.get("steps")
+    if not (type(n) is int and n >= 1):
+        raise ValueError(f"stop line: n {n!r} is not a positive integer")
+    if not (type(count) is int and count >= 0):
+        raise ValueError(f"stop line: count {count!r} is not a non-negative integer")
+    if type(stop.get("builtin")) is not bool:
+        raise ValueError(f"stop line: builtin {stop.get('builtin')!r} is not a boolean")
+    if not isinstance(steps, list):
+        raise ValueError("stop line: steps is not a list")
+    checked = []
+    position, f = -1, math.inf
+    for step in steps:
+        if not (isinstance(step, list) and len(step) == 2):
+            raise ValueError(f"stop line: step {step!r} is not a [position, f] pair")
+        if not (type(step[0]) is int and position < step[0] < count):
+            raise ValueError(
+                f"stop line: position {step[0]!r} does not lie above {position} and below {count}"
+            )
+        # a NaN fails every comparison, and +inf is never below the start
+        if not (type(step[1]) is float and -math.inf < step[1] < f):
+            raise ValueError(f"stop line: f {step[1]!r} is not a finite float below {f!r}")
+        position, f = step
+        checked.append((position, f))
+    return RunView(problem, x0_id, seed, mode, n, count=count, steps=tuple(checked))
 
 
 def run_matrix(

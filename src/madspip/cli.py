@@ -27,8 +27,9 @@ from .bench import (
     reference_table,
     run_matrix,
     view_of_history,
+    view_of_stop,
 )
-from .problem import ExternalEvaluator, read_history, write_history
+from .problem import ExternalEvaluator, read_history, read_stop_line, write_history
 from .solver import (
     MODE_EXTREME_BARRIER,
     MODE_PIP,
@@ -36,6 +37,7 @@ from .solver import (
     SolverConfig,
     check_run_invariants,
     solve,
+    stop_line,
     summary_line,
 )
 from .suite import (
@@ -44,6 +46,7 @@ from .suite import (
     builtin_problems,
     check_name_part,
     initial_point,
+    is_builtin,
     load_problem_file,
     make_instances,
     read_key_values,
@@ -142,7 +145,7 @@ def cmd_solve(args) -> int:
     record = solve(problem, x0, config, x0_id=x0_id)
 
     history_path = out_dir / f"{_run_name(problem.name, x0_id, args.seed, args.mode)}.jsonl"
-    write_history(record.rows, history_path)
+    write_history(record.rows, history_path, stop_line(record, is_builtin(problem)))
 
     machine = {
         "command": "solve",
@@ -200,8 +203,10 @@ def cmd_bench(args) -> int:
     skipped = len(runs) - len(pending)
 
     def _keep(key, record):
-        # write each run as it finishes, so an interrupted bench keeps it
-        write_history(record.rows, out_dir / f"{_run_name(*key)}.jsonl")
+        # write each run as it finishes, so an interrupted bench keeps it; an
+        # error run (it has no rows) leaves a 0-byte history
+        stop = None if record.outcome == "error" else stop_line(record, builtin=True)
+        write_history(record.rows, out_dir / f"{_run_name(*key)}.jsonl", stop)
         return summary_line(record), record.outcome
 
     results = run_matrix(
@@ -267,17 +272,27 @@ def cmd_profile(args) -> int:
 
     views = []
     warnings = []
+    foreign = set()  # names whose stop line says the problem is not that builtin
     for path in sorted(histories_dir.glob("*.jsonl")):
         try:
-            problem, x0_id, seed, mode = _parse_history_name(path.name)
-            rows = read_history(path)
-            views.append(view_of_history(rows, problem, x0_id, seed, mode))
+            key = _parse_history_name(path.name)
+            stop = read_stop_line(path)
+            if stop is None:  # no stop line: a history of rows only
+                views.append(view_of_history(read_history(path), *key))
+            else:  # the stop line holds the view; the rows go unread
+                views.append(view_of_stop(stop, *key))
+                if not stop["builtin"]:
+                    foreign.add(key[0])
         except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             warnings.append(f"skipping {path.name}: {exc}")
     if not views:
         raise ValueError("no readable histories found")
 
-    known = {problem.name: optimum.f_star for problem, optimum in builtin_problems()}
+    known = {
+        problem.name: optimum.f_star
+        for problem, optimum in builtin_problems()
+        if problem.name not in foreign
+    }
     f_star = best_feasible_table(views, known=known)
     f_ref = reference_table(views)
     written = []

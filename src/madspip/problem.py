@@ -291,9 +291,8 @@ class ExternalEvaluator:
 
 _ROW_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
-#: Rows encoded per write: the text of one batch is the most of a history
-#: held as strings at once.
-_WRITE_BATCH = 64
+#: Bytes :func:`read_stop_line` reads per step back from a history's end.
+_TAIL_BLOCK = 4096
 
 
 @contextmanager
@@ -312,17 +311,19 @@ def _atomic_file(path):
         raise
 
 
-def write_history(rows: Sequence[dict], path) -> None:
-    """Persist history rows as JSONL, one object per line, atomically.
+def write_history(rows: Sequence[dict], path, stop: Optional[dict] = None) -> None:
+    """Persist history rows as JSONL, one object per line, atomically, and
+    then ``stop`` (a run's :func:`madspip.solver.stop_line`) as the last
+    line when one is given.
 
     Each line is ``_ROW_ENCODER.encode(row)``; tuples and lists both become
     arrays.  Non-finite values are emitted as ``Infinity`` tokens, which
     :func:`json.loads` reads back; the byte stream is deterministic for a
-    given row sequence.  Rows are encoded and written in batches into the
-    sibling temp file of :func:`_atomic_file`, so the whole history is never
-    one string; the temp file replaces ``path`` only after the last row is
-    written, and a row that cannot be encoded removes it and leaves ``path``
-    as it was.
+    given row sequence.  Rows are encoded and written one line at a time
+    into the sibling temp file of :func:`_atomic_file`, so the whole history
+    is never one string; the temp file replaces ``path`` only after the last
+    line is written, and a row that cannot be encoded removes it and leaves
+    ``path`` as it was.
     """
     # the C encoder that JSONEncoder.encode builds afresh for every call, built
     # once for all the rows; its circular-reference markers empty again as
@@ -334,9 +335,38 @@ def write_history(rows: Sequence[dict], path) -> None:
         enc.skipkeys, enc.allow_nan,
     )
     with _atomic_file(path) as fh:
-        for start in range(0, len(rows), _WRITE_BATCH):
-            batch = rows[start : start + _WRITE_BATCH]
-            fh.write("".join(["".join(encode(row, 0)) + "\n" for row in batch]))
+        fh.writelines("".join(encode(row, 0)) + "\n" for row in rows)
+        if stop is not None:
+            fh.write("".join(encode(stop, 0)) + "\n")
+
+
+def read_stop_line(path) -> Optional[dict]:
+    """The stop line that ends a history, or ``None`` when the file's last
+    nonblank line is not one: a 0-byte history, a line that is not JSON, or
+    a value that is not an object with a ``stop`` key.
+
+    Only the tail is read: blocks of ``_TAIL_BLOCK`` bytes back from the
+    end, until they hold the line break before the last line, so a stop
+    line longer than one block still reads.
+    """
+    with open(path, "rb") as fh:
+        start = fh.seek(0, os.SEEK_END)
+        tail = line = b""
+        while start > 0:
+            step = min(_TAIL_BLOCK, start)
+            start -= step
+            fh.seek(start)
+            tail = fh.read(step) + tail
+            line = tail.rstrip()
+            cut = max(line.rfind(b"\n"), line.rfind(b"\r"))
+            if cut >= 0:
+                line = line[cut + 1 :]
+                break
+    try:
+        stop = json.loads(line.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError both are
+        return None
+    return stop if isinstance(stop, dict) and "stop" in stop else None
 
 
 # the scanner json.loads runs, without its per-call Python layers

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +58,8 @@ __all__ = [
     "check_run_invariants",
 ]
 
+Steps = Tuple[Tuple[int, float], ...]  # (position, f) per improvement
+
 MODE_PIP = "pip"
 MODE_EXTREME_BARRIER = "extreme-barrier"
 
@@ -69,6 +71,25 @@ DELTA_STOP = 1e-9
 
 class InitializationError(Exception):
     """The run cannot start: bad starting point or inapplicable mode."""
+
+
+def improvement_steps(evals: Iterable[Tuple[float, bool]]) -> Tuple[int, Steps]:
+    """``(count, steps)`` of a run's ``(f, feasible)`` pairs in evaluation
+    order: the number of evaluations, and one ``(position, f)`` step per
+    strict improvement of the best feasible ``f``.
+
+    This is the one statement of "improvement": the first feasible ``f``,
+    then each one below the best so far; an equal ``f`` (``-0.0`` after
+    ``0.0`` too) is no improvement.
+    """
+    steps = []
+    best = None
+    count = 0
+    for count, (f, feasible) in enumerate(evals, 1):
+        if feasible and (best is None or f < best):
+            best = f
+            steps.append((count - 1, f))
+    return count, tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -107,13 +128,17 @@ class RunRecord:
     flags: List[str] = field(default_factory=list)
     params: Optional[dict] = None
     evals_used: int = 0
-    best_feasible_f: Optional[float] = None
+    steps: Steps = ()  # improvement_steps of the run's evaluations
     final_rho: Optional[float] = None
     final_delta: Optional[float] = None
 
     @property
     def key(self) -> Tuple[str, str, int, str]:
         return (self.problem_name, self.x0_id, self.seed, self.mode)
+
+    @property
+    def best_feasible_f(self) -> Optional[float]:
+        return self.steps[-1][1] if self.steps else None
 
     @property
     def rho_trace(self) -> List[Tuple[int, float]]:
@@ -495,14 +520,11 @@ def iterate(state: SolverState) -> None:
 def _finalize(state: SolverState, outcome: str) -> RunRecord:
     record = state.record
     record.outcome = outcome
-    record.evals_used = len(state.cache.entries)
+    record.evals_used, record.steps = improvement_steps(
+        (ev.f, is_feasible(ev)) for ev in state.cache.entries.values()  # in evaluation order
+    )
     record.final_delta = state.mesh.delta_frame
     record.final_rho = state.merit_params.rho if state.pip else None
-    best_f = None
-    for ev in state.cache.entries.values():
-        if (best_f is None or ev.f < best_f) and is_feasible(ev):
-            best_f = ev.f
-    record.best_feasible_f = best_f
     return record
 
 
@@ -622,6 +644,27 @@ def check_run_invariants(record: RunRecord):
                 f"iteration {it}: evaluated frame point with c_int {cint!r} (late-run frame not strictly interior)"
             )
     return violations, warnings
+
+
+def stop_line(record: RunRecord, builtin: bool) -> dict:
+    """The last line of a finished run's history; this is the one statement
+    of its layout.
+
+    ``stop`` is the outcome, ``n`` the dimension, ``count`` the evaluations
+    and ``steps`` the run's improvement steps, ``[position, f]`` each, from
+    which a profile builds the run's view without reading the rows.
+    ``builtin`` says whether the run's problem is the builtin of its name,
+    whose ``f*`` a profile may then use.  The line carries none of the row
+    keys (``eval_index``, ``f``, ``status``), so a reader of rows passes
+    over it as it does over a bounds rejection.
+    """
+    return {
+        "stop": record.outcome,
+        "n": record.n,
+        "count": record.evals_used,
+        "steps": record.steps,
+        "builtin": builtin,
+    }
 
 
 def summary_line(record: RunRecord) -> str:

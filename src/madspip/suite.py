@@ -132,6 +132,13 @@ def builtin_problem(name: str) -> Tuple[Problem, KnownOptimum]:
     raise _UnknownProblem(f"no builtin problem named {name!r}")
 
 
+def is_builtin(problem: Problem) -> bool:
+    """Whether ``problem`` is a builtin, evaluator and bounds included: a
+    problem file may take a builtin's name, and ``solve --eval-exe`` swaps
+    a builtin's evaluator out."""
+    return any(problem == builtin for builtin, _ in _BUILTINS)
+
+
 def _x0_rng(problem_name: str, x0_id: str) -> np.random.Generator:
     digest = hashlib.blake2b(f"{problem_name}:{x0_id}".encode(), digest_size=8).digest()
     return np.random.default_rng(int.from_bytes(digest, "big"))
@@ -206,7 +213,7 @@ def initial_point(problem: Problem, x0_id: str) -> Tuple[float, ...]:
         raise ValueError(f"malformed x0 id {x0_id!r}; expected e.g. 'feasible-0'")
     rng = _x0_rng(problem.name, x0_id)
     sampler = _SAMPLERS.get(problem.name)
-    if sampler is not None and problem == builtin_problem(problem.name)[0]:
+    if sampler is not None and is_builtin(problem):
         return sampler(rng, kind == "feasible")
     if problem.bounds is None:
         return tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=problem.n))

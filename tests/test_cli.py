@@ -25,6 +25,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def rows_without_stop(data: bytes) -> bytes:
+    """A history's bytes without its last line, which must be a stop line
+    after at least one row; an error run's 0-byte history stays empty."""
+    if not data:
+        return data
+    rows, stop = data[:-1].rsplit(b"\n", 1)
+    assert "stop" in json.loads(stop)
+    return rows + b"\n"
+
+
 def machine_line(out: str) -> dict:
     return json.loads(out.strip().splitlines()[0])
 
@@ -489,9 +499,12 @@ class TestBenchCommand:
         assert sum(1 for line in lines if line.startswith("problem=")) == 200
 
     # SHA-256 of the 20 histories, concatenated in sorted name order, that
-    # the bench below writes (numpy 2.4.6); any change to solver arithmetic
-    # that moves a single byte of any history changes it
+    # the bench below writes (numpy 2.4.6), each without its stop line: the
+    # rows alone, as they were before histories had stop lines; any change
+    # to solver arithmetic that moves a single byte of any row changes it
     HISTORY_SHA256 = "45fa419510397c9f84ee0364cbd01bce0ff3711766a453498db0102aea997f5d"
+    # the same 20 histories whole, stop lines included
+    HISTORY_WITH_STOP_SHA256 = "317ee5518765fc53a29de4f11d145b8a5843adfc8c6f908f2dc25030d24f9e77"
 
     @pytest.mark.parametrize("workers", ["1", "2", "3"])
     def test_history_bytes_pinned(self, tmp_path, capsys, workers):
@@ -504,7 +517,9 @@ class TestBenchCommand:
         assert code == 0
         paths = sorted(out_dir.glob("*.jsonl"), key=lambda p: p.name)
         assert len(paths) == 20
-        digest = hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+        whole = [p.read_bytes() for p in paths]
+        assert hashlib.sha256(b"".join(whole)).hexdigest() == self.HISTORY_WITH_STOP_SHA256
+        digest = hashlib.sha256(b"".join(rows_without_stop(data) for data in whole)).hexdigest()
         assert digest == self.HISTORY_SHA256
 
     # SHA-256 of the six profile files, concatenated in sorted name order,
@@ -772,6 +787,30 @@ class TestProfileCommand:
                 rows = list(csv.reader(fh))
             assert rows[0] == ["label", "tau", "k", "fraction"]
             assert all(len(r) == 4 and r[0] == mode for r in rows[1:])
+
+    def test_problem_file_named_like_a_builtin_keeps_its_own_optimum(self, tmp_path, capsys):
+        # optimum 5 at the origin; the builtin two-ring's f* is -2, which
+        # would put the tau = 0.1 threshold at -1.1, out of this run's reach
+        exe = tmp_path / "bowl.sh"
+        exe.write_text("#!/bin/sh\nawk '{print $1*$1 + $2*$2 + 5}'\n")
+        exe.chmod(0o755)
+        definition = tmp_path / "ring.txt"
+        definition.write_text(
+            f"name = two-ring\nn = 2\nm = 0\np = 0\nlower = -5, -5\nupper = 5, 5\nevaluator = {exe}\n"
+        )
+        out_dir = tmp_path / "runs"
+        code, out, err = run_cli(
+            capsys,
+            "solve", "--problem", str(definition), "--x0", "1,1",
+            "--budget", "100", "--out", str(out_dir),
+        )
+        assert code == 0, err
+        assert machine_line(out)["best_feasible_f"] < 5.2
+        code, out, _ = run_cli(capsys, "profile", "--histories", str(out_dir), "--tau", "0.1")
+        assert code == 0 and machine_line(out)["warnings"] == []
+        with open(out_dir / "data_profile_tau0.1.csv", newline="", encoding="utf-8") as fh:
+            fractions = [float(row[3]) for row in list(csv.reader(fh))[1:]]
+        assert fractions[0] == 0.0 and fractions[-1] == 1.0
 
     def test_unreadable_history_warns_but_succeeds(self, bench_dir, capsys):
         (bench_dir / "unit-disk__feasible-9__seed1__pip.jsonl").mkdir()
