@@ -16,10 +16,10 @@ first ``k`` groups, over all instances.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .problem import feasible_outputs
+from .problem import Evaluation, is_feasible
 from .solver import RunRecord, SolverConfig, InitializationError, Steps, improvement_steps, solve
 from .suite import Instance
 
@@ -60,9 +60,7 @@ class ProfileCurve:
 
 @dataclass(frozen=True)
 class RunView:
-    """The slice of one run that profiles need, built from its
-    per-evaluation ``(f, feasible)`` pairs in evaluation order, or, given
-    no ``evals``, from the ``count`` and ``steps`` a stop line holds.
+    """The slice of one run that profiles need.
 
     A profile depends on a run only through its strict improvements of the
     best feasible ``f``, so the view keeps ``count``, the number of
@@ -77,15 +75,8 @@ class RunView:
     seed: int
     mode: str
     n: int
-    evals: InitVar[Optional[Iterable[Tuple[float, bool]]]] = None
-    count: int = 0
-    steps: Steps = ()
-
-    def __post_init__(self, evals):
-        if evals is not None:
-            count, steps = improvement_steps(evals)
-            object.__setattr__(self, "count", count)
-            object.__setattr__(self, "steps", steps)
+    count: int
+    steps: Steps
 
     @property
     def key(self) -> Key:
@@ -112,7 +103,7 @@ def _row_entry(row: dict, idx: int) -> Tuple[float, bool]:
         for v in part:  # false and 0 would pass the feasibility test as 0.0
             if type(v) is not float:
                 raise ValueError(f"evaluation {idx}: g or h entry {v!r} is not a float")
-    feasible = feasible_outputs(row.get("status") == "failed", g, h)
+    feasible = is_feasible(Evaluation((), f, g, h, idx, row.get("status") == "failed"))
     # a run stores a non-finite f as +inf, and only on a failed evaluation
     if f != f or f == -math.inf or (feasible and f == math.inf):
         raise ValueError(f"evaluation {idx}: f {f!r} on a row that no run writes")
@@ -155,7 +146,7 @@ def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, m
     # no rows at all is a run that could not start; n = 0 is no run's
     if not isinstance(x, (list, tuple)) or (rows and not x):
         raise ValueError("history row has no nonempty x list")
-    return RunView(problem, x0_id, seed, mode, len(x), _evaluations(rows))
+    return RunView(problem, x0_id, seed, mode, len(x), *improvement_steps(_evaluations(rows)))
 
 
 def view_of_stop(stop: dict, problem: str, x0_id: str, seed: int, mode: str) -> RunView:
@@ -192,7 +183,7 @@ def view_of_stop(stop: dict, problem: str, x0_id: str, seed: int, mode: str) -> 
             raise ValueError(f"stop line: f {step[1]!r} is not a finite float below {f!r}")
         position, f = step
         checked.append((position, f))
-    return RunView(problem, x0_id, seed, mode, n, count=count, steps=tuple(checked))
+    return RunView(problem, x0_id, seed, mode, n, count, tuple(checked))
 
 
 def run_matrix(

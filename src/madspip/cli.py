@@ -280,7 +280,10 @@ def cmd_profile(args) -> int:
             if stop is None:  # no stop line: a history of rows only
                 views.append(view_of_history(read_history(path), *key))
             else:  # the stop line holds the view; the rows go unread
-                views.append(view_of_stop(stop, *key))
+                view = view_of_stop(stop, *key)
+                if view.count > path.stat().st_size:  # each evaluation writes 50+ bytes
+                    raise ValueError(f"stop line: count {view.count} exceeds the file's bytes")
+                views.append(view)
                 if not stop["builtin"]:
                     foreign.add(key[0])
         except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError

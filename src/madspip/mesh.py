@@ -57,10 +57,6 @@ class MeshState:
     def mesh_exp(self) -> int:
         return min(self.exp, 2 * self.exp)
 
-    @property
-    def delta_mesh(self) -> float:
-        return math.ldexp(self.delta0, self.mesh_exp)
-
 
 def update_frame(mesh: MeshState, success: bool) -> MeshState:
     """Grow the frame after a success, shrink it after a failure.

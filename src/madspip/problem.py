@@ -195,23 +195,13 @@ def evaluate(
 
 def is_feasible(evaluation: Evaluation) -> bool:
     """The one feasibility rule: not failed, ``g <= 0`` exactly and
-    ``|h| < EQ_TOL``.
-
-    Solver results go through it; history views and profiles go through
-    :func:`feasible_outputs`, which states the rule for both.
-    """
-    return feasible_outputs(evaluation.failed, evaluation.g, evaluation.h)
-
-
-def feasible_outputs(failed: bool, g: Sequence[float], h: Sequence[float]) -> bool:
-    """:func:`is_feasible` on an evaluation's parts, for a history row that
-    holds them without an :class:`Evaluation`."""
-    if failed:
+    ``|h| < EQ_TOL``."""
+    if evaluation.failed:
         return False
-    for v in g:
+    for v in evaluation.g:
         if not v <= 0.0:
             return False
-    for v in h:
+    for v in evaluation.h:
         if not abs(v) < EQ_TOL:
             return False
     return True
@@ -351,26 +341,27 @@ def read_stop_line(path) -> Optional[dict]:
     """
     with open(path, "rb") as fh:
         start = fh.seek(0, os.SEEK_END)
-        tail = line = b""
+        blocks = []  # the last line's pieces, last first
         while start > 0:
             step = min(_TAIL_BLOCK, start)
             start -= step
             fh.seek(start)
-            tail = fh.read(step) + tail
-            line = tail.rstrip()
-            cut = max(line.rfind(b"\n"), line.rfind(b"\r"))
+            block = fh.read(step)
+            if not blocks:  # only blanks after this block so far
+                block = block.rstrip()
+                if not block:
+                    continue
+            # only the new block is searched, so the read stays linear
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r"))
+            blocks.append(block[cut + 1 :])
             if cut >= 0:
-                line = line[cut + 1 :]
                 break
+    line = b"".join(reversed(blocks))
     try:
         stop = json.loads(line.decode("utf-8"))
     except ValueError:  # UnicodeDecodeError and JSONDecodeError both are
         return None
     return stop if isinstance(stop, dict) and "stop" in stop else None
-
-
-# the scanner json.loads runs, without its per-call Python layers
-_SCAN_ONCE = json.JSONDecoder().scan_once
 
 
 def read_history(path) -> List[dict]:
@@ -380,18 +371,5 @@ def read_history(path) -> List[dict]:
     JSON value, as :func:`json.loads` reads it, or its
     ``json.JSONDecodeError`` is raised.
     """
-    rows = []
-    scan = _SCAN_ONCE
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row, end = scan(line, 0)
-            except StopIteration:  # no value starts the line
-                end = -1
-            if end != len(line):  # anything but one value: json.loads' verdict and error
-                row = json.loads(line)
-            rows.append(row)
-    return rows
+        return [json.loads(line) for line in map(str.strip, fh) if line]

@@ -33,7 +33,7 @@ from madspip.merit import (
 )
 from madspip.mesh import MeshState, snap_steps, update_frame
 from madspip.problem import is_feasible, Evaluation
-from madspip.solver import SolverConfig, check_run_invariants, solve
+from madspip.solver import SolverConfig, check_run_invariants, improvement_steps, solve
 from madspip.suite import builtin_problem, initial_point, make_instances
 
 
@@ -105,12 +105,12 @@ class TestCriterion1FormulaSuite:
         assert penalty_update_check(2.0, -1.0, p) is False
         assert penalty_update_check(1e-4, 0.0, p) is False
         # mesh arithmetic: frame delta0 * 2**exp, mesh min(frame, frame**2/delta0)
-        assert MeshState(1.0, 0).delta_mesh == 1.0
-        assert MeshState(1.0, -1).delta_mesh == 0.25
-        assert MeshState(1.0, 1).delta_mesh == 2.0
+        for exp, delta_mesh in ((0, 1.0), (-1, 0.25), (1, 2.0)):
+            m = MeshState(1.0, exp)
+            assert math.ldexp(m.delta0, m.mesh_exp) == delta_mesh
         assert update_frame(MeshState(1.0), True).delta_frame == 2.0
         shrunk = update_frame(MeshState(1.0), False)
-        assert (shrunk.delta_frame, shrunk.delta_mesh) == (0.5, 0.25)
+        assert (shrunk.delta_frame, math.ldexp(shrunk.delta0, shrunk.mesh_exp)) == (0.5, 0.25)
         assert update_frame(MeshState(1.0, 9), True).delta_frame == 512.0  # growth cap
         # snapping (0.26, -0.24) and 0.125 onto mesh 0.25, in units of 0.001
         assert snap_steps((260, -240), 250) == (1, -1)
@@ -120,7 +120,7 @@ class TestCriterion1FormulaSuite:
         assert not is_feasible(Evaluation((0.0,), 1.0, (1e-12,), (), 0))
         # profile group arithmetic
         view = RunView("A", "feasible-0", 1, "pip", 2,
-                       tuple([(10.0, True)] * 6 + [(2.0, True)]))
+                       *improvement_steps([(10.0, True)] * 6 + [(2.0, True)]))
         assert convergence_index(view, 2.0, 10.0, 0.1) == 3
         elapsed = time.monotonic() - start
         passed = elapsed < 5.0
@@ -281,12 +281,12 @@ class TestCriterion7ProfileEngine:
         # hand-built three-instance fixture: A solves in group 3, C in group
         # 2, B never becomes feasible and leaves the denominator
         a = RunView("A", "feasible-0", 1, "pip", 2,
-                    tuple([(10.0, True), (9.0, True), (8.5, True), (8.0, True),
-                           (7.0, True), (6.0, True), (2.0, True)]))
+                    *improvement_steps([(10.0, True), (9.0, True), (8.5, True), (8.0, True),
+                                        (7.0, True), (6.0, True), (2.0, True)]))
         b = RunView("B", "infeasible-0", 1, "pip", 2,
-                    tuple([(3.0, False), (2.0, False), (1.0, False), (0.5, False)]))
+                    *improvement_steps([(3.0, False), (2.0, False), (1.0, False), (0.5, False)]))
         c = RunView("C", "infeasible-0", 1, "pip", 2,
-                    tuple([(9.0, False), (8.0, False), (7.0, False), (5.0, True)]))
+                    *improvement_steps([(9.0, False), (8.0, False), (7.0, False), (5.0, True)]))
         views = [a, b, c]
         data = data_profile(views, 0.1, best_feasible_table(views), reference_table(views))[0]
         feas = feasibility_profile(views)[0]
@@ -303,7 +303,8 @@ class TestCriterion7ProfileEngine:
                     (rng.uniform(-5, 5), rng.random() < 0.4)
                     for _ in range(rng.randint(1, 25))
                 )
-                sample.append(RunView(f"P{i}", "feasible-0", 1, "pip", rng.randint(1, 4), evals))
+                sample.append(RunView(f"P{i}", "feasible-0", 1, "pip", rng.randint(1, 4),
+                                      *improvement_steps(evals)))
             tables = best_feasible_table(sample), reference_table(sample)
             for curve in feasibility_profile(sample) + data_profile(sample, 0.25, *tables):
                 if any(b2 < a2 for a2, b2 in zip(curve.fraction, curve.fraction[1:])):

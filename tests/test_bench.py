@@ -22,12 +22,12 @@ from madspip.bench import (
     view_of_history,
 )
 from madspip.problem import read_history, write_history
-from madspip.solver import SolverConfig, solve
+from madspip.solver import SolverConfig, improvement_steps, solve
 from madspip.suite import Instance, builtin_problem, builtin_problems, initial_point, make_instances
 
 
 def view(problem, x0_id, seed, mode, n, evals):
-    return RunView(problem=problem, x0_id=x0_id, seed=seed, mode=mode, n=n, evals=tuple(evals))
+    return RunView(problem, x0_id, seed, mode, n, *improvement_steps(evals))
 
 
 A_EVALS = [(10.0, True), (9.0, True), (8.5, True), (8.0, True), (7.0, True), (6.0, True),

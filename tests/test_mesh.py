@@ -16,16 +16,17 @@ from madspip.mesh import (
 
 class TestMeshSize:
     def test_at_initial(self):
-        assert MeshState(1.0, 0).delta_mesh == 1.0
+        m = MeshState(1.0, 0)
+        assert math.ldexp(m.delta0, m.mesh_exp) == 1.0
 
     def test_quadratic_branch(self):
         m = MeshState(1.0, -1)
-        assert (m.delta_frame, m.delta_mesh) == (0.5, 0.25)
+        assert (m.delta_frame, math.ldexp(m.delta0, m.mesh_exp)) == (0.5, 0.25)
         assert m.mesh_exp == -2
 
     def test_linear_branch(self):
         m = MeshState(1.0, 1)
-        assert (m.delta_frame, m.delta_mesh) == (2.0, 2.0)
+        assert (m.delta_frame, math.ldexp(m.delta0, m.mesh_exp)) == (2.0, 2.0)
         assert m.mesh_exp == 1
 
     def test_invalid(self):
@@ -40,19 +41,20 @@ class TestMeshState:
         m = MeshState(1.0)
         assert m.exp == 0
         assert m.delta_frame == 1.0
-        assert m.delta_mesh == 1.0
+        assert math.ldexp(m.delta0, m.mesh_exp) == 1.0
 
     def test_mesh_follows_frame(self):
         for delta0 in (1.0, 10.0, 0.3):
             for exp in range(-6, 4):
                 m = MeshState(delta0, exp)
                 d = m.delta_frame
-                assert m.delta_mesh == pytest.approx(min(d, d * d / delta0), rel=1e-15)
+                delta_mesh = math.ldexp(m.delta0, m.mesh_exp)
+                assert delta_mesh == pytest.approx(min(d, d * d / delta0), rel=1e-15)
 
     def test_sizes_scale_with_delta0(self):
         m = MeshState(10.0, -3)
         assert m.delta_frame == 10.0 / 8
-        assert m.delta_mesh == 10.0 / 64
+        assert math.ldexp(m.delta0, m.mesh_exp) == 10.0 / 64
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -69,7 +71,7 @@ class TestUpdateFrame:
     def test_failure_shrinks_and_recomputes_mesh(self):
         m = update_frame(MeshState(1.0), success=False)
         assert m.delta_frame == 0.5
-        assert m.delta_mesh == 0.25
+        assert math.ldexp(m.delta0, m.mesh_exp) == 0.25
 
     def test_growth_cap(self):
         # 2**9 = 512 is the largest frame ratio not above 1000
@@ -91,7 +93,7 @@ class TestUpdateFrame:
         m = MeshState(1.0)
         for success in [True, True, False, False, False, True, False] * 4:
             m = update_frame(m, success)
-            assert m.delta_mesh <= m.delta_frame
+            assert math.ldexp(m.delta0, m.mesh_exp) <= m.delta_frame
 
 
 def _max_step(steps):
@@ -116,21 +118,23 @@ class TestPollDirections:
     def test_frame_membership_and_step_bound(self):
         # fixed seed, delta=0.0625 so integer steps live on a radius-4 lattice
         mesh = MeshState(1.0, -2)
-        assert mesh.delta_mesh == 0.0625
+        delta_mesh = math.ldexp(mesh.delta0, mesh.mesh_exp)
+        assert delta_mesh == 0.0625
         dirs = poll_directions(3, mesh, np.random.default_rng(42))
         assert len(dirs) == 6
         for d in dirs:
             assert _max_step(d) <= 4
-            assert _max_step(d) * mesh.delta_mesh <= mesh.delta_frame
+            assert _max_step(d) * delta_mesh <= mesh.delta_frame
 
     def test_leading_coordinate_spans_frame(self):
         mesh = MeshState(1.0, -3)
         radius = 2 ** (mesh.exp - mesh.mesh_exp)
+        delta_mesh = math.ldexp(mesh.delta0, mesh.mesh_exp)
         for seed in range(20):
             dirs = poll_directions(3, mesh, np.random.default_rng(seed))
             for d in dirs:
                 assert _max_step(d) == radius
-                assert _max_step(d) * mesh.delta_mesh >= mesh.delta_frame * 0.5
+                assert _max_step(d) * delta_mesh >= mesh.delta_frame * 0.5
 
     def test_determinism(self):
         mesh = MeshState(1.0, -4)

@@ -4,6 +4,7 @@ rows give, and a line that no run writes is skipped with one warning."""
 
 import json
 import math
+import time
 
 import pytest
 
@@ -97,6 +98,7 @@ def stop_text(**changes):
         stop_text(count=True),  # a bool or negative count
         stop_text(count=-1),
         stop_text(count=3.0),
+        stop_text(count=10**18),  # more evaluations than the history has bytes
         stop_text(n=0),  # n below 1
         stop_text(n=True),
         stop_text(builtin=1),
@@ -130,6 +132,16 @@ def test_stop_line_longer_than_a_block_is_read(tmp_path, capsys):
     assert view.count == count and view.steps[-1] == (count - 1, steps[-1][1])
     machine = profile(capsys, tmp_path)
     assert machine["histories"] == 1 and machine["warnings"] == []
+
+
+def test_long_last_line_reads_in_linear_time(tmp_path):
+    # 16 MiB in one line: a reader that rejoins its whole tail for every
+    # block takes seconds here, one that searches each block once a few ms
+    path = tmp_path / "run.jsonl"
+    path.write_bytes(f"{ROW}\n".encode() + b"x" * (1 << 24) + b"\n")
+    start = time.process_time()
+    assert read_stop_line(path) is None
+    assert time.process_time() - start < 1.0
 
 
 @pytest.mark.parametrize(
