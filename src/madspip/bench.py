@@ -130,7 +130,9 @@ def _evaluations(rows: Iterable[dict]) -> Iterator[Tuple[float, bool]]:
 
 def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, mode: str) -> RunView:
     """Build a view from history rows, in memory or read back from JSONL
-    (``n`` comes from the rows), in one pass over them.
+    (``n`` comes from the first row's ``x``).  Frame lines
+    (:func:`madspip.solver.history_lines`) are passed over, and so is a stop
+    line, which has no ``eval_index``.
 
     A run numbers its evaluations 0, 1, 2, ... in the order it makes them,
     so a row's ``eval_index`` is the next number (a new evaluation), an
@@ -142,6 +144,7 @@ def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, m
     infeasible row, or no nonempty ``x`` array in the first row) raises
     ``ValueError``.
     """
+    rows = [row for row in rows if not (isinstance(row, dict) and "frame" in row)]
     x = rows[0].get("x") if rows and isinstance(rows[0], dict) else ()
     # no rows at all is a run that could not start; n = 0 is no run's
     if not isinstance(x, (list, tuple)) or (rows and not x):

@@ -36,8 +36,8 @@ from .solver import (
     InitializationError,
     SolverConfig,
     check_run_invariants,
+    history_lines,
     solve,
-    stop_line,
     summary_line,
 )
 from .suite import (
@@ -145,7 +145,7 @@ def cmd_solve(args) -> int:
     record = solve(problem, x0, config, x0_id=x0_id)
 
     history_path = out_dir / f"{_run_name(problem.name, x0_id, args.seed, args.mode)}.jsonl"
-    write_history(record.rows, history_path, stop_line(record, is_builtin(problem)))
+    write_history(history_lines(record, is_builtin(problem)), history_path)
 
     machine = {
         "command": "solve",
@@ -204,9 +204,8 @@ def cmd_bench(args) -> int:
 
     def _keep(key, record):
         # write each run as it finishes, so an interrupted bench keeps it; an
-        # error run (it has no rows) leaves a 0-byte history
-        stop = None if record.outcome == "error" else stop_line(record, builtin=True)
-        write_history(record.rows, out_dir / f"{_run_name(*key)}.jsonl", stop)
+        # error run (it has no lines) leaves a 0-byte history
+        write_history(history_lines(record, builtin=True), out_dir / f"{_run_name(*key)}.jsonl")
         return summary_line(record), record.outcome
 
     results = run_matrix(

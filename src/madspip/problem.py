@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "Problem",
@@ -301,22 +301,22 @@ def _atomic_file(path):
         raise
 
 
-def write_history(rows: Sequence[dict], path, stop: Optional[dict] = None) -> None:
-    """Persist history rows as JSONL, one object per line, atomically, and
-    then ``stop`` (a run's :func:`madspip.solver.stop_line`) as the last
-    line when one is given.
+def write_history(lines: Iterable[dict], path) -> None:
+    """Persist a history's lines as JSONL, one object per line, atomically:
+    a run's :func:`madspip.solver.history_lines`, its rows alone, or any
+    other dicts.
 
-    Each line is ``_ROW_ENCODER.encode(row)``; tuples and lists both become
+    Each line is ``_ROW_ENCODER.encode(line)``; tuples and lists both become
     arrays.  Non-finite values are emitted as ``Infinity`` tokens, which
     :func:`json.loads` reads back; the byte stream is deterministic for a
-    given row sequence.  Rows are encoded and written one line at a time
-    into the sibling temp file of :func:`_atomic_file`, so the whole history
-    is never one string; the temp file replaces ``path`` only after the last
-    line is written, and a row that cannot be encoded removes it and leaves
+    given line sequence.  Lines are encoded and written one at a time into
+    the sibling temp file of :func:`_atomic_file`, so the whole history is
+    never one string; the temp file replaces ``path`` only after the last
+    line is written, and a line that cannot be encoded removes it and leaves
     ``path`` as it was.
     """
     # the C encoder that JSONEncoder.encode builds afresh for every call, built
-    # once for all the rows; its circular-reference markers empty again as
+    # once for all the lines; its circular-reference markers empty again as
     # each container closes
     enc = _ROW_ENCODER
     encode = c_make_encoder(
@@ -325,9 +325,7 @@ def write_history(rows: Sequence[dict], path, stop: Optional[dict] = None) -> No
         enc.skipkeys, enc.allow_nan,
     )
     with _atomic_file(path) as fh:
-        fh.writelines("".join(encode(row, 0)) + "\n" for row in rows)
-        if stop is not None:
-            fh.write("".join(encode(stop, 0)) + "\n")
+        fh.writelines("".join(encode(line, 0)) + "\n" for line in lines)
 
 
 def read_stop_line(path) -> Optional[dict]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -235,18 +235,21 @@ def _point_of(state: SolverState, q: Sequence[int]) -> List[float]:
 def _append_row(
     state: SolverState,
     evaluation: Optional[Evaluation],
-    key: Tuple[int, ...],
     x: Tuple[float, ...],
     status: str,
     incumbent: bool,
 ) -> None:
     """Append one history row; this is the one statement of the row layout.
 
-    Keys come in this order.  ``status`` is one of ``search-success``,
+    A row holds one evaluation's own facts, keys in this order:
+    ``eval_index``, ``x``, ``f``, ``g``, ``h``, ``incumbent``, ``iteration``
+    and ``status``.  ``status`` is one of ``search-success``,
     ``poll-success``, ``unsuccessful``, ``cache-hit``, ``rejected-bounds``
     and ``failed``.  A bounds rejection (no ``evaluation``) has ``None`` for
-    every evaluation field; ``cint``, ``cext`` and ``rho`` are ``None``
-    outside pip mode.
+    every evaluation field.  What the iteration priced the row under
+    (``rho``, the frame size and the interior set) is the iteration's, and
+    :func:`history_lines` writes it once, in the frame line before the
+    iteration's rows.
 
     An evaluated row holds the cached evaluation's own ``point`` (as ``x``),
     ``g`` and ``h`` tuples, never copies, and a bounds rejection its mapped
@@ -254,24 +257,16 @@ def _append_row(
     tracking the row at its next full collection.  The JSON encoder writes
     the tuples as arrays.
     """
-    rho = state.merit_params.rho if state.pip else None
     if evaluation is None:
-        f = g = h = eval_index = cint = cext = None
+        f = g = h = eval_index = None
     else:
         f, g, h, eval_index = evaluation.f, evaluation.g, evaluation.h, evaluation.eval_index
-        cint = cext = None
-        if state.pip:
-            _, cint, cext = state.kept[key]
     state.record.rows.append({
         "eval_index": eval_index,
         "x": x,
         "f": f,
         "g": g,
         "h": h,
-        "cint": cint,
-        "cext": cext,
-        "rho": rho,
-        "delta_frame": state.mesh.delta_frame,
         "incumbent": incumbent,
         "iteration": state.iteration,
         "status": status,
@@ -360,7 +355,7 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
             raise InitializationError("extreme-barrier mode needs a feasible starting point")
 
     state.incumbent_merit = _merit_of(state, q0, ev0)
-    _append_row(state, ev0, q0, ev0.point, "unsuccessful", True)
+    _append_row(state, ev0, ev0.point, "unsuccessful", True)
     return state
 
 
@@ -418,7 +413,7 @@ def _try_candidate(
     if x is None:
         x = _point_of(state, q)
         if not state.problem.contains(x):
-            _append_row(state, None, q, tuple(x), "rejected-bounds", False)
+            _append_row(state, None, tuple(x), "rejected-bounds", False)
             return False, None, None
     cache = state.cache
     count = len(cache.entries)
@@ -439,7 +434,7 @@ def _try_candidate(
         status = "failed"
     else:
         status = "unsuccessful"
-    _append_row(state, ev, q, ev.point, status, improving)
+    _append_row(state, ev, ev.point, status, improving)
     return improving, ev, value
 
 
@@ -567,7 +562,8 @@ def check_run_invariants(record: RunRecord):
     successes; partition moves one-directional, at most m total, and never
     sharing an iteration with a rho reduction.  Violations come out in
     iteration order.  The late-run frame-feasibility property is asymptotic,
-    so its failures are reported as warnings, not violations.
+    so its failures are reported as warnings, not violations; it recomputes
+    each late frame point's ``c_int`` from the row's ``g`` and ``h``.
     """
     violations: List[str] = []
     warnings: List[str] = []
@@ -635,14 +631,26 @@ def check_run_invariants(record: RunRecord):
     if len(moved_indices) != len(set(moved_indices)):
         violations.append("an inequality index moved to the interior set twice")
 
-    # Late-run frame feasibility (asymptotic: log only)
-    for row in record.rows:
-        it = row["iteration"]
-        cint = row.get("cint")
-        if it in late_cuts and cint is not None and not cint < 0.0:
-            warnings.append(
-                f"iteration {it}: evaluated frame point with c_int {cint!r} (late-run frame not strictly interior)"
-            )
+    # Late-run frame feasibility (asymptotic: log only), c_int recomputed
+    # under the partition in force
+    if late_cuts:
+        interior = _interior_sets(record)
+        m = len(record.rows[0]["g"])
+        partitions = {
+            it: Partition(interior[it], [i for i in range(m) if i not in interior[it]])
+            for it in late_cuts
+        }
+        for row in record.rows:
+            it = row["iteration"]
+            if it not in partitions or row["eval_index"] is None:
+                continue
+            f, g, h = row["f"], row["g"], row["h"]
+            failed = f == _INF or _INF in g or _INF in h  # only a failure stores +inf
+            cint = violation_summary(g, h, partitions[it], failed)[1]
+            if not cint < 0.0:
+                warnings.append(
+                    f"iteration {it}: evaluated frame point with c_int {cint!r} (late-run frame not strictly interior)"
+                )
     return violations, warnings
 
 
@@ -656,7 +664,8 @@ def stop_line(record: RunRecord, builtin: bool) -> dict:
     ``builtin`` says whether the run's problem is the builtin of its name,
     whose ``f*`` a profile may then use.  The line carries none of the row
     keys (``eval_index``, ``f``, ``status``), so a reader of rows passes
-    over it as it does over a bounds rejection.
+    over it as it does over a bounds rejection and a frame line
+    (:func:`history_lines`).
     """
     return {
         "stop": record.outcome,
@@ -665,6 +674,65 @@ def stop_line(record: RunRecord, builtin: bool) -> dict:
         "steps": record.steps,
         "builtin": builtin,
     }
+
+
+def history_lines(record: RunRecord, builtin: bool) -> Iterator[dict]:
+    """The lines of a finished run's history, in order; this is the one
+    statement of the frame line's layout.
+
+    Each iteration that has rows opens with a frame line
+    ``{"frame": k, "rho", "delta_frame", "g_int"}``: the ``rho`` and frame
+    size its evaluations were priced under and the interior set in force
+    (the start's, plus the indices earlier iterations moved), ``rho`` and
+    ``g_int`` ``None`` outside pip mode.  The iteration's rows
+    (:func:`_append_row`) follow, and :func:`stop_line` ends the history.
+    Iteration 0, the start row's, is priced as iteration 1 is, and a last
+    iteration that the budget cut short, which has no trace entry, under
+    the run's final ``rho`` and frame.  An error record has no rows and
+    gives no lines.
+
+    A row's ``rho`` and ``delta_frame`` are its frame line's, and in pip
+    mode an evaluated row's ``(c_int, c_ext)`` is
+    ``merit.violation_summary(g, h, partition, failed)[1:]`` under the
+    partition whose interior set is ``g_int``, where ``failed`` holds
+    exactly when ``f`` or an entry of ``g`` or ``h`` is ``+inf``.  The frame
+    line carries none of the row keys ``eval_index``, ``f`` and ``status``.
+    """
+    if record.outcome == "error":
+        return
+    # (rho, delta_frame) by iteration: the start row's as iteration 1's, and
+    # a budget-cut last iteration's the run's final ones
+    priced = [(entry["rho_before"], entry["delta_frame"]) for entry in record.iterations]
+    priced.append((record.final_rho, record.final_delta))
+    priced.insert(0, priced[0])
+    interior = _interior_sets(record) if record.mode == MODE_PIP else None
+    frame = None
+    for row in record.rows:
+        it = row["iteration"]
+        if it != frame:
+            frame = it
+            rho, delta_frame = priced[it]
+            g_int = None if interior is None else interior[it]
+            yield {"frame": it, "rho": rho, "delta_frame": delta_frame, "g_int": g_int}
+        yield row
+    yield stop_line(record, builtin)
+
+
+def _interior_sets(record: RunRecord) -> List[Tuple[int, ...]]:
+    """The interior indices in force at each iteration of a pip record, by
+    iteration, one past the last trace entry (a budget-cut iteration)
+    included: the start's, plus those that earlier iterations moved.  An
+    index out of range, which only a corrupted trace holds, is left out."""
+    g0 = record.rows[0]["g"]
+    current = Partition.from_initial(g0).g_int
+    sets = [current]  # iteration 0, the start row's
+    for entry in record.iterations:
+        sets.append(current)
+        if entry["partition_moved"]:
+            moved = set(current).union(entry["partition_moved"])
+            current = tuple(i for i in range(len(g0)) if i in moved)
+    sets.append(current)
+    return sets
 
 
 def summary_line(record: RunRecord) -> str:

@@ -18,6 +18,8 @@ import madspip.suite
 from madspip.cli import main, _read_config_file, _parse_history_name, _run_name
 from madspip.suite import check_name_part, load_problem_file
 
+from history_expansion import expanded_bytes
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -143,7 +145,8 @@ class TestSolveCommand:
         )
         assert code == 0
         assert machine_line(out)["x0_id"] == "literal"
-        first = json.loads((tmp_path / "unit-disk__literal__seed0__pip.jsonl").read_text().splitlines()[0])
+        # line 0 is iteration 0's frame line, line 1 the start row
+        first = json.loads((tmp_path / "unit-disk__literal__seed0__pip.jsonl").read_text().splitlines()[1])
         assert first["x"] == [float(v) for v in literal.split(",")]
 
     @pytest.mark.parametrize("text", ["nan\n0\n", "0, inf\n"])
@@ -223,7 +226,7 @@ class TestSolveCommand:
         )
         assert code == 0
         history = Path(machine_line(out)["history"])
-        first = json.loads(history.read_text().splitlines()[0])
+        first = json.loads(history.read_text().splitlines()[1])  # after the frame line
         problem, _ = madspip.suite.builtin_problem("two-ring")
         assert tuple(first["x"]) == madspip.suite.initial_point(problem, "feasible-0")
 
@@ -245,7 +248,7 @@ class TestSolveCommand:
         assert code == 0, err
         machine = machine_line(out)
         assert (machine["problem"], machine["x0_id"]) == ("unit-disk", "feasible-0")
-        first = json.loads(Path(machine["history"]).read_text().splitlines()[0])
+        first = json.loads(Path(machine["history"]).read_text().splitlines()[1])  # after the frame line
         assert len(first["x"]) == 3 and all(-1.0 <= v <= 1.0 for v in first["x"])
 
     def test_one_sided_bounds_exit_2(self, tmp_path, capsys):
@@ -499,12 +502,16 @@ class TestBenchCommand:
         assert sum(1 for line in lines if line.startswith("problem=")) == 200
 
     # SHA-256 of the 20 histories, concatenated in sorted name order, that
-    # the bench below writes (numpy 2.4.6), each without its stop line: the
-    # rows alone, as they were before histories had stop lines; any change
-    # to solver arithmetic that moves a single byte of any row changes it
+    # the bench below writes (numpy 2.4.6), each expanded back to full rows
+    # (tests/history_expansion.py) and without its stop line: the rows
+    # alone, as they were before histories had stop lines and frame lines;
+    # any change to solver arithmetic that moves a single byte of any row
+    # changes it
     HISTORY_SHA256 = "45fa419510397c9f84ee0364cbd01bce0ff3711766a453498db0102aea997f5d"
-    # the same 20 histories whole, stop lines included
+    # the same 20 histories expanded, stop lines included
     HISTORY_WITH_STOP_SHA256 = "317ee5518765fc53a29de4f11d145b8a5843adfc8c6f908f2dc25030d24f9e77"
+    # the same 20 histories as written: frame lines, rows and stop lines
+    COMPACT_HISTORY_SHA256 = "3040c606f49bb42abc2fa0ab3f33aab038d24b8a3e784b9a028219d6b2563b93"
 
     @pytest.mark.parametrize("workers", ["1", "2", "3"])
     def test_history_bytes_pinned(self, tmp_path, capsys, workers):
@@ -517,7 +524,9 @@ class TestBenchCommand:
         assert code == 0
         paths = sorted(out_dir.glob("*.jsonl"), key=lambda p: p.name)
         assert len(paths) == 20
-        whole = [p.read_bytes() for p in paths]
+        compact = [p.read_bytes() for p in paths]
+        assert hashlib.sha256(b"".join(compact)).hexdigest() == self.COMPACT_HISTORY_SHA256
+        whole = [expanded_bytes(data) for data in compact]
         assert hashlib.sha256(b"".join(whole)).hexdigest() == self.HISTORY_WITH_STOP_SHA256
         digest = hashlib.sha256(b"".join(rows_without_stop(data) for data in whole)).hexdigest()
         assert digest == self.HISTORY_SHA256

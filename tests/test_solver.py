@@ -19,6 +19,7 @@ from madspip.solver import (
     InitializationError,
     SolverConfig,
     check_run_invariants,
+    history_lines,
     init_state,
     iterate,
     reselect_incumbent,
@@ -27,6 +28,8 @@ from madspip.solver import (
     summary_line,
 )
 from madspip.suite import builtin_problem, builtin_problems, initial_point, x0_ids
+
+from history_expansion import expand
 
 INF = math.inf
 
@@ -413,11 +416,10 @@ class TestSolve:
 
     def test_rows_have_the_reference_layout(self):
         # the literal row layout: key order, the status set, and tuple-valued
-        # x, g and h (None on a bounds rejection), written as JSON arrays
-        keys = [
-            "eval_index", "x", "f", "g", "h", "cint", "cext", "rho",
-            "delta_frame", "incumbent", "iteration", "status",
-        ]
+        # x, g and h (None on a bounds rejection), written as JSON arrays;
+        # what the iteration priced a row under is its frame line's, with
+        # rho and the interior set None outside pip mode
+        keys = ["eval_index", "x", "f", "g", "h", "incumbent", "iteration", "status"]
         known = {
             "search-success", "poll-success", "unsuccessful", "cache-hit", "rejected-bounds", "failed",
         }
@@ -432,11 +434,13 @@ class TestSolve:
                 bounds = row["status"] == "rejected-bounds"
                 for k in ("g", "h"):
                     assert row[k] is None if bounds else type(row[k]) is tuple
-                assert (row["cint"] is None) == (bounds or mode == MODE_EXTREME_BARRIER)
-                assert (row["rho"] is None) == (mode == MODE_EXTREME_BARRIER)
                 statuses.add(row["status"])
             assert statuses <= known
             assert {"unsuccessful", "poll-success", "rejected-bounds"} <= statuses
+            frames = [line for line in history_lines(record, True) if "frame" in line]
+            assert [list(line) for line in frames] == [["frame", "rho", "delta_frame", "g_int"]] * len(frames)
+            for line in frames:
+                assert (line["rho"] is None) == (line["g_int"] is None) == (mode == MODE_EXTREME_BARRIER)
 
     @pytest.mark.parametrize("name", ["two-ring", "mixed-kkt"])
     def test_rows_share_the_cached_tuples_and_leave_the_gc(self, name):
@@ -493,6 +497,10 @@ class TestSolve:
         assert view.count == record.evals_used == 300
         assert view.steps[-1][1] == record.best_feasible_f
         assert check_run_invariants(record) == ([], [])
+        # a failed point's violation terms are +inf, as the solver priced
+        # it: its stored f = +inf says it failed, whatever its g
+        full = expand(history_lines(record, True))[:-1]
+        assert all(row["cint"] == row["cext"] == INF for row in full if row["status"] == "failed")
 
     def test_budget_exhausted_after_init(self):
         problem, _ = builtin_problem("unit-disk")
@@ -608,9 +616,10 @@ PINNED_TRACES = {
     ("two-ring", "infeasible-0"): ([24, 46, 81, 114, 174], [(2, 0)]),
 }
 
-# (problem, x0_id, mode): SHA-256 of a run's rows, iterations, params and
-# invariant verdicts, encoded as JSON, at seed 5 and budget 1500; a run that
-# cannot start is pinned by its error text
+# (problem, x0_id, mode): SHA-256 of a run's rows (expanded back to the
+# full layout), iterations, params and invariant verdicts, encoded as JSON,
+# at seed 5 and budget 1500; a run that cannot start is pinned by its error
+# text
 PINNED_RUNS = {
     ("unit-disk", "feasible-0", "pip"): "f9ad0d7e4a17b40be7cd3fd627b8192ee818c4dc514b827718247e5227dd4cd4",
     ("unit-disk", "feasible-0", "extreme-barrier"): "d39a9b9ecc480143193a60c3e285ae461e60ced0aa44b134bd4e3e3bedf40263",
@@ -640,8 +649,10 @@ PINNED_RUNS = {
 
 
 def _run_digest(record):
+    # the rows expanded back to the full layout they were pinned in
+    rows = expand(history_lines(record, True))[:-1]
     blob = json.dumps(
-        [record.rows, record.iterations, record.params, check_run_invariants(record)],
+        [rows, record.iterations, record.params, check_run_invariants(record)],
         separators=(",", ":"),
     )
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -746,6 +757,28 @@ class TestInvariantChecker:
         record = solve(problem, x0, SolverConfig(max_evaluations=1000, seed=3))
         violations, warnings = check_run_invariants(record)
         assert violations == []
+
+    def test_late_frame_warning_prices_the_moved_partition(self):
+        # maxabs-lin's one constraint starts exterior (c_int = -1 at every
+        # point) and moves to the interior set at iteration 2; the late cut
+        # at iteration 134 polls a point just outside it
+        problem, _ = builtin_problem("maxabs-lin")
+        record = solve(
+            problem, initial_point(problem, "infeasible-0"), SolverConfig(1500, seed=8)
+        )
+        assert record.partition_trace == [(2, 0)]
+        late = "iteration 134: evaluated frame point with c_int {} (late-run frame not strictly interior)"
+        assert check_run_invariants(record) == ([], [late.format("4.146211152189494e-10")])
+        # a strictly interior frame point whose f came back NaN is stored
+        # as a failure, f = +inf beside finite g, and its c_int is +inf
+        i, row = next(
+            (i, row) for i, row in enumerate(record.rows)
+            if row["iteration"] == 134 and row["eval_index"] is not None and row["g"][0] < 0.0
+        )
+        record.rows[i] = dict(row, f=INF, status="failed")
+        assert sorted(check_run_invariants(record)[1]) == [
+            late.format("4.146211152189494e-10"), late.format("inf"),
+        ]
 
     def test_detects_corrupted_rho_trace(self):
         problem, _ = builtin_problem("unit-disk")

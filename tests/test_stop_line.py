@@ -2,6 +2,8 @@
 ``profile`` reads that line alone: the view it gives must equal the one the
 rows give, and a line that no run writes is skipped with one warning."""
 
+import contextlib
+import io
 import json
 import math
 import time
@@ -12,7 +14,7 @@ import madspip.problem
 from madspip.bench import view_of_history, view_of_stop
 from madspip.cli import _parse_history_name, main
 from madspip.problem import read_history, read_stop_line, write_history
-from madspip.solver import SolverConfig, solve, stop_line
+from madspip.solver import SolverConfig, history_lines, solve
 from madspip.suite import builtin_problems, initial_point
 
 ALL_BUILTINS = ",".join(problem.name for problem, _ in builtin_problems())
@@ -24,9 +26,9 @@ def profile(capsys, histories):
     return json.loads(capsys.readouterr().out.splitlines()[0])
 
 
-@pytest.mark.parametrize(
-    "bench",
-    [
+@pytest.fixture(
+    scope="module",
+    params=[
         # every builtin x start x mode
         ["--problem", ALL_BUILTINS, "--seeds", "1", "--budget", "300"],
         # the canonical matrix
@@ -34,11 +36,15 @@ def profile(capsys, histories):
     ],
     ids=["builtins", "canonical"],
 )
-def test_stop_line_view_is_the_rows_view(tmp_path, capsys, bench):
-    out = tmp_path / "bench"
-    assert main(["bench", *bench, "--mode", "pip,extreme-barrier", "--out", str(out)]) == 0
-    capsys.readouterr()
-    paths = sorted(out.glob("*.jsonl"))
+def bench_dir(tmp_path_factory, request):
+    out = tmp_path_factory.mktemp("bench")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["bench", *request.param, "--mode", "pip,extreme-barrier", "--out", str(out)]) == 0
+    return out
+
+
+def test_stop_line_view_is_the_rows_view(bench_dir):
+    paths = sorted(bench_dir.glob("*.jsonl"))
     stopped = 0
     for path in paths:
         key = _parse_history_name(path.name)
@@ -52,20 +58,75 @@ def test_stop_line_view_is_the_rows_view(tmp_path, capsys, bench):
     assert stopped >= len(paths) / 2
 
 
+ROW_KEYS = ["eval_index", "x", "f", "g", "h", "incumbent", "iteration", "status"]
+FRAME_KEYS = ["frame", "rho", "delta_frame", "g_int"]
+STOP_KEYS = ["stop", "n", "count", "steps", "builtin"]
+
+
+def test_every_line_is_a_row_a_frame_or_the_last_stop(bench_dir):
+    # a reader that takes every line for a row passes over frame and stop
+    # lines because they carry none of eval_index, f and status
+    for path in sorted(bench_dir.glob("*.jsonl")):
+        lines = read_history(path)
+        if not lines:  # an error run
+            continue
+        *body, stop = lines
+        assert list(stop) == STOP_KEYS, path.name
+        assert list(body[0]) == FRAME_KEYS and body[0]["frame"] == 0, path.name
+        frame = -1
+        for line in body:
+            if list(line) == FRAME_KEYS:
+                assert line["frame"] > frame, path.name  # one per iteration
+                frame = line["frame"]
+            else:
+                assert list(line) == ROW_KEYS, path.name
+                assert line["iteration"] == frame, path.name
+        for line in [stop] + [line for line in body if "frame" in line]:
+            assert not {"eval_index", "f", "status"} & set(line), path.name
+
+
 def test_rows_are_written_as_without_a_stop(tmp_path):
+    # a history is the rows, each iteration's opened by its frame line, and
+    # then the stop line
     problem, _ = builtin_problems()[0]
     record = solve(problem, initial_point(problem, "feasible-0"), SolverConfig(60, seed=3))
     write_history(record.rows, tmp_path / "rows.jsonl")
-    write_history(record.rows, tmp_path / "both.jsonl", stop_line(record, True))
-    rows = (tmp_path / "rows.jsonl").read_bytes()
-    both = (tmp_path / "both.jsonl").read_bytes()
-    assert both.startswith(rows) and both.count(b"\n") == rows.count(b"\n") + 1
-    stop = json.loads(both[len(rows):])
+    write_history(history_lines(record, True), tmp_path / "both.jsonl")
+    rows = (tmp_path / "rows.jsonl").read_bytes().splitlines(keepends=True)
+    both = (tmp_path / "both.jsonl").read_bytes().splitlines(keepends=True)
+    assert [line for line in both[:-1] if b'"frame"' not in line] == rows
+    frames = [json.loads(line) for line in both[:-1] if b'"frame"' in line]
+    assert [frame["frame"] for frame in frames] == sorted({row["iteration"] for row in record.rows})
+    stop = json.loads(both[-1])
     assert stop == {
         "stop": record.outcome, "n": 2, "count": record.evals_used,
         "steps": [list(step) for step in record.steps], "builtin": True,
     }
     assert not {"eval_index", "f", "status"} & set(stop)
+
+
+def test_compact_history_cut_before_its_stop_line_profiles_from_its_rows(tmp_path, capsys):
+    # a history whose stop line was cut off (as a copy interrupted at its
+    # last line leaves it) is read row by row, past its frame lines, to the
+    # view its stop line gave
+    out = tmp_path / "bench"
+    assert main([
+        "bench", "--problem", "unit-disk,two-ring", "--x0-count", "2", "--seeds", "1",
+        "--budget", "200", "--mode", "pip,extreme-barrier", "--out", str(out),
+    ]) == 0
+    capsys.readouterr()
+    whole = profile(capsys, out)
+    profiles = {p.name: p.read_bytes() for p in (out / "out").iterdir()}
+    cut = 0
+    for path in out.glob("*.jsonl"):
+        data = path.read_bytes()
+        if data:
+            path.write_bytes(data[: data.rstrip(b"\n").rfind(b"\n") + 1])
+            assert read_stop_line(path) is None and b'"frame"' in path.read_bytes()
+            cut += 1
+    assert cut >= 4
+    assert profile(capsys, out) == whole and whole["warnings"] == []
+    assert {p.name: p.read_bytes() for p in (out / "out").iterdir()} == profiles
 
 
 ROW = '{"eval_index":0,"x":[0.0,0.0],"f":1.0,"g":[],"h":[],"status":"unsuccessful"}'
