@@ -16,10 +16,11 @@ identity reduces to integer-step identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MeshState",
@@ -40,18 +41,19 @@ class MeshState:
 
     The mesh exponent is derived, never stored, so
     ``delta_mesh = min(delta_frame, delta_frame**2/delta0)`` holds by
-    construction.  ``delta_frame`` is computed once, at construction, since
-    every trial point's history row reads it.
+    construction.
     """
 
     delta0: float
     exp: int = 0
-    delta_frame: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.delta0 > 0.0):
             raise ValueError("delta0 must be positive")
-        object.__setattr__(self, "delta_frame", math.ldexp(self.delta0, self.exp))
+
+    @property
+    def delta_frame(self) -> float:
+        return math.ldexp(self.delta0, self.exp)
 
     @property
     def mesh_exp(self) -> int:

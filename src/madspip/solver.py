@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .merit import (
     B_C,
@@ -47,6 +45,9 @@ from .merit import (
 )
 from .mesh import MeshState, initial_frame_size, poll_directions, snap_steps, update_frame
 from .problem import Cache, Evaluation, Problem, evaluate, is_feasible
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MODE_PIP",
@@ -113,9 +114,10 @@ class SolverConfig:
 
 @dataclass
 class RunRecord:
-    """Everything observable about one run: per-evaluation rows, a
-    per-iteration trace, and summary fields.  The rho and partition traces
-    are views of the iteration trace."""
+    """Everything observable about one run: per-evaluation rows, the frame
+    each iteration was priced under, a per-iteration trace, and summary
+    fields.  The rho and partition traces are views of the frames and the
+    iteration trace."""
 
     problem_name: str
     x0_id: str
@@ -123,6 +125,7 @@ class RunRecord:
     mode: str
     n: int
     rows: List[dict] = field(default_factory=list)
+    frames: List[dict] = field(default_factory=list)  # frames[k] is iteration k's
     iterations: List[dict] = field(default_factory=list)
     outcome: str = "error"
     flags: List[str] = field(default_factory=list)
@@ -143,7 +146,12 @@ class RunRecord:
     @property
     def rho_trace(self) -> List[Tuple[int, float]]:
         """``(iteration, new rho)`` for each iteration that cut ``rho``."""
-        return [(e["iteration"], e["rho"]) for e in self.iterations if e["rho"] != e["rho_before"]]
+        frames = self.frames
+        return [
+            (e["iteration"], e["rho"])
+            for e in self.iterations
+            if e["rho"] != frames[e["iteration"]]["rho"]
+        ]
 
     @property
     def partition_trace(self) -> List[Tuple[int, int]]:
@@ -247,9 +255,9 @@ def _append_row(
     ``poll-success``, ``unsuccessful``, ``cache-hit``, ``rejected-bounds``
     and ``failed``.  A bounds rejection (no ``evaluation``) has ``None`` for
     every evaluation field.  What the iteration priced the row under
-    (``rho``, the frame size and the interior set) is the iteration's, and
-    :func:`history_lines` writes it once, in the frame line before the
-    iteration's rows.
+    (``rho``, the frame size and the interior set) is the iteration's frame
+    (:func:`_append_frame`), which :func:`history_lines` writes once, before
+    the iteration's rows.
 
     An evaluated row holds the cached evaluation's own ``point`` (as ``x``),
     ``g`` and ``h`` tuples, never copies, and a bounds rejection its mapped
@@ -270,6 +278,27 @@ def _append_row(
         "incumbent": incumbent,
         "iteration": state.iteration,
         "status": status,
+    })
+
+
+def _append_frame(state: SolverState) -> None:
+    """Append the frame line of the iteration that starts pricing now; this
+    is the one statement of its layout.
+
+    ``{"frame": k, "rho", "delta_frame", "g_int"}``: the iteration (0 for
+    the start row), the ``rho`` and frame size its trial points are priced
+    under, and the interior set in force; ``rho`` and ``g_int`` are ``None``
+    outside pip mode.  In pip mode an evaluated row's ``(c_int, c_ext)`` is
+    ``merit.violation_summary(g, h, partition, failed)[1:]`` under the
+    partition whose interior set is ``g_int``, where ``failed`` holds
+    exactly when ``f`` or an entry of ``g`` or ``h`` is ``+inf``.  The line
+    carries none of the row keys ``eval_index``, ``f`` and ``status``.
+    """
+    state.record.frames.append({
+        "frame": state.iteration,
+        "rho": state.merit_params.rho if state.pip else None,
+        "delta_frame": state.mesh.delta_frame,
+        "g_int": state.partition.g_int if state.pip else None,
     })
 
 
@@ -305,6 +334,7 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
     mesh = MeshState(10.0 if problem.bounds is not None else x_unit)
     lattice_bits = _lattice_bits(mesh.delta0)
     cache = Cache()
+    import numpy as np  # only the poll directions' random stream needs it
     rng = np.random.default_rng(config.seed)
     q0 = (0,) * problem.n
     ev0 = evaluate(problem, x0, cache, key=q0)
@@ -355,6 +385,7 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
             raise InitializationError("extreme-barrier mode needs a feasible starting point")
 
     state.incumbent_merit = _merit_of(state, q0, ev0)
+    _append_frame(state)
     _append_row(state, ev0, ev0.point, "unsuccessful", True)
     return state
 
@@ -442,9 +473,7 @@ def iterate(state: SolverState) -> None:
     """Run one full iteration.  When the budget runs out mid-iteration it
     returns at once, with no trace entry; ``solve`` then stops the run."""
     state.iteration += 1
-    it = state.iteration
-    delta_k = state.mesh.delta_frame
-    rho_before = state.merit_params.rho if state.pip else None
+    _append_frame(state)
     q_center = state.q_incumbent
     success_kind = None
 
@@ -496,15 +525,13 @@ def iterate(state: SolverState) -> None:
 
     state.record.iterations.append(
         {
-            "iteration": it,
+            "iteration": state.iteration,
             "success": success,
             "kind": success_kind,
             "incumbent_eval_index": state.cache.entries[state.q_incumbent].eval_index,
             "incumbent_merit": state.incumbent_merit,
             "incumbent_cint": state.kept[state.q_incumbent][1] if state.pip else None,
-            "rho_before": rho_before,
             "rho": state.merit_params.rho if state.pip else None,
-            "delta_frame": delta_k,
             "delta_next": delta_next,
             "phi_prox": phi,
             "partition_moved": moved,
@@ -561,15 +588,18 @@ def check_run_invariants(record: RunRecord):
     rho or moved the partition, and strictly decreasing exactly at
     successes; partition moves one-directional, at most m total, and never
     sharing an iteration with a rho reduction.  Violations come out in
-    iteration order.  The late-run frame-feasibility property is asymptotic,
-    so its failures are reported as warnings, not violations; it recomputes
-    each late frame point's ``c_int`` from the row's ``g`` and ``h``.
+    iteration order.  Each iteration's ``rho`` before a cut is its frame's.
+    The late-run frame-feasibility property is asymptotic, so its failures
+    are reported as warnings, not violations; it recomputes each late frame
+    point's ``c_int`` from the row's ``g`` and ``h`` under its frame's
+    interior set.
     """
     violations: List[str] = []
     warnings: List[str] = []
     if record.mode != MODE_PIP or record.params is None or not record.iterations:
         return violations, warnings
     params = record.params
+    frames = record.frames
     last_quarter = record.iterations[-1]["iteration"] * 3 / 4
     rho = params["rho0"]
     moved_indices: List[int] = []
@@ -577,7 +607,8 @@ def check_run_invariants(record: RunRecord):
     before = None
     for entry in record.iterations:
         it = entry["iteration"]
-        cut = entry["rho"] != entry["rho_before"]
+        rho_before = frames[it]["rho"]
+        cut = entry["rho"] != rho_before
         moved = entry["partition_moved"]
         if cut:
             # (a) rho shrinks by the exact contraction factor
@@ -592,7 +623,7 @@ def check_run_invariants(record: RunRecord):
                 violations.append(f"rho reduced at successful iteration {it}")
             phi = entry["phi_prox"]
             bound = min(
-                params["b_rho"] * entry["rho_before"] ** params["beta"],
+                params["b_rho"] * rho_before ** params["beta"],
                 params["b_c"] * phi * phi,
             )
             if not entry["delta_next"] <= bound:
@@ -634,12 +665,11 @@ def check_run_invariants(record: RunRecord):
     # Late-run frame feasibility (asymptotic: log only), c_int recomputed
     # under the partition in force
     if late_cuts:
-        interior = _interior_sets(record)
         m = len(record.rows[0]["g"])
-        partitions = {
-            it: Partition(interior[it], [i for i in range(m) if i not in interior[it]])
-            for it in late_cuts
-        }
+        partitions = {}
+        for it in late_cuts:
+            g_int = frames[it]["g_int"]
+            partitions[it] = Partition(g_int, [i for i in range(m) if i not in g_int])
         for row in record.rows:
             it = row["iteration"]
             if it not in partitions or row["eval_index"] is None:
@@ -665,7 +695,7 @@ def stop_line(record: RunRecord, builtin: bool) -> dict:
     whose ``f*`` a profile may then use.  The line carries none of the row
     keys (``eval_index``, ``f``, ``status``), so a reader of rows passes
     over it as it does over a bounds rejection and a frame line
-    (:func:`history_lines`).
+    (:func:`_append_frame`).
     """
     return {
         "stop": record.outcome,
@@ -677,62 +707,23 @@ def stop_line(record: RunRecord, builtin: bool) -> dict:
 
 
 def history_lines(record: RunRecord, builtin: bool) -> Iterator[dict]:
-    """The lines of a finished run's history, in order; this is the one
-    statement of the frame line's layout.
+    """The lines of a finished run's history, in order.
 
-    Each iteration that has rows opens with a frame line
-    ``{"frame": k, "rho", "delta_frame", "g_int"}``: the ``rho`` and frame
-    size its evaluations were priced under and the interior set in force
-    (the start's, plus the indices earlier iterations moved), ``rho`` and
-    ``g_int`` ``None`` outside pip mode.  The iteration's rows
+    Each iteration that has rows opens with its frame line,
+    ``record.frames[k]`` (:func:`_append_frame`); the iteration's rows
     (:func:`_append_row`) follow, and :func:`stop_line` ends the history.
-    Iteration 0, the start row's, is priced as iteration 1 is, and a last
-    iteration that the budget cut short, which has no trace entry, under
-    the run's final ``rho`` and frame.  An error record has no rows and
-    gives no lines.
-
-    A row's ``rho`` and ``delta_frame`` are its frame line's, and in pip
-    mode an evaluated row's ``(c_int, c_ext)`` is
-    ``merit.violation_summary(g, h, partition, failed)[1:]`` under the
-    partition whose interior set is ``g_int``, where ``failed`` holds
-    exactly when ``f`` or an entry of ``g`` or ``h`` is ``+inf``.  The frame
-    line carries none of the row keys ``eval_index``, ``f`` and ``status``.
+    An error record has no rows and gives no lines.
     """
     if record.outcome == "error":
         return
-    # (rho, delta_frame) by iteration: the start row's as iteration 1's, and
-    # a budget-cut last iteration's the run's final ones
-    priced = [(entry["rho_before"], entry["delta_frame"]) for entry in record.iterations]
-    priced.append((record.final_rho, record.final_delta))
-    priced.insert(0, priced[0])
-    interior = _interior_sets(record) if record.mode == MODE_PIP else None
     frame = None
     for row in record.rows:
         it = row["iteration"]
         if it != frame:
             frame = it
-            rho, delta_frame = priced[it]
-            g_int = None if interior is None else interior[it]
-            yield {"frame": it, "rho": rho, "delta_frame": delta_frame, "g_int": g_int}
+            yield record.frames[it]
         yield row
     yield stop_line(record, builtin)
-
-
-def _interior_sets(record: RunRecord) -> List[Tuple[int, ...]]:
-    """The interior indices in force at each iteration of a pip record, by
-    iteration, one past the last trace entry (a budget-cut iteration)
-    included: the start's, plus those that earlier iterations moved.  An
-    index out of range, which only a corrupted trace holds, is left out."""
-    g0 = record.rows[0]["g"]
-    current = Partition.from_initial(g0).g_int
-    sets = [current]  # iteration 0, the start row's
-    for entry in record.iterations:
-        sets.append(current)
-        if entry["partition_moved"]:
-            moved = set(current).union(entry["partition_moved"])
-            current = tuple(i for i in range(len(g0)) if i in moved)
-    sets.append(current)
-    return sets
 
 
 def summary_line(record: RunRecord) -> str:

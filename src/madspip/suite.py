@@ -14,11 +14,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .problem import ExternalEvaluator, Problem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Instance",
@@ -140,6 +141,7 @@ def is_builtin(problem: Problem) -> bool:
 
 
 def _x0_rng(problem_name: str, x0_id: str) -> np.random.Generator:
+    import numpy as np  # only the starting points' random stream needs it
     digest = hashlib.blake2b(f"{problem_name}:{x0_id}".encode(), digest_size=8).digest()
     return np.random.default_rng(int.from_bytes(digest, "big"))
 

@@ -1,8 +1,10 @@
 """A compact history expanded back to the 12-key rows that histories held
 before frame lines: each row gets ``rho`` and ``delta_frame`` from the frame
 line before it, and ``cint`` and ``cext`` recomputed from its own ``g`` and
-``h`` under that frame's interior set.  A helper for the tests that hold the
-compact form to the pins of the full one."""
+``h`` under that frame's interior set.  Iteration entries expand the same
+way, to the 12 keys they held before frames: ``rho_before`` and
+``delta_frame`` are the iteration's frame's.  A helper for the tests that
+hold the compact form to the pins of the full one."""
 
 import json
 import math
@@ -12,6 +14,12 @@ from madspip.merit import Partition, violation_summary
 FULL_ROW_KEYS = (
     "eval_index", "x", "f", "g", "h", "cint", "cext", "rho",
     "delta_frame", "incumbent", "iteration", "status",
+)
+
+FULL_ENTRY_KEYS = (
+    "iteration", "success", "kind", "incumbent_eval_index", "incumbent_merit",
+    "incumbent_cint", "rho_before", "rho", "delta_frame", "delta_next", "phi_prox",
+    "partition_moved",
 )
 
 
@@ -38,6 +46,16 @@ def expand(lines):
             _, cint, cext = violation_summary(g, h, partition, failed)
         row = dict(line, cint=cint, cext=cext, rho=frame["rho"], delta_frame=frame["delta_frame"])
         out.append({key: row[key] for key in FULL_ROW_KEYS})
+    return out
+
+
+def expand_iterations(record):
+    """A record's iteration entries with the full entry keys."""
+    out = []
+    for entry in record.iterations:
+        frame = record.frames[entry["iteration"]]
+        full = dict(entry, rho_before=frame["rho"], delta_frame=frame["delta_frame"])
+        out.append({key: full[key] for key in FULL_ENTRY_KEYS})
     return out
 
 

@@ -876,6 +876,32 @@ class TestListCommand:
         assert "unit-disk" in names and "sphere-eq" in names
 
 
+def test_list_and_profile_leave_numpy_unloaded(tmp_path, capsys):
+    # numpy serves only the random streams of a solve and of starting
+    # points, so a fresh interpreter that lists or profiles never imports it
+    bench_dir = tmp_path / "bench"
+    code, _, _ = run_cli(
+        capsys, "bench", "--problem", "unit-disk", "--seeds", "1", "--budget", "60",
+        "--out", str(bench_dir),
+    )
+    assert code == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(madspip.bench.__file__).parents[1]))
+    script = (
+        "import sys\n"
+        "from madspip import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print('numpy' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    for argv in (["list"], ["profile", "--histories", str(bench_dir), "--out", str(tmp_path / "out")]):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False", argv
+
+
 class TestConfigPrecedence:
     def test_flag_beats_file_beats_default(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
