@@ -114,10 +114,12 @@ class SolverConfig:
 
 @dataclass
 class RunRecord:
-    """Everything observable about one run: per-evaluation rows, the frame
-    each iteration was priced under, a per-iteration trace, and summary
-    fields.  The rho and partition traces are views of the frames and the
-    iteration trace."""
+    """Everything observable about one run: per-evaluation rows, the run's
+    state sequence of frames, a per-iteration trace, and summary fields.
+    ``frames[k]`` is what iteration ``k`` is priced under (0 for the start
+    row) and ``frames[k + 1]`` what it left, so ``frames[-1]`` is the state
+    the run stopped in.  The rho and partition traces are views of the
+    frames and the iteration trace."""
 
     problem_name: str
     x0_id: str
@@ -125,15 +127,13 @@ class RunRecord:
     mode: str
     n: int
     rows: List[dict] = field(default_factory=list)
-    frames: List[dict] = field(default_factory=list)  # frames[k] is iteration k's
+    frames: List[dict] = field(default_factory=list)
     iterations: List[dict] = field(default_factory=list)
     outcome: str = "error"
     flags: List[str] = field(default_factory=list)
     params: Optional[dict] = None
     evals_used: int = 0
     steps: Steps = ()  # improvement_steps of the run's evaluations
-    final_rho: Optional[float] = None
-    final_delta: Optional[float] = None
 
     @property
     def key(self) -> Tuple[str, str, int, str]:
@@ -148,9 +148,9 @@ class RunRecord:
         """``(iteration, new rho)`` for each iteration that cut ``rho``."""
         frames = self.frames
         return [
-            (e["iteration"], e["rho"])
-            for e in self.iterations
-            if e["rho"] != frames[e["iteration"]]["rho"]
+            (k, after["rho"])
+            for k, (before, after) in enumerate(zip(frames[1:], frames[2:]), 1)
+            if after["rho"] != before["rho"]
         ]
 
     @property
@@ -281,9 +281,11 @@ def _append_row(
     })
 
 
-def _append_frame(state: SolverState) -> None:
-    """Append the frame line of the iteration that starts pricing now; this
-    is the one statement of its layout.
+def _append_frame(state: SolverState, k: int) -> None:
+    """Append frame ``k``, the state iteration ``k`` is priced under; this
+    is the one statement of the frame line's layout.  ``init_state``
+    appends frames 0 and 1, and iteration ``k`` appends frame ``k + 1`` as
+    it ends.
 
     ``{"frame": k, "rho", "delta_frame", "g_int"}``: the iteration (0 for
     the start row), the ``rho`` and frame size its trial points are priced
@@ -295,7 +297,7 @@ def _append_frame(state: SolverState) -> None:
     carries none of the row keys ``eval_index``, ``f`` and ``status``.
     """
     state.record.frames.append({
-        "frame": state.iteration,
+        "frame": k,
         "rho": state.merit_params.rho if state.pip else None,
         "delta_frame": state.mesh.delta_frame,
         "g_int": state.partition.g_int if state.pip else None,
@@ -385,8 +387,9 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
             raise InitializationError("extreme-barrier mode needs a feasible starting point")
 
     state.incumbent_merit = _merit_of(state, q0, ev0)
-    _append_frame(state)
     _append_row(state, ev0, ev0.point, "unsuccessful", True)
+    _append_frame(state, 0)
+    _append_frame(state, 1)
     return state
 
 
@@ -470,10 +473,10 @@ def _try_candidate(
 
 
 def iterate(state: SolverState) -> None:
-    """Run one full iteration.  When the budget runs out mid-iteration it
-    returns at once, with no trace entry; ``solve`` then stops the run."""
+    """Run one full iteration and append its trace entry and the frame it
+    leaves.  When the budget runs out mid-iteration it returns at once, with
+    neither; ``solve`` then stops the run."""
     state.iteration += 1
-    _append_frame(state)
     q_center = state.q_incumbent
     success_kind = None
 
@@ -502,13 +505,12 @@ def iterate(state: SolverState) -> None:
     if success:
         state.last_success_offset = tuple([a - b for a, b in zip(state.q_incumbent, q_center)])
     state.mesh = update_frame(state.mesh, success)
-    delta_next = state.mesh.delta_frame
 
     rho_reduced = False
     phi = None
     if state.pip and not success:
         phi = state.kept[state.q_incumbent][0]
-        if penalty_update_check(delta_next, phi, state.merit_params):
+        if penalty_update_check(state.mesh.delta_frame, phi, state.merit_params):
             p = state.merit_params
             state.merit_params = MeritParams(p.rho * THETA_RHO, p.b_ext)
             rho_reduced = True
@@ -531,23 +533,11 @@ def iterate(state: SolverState) -> None:
             "incumbent_eval_index": state.cache.entries[state.q_incumbent].eval_index,
             "incumbent_merit": state.incumbent_merit,
             "incumbent_cint": state.kept[state.q_incumbent][1] if state.pip else None,
-            "rho": state.merit_params.rho if state.pip else None,
-            "delta_next": delta_next,
             "phi_prox": phi,
             "partition_moved": moved,
         }
     )
-
-
-def _finalize(state: SolverState, outcome: str) -> RunRecord:
-    record = state.record
-    record.outcome = outcome
-    record.evals_used, record.steps = improvement_steps(
-        (ev.f, is_feasible(ev)) for ev in state.cache.entries.values()  # in evaluation order
-    )
-    record.final_delta = state.mesh.delta_frame
-    record.final_rho = state.merit_params.rho if state.pip else None
-    return record
+    _append_frame(state, state.iteration + 1)
 
 
 def solve(
@@ -565,16 +555,20 @@ def solve(
     ``RHO0 * THETA_RHO**5 = 1e-11``.
     """
     state = init_state(problem, x0, config)
-    state.record.x0_id = x0_id
+    record = state.record
+    record.x0_id = x0_id
     while True:
         if len(state.cache.entries) >= config.max_evaluations:
-            outcome = "budget-exhausted"
+            record.outcome = "budget-exhausted"
             break
         if state.mesh.delta_frame < DELTA_STOP:
-            outcome = "delta-converged"
+            record.outcome = "delta-converged"
             break
         iterate(state)
-    return _finalize(state, outcome)
+    record.evals_used, record.steps = improvement_steps(
+        (ev.f, is_feasible(ev)) for ev in state.cache.entries.values()  # in evaluation order
+    )
+    return record
 
 
 def check_run_invariants(record: RunRecord):
@@ -588,7 +582,9 @@ def check_run_invariants(record: RunRecord):
     rho or moved the partition, and strictly decreasing exactly at
     successes; partition moves one-directional, at most m total, and never
     sharing an iteration with a rho reduction.  Violations come out in
-    iteration order.  Each iteration's ``rho`` before a cut is its frame's.
+    iteration order.  Iteration ``k`` runs from ``frames[k]`` to
+    ``frames[k + 1]``: they hold its ``rho`` before and after and its
+    ``delta_next``.
     The late-run frame-feasibility property is asymptotic, so its failures
     are reported as warnings, not violations; it recomputes each late frame
     point's ``c_int`` from the row's ``g`` and ``h`` under its frame's
@@ -601,35 +597,33 @@ def check_run_invariants(record: RunRecord):
     params = record.params
     frames = record.frames
     last_quarter = record.iterations[-1]["iteration"] * 3 / 4
-    rho = params["rho0"]
     moved_indices: List[int] = []
     late_cuts = set()
     before = None
     for entry in record.iterations:
         it = entry["iteration"]
         rho_before = frames[it]["rho"]
-        cut = entry["rho"] != rho_before
+        rho, delta_next = frames[it + 1]["rho"], frames[it + 1]["delta_frame"]
+        cut = rho != rho_before
         moved = entry["partition_moved"]
         if cut:
             # (a) rho shrinks by the exact contraction factor
-            expected = rho * params["theta_rho"]
-            if entry["rho"] != expected:
-                violations.append(
-                    f"rho at iteration {it} is {entry['rho']!r}, expected {expected!r}"
-                )
-            rho = entry["rho"]
-            # (b) reductions only on failures, and the criterion replays
+            expected = rho_before * params["theta_rho"]
+            if rho != expected:
+                violations.append(f"rho at iteration {it} is {rho!r}, expected {expected!r}")
+            # (b) reductions only on failures, where the criterion replays
             if entry["success"]:
                 violations.append(f"rho reduced at successful iteration {it}")
-            phi = entry["phi_prox"]
-            bound = min(
-                params["b_rho"] * rho_before ** params["beta"],
-                params["b_c"] * phi * phi,
-            )
-            if not entry["delta_next"] <= bound:
-                violations.append(
-                    f"iteration {it}: delta_next {entry['delta_next']!r} exceeds criterion bound {bound!r}"
+            else:
+                phi = entry["phi_prox"]
+                bound = min(
+                    params["b_rho"] * rho_before ** params["beta"],
+                    params["b_c"] * phi * phi,
                 )
+                if not delta_next <= bound:
+                    violations.append(
+                        f"iteration {it}: delta_next {delta_next!r} exceeds criterion bound {bound!r}"
+                    )
             # (e) partition moves never share an iteration with a rho cut
             violations.extend(
                 f"iteration {it}: partition switch and rho reduction in the same iteration"
@@ -729,8 +723,9 @@ def history_lines(record: RunRecord, builtin: bool) -> Iterator[dict]:
 def summary_line(record: RunRecord) -> str:
     """One human-readable line per run for console output."""
     best = "none" if record.best_feasible_f is None else f"{record.best_feasible_f:.10g}"
-    rho = "-" if record.final_rho is None else f"{record.final_rho:.3g}"
-    delta = "-" if record.final_delta is None else f"{record.final_delta:.3g}"
+    last = record.frames[-1] if record.frames else {"rho": None, "delta_frame": None}
+    rho = "-" if last["rho"] is None else f"{last['rho']:.3g}"
+    delta = "-" if last["delta_frame"] is None else f"{last['delta_frame']:.3g}"
     return (
         f"problem={record.problem_name} x0={record.x0_id} seed={record.seed} "
         f"mode={record.mode} evals={record.evals_used} best_feasible_f={best} "

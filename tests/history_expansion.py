@@ -3,7 +3,8 @@ before frame lines: each row gets ``rho`` and ``delta_frame`` from the frame
 line before it, and ``cint`` and ``cext`` recomputed from its own ``g`` and
 ``h`` under that frame's interior set.  Iteration entries expand the same
 way, to the 12 keys they held before frames: ``rho_before`` and
-``delta_frame`` are the iteration's frame's.  A helper for the tests that
+``delta_frame`` are the iteration's frame's, and ``rho`` and ``delta_next``
+the next frame's, the state the iteration left.  A helper for the tests that
 hold the compact form to the pins of the full one."""
 
 import json
@@ -53,8 +54,11 @@ def expand_iterations(record):
     """A record's iteration entries with the full entry keys."""
     out = []
     for entry in record.iterations:
-        frame = record.frames[entry["iteration"]]
-        full = dict(entry, rho_before=frame["rho"], delta_frame=frame["delta_frame"])
+        frame, after = record.frames[entry["iteration"]:entry["iteration"] + 2]
+        full = dict(
+            entry, rho_before=frame["rho"], rho=after["rho"],
+            delta_frame=frame["delta_frame"], delta_next=after["delta_frame"],
+        )
         out.append({key: full[key] for key in FULL_ENTRY_KEYS})
     return out
 

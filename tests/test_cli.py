@@ -512,16 +512,22 @@ class TestBenchCommand:
     HISTORY_WITH_STOP_SHA256 = "317ee5518765fc53a29de4f11d145b8a5843adfc8c6f908f2dc25030d24f9e77"
     # the same 20 histories as written: frame lines, rows and stop lines
     COMPACT_HISTORY_SHA256 = "3040c606f49bb42abc2fa0ab3f33aab038d24b8a3e784b9a028219d6b2563b93"
+    # the bench's stdout between its machine line and its last line (both
+    # name the output directory): the 20 per-run summary lines, each with
+    # its final rho= and delta=
+    BENCH_STDOUT_SHA256 = "4429d5d8c2475832c3c58cb3f6b1663776b08f9c913e5cc712ea5228f8dd2a9a"
 
     @pytest.mark.parametrize("workers", ["1", "2", "3"])
     def test_history_bytes_pinned(self, tmp_path, capsys, workers):
         out_dir = tmp_path / "bench"
-        code, _, _ = run_cli(
+        code, out, _ = run_cli(
             capsys,
             "bench", "--seeds", "1", "--budget", "400", "--mode", "pip,extreme-barrier",
             "--workers", workers, "--out", str(out_dir),
         )
         assert code == 0
+        summaries = "".join(line + "\n" for line in out.splitlines()[1:-1])
+        assert hashlib.sha256(summaries.encode()).hexdigest() == self.BENCH_STDOUT_SHA256
         paths = sorted(out_dir.glob("*.jsonl"), key=lambda p: p.name)
         assert len(paths) == 20
         compact = [p.read_bytes() for p in paths]

@@ -33,8 +33,10 @@ def _kept_never_cleared(mp):
     mp.setattr(madspip.solver, "init_state", init_state)
 
 
-def _reselect_before_cut(mp):
-    """A rho cut re-picks the incumbent under the rho it replaces."""
+def _patch_cut_reselection(mp, at_cut):
+    """At a rho cut, ``reselect_incumbent`` becomes ``at_cut(state, params)``,
+    with ``params`` the merit parameters the cut replaced; a partition move
+    still reselects."""
     real_check = madspip.solver.penalty_update_check
     real_reselect = madspip.solver.reselect_incumbent
     pending = []
@@ -48,15 +50,39 @@ def _reselect_before_cut(mp):
     def reselect_incumbent(state):
         if not pending:  # a partition move
             return real_reselect(state)
-        cut_params, state.merit_params = state.merit_params, pending.pop()
-        real_reselect(state)
-        state.merit_params = cut_params
+        at_cut(state, pending.pop())
 
     mp.setattr(madspip.solver, "penalty_update_check", penalty_update_check)
     mp.setattr(madspip.solver, "reselect_incumbent", reselect_incumbent)
 
 
-MUTANTS = {"kept-never-cleared": _kept_never_cleared, "reselect-before-cut": _reselect_before_cut}
+def _reselect_before_cut(mp):
+    """A rho cut re-picks the incumbent under the rho it replaces."""
+    real_reselect = madspip.solver.reselect_incumbent
+
+    def at_cut(state, params):
+        cut_params, state.merit_params = state.merit_params, params
+        real_reselect(state)
+        state.merit_params = cut_params
+
+    _patch_cut_reselection(mp, at_cut)
+
+
+def _cut_keeps_incumbent(mp):
+    """A rho cut only re-prices the incumbent under the new rho."""
+
+    def at_cut(state, params):
+        key = state.q_incumbent
+        state.incumbent_merit = madspip.solver._merit_of(state, key, state.cache.entries[key])
+
+    _patch_cut_reselection(mp, at_cut)
+
+
+MUTANTS = {
+    "kept-never-cleared": _kept_never_cleared,
+    "reselect-before-cut": _reselect_before_cut,
+    "cut-keeps-incumbent": _cut_keeps_incumbent,
+}
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +107,7 @@ def mutant_runs():
 
 @pytest.mark.parametrize(
     "mutant, evaluations",
-    [("kept-never-cleared", 41186), ("reselect-before-cut", 35006)],
+    [("kept-never-cleared", 41186), ("reselect-before-cut", 35006), ("cut-keeps-incumbent", 44775)],
 )
 def test_mutant_changes_the_matrix(mutant_runs, mutant, evaluations):
     assert mutant_runs[mutant][0] == evaluations

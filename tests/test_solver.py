@@ -9,8 +9,11 @@ from fractions import Fraction
 import pytest
 
 import madspip.solver
-from madspip.bench import view_of_history
-from madspip.merit import B_RHO, BETA, RHO0, THETA_RHO, Partition, merit, violation_summary
+from madspip.bench import run_matrix, view_of_history
+from madspip.merit import (
+    B_RHO, BETA, RHO0, THETA_RHO, MeritParams, Partition, merit, penalty_update_check,
+    violation_summary,
+)
 from madspip.problem import Cache, Evaluation, Problem
 from madspip.solver import (
     DELTA_STOP,
@@ -27,7 +30,7 @@ from madspip.solver import (
     speculative_search,
     summary_line,
 )
-from madspip.suite import builtin_problem, builtin_problems, initial_point, x0_ids
+from madspip.suite import Instance, builtin_problem, builtin_problems, initial_point, x0_ids
 
 from history_expansion import expand, expand_iterations
 
@@ -204,7 +207,7 @@ class TestLattice:
         assert state.lattice_bits == 58
         record = solve(problem, (0.0,), config)
         assert record.outcome == "delta-converged"
-        assert record.final_delta == 2.0**-30
+        assert record.frames[-1]["delta_frame"] == 2.0**-30
 
     def test_points_are_the_exact_offsets_rounded_once(self):
         # x = anchor + unit * (q / 2**bits) with the quotient rounded once,
@@ -571,12 +574,22 @@ class TestSolve:
 
     def test_summary_line_fields(self):
         problem, _ = builtin_problem("unit-disk")
-        record = solve(
-            problem, initial_point(problem, "feasible-0"), SolverConfig(max_evaluations=50, seed=1)
-        )
+        x0 = initial_point(problem, "feasible-0")
+        record = solve(problem, x0, SolverConfig(max_evaluations=50, seed=1))
         line = summary_line(record)
         for token in ("problem=unit-disk", "seed=1", "evals=", "best_feasible_f=", "rho=", "delta="):
             assert token in line
+        # rho= and delta= are the state the run stopped in: its last frame
+        last = record.frames[-1]
+        assert f" rho={last['rho']:.3g} delta={last['delta_frame']:.3g} " in line
+        config = SolverConfig(max_evaluations=50, seed=1, mode=MODE_EXTREME_BARRIER)
+        record = solve(problem, x0, config)
+        assert f" rho=- delta={record.frames[-1]['delta_frame']:.3g} " in summary_line(record)
+        # a run that cannot start has no frames
+        instance = Instance(problem, "infeasible-0", initial_point(problem, "infeasible-0"), 1)
+        (record,) = run_matrix([(instance, MODE_EXTREME_BARRIER)], 50).values()
+        assert record.outcome == "error" and record.frames == []
+        assert summary_line(record).endswith(" rho=- delta=- outcome=error")
 
 
 def _frame_runs():
@@ -601,6 +614,11 @@ class TestFrames:
             frames, entries = record.frames, record.iterations
             pip = record.mode == MODE_PIP
             assert [frame["frame"] for frame in frames] == list(range(len(frames)))
+            # frame k + 1 is what iteration k left, so the last frame is the
+            # state the run stopped in, whether the budget cut an iteration
+            # or not
+            assert len(frames) == len(entries) + 2
+            assert (frames[-1]["delta_frame"] < DELTA_STOP) == (record.outcome == "delta-converged")
             # history_lines writes the frame of each iteration that has rows
             lines = list(history_lines(record, True))
             with_rows = sorted({row["iteration"] for row in record.rows})
@@ -608,22 +626,26 @@ class TestFrames:
             for frame in frames:
                 assert (frame["rho"] is None) == (frame["g_int"] is None) == (not pip)
             # the start row is priced as iteration 1 is
-            if len(frames) > 1:
-                assert dict(frames[1], frame=0) == frames[0]
-            # frame k + 1 is what iteration k left; a last iteration that
-            # the budget cut has a frame and no entry
-            cut = len(frames) == len(entries) + 2
-            assert cut or len(frames) == len(entries) + 1
+            assert dict(frames[1], frame=0) == frames[0]
+            cuts = {it for it, _ in record.rho_trace}
             for before, entry, after in zip(frames[1:], entries, frames[2:]):
-                assert after["rho"] == entry["rho"]
-                assert after["delta_frame"] == entry["delta_next"]
+                # rho changes exactly at rho_trace's iterations, by one
+                # contraction, where the criterion fires on the frames
+                changed = after["rho"] != before["rho"]
+                assert changed == (entry["iteration"] in cuts)
                 if pip:
+                    params = MeritParams(before["rho"], record.params["b_ext"])
+                    fires = not entry["success"] and penalty_update_check(
+                        after["delta_frame"], entry["phi_prox"], params
+                    )
+                    assert changed == fires
+                    if changed:
+                        assert after["rho"] == before["rho"] * THETA_RHO
                     moved = before["g_int"] + tuple(entry["partition_moved"])
                     assert after["g_int"] == tuple(sorted(moved))
-            if cut or not entries:
-                assert frames[-1]["rho"] == record.final_rho
-                assert frames[-1]["delta_frame"] == record.final_delta
-            outcomes.add((record.outcome, cut, len(frames) == 1))
+            # a last iteration that the budget cut has rows and no entry
+            cut = record.rows[-1]["iteration"] == len(entries) + 1
+            outcomes.add((record.outcome, cut, not entries))
             moves += len(record.partition_trace)
         assert outcomes == {
             ("budget-exhausted", False, True),
@@ -788,32 +810,34 @@ class TestPinnedTraces:
         assert warnings == []
 
     @pytest.mark.parametrize(
-        "edits, m, message",
+        "edits, frame_edits, m, message",
         [
-            ({12: {"success": True}}, 1, "rho reduced at successful iteration 12"),
+            ({12: {"success": True}}, {}, 1, "rho reduced at successful iteration 12"),
             (
-                {12: {"phi_prox": 0.0, "delta_next": 1.0}}, 1,
+                {12: {"phi_prox": 0.0}}, {13: {"delta_frame": 1.0}}, 1,
                 "iteration 12: delta_next 1.0 exceeds criterion bound 0.0",
             ),
             (
-                {12: {"partition_moved": [0]}}, 1,
+                {12: {"partition_moved": [0]}}, {}, 1,
                 "iteration 12: partition switch and rho reduction in the same iteration",
             ),
             (
-                {20: {"partition_moved": [0, 1]}}, 1,
+                {20: {"partition_moved": [0, 1]}}, {}, 1,
                 "2 partition moves exceed the 1 inequality constraints",
             ),
             (
-                {20: {"partition_moved": [0]}, 40: {"partition_moved": [0]}}, 2,
+                {20: {"partition_moved": [0]}, 40: {"partition_moved": [0]}}, {}, 2,
                 "an inequality index moved to the interior set twice",
             ),
         ],
         ids=["cut-at-success", "criterion-bound", "move-at-cut", "too-many-moves", "moved-twice"],
     )
-    def test_each_corruption_gives_its_one_message(self, edits, m, message):
+    def test_each_corruption_gives_its_one_message(self, edits, frame_edits, m, message):
         record, entries = self._cut_run()
         for it, fields in edits.items():
             entries[it].update(fields)
+        for k, fields in frame_edits.items():
+            record.frames[k].update(fields)
         record.params["m"] = m
         assert check_run_invariants(record) == ([message], [])
 
@@ -852,20 +876,28 @@ class TestInvariantChecker:
         problem, _ = builtin_problem("unit-disk")
         x0 = initial_point(problem, "feasible-0")
         record = solve(problem, x0, SolverConfig(max_evaluations=600, seed=3))
-        frames = record.frames
-        first_cut = next(e for e in record.iterations if e["rho"] != frames[e["iteration"]]["rho"])
-        first_cut["rho"] = 0.05
+        first_cut = record.rho_trace[0][0]
+        record.frames[first_cut + 1]["rho"] = 0.05
         violations, _ = check_run_invariants(record)
         assert any("expected" in v for v in violations)
+        # the corrupted frame also reads as a cut at the successful
+        # iteration after it, which has no phi_prox to replay a criterion on
+        assert violations == [
+            "rho at iteration 12 is 0.05, expected 0.001",
+            "rho at iteration 13 is 0.001, expected 0.0005",
+            "rho reduced at successful iteration 13",
+        ]
 
     def test_detects_merit_increase(self):
         problem, _ = builtin_problem("unit-disk")
         x0 = initial_point(problem, "feasible-0")
         record = solve(problem, x0, SolverConfig(max_evaluations=600, seed=3))
+        frames = record.frames
         span_ids = [
             i
             for i, e in enumerate(record.iterations[1:], start=1)
-            if e["rho"] == record.frames[e["iteration"]]["rho"] and not e["partition_moved"]
+            if frames[e["iteration"] + 1]["rho"] == frames[e["iteration"]]["rho"]
+            and not e["partition_moved"]
         ]
         record.iterations[span_ids[-1]]["incumbent_merit"] += 1.0
         violations, _ = check_run_invariants(record)
