@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .merit import (
@@ -115,11 +117,12 @@ class SolverConfig:
 @dataclass
 class RunRecord:
     """Everything observable about one run: per-evaluation rows, the run's
-    state sequence of frames, a per-iteration trace, and summary fields.
-    ``frames[k]`` is what iteration ``k`` is priced under (0 for the start
-    row) and ``frames[k + 1]`` what it left, so ``frames[-1]`` is the state
-    the run stopped in.  The rho and partition traces are views of the
-    frames and the iteration trace."""
+    state sequence of frames, and summary fields.  ``frames[k]`` is what
+    iteration ``k`` is priced under (0 for the start row) and
+    ``frames[k + 1]`` what it left, so ``frames[-1]`` is the state the run
+    stopped in.  The rows and frames are the whole record of the run: the
+    rho and partition traces are views of the frames, and
+    :func:`check_run_invariants` replays them with ``params``."""
 
     problem_name: str
     x0_id: str
@@ -128,7 +131,6 @@ class RunRecord:
     n: int
     rows: List[dict] = field(default_factory=list)
     frames: List[dict] = field(default_factory=list)
-    iterations: List[dict] = field(default_factory=list)
     outcome: str = "error"
     flags: List[str] = field(default_factory=list)
     params: Optional[dict] = None
@@ -156,7 +158,13 @@ class RunRecord:
     @property
     def partition_trace(self) -> List[Tuple[int, int]]:
         """``(iteration, index)`` for each inequality moved to the interior set."""
-        return [(e["iteration"], i) for e in self.iterations for i in e["partition_moved"]]
+        frames = self.frames
+        return [
+            (k, i)
+            for k, (before, after) in enumerate(zip(frames[1:], frames[2:]), 1)
+            for i in after["g_int"] or ()  # None outside pip mode
+            if i not in before["g_int"]
+        ]
 
 
 @dataclass
@@ -285,7 +293,10 @@ def _append_frame(state: SolverState, k: int) -> None:
     """Append frame ``k``, the state iteration ``k`` is priced under; this
     is the one statement of the frame line's layout.  ``init_state``
     appends frames 0 and 1, and iteration ``k`` appends frame ``k + 1`` as
-    it ends.
+    it ends: a ``rho`` that differs from frame ``k``'s is a cut at
+    iteration ``k``, and an index new to ``g_int`` a move to the interior
+    set.  These frames and the rows are all that
+    :func:`check_run_invariants` replays.
 
     ``{"frame": k, "rho", "delta_frame", "g_int"}``: the iteration (0 for
     the start row), the ``rho`` and frame size its trial points are priced
@@ -473,70 +484,50 @@ def _try_candidate(
 
 
 def iterate(state: SolverState) -> None:
-    """Run one full iteration and append its trace entry and the frame it
-    leaves.  When the budget runs out mid-iteration it returns at once, with
-    neither; ``solve`` then stops the run."""
+    """Run one full iteration and append the frame it leaves.  When the
+    budget runs out mid-iteration it returns at once, without one; ``solve``
+    then stops the run."""
     state.iteration += 1
     q_center = state.q_incumbent
-    success_kind = None
+    success = False
 
     if state.config.search_enabled:
         proposed = speculative_search(state)
         if proposed is not None:
             q, x = proposed
-            accepted = _try_candidate(state, q, kind="search", x=x)[0]
-            if accepted is None:
+            success = _try_candidate(state, q, kind="search", x=x)[0]
+            if success is None:
                 return
-            if accepted:
-                success_kind = "search"
 
-    if success_kind is None:
+    if not success:
         mesh_step = state.mesh_step
         for steps in poll_directions(state.problem.n, state.mesh, state.rng):
             q = tuple([qi + mesh_step * s for qi, s in zip(q_center, steps)])
-            accepted = _try_candidate(state, q, kind="poll")[0]
-            if accepted is None:
+            success = _try_candidate(state, q, kind="poll")[0]
+            if success is None:
                 return
-            if accepted:
-                success_kind = "poll"
+            if success:
                 break
 
-    success = success_kind is not None
     if success:
         state.last_success_offset = tuple([a - b for a, b in zip(state.q_incumbent, q_center)])
     state.mesh = update_frame(state.mesh, success)
 
-    rho_reduced = False
-    phi = None
-    if state.pip and not success:
-        phi = state.kept[state.q_incumbent][0]
-        if penalty_update_check(state.mesh.delta_frame, phi, state.merit_params):
-            p = state.merit_params
-            state.merit_params = MeritParams(p.rho * THETA_RHO, p.b_ext)
-            rho_reduced = True
-            reselect_incumbent(state)
-
-    moved: List[int] = []
+    # a rho cut, on the incumbent's phi_prox, or else a partition move
     incumbent = state.cache.entries[state.q_incumbent]
-    if state.pip and not rho_reduced and not incumbent.failed:
+    if state.pip and not success and penalty_update_check(
+        state.mesh.delta_frame, state.kept[state.q_incumbent][0], state.merit_params
+    ):
+        p = state.merit_params
+        state.merit_params = MeritParams(p.rho * THETA_RHO, p.b_ext)
+        reselect_incumbent(state)
+    elif state.pip and not incumbent.failed:
         moved = [i for i in state.partition.g_ext if incumbent.g[i] <= -EPS_EXT]
         if moved:
             state.partition = state.partition.moved_to_interior(moved)
             state.kept.clear()
             reselect_incumbent(state)
 
-    state.record.iterations.append(
-        {
-            "iteration": state.iteration,
-            "success": success,
-            "kind": success_kind,
-            "incumbent_eval_index": state.cache.entries[state.q_incumbent].eval_index,
-            "incumbent_merit": state.incumbent_merit,
-            "incumbent_cint": state.kept[state.q_incumbent][1] if state.pip else None,
-            "phi_prox": phi,
-            "partition_moved": moved,
-        }
-    )
     _append_frame(state, state.iteration + 1)
 
 
@@ -572,109 +563,116 @@ def solve(
 
 
 def check_run_invariants(record: RunRecord):
-    """Replay the recorded run against the convergence-theory properties.
+    """Replay a run from its frames, rows and ``params`` against the
+    convergence-theory properties; returns ``(violations, warnings)`` in
+    iteration order.
 
-    Returns ``(violations, warnings)``.  Violations cover: rho shrinking by
-    exactly ``theta_rho`` and only at unsuccessful iterations; the frame-size
-    criterion holding at every rho reduction (exact replay of the relaxed
-    bound); the incumbent staying strictly interior; incumbent merit
-    non-increasing from one iteration to the next unless the later one cut
-    rho or moved the partition, and strictly decreasing exactly at
-    successes; partition moves one-directional, at most m total, and never
-    sharing an iteration with a rho reduction.  Violations come out in
-    iteration order.  Iteration ``k`` runs from ``frames[k]`` to
-    ``frames[k + 1]``: they hold its ``rho`` before and after and its
-    ``delta_next``.
-    The late-run frame-feasibility property is asymptotic, so its failures
-    are reported as warnings, not violations; it recomputes each late frame
-    point's ``c_int`` from the row's ``g`` and ``h`` under its frame's
-    interior set.
+    Each evaluated row is priced under its iteration's frame: in pip mode
+    ``merit`` of its ``violation_summary``, failed exactly when ``f``, ``g``
+    or ``h`` holds ``+inf``; otherwise ``f`` when :func:`is_feasible` holds
+    and ``+inf`` if not.  The start row sets the incumbent, each
+    ``*-success`` row and no other must strictly lower its merit, and one
+    that does becomes the incumbent.  In pip mode iteration ``k`` runs from
+    ``frames[k]`` to ``frames[k + 1]``: ``rho`` shrinks only by exactly
+    ``theta_rho``, at failures whose next frame size meets the criterion
+    bound on the incumbent's ``phi_prox``; ``g_int`` only grows, by at most
+    ``m`` moves and none at a cut; and the incumbent, re-picked as the
+    earliest minimizer of every evaluation so far when ``rho`` or ``g_int``
+    changes, stays strictly interior.  The late-run frame-feasibility
+    property is asymptotic: a late cut's evaluated row whose ``c_int`` is
+    not negative gives a warning, not a violation.
     """
-    violations: List[str] = []
-    warnings: List[str] = []
-    if record.mode != MODE_PIP or record.params is None or not record.iterations:
+    violations, warnings = [], []
+    rows, frames, params = record.rows, record.frames, record.params
+    if not rows:
         return violations, warnings
-    params = record.params
-    frames = record.frames
-    last_quarter = record.iterations[-1]["iteration"] * 3 / 4
-    moved_indices: List[int] = []
-    late_cuts = set()
-    before = None
-    for entry in record.iterations:
-        it = entry["iteration"]
-        rho_before = frames[it]["rho"]
-        rho, delta_next = frames[it + 1]["rho"], frames[it + 1]["delta_frame"]
-        cut = rho != rho_before
-        moved = entry["partition_moved"]
-        if cut:
-            # (a) rho shrinks by the exact contraction factor
+    pip = record.mode == MODE_PIP
+    m = len(rows[0]["g"])
+    completed = len(frames) - 2  # the iterations that left a frame
+    evaluations, terms = [], []  # each one's (f, g, h, failed), and terms under partition
+    partition = merit_params = None
+    incumbent, best, moves = 0, _INF, 0
+
+    def enter(frame):
+        """Price under ``frame``'s ``rho`` and interior set."""
+        nonlocal partition, merit_params, terms
+        merit_params = MeritParams(frame["rho"], params["b_ext"])
+        g_int = tuple(frame["g_int"])
+        if partition is None or g_int != partition.g_int:
+            partition = Partition(g_int, [i for i in range(m) if i not in g_int])
+            terms = [violation_summary(g, h, partition, failed) for _, g, h, failed in evaluations]
+
+    def price(e):
+        f, g, h, failed = evaluations[e]
+        if not pip:
+            return f if is_feasible(Evaluation((), f, g, h, e, failed)) else _INF
+        return merit(f, terms[e][1], terms[e][2], merit_params)
+
+    for k, group in groupby(rows, itemgetter("iteration")):
+        if pip:
+            enter(frames[k])
+        succeeded, cints = False, []
+        for row in group:
+            e, status, value = row["eval_index"], row["status"], _INF
+            if e is not None:
+                if e == len(evaluations):
+                    f, g, h = row["f"], row["g"], row["h"]
+                    failed = f == _INF or _INF in g or _INF in h  # only a failure stores +inf
+                    evaluations.append((f, g, h, failed))
+                    if pip:
+                        terms.append(violation_summary(g, h, partition, failed))
+                value = price(e)
+                cints.append(terms[e][1] if pip else None)
+            if k == 0:
+                incumbent, best = e, value
+            elif (value < best) != status.endswith("-success"):
+                violations.append(
+                    f"iteration {k}: eval {e} lowers the merit but is {status}" if value < best
+                    else f"iteration {k}: eval {e} is {status} but does not lower the merit"
+                )
+            if value < best:
+                incumbent, best, succeeded = e, value, True
+        if not pip or not 0 < k <= completed:
+            continue
+
+        before, after = frames[k], frames[k + 1]
+        rho_before, rho = before["rho"], after["rho"]
+        g_int, g_next = tuple(before["g_int"]), tuple(after["g_int"])
+        moved = [i for i in g_next if i not in g_int]
+        moves += len(moved)
+        if not set(g_int) <= set(g_next):
+            violations.append(f"iteration {k}: frame {k + 1}'s g_int does not contain frame {k}'s")
+        if rho != rho_before:
             expected = rho_before * params["theta_rho"]
             if rho != expected:
-                violations.append(f"rho at iteration {it} is {rho!r}, expected {expected!r}")
-            # (b) reductions only on failures, where the criterion replays
-            if entry["success"]:
-                violations.append(f"rho reduced at successful iteration {it}")
-            else:
-                phi = entry["phi_prox"]
-                bound = min(
-                    params["b_rho"] * rho_before ** params["beta"],
-                    params["b_c"] * phi * phi,
+                violations.append(f"rho at iteration {k} is {rho!r}, expected {expected!r}")
+            phi = terms[incumbent][0]
+            bound = min(params["b_rho"] * rho_before ** params["beta"], params["b_c"] * phi * phi)
+            if succeeded:
+                violations.append(f"rho reduced at successful iteration {k}")
+            elif not after["delta_frame"] <= bound:
+                violations.append(
+                    f"iteration {k}: delta_next {after['delta_frame']!r} exceeds criterion bound {bound!r}"
                 )
-                if not delta_next <= bound:
-                    violations.append(
-                        f"iteration {it}: delta_next {delta_next!r} exceeds criterion bound {bound!r}"
-                    )
-            # (e) partition moves never share an iteration with a rho cut
             violations.extend(
-                f"iteration {it}: partition switch and rho reduction in the same iteration"
-                for _ in moved
+                f"iteration {k}: partition switch and rho reduction in the same iteration" for _ in moved
             )
-            if it >= last_quarter:
-                late_cuts.add(it)
-        # (c) strict interior incumbent at every iteration
-        if not entry["incumbent_cint"] < 0.0:
-            violations.append(
-                f"iteration {it}: incumbent c_int {entry['incumbent_cint']!r} not negative"
-            )
-        # (d) merit monotone while rho and the partition stay put
-        if before is not None and not cut and not moved:
-            if entry["success"]:
-                if not entry["incumbent_merit"] < before["incumbent_merit"]:
-                    violations.append(
-                        f"iteration {it}: successful but merit did not strictly decrease"
-                    )
-            elif entry["incumbent_merit"] > before["incumbent_merit"]:
-                violations.append(f"iteration {it}: merit increased within a constant span")
-        moved_indices.extend(moved)
-        before = entry
-
-    # (e) partition moves: bounded and one-directional
-    if len(moved_indices) > params["m"]:
-        violations.append(
-            f"{len(moved_indices)} partition moves exceed the {params['m']} inequality constraints"
-        )
-    if len(moved_indices) != len(set(moved_indices)):
-        violations.append("an inequality index moved to the interior set twice")
-
-    # Late-run frame feasibility (asymptotic: log only), c_int recomputed
-    # under the partition in force
-    if late_cuts:
-        m = len(record.rows[0]["g"])
-        partitions = {}
-        for it in late_cuts:
-            g_int = frames[it]["g_int"]
-            partitions[it] = Partition(g_int, [i for i in range(m) if i not in g_int])
-        for row in record.rows:
-            it = row["iteration"]
-            if it not in partitions or row["eval_index"] is None:
-                continue
-            f, g, h = row["f"], row["g"], row["h"]
-            failed = f == _INF or _INF in g or _INF in h  # only a failure stores +inf
-            cint = violation_summary(g, h, partitions[it], failed)[1]
-            if not cint < 0.0:
-                warnings.append(
-                    f"iteration {it}: evaluated frame point with c_int {cint!r} (late-run frame not strictly interior)"
+            if k >= completed * 3 / 4:
+                warnings.extend(
+                    f"iteration {k}: evaluated frame point with c_int {cint!r} (late-run frame not strictly interior)"
+                    for cint in cints if not cint < 0.0
                 )
+        if rho != rho_before or g_next != g_int:
+            enter(after)
+            values = [price(e) for e in range(len(evaluations))]
+            best = min(values)
+            if best < _INF:  # else the incumbent stays, as reselect_incumbent keeps it
+                incumbent = values.index(best)
+        if not terms[incumbent][1] < 0.0:
+            violations.append(f"iteration {k}: incumbent c_int {terms[incumbent][1]!r} not negative")
+
+    if pip and moves > params["m"]:
+        violations.append(f"{moves} partition moves exceed the {params['m']} inequality constraints")
     return violations, warnings
 
 

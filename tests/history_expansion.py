@@ -1,16 +1,16 @@
 """A compact history expanded back to the 12-key rows that histories held
 before frame lines: each row gets ``rho`` and ``delta_frame`` from the frame
 line before it, and ``cint`` and ``cext`` recomputed from its own ``g`` and
-``h`` under that frame's interior set.  Iteration entries expand the same
-way, to the 12 keys they held before frames: ``rho_before`` and
-``delta_frame`` are the iteration's frame's, and ``rho`` and ``delta_next``
-the next frame's, the state the iteration left.  A helper for the tests that
-hold the compact form to the pins of the full one."""
+``h`` under that frame's interior set.  Iteration entries are rebuilt from
+the frames and rows alone, to the 12 keys they held before frames: a test-side
+reference reader, written apart from ``check_run_invariants``'s replay.  A
+helper for the tests that hold the compact form to the pins of the full one."""
 
 import json
 import math
 
-from madspip.merit import Partition, violation_summary
+from madspip.merit import MeritParams, Partition, merit, violation_summary
+from madspip.problem import Evaluation, is_feasible
 
 FULL_ROW_KEYS = (
     "eval_index", "x", "f", "g", "h", "cint", "cext", "rho",
@@ -22,6 +22,19 @@ FULL_ENTRY_KEYS = (
     "incumbent_cint", "rho_before", "rho", "delta_frame", "delta_next", "phi_prox",
     "partition_moved",
 )
+
+
+def _failed(row):
+    # a run stores +inf only for a failed evaluation's outputs
+    return row["f"] == math.inf or math.inf in row["g"] or math.inf in row["h"]
+
+
+def _terms(row, frame):
+    """``(phi_prox, c_int, c_ext)`` of an evaluated row under the frame's
+    interior set."""
+    g, g_int = row["g"], frame["g_int"]
+    partition = Partition(g_int, [i for i in range(len(g)) if i not in g_int])
+    return violation_summary(g, row["h"], partition, _failed(row))
 
 
 def expand(lines):
@@ -38,28 +51,63 @@ def expand(lines):
             out.append(line)
             continue
         cint = cext = None
-        g_int = frame["g_int"]
-        if g_int is not None and line["eval_index"] is not None:
-            f, g, h = line["f"], line["g"], line["h"]
-            # a run stores +inf only for a failed evaluation's outputs
-            failed = f == math.inf or math.inf in g or math.inf in h
-            partition = Partition(g_int, [i for i in range(len(g)) if i not in g_int])
-            _, cint, cext = violation_summary(g, h, partition, failed)
+        if frame["g_int"] is not None and line["eval_index"] is not None:
+            _, cint, cext = _terms(line, frame)
         row = dict(line, cint=cint, cext=cext, rho=frame["rho"], delta_frame=frame["delta_frame"])
         out.append({key: row[key] for key in FULL_ROW_KEYS})
     return out
 
 
 def expand_iterations(record):
-    """A record's iteration entries with the full entry keys."""
+    """A record's iteration entries with the full entry keys, one per
+    completed iteration ``k``, rebuilt from ``frames[k]``, ``frames[k + 1]``
+    and the rows: the success is the iteration's ``*-success`` row, and a
+    ``rho`` cut or partition move re-picks the incumbent as the earliest
+    minimizer, under the next frame, of every evaluation so far."""
+    frames, pip = record.frames, record.mode == "pip"
+    evaluations = []  # each evaluation's first row, in evaluation order
+    successes = {}
+    for row in record.rows:
+        if row["eval_index"] == len(evaluations):
+            evaluations.append(row)
+        if row["status"].endswith("-success"):
+            successes[row["iteration"]] = row
+
+    def price(row, frame):
+        if not pip:
+            evaluation = Evaluation(row["x"], row["f"], row["g"], row["h"], row["eval_index"], _failed(row))
+            return row["f"] if is_feasible(evaluation) else math.inf
+        _, cint, cext = _terms(row, frame)
+        return merit(row["f"], cint, cext, MeritParams(frame["rho"], record.params["b_ext"]))
+
     out = []
-    for entry in record.iterations:
-        frame, after = record.frames[entry["iteration"]:entry["iteration"] + 2]
-        full = dict(
-            entry, rho_before=frame["rho"], rho=after["rho"],
-            delta_frame=frame["delta_frame"], delta_next=after["delta_frame"],
-        )
-        out.append({key: full[key] for key in FULL_ENTRY_KEYS})
+    incumbent = record.rows[0] if record.rows else None
+    for k in range(1, len(frames) - 1):
+        before, after = frames[k], frames[k + 1]
+        success = successes.get(k)
+        if success is not None:
+            incumbent = success
+        phi = _terms(incumbent, before)[0] if pip and success is None else None
+        moved = [i for i in after["g_int"] if i not in before["g_int"]] if pip else []
+        if pip and (after["rho"] != before["rho"] or moved):
+            known = [row for row in evaluations if row["iteration"] <= k]
+            merits = [price(row, after) for row in known]
+            if min(merits) < math.inf:
+                incumbent = known[merits.index(min(merits))]
+        out.append({
+            "iteration": k,
+            "success": success is not None,
+            "kind": None if success is None else success["status"].split("-")[0],
+            "incumbent_eval_index": incumbent["eval_index"],
+            "incumbent_merit": price(incumbent, after),
+            "incumbent_cint": _terms(incumbent, after)[1] if pip else None,
+            "rho_before": before["rho"],
+            "rho": after["rho"],
+            "delta_frame": before["delta_frame"],
+            "delta_next": after["delta_frame"],
+            "phi_prox": phi,
+            "partition_moved": moved,
+        })
     return out
 
 

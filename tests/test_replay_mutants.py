@@ -1,11 +1,11 @@
-"""Bookkeeping mutants that the invariant replay does not catch yet.
+"""Bookkeeping mutants that the invariant replay catches.
 
 Each mutant is applied with ``monkeypatch`` to the canonical matrix (the five
 default problems x 2 starts x seeds 1-4 x both modes, budget 1500), which
 makes 41,113 evaluations unmutated.  One test per mutant pins its evaluation
-count, so the mutant is known to change the runs; one strict xfail per mutant
-asks the replay for a violation.  A replay that recomputes the merit from
-the rows (ROADMAP item 8) turns those xfails into passes.
+count, so the mutant is known to change the runs; one more asks the replay,
+which re-prices every row from its frame, for a violation: each mutant
+leaves row statuses that the re-priced merits contradict.
 """
 
 import pytest
@@ -113,7 +113,6 @@ def test_mutant_changes_the_matrix(mutant_runs, mutant, evaluations):
     assert mutant_runs[mutant][0] == evaluations
 
 
-@pytest.mark.xfail(strict=True, reason="the replay trusts the merit the solver reports")
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_replay_reports_the_mutant(mutant_runs, mutant):
     assert mutant_runs[mutant][1]

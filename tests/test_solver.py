@@ -14,12 +14,13 @@ from madspip.merit import (
     B_RHO, BETA, RHO0, THETA_RHO, MeritParams, Partition, merit, penalty_update_check,
     violation_summary,
 )
-from madspip.problem import Cache, Evaluation, Problem
+from madspip.problem import Cache, Evaluation, Problem, read_history, write_history
 from madspip.solver import (
     DELTA_STOP,
     MODE_EXTREME_BARRIER,
     MODE_PIP,
     InitializationError,
+    RunRecord,
     SolverConfig,
     check_run_invariants,
     history_lines,
@@ -35,6 +36,11 @@ from madspip.suite import Instance, builtin_problem, builtin_problems, initial_p
 from history_expansion import expand, expand_iterations
 
 INF = math.inf
+
+
+def succeeded(record, k):
+    """Whether iteration ``k`` has a ``*-success`` row."""
+    return any(row["status"].endswith("-success") for row in record.rows if row["iteration"] == k)
 
 
 def constrained_problem(g_of_x, name="toy", n=2, bounds=None):
@@ -109,7 +115,7 @@ class TestIterate:
         state = init_state(problem, (0.0,), SolverConfig(max_evaluations=50, search_enabled=False))
         delta_before = state.mesh.delta_frame
         iterate(state)
-        assert state.record.iterations[-1]["success"]
+        assert succeeded(state.record, 1)
         assert state.mesh.delta_frame == 2 * delta_before
 
     def test_unsuccessful_iteration_shrinks(self):
@@ -117,7 +123,7 @@ class TestIterate:
         state = init_state(problem, (0.0,), SolverConfig(max_evaluations=50, search_enabled=False))
         delta_before = state.mesh.delta_frame
         iterate(state)
-        assert not state.record.iterations[-1]["success"]
+        assert not succeeded(state.record, 1)
         assert state.mesh.delta_frame == 0.5 * delta_before
 
     def test_rho_cut_gated_by_criterion(self):
@@ -538,7 +544,7 @@ class TestSolve:
         problem, _ = builtin_problem("two-ring")
         x0 = initial_point(problem, "infeasible-0")
         record = solve(problem, x0, SolverConfig(max_evaluations=800, seed=4))
-        assert all(e["incumbent_cint"] < 0 for e in record.iterations)
+        assert all(e["incumbent_cint"] < 0 for e in expand_iterations(record))
 
     def test_partition_switch_recorded_on_entry(self):
         # infeasible start: the disk constraint begins exterior and moves
@@ -611,13 +617,13 @@ class TestFrames:
         outcomes = set()
         moves = 0
         for record in _frame_runs():
-            frames, entries = record.frames, record.iterations
+            frames, entries = record.frames, expand_iterations(record)
             pip = record.mode == MODE_PIP
             assert [frame["frame"] for frame in frames] == list(range(len(frames)))
             # frame k + 1 is what iteration k left, so the last frame is the
             # state the run stopped in, whether the budget cut an iteration
             # or not
-            assert len(frames) == len(entries) + 2
+            assert record.rows[-1]["iteration"] in (len(frames) - 2, len(frames) - 1)
             assert (frames[-1]["delta_frame"] < DELTA_STOP) == (record.outcome == "delta-converged")
             # history_lines writes the frame of each iteration that has rows
             lines = list(history_lines(record, True))
@@ -675,6 +681,26 @@ class TestExtremeBarrier:
         x0 = initial_point(problem, "feasible-0")
         with pytest.raises(InitializationError):
             solve(problem, x0, SolverConfig(max_evaluations=100, seed=1, mode="extreme-barrier"))
+
+    @pytest.mark.parametrize("name", ["unit-disk", "maxabs-lin", "two-ring"])
+    def test_clean_runs_replay_clean(self, name):
+        problem, _ = builtin_problem(name)
+        for seed in (1, 2, 3, 4):
+            config = SolverConfig(max_evaluations=1500, seed=seed, mode=MODE_EXTREME_BARRIER)
+            record = solve(problem, initial_point(problem, "feasible-0"), config)
+            assert check_run_invariants(record) == ([], [])
+
+    def test_replay_checks_row_statuses(self):
+        # a row priced at f when feasible and +inf otherwise
+        problem, _ = builtin_problem("unit-disk")
+        config = SolverConfig(max_evaluations=1500, seed=1, mode=MODE_EXTREME_BARRIER)
+        record = solve(problem, initial_point(problem, "feasible-0"), config)
+        i, row = next((i, row) for i, row in enumerate(record.rows) if row["status"] == "poll-success")
+        record.rows[i] = dict(row, status="unsuccessful")
+        assert check_run_invariants(record) == (
+            [f"iteration {row['iteration']}: eval {row['eval_index']} lowers the merit but is unsuccessful"],
+            [],
+        )
 
     def test_matches_pip_on_unconstrained(self):
         # with no constraints the merit equals f, so both modes follow the
@@ -738,8 +764,8 @@ PINNED_RUNS = {
 
 
 def _run_digest(record):
-    # the rows and iteration entries expanded back to the full layouts they
-    # were pinned in
+    # the rows, and the iteration entries rebuilt from frames and rows, in
+    # the full layouts they were pinned in
     rows = expand(history_lines(record, True))[:-1]
     blob = json.dumps(
         [rows, expand_iterations(record), record.params, check_run_invariants(record)],
@@ -782,63 +808,130 @@ class TestPinnedTraces:
                         seen[problem.name, x0_id, mode] = _run_digest(record)
         assert seen == PINNED_RUNS
 
+    def test_replay_needs_only_the_history(self, tmp_path):
+        # a record rebuilt from the frame lines and rows of its written
+        # history, its params, and the frame it stopped in when no row
+        # follows that frame, replays to the same verdict
+        for problem, _ in builtin_problems():
+            for x0_id in ("feasible-0", "infeasible-0"):
+                config = SolverConfig(max_evaluations=1500, seed=5)
+                record = solve(problem, initial_point(problem, x0_id), config, x0_id=x0_id)
+                path = tmp_path / f"{problem.name}-{x0_id}.jsonl"
+                write_history(history_lines(record, True), path)
+                lines = read_history(path)
+                frames = [line for line in lines if "frame" in line]
+                if frames[-1]["frame"] < len(record.frames) - 1:
+                    frames.append(record.frames[-1])
+                assert len(frames) == len(record.frames)
+                rebuilt = RunRecord(
+                    problem.name, x0_id, 5, MODE_PIP, problem.n,
+                    rows=[line for line in lines if "eval_index" in line],
+                    frames=frames, params=record.params,
+                )
+                assert check_run_invariants(rebuilt) == check_run_invariants(record)
+
     @staticmethod
     def _cut_run():
         # unit-disk (m = 1) cuts rho at iterations 12, 32, 49, 68 and 164 and
-        # moves no index; entries holding a cut are not compared with the
-        # entry before them
+        # moves no index
         problem, _ = builtin_problem("unit-disk")
-        record = solve(
+        return solve(
             problem, initial_point(problem, "feasible-0"),
             SolverConfig(max_evaluations=600, seed=3), x0_id="feasible-0",
         )
-        return record, {e["iteration"]: e for e in record.iterations}
 
     def test_corrupted_run_verdicts(self):
-        record, entries = self._cut_run()
-        for it, shift in ((12, -1.0), (32, 1.0), (48, 1.0), (100, 1.0), (150, -1.0)):
-            entries[it]["incumbent_merit"] += shift
-        entries[60]["incumbent_cint"] = 0.5
+        record = self._cut_run()
+        rows = record.rows
+
+        def first(k, success):
+            # the index of iteration k's first success row, or first
+            # unsuccessful one
+            statuses = ("search-success", "poll-success") if success else ("unsuccessful",)
+            return next(i for i, row in enumerate(rows) if row["iteration"] == k and row["status"] in statuses)
+
+        for i, status in ((first(13, True), "unsuccessful"), (first(48, False), "poll-success")):
+            rows[i] = dict(rows[i], status=status)
+        i = first(100, True)
+        rows[i] = dict(rows[i], f=rows[i]["f"] + 1.0)
+        record.frames[13]["delta_frame"] = 1.0
         violations, warnings = check_run_invariants(record)
-        assert sorted(violations) == [
-            "iteration 100: successful but merit did not strictly decrease",
-            "iteration 13: successful but merit did not strictly decrease",
-            "iteration 151: merit increased within a constant span",
-            "iteration 48: merit increased within a constant span",
-            "iteration 60: incumbent c_int 0.5 not negative",
+        assert violations == [
+            "iteration 12: delta_next 1.0 exceeds criterion bound 0.9999999976974148",
+            "iteration 13: eval 44 lowers the merit but is unsuccessful",
+            "iteration 48: eval 168 is poll-success but does not lower the merit",
+            "iteration 100: eval 337 is search-success but does not lower the merit",
         ]
         assert warnings == []
 
-    @pytest.mark.parametrize(
-        "edits, frame_edits, m, message",
-        [
-            ({12: {"success": True}}, {}, 1, "rho reduced at successful iteration 12"),
-            (
-                {12: {"phi_prox": 0.0}}, {13: {"delta_frame": 1.0}}, 1,
-                "iteration 12: delta_next 1.0 exceeds criterion bound 0.0",
-            ),
-            (
-                {12: {"partition_moved": [0]}}, {}, 1,
-                "iteration 12: partition switch and rho reduction in the same iteration",
-            ),
-            (
-                {20: {"partition_moved": [0, 1]}}, {}, 1,
-                "2 partition moves exceed the 1 inequality constraints",
-            ),
-            (
-                {20: {"partition_moved": [0]}, 40: {"partition_moved": [0]}}, {}, 2,
-                "an inequality index moved to the interior set twice",
-            ),
-        ],
-        ids=["cut-at-success", "criterion-bound", "move-at-cut", "too-many-moves", "moved-twice"],
-    )
-    def test_each_corruption_gives_its_one_message(self, edits, frame_edits, m, message):
-        record, entries = self._cut_run()
-        for it, fields in edits.items():
-            entries[it].update(fields)
-        for k, fields in frame_edits.items():
-            record.frames[k].update(fields)
-        record.params["m"] = m
+    @staticmethod
+    def _flat_run():
+        # the merit is f under every frame: the interior constraint's g = -2
+        # gives c_int = -1, whose barrier log is 0, and the exterior one's
+        # g = 0 no penalty, so an edit of rho or of an interior set without
+        # index 1 changes no row's price
+        problem = Problem("flat", 2, 2, 0, lambda x: (x[0] ** 2 + x[1] ** 2, (-2.0, 0.0), ()))
+        record = solve(problem, (1.0, -0.7), SolverConfig(max_evaluations=1500, seed=7))
+        assert record.outcome == "delta-converged"
+        assert record.frames[-1]["g_int"] == (0,) and record.partition_trace == []
+        assert check_run_invariants(record) == ([], [])
+        return record
+
+    @pytest.mark.parametrize("case", [
+        "lowers-but-unsuccessful", "success-not-lowering", "contraction", "cut-at-success",
+        "criterion-bound", "move-at-cut", "too-many-moves", "interior-shrinks",
+        "incumbent-not-interior",
+    ])
+    def test_each_corruption_gives_its_one_message(self, case):
+        record = self._flat_run()
+        rows, frames = record.rows, record.frames
+        cuts = [k for k, _ in record.rho_trace]
+        if case == "lowers-but-unsuccessful":
+            i, row = next((i, row) for i, row in enumerate(rows) if row["status"] == "poll-success")
+            rows[i] = dict(row, status="unsuccessful")
+            message = f"iteration {row['iteration']}: eval {row['eval_index']} lowers the merit but is unsuccessful"
+        elif case == "success-not-lowering":
+            i, row = next((i, row) for i, row in enumerate(rows[1:], 1) if row["status"] == "unsuccessful")
+            rows[i] = dict(row, status="poll-success")
+            message = f"iteration {row['iteration']}: eval {row['eval_index']} is poll-success but does not lower the merit"
+        elif case == "contraction":
+            # every frame after the last cut at half its rho
+            for frame in frames[cuts[-1] + 1:]:
+                frame["rho"] *= 0.5
+            before, after = frames[cuts[-1]]["rho"], frames[cuts[-1] + 1]["rho"]
+            message = f"rho at iteration {cuts[-1]} is {after!r}, expected {before * THETA_RHO!r}"
+        elif case == "cut-at-success":
+            # the last success before the last cut takes over the next cut
+            k = max(k for k in range(1, cuts[-1]) if succeeded(record, k))
+            for frame in frames[k + 1:min(c for c in cuts if c > k) + 1]:
+                frame["rho"] *= THETA_RHO
+            message = f"rho reduced at successful iteration {k}"
+        elif case == "criterion-bound":
+            frames[cuts[0] + 1]["delta_frame"] = 1.0
+            bound = B_RHO * frames[cuts[0]]["rho"] ** BETA
+            message = f"iteration {cuts[0]}: delta_next 1.0 exceeds criterion bound {bound!r}"
+        elif case == "move-at-cut":
+            # index 0 enters the interior set at the first cut
+            for frame in frames[:cuts[0] + 1]:
+                frame["g_int"] = ()
+            message = f"iteration {cuts[0]}: partition switch and rho reduction in the same iteration"
+        elif case == "too-many-moves":
+            # index 0 enters at iteration 1, one move more than m = 0 allows
+            assert 1 not in cuts
+            frames[0]["g_int"] = frames[1]["g_int"] = ()
+            record.params["m"] = 0
+            message = "1 partition moves exceed the 0 inequality constraints"
+        elif case == "interior-shrinks":
+            for frame in frames[2:]:
+                frame["g_int"] = ()
+            message = "iteration 1: frame 2's g_int does not contain frame 1's"
+        else:
+            # index 1 (g = 0, never strictly feasible) enters at the last
+            # iteration, so no evaluation has a finite merit
+            last = len(frames) - 2
+            assert last not in cuts
+            frames[-1]["g_int"] = (0, 1)
+            message = f"iteration {last}: incumbent c_int 0.0 not negative"
         assert check_run_invariants(record) == ([message], [])
 
 
@@ -880,12 +973,14 @@ class TestInvariantChecker:
         record.frames[first_cut + 1]["rho"] = 0.05
         violations, _ = check_run_invariants(record)
         assert any("expected" in v for v in violations)
-        # the corrupted frame also reads as a cut at the successful
-        # iteration after it, which has no phi_prox to replay a criterion on
+        # the corrupted frame prices iteration 13 under rho = 0.05, where
+        # its poll success does not lower the merit, so 13 reads as an
+        # unsuccessful cut whose next frame misses the criterion bound
         assert violations == [
             "rho at iteration 12 is 0.05, expected 0.001",
+            "iteration 13: eval 44 is poll-success but does not lower the merit",
             "rho at iteration 13 is 0.001, expected 0.0005",
-            "rho reduced at successful iteration 13",
+            "iteration 13: delta_next 1.25 exceeds criterion bound 0.4999999985021337",
         ]
 
     def test_detects_merit_increase(self):
@@ -893,24 +988,28 @@ class TestInvariantChecker:
         x0 = initial_point(problem, "feasible-0")
         record = solve(problem, x0, SolverConfig(max_evaluations=600, seed=3))
         frames = record.frames
-        span_ids = [
-            i
-            for i, e in enumerate(record.iterations[1:], start=1)
-            if frames[e["iteration"] + 1]["rho"] == frames[e["iteration"]]["rho"]
-            and not e["partition_moved"]
-        ]
-        record.iterations[span_ids[-1]]["incumbent_merit"] += 1.0
+        # the last success row in an iteration that leaves rho and g_int as
+        # they were, its f raised
+        i = max(
+            i for i, row in enumerate(record.rows)
+            if row["status"].endswith("-success") and row["iteration"] + 1 < len(frames)
+            and frames[row["iteration"] + 1]["rho"] == frames[row["iteration"]]["rho"]
+        )
+        row = record.rows[i]
+        record.rows[i] = dict(row, f=row["f"] + 1.0)
         violations, _ = check_run_invariants(record)
-        assert violations
+        assert violations[0] == (
+            f"iteration {row['iteration']}: eval {row['eval_index']} is {row['status']} "
+            "but does not lower the merit"
+        )
 
     def test_rho_reductions_only_at_failures(self):
         problem, _ = builtin_problem("two-ring")
         x0 = initial_point(problem, "feasible-0")
         record = solve(problem, x0, SolverConfig(max_evaluations=1500, seed=5))
-        reduction_iterations = {it for it, _ in record.rho_trace}
-        for entry in record.iterations:
-            if entry["iteration"] in reduction_iterations:
-                assert not entry["success"]
+        reductions = [it for it, _ in record.rho_trace]
+        assert reductions
+        assert not any(succeeded(record, it) for it in reductions)
 
     def test_many_reductions_on_converged_run(self):
         # bounded-level-set run allowed to stop naturally shows the penalty
