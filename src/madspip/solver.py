@@ -17,6 +17,11 @@ re-prices them.
 the switch check is skipped whenever ``rho`` was just reduced, so the two
 subproblem changes stay serialized.
 
+A run's record is one event stream, ``RunRecord.events``: each frame, the
+state an iteration is priced under, followed by that iteration's rows.  A
+history is the events and a stop line, and :func:`check_run_invariants`
+replays a record, or a history read back, from its events alone.
+
 The ``extreme-barrier`` mode runs the identical loop with the merit replaced
 by ``f`` on feasible points and ``+inf`` elsewhere; it requires an
 inequality-only problem and a feasible starting point.
@@ -26,13 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .merit import (
     B_C,
-    B_INT,
     B_RHO,
     BETA,
     EPS_EXT,
@@ -116,24 +118,24 @@ class SolverConfig:
 
 @dataclass
 class RunRecord:
-    """Everything observable about one run: per-evaluation rows, the run's
-    state sequence of frames, and summary fields.  ``frames[k]`` is what
-    iteration ``k`` is priced under (0 for the start row) and
-    ``frames[k + 1]`` what it left, so ``frames[-1]`` is the state the run
-    stopped in.  The rows and frames are the whole record of the run: the
-    rho and partition traces are views of the frames, and
-    :func:`check_run_invariants` replays them with ``params``."""
+    """Everything observable about one run: its event stream and summary
+    fields.  ``events`` holds the run's frames (:func:`_append_frame`) and
+    rows (:func:`_append_row`) in the order the run made them: frame 0, the
+    start row, frame 1, iteration 1's rows, frame 2, and so on.  Frame ``k``
+    is what iteration ``k`` is priced under and frame ``k + 1`` what it left,
+    so the last frame is the state the run stopped in.  The events are the
+    whole record of the run and, with the stop line, its history: ``rows``,
+    ``frames`` and the rho and partition traces are views of them, and
+    :func:`check_run_invariants` replays them alone."""
 
     problem_name: str
     x0_id: str
     seed: int
     mode: str
     n: int
-    rows: List[dict] = field(default_factory=list)
-    frames: List[dict] = field(default_factory=list)
+    events: List[dict] = field(default_factory=list)
     outcome: str = "error"
     flags: List[str] = field(default_factory=list)
-    params: Optional[dict] = None
     evals_used: int = 0
     steps: Steps = ()  # improvement_steps of the run's evaluations
 
@@ -144,6 +146,16 @@ class RunRecord:
     @property
     def best_feasible_f(self) -> Optional[float]:
         return self.steps[-1][1] if self.steps else None
+
+    @property
+    def rows(self) -> Tuple[dict, ...]:
+        """The rows of ``events``, in order."""
+        return tuple(event for event in self.events if "eval_index" in event)
+
+    @property
+    def frames(self) -> Tuple[dict, ...]:
+        """The frames of ``events``; ``frames[k]`` is frame ``k``."""
+        return tuple(event for event in self.events if "frame" in event)
 
     @property
     def rho_trace(self) -> List[Tuple[int, float]]:
@@ -264,8 +276,7 @@ def _append_row(
     and ``failed``.  A bounds rejection (no ``evaluation``) has ``None`` for
     every evaluation field.  What the iteration priced the row under
     (``rho``, the frame size and the interior set) is the iteration's frame
-    (:func:`_append_frame`), which :func:`history_lines` writes once, before
-    the iteration's rows.
+    (:func:`_append_frame`), the last event before the iteration's rows.
 
     An evaluated row holds the cached evaluation's own ``point`` (as ``x``),
     ``g`` and ``h`` tuples, never copies, and a bounds rejection its mapped
@@ -277,7 +288,7 @@ def _append_row(
         f = g = h = eval_index = None
     else:
         f, g, h, eval_index = evaluation.f, evaluation.g, evaluation.h, evaluation.eval_index
-    state.record.rows.append({
+    state.record.events.append({
         "eval_index": eval_index,
         "x": x,
         "f": f,
@@ -292,11 +303,11 @@ def _append_row(
 def _append_frame(state: SolverState, k: int) -> None:
     """Append frame ``k``, the state iteration ``k`` is priced under; this
     is the one statement of the frame line's layout.  ``init_state``
-    appends frames 0 and 1, and iteration ``k`` appends frame ``k + 1`` as
-    it ends: a ``rho`` that differs from frame ``k``'s is a cut at
-    iteration ``k``, and an index new to ``g_int`` a move to the interior
-    set.  These frames and the rows are all that
-    :func:`check_run_invariants` replays.
+    appends frame 0 before the start row and frame 1 after it, and
+    iteration ``k`` appends frame ``k + 1`` after its rows: a ``rho`` that
+    differs from frame ``k``'s is a cut at iteration ``k``, and an index new
+    to ``g_int`` a move to the interior set.  Every frame is written to the
+    history, the one the run stopped in too.
 
     ``{"frame": k, "rho", "delta_frame", "g_int"}``: the iteration (0 for
     the start row), the ``rho`` and frame size its trial points are priced
@@ -307,7 +318,7 @@ def _append_frame(state: SolverState, k: int) -> None:
     exactly when ``f`` or an entry of ``g`` or ``h`` is ``+inf``.  The line
     carries none of the row keys ``eval_index``, ``f`` and ``status``.
     """
-    state.record.frames.append({
+    state.record.events.append({
         "frame": k,
         "rho": state.merit_params.rho if state.pip else None,
         "delta_frame": state.mesh.delta_frame,
@@ -380,17 +391,6 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
             )
         state.partition = Partition.from_initial(ev0.g)
         state.merit_params = MeritParams(rho=RHO0, b_ext=compute_b_ext(ev0.f))
-        record.params = {
-            "rho0": RHO0,
-            "theta_rho": THETA_RHO,
-            "beta": BETA,
-            "b_rho": B_RHO,
-            "b_c": B_C,
-            "b_int": B_INT,
-            "b_ext": state.merit_params.b_ext,
-            "eps_ext": EPS_EXT,
-            "m": problem.m,
-        }
     else:
         if ev0.failed:
             raise InitializationError("starting evaluation failed")
@@ -398,8 +398,8 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
             raise InitializationError("extreme-barrier mode needs a feasible starting point")
 
     state.incumbent_merit = _merit_of(state, q0, ev0)
-    _append_row(state, ev0, ev0.point, "unsuccessful", True)
     _append_frame(state, 0)
+    _append_row(state, ev0, ev0.point, "unsuccessful", True)
     _append_frame(state, 1)
     return state
 
@@ -563,44 +563,40 @@ def solve(
 
 
 def check_run_invariants(record: RunRecord):
-    """Replay a run from its frames, rows and ``params`` against the
-    convergence-theory properties; returns ``(violations, warnings)`` in
-    iteration order.
+    """Replay a run from its events alone against the convergence-theory
+    properties; returns ``(violations, warnings)`` in iteration order.
 
-    Each evaluated row is priced under its iteration's frame: in pip mode
-    ``merit`` of its ``violation_summary``, failed exactly when ``f``, ``g``
-    or ``h`` holds ``+inf``; otherwise ``f`` when :func:`is_feasible` holds
-    and ``+inf`` if not.  The start row sets the incumbent, each
-    ``*-success`` row and no other must strictly lower its merit, and one
-    that does becomes the incumbent.  In pip mode iteration ``k`` runs from
-    ``frames[k]`` to ``frames[k + 1]``: ``rho`` shrinks only by exactly
-    ``theta_rho``, at failures whose next frame size meets the criterion
-    bound on the incumbent's ``phi_prox``; ``g_int`` only grows, by at most
-    ``m`` moves and none at a cut; and the incumbent, re-picked as the
+    The replay walks ``record.events`` once, as :func:`solve` made them or
+    as a history read back without its stop line gives them, and takes its
+    inputs as the solver does: ``b_ext`` is ``compute_b_ext`` of the start
+    row's ``f``, ``m`` the length of its ``g``, and the ``rho`` update's
+    constants are ``merit``'s.  Each evaluated row is priced under the frame
+    before it: in pip mode ``merit`` of its ``violation_summary``, failed
+    exactly when ``f``, ``g`` or ``h`` holds ``+inf``; otherwise ``f`` when
+    :func:`is_feasible` holds and ``+inf`` if not.  The start row sets the
+    incumbent, each ``*-success`` row and no other must strictly lower its
+    merit, and one that does becomes the incumbent.  In pip mode frame
+    ``k + 1`` closes iteration ``k`` and prices iteration ``k + 1``: ``rho``
+    shrinks only by exactly ``THETA_RHO``, at failures whose next frame size
+    meets the criterion bound on the incumbent's ``phi_prox``; ``g_int``
+    only grows, and not at a cut; and the incumbent, re-picked as the
     earliest minimizer of every evaluation so far when ``rho`` or ``g_int``
     changes, stays strictly interior.  The late-run frame-feasibility
     property is asymptotic: a late cut's evaluated row whose ``c_int`` is
     not negative gives a warning, not a violation.
     """
     violations, warnings = [], []
-    rows, frames, params = record.rows, record.frames, record.params
-    if not rows:
+    events = record.events
+    if not events:
         return violations, warnings
     pip = record.mode == MODE_PIP
-    m = len(rows[0]["g"])
-    completed = len(frames) - 2  # the iterations that left a frame
+    start = events[1]  # after frame 0
+    m, b_ext = len(start["g"]), compute_b_ext(start["f"]) if pip else None
+    completed = len(record.frames) - 2  # the iterations that left a frame
     evaluations, terms = [], []  # each one's (f, g, h, failed), and terms under partition
-    partition = merit_params = None
-    incumbent, best, moves = 0, _INF, 0
-
-    def enter(frame):
-        """Price under ``frame``'s ``rho`` and interior set."""
-        nonlocal partition, merit_params, terms
-        merit_params = MeritParams(frame["rho"], params["b_ext"])
-        g_int = tuple(frame["g_int"])
-        if partition is None or g_int != partition.g_int:
-            partition = Partition(g_int, [i for i in range(m) if i not in g_int])
-            terms = [violation_summary(g, h, partition, failed) for _, g, h, failed in evaluations]
+    frame = partition = merit_params = None
+    k, incumbent, best = 0, 0, _INF
+    succeeded, cints = False, []
 
     def price(e):
         f, g, h, failed = evaluations[e]
@@ -608,15 +604,12 @@ def check_run_invariants(record: RunRecord):
             return f if is_feasible(Evaluation((), f, g, h, e, failed)) else _INF
         return merit(f, terms[e][1], terms[e][2], merit_params)
 
-    for k, group in groupby(rows, itemgetter("iteration")):
-        if pip:
-            enter(frames[k])
-        succeeded, cints = False, []
-        for row in group:
-            e, status, value = row["eval_index"], row["status"], _INF
+    for event in events:
+        if "frame" not in event:  # a row of iteration k
+            e, status, value = event["eval_index"], event["status"], _INF
             if e is not None:
                 if e == len(evaluations):
-                    f, g, h = row["f"], row["g"], row["h"]
+                    f, g, h = event["f"], event["g"], event["h"]
                     failed = f == _INF or _INF in g or _INF in h  # only a failure stores +inf
                     evaluations.append((f, g, h, failed))
                     if pip:
@@ -632,47 +625,50 @@ def check_run_invariants(record: RunRecord):
                 )
             if value < best:
                 incumbent, best, succeeded = e, value, True
-        if not pip or not 0 < k <= completed:
             continue
 
-        before, after = frames[k], frames[k + 1]
-        rho_before, rho = before["rho"], after["rho"]
-        g_int, g_next = tuple(before["g_int"]), tuple(after["g_int"])
-        moved = [i for i in g_next if i not in g_int]
-        moves += len(moved)
-        if not set(g_int) <= set(g_next):
-            violations.append(f"iteration {k}: frame {k + 1}'s g_int does not contain frame {k}'s")
-        if rho != rho_before:
-            expected = rho_before * params["theta_rho"]
-            if rho != expected:
-                violations.append(f"rho at iteration {k} is {rho!r}, expected {expected!r}")
-            phi = terms[incumbent][0]
-            bound = min(params["b_rho"] * rho_before ** params["beta"], params["b_c"] * phi * phi)
-            if succeeded:
-                violations.append(f"rho reduced at successful iteration {k}")
-            elif not after["delta_frame"] <= bound:
-                violations.append(
-                    f"iteration {k}: delta_next {after['delta_frame']!r} exceeds criterion bound {bound!r}"
-                )
-            violations.extend(
-                f"iteration {k}: partition switch and rho reduction in the same iteration" for _ in moved
-            )
-            if k >= completed * 3 / 4:
-                warnings.extend(
-                    f"iteration {k}: evaluated frame point with c_int {cint!r} (late-run frame not strictly interior)"
-                    for cint in cints if not cint < 0.0
-                )
-        if rho != rho_before or g_next != g_int:
-            enter(after)
-            values = [price(e) for e in range(len(evaluations))]
-            best = min(values)
-            if best < _INF:  # else the incumbent stays, as reselect_incumbent keeps it
-                incumbent = values.index(best)
-        if not terms[incumbent][1] < 0.0:
-            violations.append(f"iteration {k}: incumbent c_int {terms[incumbent][1]!r} not negative")
-
-    if pip and moves > params["m"]:
-        violations.append(f"{moves} partition moves exceed the {params['m']} inequality constraints")
+        if pip:  # frame k + 1 closes iteration k, then prices iteration k + 1
+            rho, g_next = event["rho"], tuple(event["g_int"])
+            changed = False
+            if k > 0:
+                rho_before, g_int = frame["rho"], tuple(frame["g_int"])
+                changed = rho != rho_before or g_next != g_int
+                if not set(g_int) <= set(g_next):
+                    violations.append(f"iteration {k}: frame {k + 1}'s g_int does not contain frame {k}'s")
+                if rho != rho_before:
+                    expected = rho_before * THETA_RHO
+                    if rho != expected:
+                        violations.append(f"rho at iteration {k} is {rho!r}, expected {expected!r}")
+                    phi = terms[incumbent][0]
+                    bound = min(B_RHO * rho_before**BETA, B_C * phi * phi)
+                    if succeeded:
+                        violations.append(f"rho reduced at successful iteration {k}")
+                    elif not event["delta_frame"] <= bound:
+                        violations.append(
+                            f"iteration {k}: delta_next {event['delta_frame']!r} exceeds criterion bound {bound!r}"
+                        )
+                    violations.extend(
+                        f"iteration {k}: partition switch and rho reduction in the same iteration"
+                        for i in g_next if i not in g_int
+                    )
+                    if k >= completed * 3 / 4:
+                        warnings.extend(
+                            f"iteration {k}: evaluated frame point with c_int {cint!r} (late-run frame not strictly interior)"
+                            for cint in cints if not cint < 0.0
+                        )
+            merit_params = MeritParams(rho, b_ext)
+            if partition is None or g_next != partition.g_int:
+                partition = Partition(g_next, [i for i in range(m) if i not in g_next])
+                terms = [violation_summary(g, h, partition, failed) for _, g, h, failed in evaluations]
+            if changed:
+                values = [price(e) for e in range(len(evaluations))]
+                best = min(values)
+                if best < _INF:  # else the incumbent stays, as reselect_incumbent keeps it
+                    incumbent = values.index(best)
+            if k > 0 and not terms[incumbent][1] < 0.0:
+                violations.append(f"iteration {k}: incumbent c_int {terms[incumbent][1]!r} not negative")
+        frame, k = event, event["frame"]
+        succeeded, cints = False, []
     return violations, warnings
 
 
@@ -699,29 +695,22 @@ def stop_line(record: RunRecord, builtin: bool) -> dict:
 
 
 def history_lines(record: RunRecord, builtin: bool) -> Iterator[dict]:
-    """The lines of a finished run's history, in order.
-
-    Each iteration that has rows opens with its frame line,
-    ``record.frames[k]`` (:func:`_append_frame`); the iteration's rows
-    (:func:`_append_row`) follow, and :func:`stop_line` ends the history.
-    An error record has no rows and gives no lines.
+    """The lines of a finished run's history, in order: ``record.events``,
+    then :func:`stop_line`.  Read back without its stop line, a history is
+    the run's events again.  An error record has no events and gives no
+    lines.
     """
     if record.outcome == "error":
         return
-    frame = None
-    for row in record.rows:
-        it = row["iteration"]
-        if it != frame:
-            frame = it
-            yield record.frames[it]
-        yield row
+    yield from record.events
     yield stop_line(record, builtin)
 
 
 def summary_line(record: RunRecord) -> str:
     """One human-readable line per run for console output."""
     best = "none" if record.best_feasible_f is None else f"{record.best_feasible_f:.10g}"
-    last = record.frames[-1] if record.frames else {"rho": None, "delta_frame": None}
+    frames = record.frames
+    last = frames[-1] if frames else {"rho": None, "delta_frame": None}
     rho = "-" if last["rho"] is None else f"{last['rho']:.3g}"
     delta = "-" if last["delta_frame"] is None else f"{last['delta_frame']:.3g}"
     return (

@@ -9,7 +9,10 @@ helper for the tests that hold the compact form to the pins of the full one."""
 import json
 import math
 
-from madspip.merit import MeritParams, Partition, merit, violation_summary
+from madspip.merit import (
+    B_C, B_INT, B_RHO, BETA, EPS_EXT, RHO0, THETA_RHO, MeritParams, Partition, compute_b_ext, merit,
+    violation_summary,
+)
 from madspip.problem import Evaluation, is_feasible
 
 FULL_ROW_KEYS = (
@@ -58,16 +61,38 @@ def expand(lines):
     return out
 
 
+def params_of(record):
+    """The nine run parameters that records held before the replay took
+    them from the start row and ``merit``'s constants, for a pip run, and
+    ``None`` otherwise."""
+    if record.mode != "pip":
+        return None
+    start = record.rows[0]
+    return {
+        "rho0": RHO0,
+        "theta_rho": THETA_RHO,
+        "beta": BETA,
+        "b_rho": B_RHO,
+        "b_c": B_C,
+        "b_int": B_INT,
+        "b_ext": compute_b_ext(start["f"]),
+        "eps_ext": EPS_EXT,
+        "m": len(start["g"]),
+    }
+
+
 def expand_iterations(record):
     """A record's iteration entries with the full entry keys, one per
     completed iteration ``k``, rebuilt from ``frames[k]``, ``frames[k + 1]``
     and the rows: the success is the iteration's ``*-success`` row, and a
     ``rho`` cut or partition move re-picks the incumbent as the earliest
-    minimizer, under the next frame, of every evaluation so far."""
-    frames, pip = record.frames, record.mode == "pip"
+    minimizer, under the next frame, of every evaluation so far.  ``b_ext``
+    comes from the start row's ``f``."""
+    frames, rows, pip = record.frames, record.rows, record.mode == "pip"
+    b_ext = compute_b_ext(rows[0]["f"]) if rows else None
     evaluations = []  # each evaluation's first row, in evaluation order
     successes = {}
-    for row in record.rows:
+    for row in rows:
         if row["eval_index"] == len(evaluations):
             evaluations.append(row)
         if row["status"].endswith("-success"):
@@ -78,10 +103,10 @@ def expand_iterations(record):
             evaluation = Evaluation(row["x"], row["f"], row["g"], row["h"], row["eval_index"], _failed(row))
             return row["f"] if is_feasible(evaluation) else math.inf
         _, cint, cext = _terms(row, frame)
-        return merit(row["f"], cint, cext, MeritParams(frame["rho"], record.params["b_ext"]))
+        return merit(row["f"], cint, cext, MeritParams(frame["rho"], b_ext))
 
     out = []
-    incumbent = record.rows[0] if record.rows else None
+    incumbent = rows[0] if rows else None
     for k in range(1, len(frames) - 1):
         before, after = frames[k], frames[k + 1]
         success = successes.get(k)

@@ -360,7 +360,7 @@ class TestRunMatrix:
         records = run_matrix([(good, "pip"), (bad, "pip")], budget=40)
         assert records[good.problem.name, good.x0_id, 1, "pip"].outcome != "error"
         record = records[problem.name, "feasible-1", 1, "pip"]
-        assert record.outcome == "error" and record.rows == []
+        assert record.outcome == "error" and record.rows == ()
         assert any("not finite" in flag for flag in record.flags)
 
     def test_rerun_identical(self):

@@ -37,6 +37,16 @@ def rows_without_stop(data: bytes) -> bytes:
     return rows + b"\n"
 
 
+def without_stopping_frame(data: bytes) -> bytes:
+    """A history's bytes without the frame line of the state its run stopped
+    in when no row follows that line, as histories were written before
+    every frame was."""
+    lines = data.splitlines(keepends=True)
+    if len(lines) >= 2 and "frame" in json.loads(lines[-2]):
+        del lines[-2]
+    return b"".join(lines)
+
+
 def machine_line(out: str) -> dict:
     return json.loads(out.strip().splitlines()[0])
 
@@ -511,6 +521,9 @@ class TestBenchCommand:
     # the same 20 histories expanded, stop lines included
     HISTORY_WITH_STOP_SHA256 = "317ee5518765fc53a29de4f11d145b8a5843adfc8c6f908f2dc25030d24f9e77"
     # the same 20 histories as written: frame lines, rows and stop lines
+    WRITTEN_HISTORY_SHA256 = "1887d949ea8c108405cb68735de942709b03e9a97b71f6daa852452c353d9d66"
+    # the same 20 histories with each last frame line that no row follows
+    # removed, as they were written before every frame was
     COMPACT_HISTORY_SHA256 = "3040c606f49bb42abc2fa0ab3f33aab038d24b8a3e784b9a028219d6b2563b93"
     # the bench's stdout between its machine line and its last line (both
     # name the output directory): the 20 per-run summary lines, each with
@@ -530,9 +543,11 @@ class TestBenchCommand:
         assert hashlib.sha256(summaries.encode()).hexdigest() == self.BENCH_STDOUT_SHA256
         paths = sorted(out_dir.glob("*.jsonl"), key=lambda p: p.name)
         assert len(paths) == 20
-        compact = [p.read_bytes() for p in paths]
+        written = [p.read_bytes() for p in paths]
+        assert hashlib.sha256(b"".join(written)).hexdigest() == self.WRITTEN_HISTORY_SHA256
+        compact = [without_stopping_frame(data) for data in written]
         assert hashlib.sha256(b"".join(compact)).hexdigest() == self.COMPACT_HISTORY_SHA256
-        whole = [expanded_bytes(data) for data in compact]
+        whole = [expanded_bytes(data) for data in written]
         assert hashlib.sha256(b"".join(whole)).hexdigest() == self.HISTORY_WITH_STOP_SHA256
         digest = hashlib.sha256(b"".join(rows_without_stop(data) for data in whole)).hexdigest()
         assert digest == self.HISTORY_SHA256

@@ -33,7 +33,7 @@ from madspip.solver import (
 )
 from madspip.suite import Instance, builtin_problem, builtin_problems, initial_point, x0_ids
 
-from history_expansion import expand, expand_iterations
+from history_expansion import expand, expand_iterations, params_of
 
 INF = math.inf
 
@@ -594,7 +594,7 @@ class TestSolve:
         # a run that cannot start has no frames
         instance = Instance(problem, "infeasible-0", initial_point(problem, "infeasible-0"), 1)
         (record,) = run_matrix([(instance, MODE_EXTREME_BARRIER)], 50).values()
-        assert record.outcome == "error" and record.frames == []
+        assert record.outcome == "error" and record.frames == ()
         assert summary_line(record).endswith(" rho=- delta=- outcome=error")
 
 
@@ -625,10 +625,9 @@ class TestFrames:
             # or not
             assert record.rows[-1]["iteration"] in (len(frames) - 2, len(frames) - 1)
             assert (frames[-1]["delta_frame"] < DELTA_STOP) == (record.outcome == "delta-converged")
-            # history_lines writes the frame of each iteration that has rows
+            # history_lines writes every frame, the one the run stopped in too
             lines = list(history_lines(record, True))
-            with_rows = sorted({row["iteration"] for row in record.rows})
-            assert [line for line in lines if "frame" in line] == [frames[k] for k in with_rows]
+            assert [line for line in lines if "frame" in line] == list(frames)
             for frame in frames:
                 assert (frame["rho"] is None) == (frame["g_int"] is None) == (not pip)
             # the start row is priced as iteration 1 is
@@ -640,7 +639,7 @@ class TestFrames:
                 changed = after["rho"] != before["rho"]
                 assert changed == (entry["iteration"] in cuts)
                 if pip:
-                    params = MeritParams(before["rho"], record.params["b_ext"])
+                    params = MeritParams(before["rho"], params_of(record)["b_ext"])
                     fires = not entry["success"] and penalty_update_check(
                         after["delta_frame"], entry["phi_prox"], params
                     )
@@ -695,8 +694,9 @@ class TestExtremeBarrier:
         problem, _ = builtin_problem("unit-disk")
         config = SolverConfig(max_evaluations=1500, seed=1, mode=MODE_EXTREME_BARRIER)
         record = solve(problem, initial_point(problem, "feasible-0"), config)
-        i, row = next((i, row) for i, row in enumerate(record.rows) if row["status"] == "poll-success")
-        record.rows[i] = dict(row, status="unsuccessful")
+        events = record.events
+        i, row = next((i, row) for i, row in enumerate(events) if row.get("status") == "poll-success")
+        events[i] = dict(row, status="unsuccessful")
         assert check_run_invariants(record) == (
             [f"iteration {row['iteration']}: eval {row['eval_index']} lowers the merit but is unsuccessful"],
             [],
@@ -732,9 +732,9 @@ PINNED_TRACES = {
 }
 
 # (problem, x0_id, mode): SHA-256 of a run's rows (expanded back to the
-# full layout), iterations, params and invariant verdicts, encoded as JSON,
-# at seed 5 and budget 1500; a run that cannot start is pinned by its error
-# text
+# full layout), iterations, params (history_expansion.params_of) and
+# invariant verdicts, encoded as JSON, at seed 5 and budget 1500; a run that
+# cannot start is pinned by its error text
 PINNED_RUNS = {
     ("unit-disk", "feasible-0", "pip"): "f9ad0d7e4a17b40be7cd3fd627b8192ee818c4dc514b827718247e5227dd4cd4",
     ("unit-disk", "feasible-0", "extreme-barrier"): "d39a9b9ecc480143193a60c3e285ae461e60ced0aa44b134bd4e3e3bedf40263",
@@ -768,7 +768,7 @@ def _run_digest(record):
     # the full layouts they were pinned in
     rows = expand(history_lines(record, True))[:-1]
     blob = json.dumps(
-        [rows, expand_iterations(record), record.params, check_run_invariants(record)],
+        [rows, expand_iterations(record), params_of(record), check_run_invariants(record)],
         separators=(",", ":"),
     )
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -808,27 +808,34 @@ class TestPinnedTraces:
                         seen[problem.name, x0_id, mode] = _run_digest(record)
         assert seen == PINNED_RUNS
 
-    def test_replay_needs_only_the_history(self, tmp_path):
-        # a record rebuilt from the frame lines and rows of its written
-        # history, its params, and the frame it stopped in when no row
-        # follows that frame, replays to the same verdict
+    @pytest.mark.parametrize("budget", [1, 37, 1500])
+    def test_replay_needs_only_the_history(self, tmp_path, budget):
+        # the written history, stop line aside, is the run's events, last
+        # frame included (at budget 1 that is frame 1, with no row after
+        # it), and a record of the events read back replays to the
+        # in-memory verdict
+        replayed = 0
         for problem, _ in builtin_problems():
             for x0_id in ("feasible-0", "infeasible-0"):
-                config = SolverConfig(max_evaluations=1500, seed=5)
-                record = solve(problem, initial_point(problem, x0_id), config, x0_id=x0_id)
-                path = tmp_path / f"{problem.name}-{x0_id}.jsonl"
-                write_history(history_lines(record, True), path)
-                lines = read_history(path)
-                frames = [line for line in lines if "frame" in line]
-                if frames[-1]["frame"] < len(record.frames) - 1:
-                    frames.append(record.frames[-1])
-                assert len(frames) == len(record.frames)
-                rebuilt = RunRecord(
-                    problem.name, x0_id, 5, MODE_PIP, problem.n,
-                    rows=[line for line in lines if "eval_index" in line],
-                    frames=frames, params=record.params,
-                )
-                assert check_run_invariants(rebuilt) == check_run_invariants(record)
+                for mode in (MODE_PIP, MODE_EXTREME_BARRIER):
+                    config = SolverConfig(max_evaluations=budget, seed=5, mode=mode)
+                    try:
+                        record = solve(problem, initial_point(problem, x0_id), config, x0_id=x0_id)
+                    except InitializationError:
+                        continue
+                    path = tmp_path / f"{problem.name}-{x0_id}-{mode}.jsonl"
+                    write_history(history_lines(record, True), path)
+                    *events, stop = read_history(path)
+                    assert "stop" in stop
+                    assert events == json.loads(json.dumps(record.events))
+                    last = [line for line in events if "frame" in line][-1]
+                    assert last == json.loads(json.dumps(record.frames[-1]))
+                    if budget == 1:
+                        assert events[-1] == last and last["frame"] == 1
+                    rebuilt = RunRecord(*record.key, record.n, events=events)
+                    assert check_run_invariants(rebuilt) == check_run_invariants(record)
+                    replayed += 1
+        assert replayed == 15  # 12 pip runs, 3 extreme-barrier
 
     @staticmethod
     def _cut_run():
@@ -842,18 +849,20 @@ class TestPinnedTraces:
 
     def test_corrupted_run_verdicts(self):
         record = self._cut_run()
-        rows = record.rows
+        events = record.events
 
         def first(k, success):
-            # the index of iteration k's first success row, or first
+            # the event index of iteration k's first success row, or first
             # unsuccessful one
             statuses = ("search-success", "poll-success") if success else ("unsuccessful",)
-            return next(i for i, row in enumerate(rows) if row["iteration"] == k and row["status"] in statuses)
+            return next(
+                i for i, row in enumerate(events) if row.get("iteration") == k and row["status"] in statuses
+            )
 
         for i, status in ((first(13, True), "unsuccessful"), (first(48, False), "poll-success")):
-            rows[i] = dict(rows[i], status=status)
+            events[i] = dict(events[i], status=status)
         i = first(100, True)
-        rows[i] = dict(rows[i], f=rows[i]["f"] + 1.0)
+        events[i] = dict(events[i], f=events[i]["f"] + 1.0)
         record.frames[13]["delta_frame"] = 1.0
         violations, warnings = check_run_invariants(record)
         assert violations == [
@@ -879,20 +888,20 @@ class TestPinnedTraces:
 
     @pytest.mark.parametrize("case", [
         "lowers-but-unsuccessful", "success-not-lowering", "contraction", "cut-at-success",
-        "criterion-bound", "move-at-cut", "too-many-moves", "interior-shrinks",
-        "incumbent-not-interior",
+        "criterion-bound", "move-at-cut", "interior-shrinks", "incumbent-not-interior",
     ])
     def test_each_corruption_gives_its_one_message(self, case):
         record = self._flat_run()
-        rows, frames = record.rows, record.frames
+        events, frames = record.events, record.frames
         cuts = [k for k, _ in record.rho_trace]
         if case == "lowers-but-unsuccessful":
-            i, row = next((i, row) for i, row in enumerate(rows) if row["status"] == "poll-success")
-            rows[i] = dict(row, status="unsuccessful")
+            i, row = next((i, row) for i, row in enumerate(events) if row.get("status") == "poll-success")
+            events[i] = dict(row, status="unsuccessful")
             message = f"iteration {row['iteration']}: eval {row['eval_index']} lowers the merit but is unsuccessful"
         elif case == "success-not-lowering":
-            i, row = next((i, row) for i, row in enumerate(rows[1:], 1) if row["status"] == "unsuccessful")
-            rows[i] = dict(row, status="poll-success")
+            # past frame 0 and the start row
+            i, row = next((i, row) for i, row in enumerate(events[2:], 2) if row.get("status") == "unsuccessful")
+            events[i] = dict(row, status="poll-success")
             message = f"iteration {row['iteration']}: eval {row['eval_index']} is poll-success but does not lower the merit"
         elif case == "contraction":
             # every frame after the last cut at half its rho
@@ -915,12 +924,6 @@ class TestPinnedTraces:
             for frame in frames[:cuts[0] + 1]:
                 frame["g_int"] = ()
             message = f"iteration {cuts[0]}: partition switch and rho reduction in the same iteration"
-        elif case == "too-many-moves":
-            # index 0 enters at iteration 1, one move more than m = 0 allows
-            assert 1 not in cuts
-            frames[0]["g_int"] = frames[1]["g_int"] = ()
-            record.params["m"] = 0
-            message = "1 partition moves exceed the 0 inequality constraints"
         elif case == "interior-shrinks":
             for frame in frames[2:]:
                 frame["g_int"] = ()
@@ -957,10 +960,10 @@ class TestInvariantChecker:
         # a strictly interior frame point whose f came back NaN is stored
         # as a failure, f = +inf beside finite g, and its c_int is +inf
         i, row = next(
-            (i, row) for i, row in enumerate(record.rows)
-            if row["iteration"] == 134 and row["eval_index"] is not None and row["g"][0] < 0.0
+            (i, row) for i, row in enumerate(record.events)
+            if row.get("iteration") == 134 and row["eval_index"] is not None and row["g"][0] < 0.0
         )
-        record.rows[i] = dict(row, f=INF, status="failed")
+        record.events[i] = dict(row, f=INF, status="failed")
         assert sorted(check_run_invariants(record)[1]) == [
             late.format("4.146211152189494e-10"), late.format("inf"),
         ]
@@ -991,12 +994,12 @@ class TestInvariantChecker:
         # the last success row in an iteration that leaves rho and g_int as
         # they were, its f raised
         i = max(
-            i for i, row in enumerate(record.rows)
-            if row["status"].endswith("-success") and row["iteration"] + 1 < len(frames)
+            i for i, row in enumerate(record.events)
+            if row.get("status") in ("search-success", "poll-success") and row["iteration"] + 1 < len(frames)
             and frames[row["iteration"] + 1]["rho"] == frames[row["iteration"]]["rho"]
         )
-        row = record.rows[i]
-        record.rows[i] = dict(row, f=row["f"] + 1.0)
+        row = record.events[i]
+        record.events[i] = dict(row, f=row["f"] + 1.0)
         violations, _ = check_run_invariants(record)
         assert violations[0] == (
             f"iteration {row['iteration']}: eval {row['eval_index']} is {row['status']} "

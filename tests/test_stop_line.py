@@ -76,7 +76,7 @@ def test_every_line_is_a_row_a_frame_or_the_last_stop(bench_dir):
         frame = -1
         for line in body:
             if list(line) == FRAME_KEYS:
-                assert line["frame"] > frame, path.name  # one per iteration
+                assert line["frame"] == frame + 1, path.name  # every frame, in order
                 frame = line["frame"]
             else:
                 assert list(line) == ROW_KEYS, path.name
@@ -86,7 +86,7 @@ def test_every_line_is_a_row_a_frame_or_the_last_stop(bench_dir):
 
 
 def test_rows_are_written_as_without_a_stop(tmp_path):
-    # a history is the rows, each iteration's opened by its frame line, and
+    # a history is the run's events, its rows and every frame line, and
     # then the stop line
     problem, _ = builtin_problems()[0]
     record = solve(problem, initial_point(problem, "feasible-0"), SolverConfig(60, seed=3))
@@ -96,7 +96,7 @@ def test_rows_are_written_as_without_a_stop(tmp_path):
     both = (tmp_path / "both.jsonl").read_bytes().splitlines(keepends=True)
     assert [line for line in both[:-1] if b'"frame"' not in line] == rows
     frames = [json.loads(line) for line in both[:-1] if b'"frame"' in line]
-    assert [frame["frame"] for frame in frames] == sorted({row["iteration"] for row in record.rows})
+    assert frames == json.loads(json.dumps(record.frames))
     stop = json.loads(both[-1])
     assert stop == {
         "stop": record.outcome, "n": 2, "count": record.evals_used,
