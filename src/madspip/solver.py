@@ -265,18 +265,17 @@ def _append_row(
     evaluation: Optional[Evaluation],
     x: Tuple[float, ...],
     status: str,
-    incumbent: bool,
 ) -> None:
     """Append one history row; this is the one statement of the row layout.
 
     A row holds one evaluation's own facts, keys in this order:
-    ``eval_index``, ``x``, ``f``, ``g``, ``h``, ``incumbent``, ``iteration``
-    and ``status``.  ``status`` is one of ``search-success``,
-    ``poll-success``, ``unsuccessful``, ``cache-hit``, ``rejected-bounds``
-    and ``failed``.  A bounds rejection (no ``evaluation``) has ``None`` for
-    every evaluation field.  What the iteration priced the row under
-    (``rho``, the frame size and the interior set) is the iteration's frame
-    (:func:`_append_frame`), the last event before the iteration's rows.
+    ``eval_index``, ``x``, ``f``, ``g``, ``h`` and ``status``, one of
+    ``search-success``, ``poll-success``, ``unsuccessful``, ``cache-hit``,
+    ``rejected-bounds`` and ``failed``; a bounds rejection (no
+    ``evaluation``) has ``None`` for every evaluation field.  Its iteration
+    and ``rho``, frame size and interior set are the last frame's before it
+    (:func:`_append_frame`); the start row and ``*-success`` rows made
+    their point the incumbent.
 
     An evaluated row holds the cached evaluation's own ``point`` (as ``x``),
     ``g`` and ``h`` tuples, never copies, and a bounds rejection its mapped
@@ -288,16 +287,9 @@ def _append_row(
         f = g = h = eval_index = None
     else:
         f, g, h, eval_index = evaluation.f, evaluation.g, evaluation.h, evaluation.eval_index
-    state.record.events.append({
-        "eval_index": eval_index,
-        "x": x,
-        "f": f,
-        "g": g,
-        "h": h,
-        "incumbent": incumbent,
-        "iteration": state.iteration,
-        "status": status,
-    })
+    state.record.events.append(
+        {"eval_index": eval_index, "x": x, "f": f, "g": g, "h": h, "status": status}
+    )
 
 
 def _append_frame(state: SolverState, k: int) -> None:
@@ -399,7 +391,7 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
 
     state.incumbent_merit = _merit_of(state, q0, ev0)
     _append_frame(state, 0)
-    _append_row(state, ev0, ev0.point, "unsuccessful", True)
+    _append_row(state, ev0, ev0.point, "unsuccessful")
     _append_frame(state, 1)
     return state
 
@@ -458,7 +450,7 @@ def _try_candidate(
     if x is None:
         x = _point_of(state, q)
         if not state.problem.contains(x):
-            _append_row(state, None, tuple(x), "rejected-bounds", False)
+            _append_row(state, None, tuple(x), "rejected-bounds")
             return False, None, None
     cache = state.cache
     count = len(cache.entries)
@@ -479,7 +471,7 @@ def _try_candidate(
         status = "failed"
     else:
         status = "unsuccessful"
-    _append_row(state, ev, ev.point, status, improving)
+    _append_row(state, ev, ev.point, status)
     return improving, ev, value
 
 
@@ -567,7 +559,7 @@ def check_run_invariants(record: RunRecord):
     properties; returns ``(violations, warnings)`` in iteration order.
 
     The replay walks ``record.events`` once, as :func:`solve` made them or
-    as a history read back without its stop line gives them, and takes its
+    as a history read back gives them, stop line or not, and takes its
     inputs as the solver does: ``b_ext`` is ``compute_b_ext`` of the start
     row's ``f``, ``m`` the length of its ``g``, and the ``rho`` update's
     constants are ``merit``'s.  Each evaluated row is priced under the frame
@@ -583,12 +575,17 @@ def check_run_invariants(record: RunRecord):
     earliest minimizer of every evaluation so far when ``rho`` or ``g_int``
     changes, stays strictly interior.  The late-run frame-feasibility
     property is asymptotic: a late cut's evaluated row whose ``c_int`` is
-    not negative gives a warning, not a violation.
+    not negative gives a warning, not a violation.  Events that do not
+    start with frame 0 and the start row give that one violation.
     """
     violations, warnings = [], []
     events = record.events
-    if not events:
+    if not events:  # an error record
         return violations, warnings
+    if "stop" in events[-1]:  # a history read back whole
+        events = events[:-1]
+    if len(events) < 2 or events[0].get("frame") != 0 or events[1].get("eval_index") != 0:
+        return ["the events do not start with frame 0 and the start row"], warnings
     pip = record.mode == MODE_PIP
     start = events[1]  # after frame 0
     m, b_ext = len(start["g"]), compute_b_ext(start["f"]) if pip else None

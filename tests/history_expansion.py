@@ -1,10 +1,12 @@
-"""A compact history expanded back to the 12-key rows that histories held
-before frame lines: each row gets ``rho`` and ``delta_frame`` from the frame
-line before it, and ``cint`` and ``cext`` recomputed from its own ``g`` and
-``h`` under that frame's interior set.  Iteration entries are rebuilt from
-the frames and rows alone, to the 12 keys they held before frames: a test-side
-reference reader, written apart from ``check_run_invariants``'s replay.  A
-helper for the tests that hold the compact form to the pins of the full one."""
+"""A compact history expanded back to the layouts histories held before: the
+8-key rows of frame-line histories get ``iteration`` back from the frame line
+before them and ``incumbent`` from their status, and the 12-key rows of
+histories before frame lines get ``rho`` and ``delta_frame`` from that frame
+line too, with ``cint`` and ``cext`` recomputed from their own ``g`` and ``h``
+under its interior set.  Iteration entries are rebuilt from the frames and
+rows alone, to the 12 keys they held before frames: a test-side reference
+reader, written apart from ``check_run_invariants``'s replay.  A helper for
+the tests that hold the compact form to the pins of the full one."""
 
 import json
 import math
@@ -19,6 +21,8 @@ FULL_ROW_KEYS = (
     "eval_index", "x", "f", "g", "h", "cint", "cext", "rho",
     "delta_frame", "incumbent", "iteration", "status",
 )
+
+EIGHT_ROW_KEYS = ("eval_index", "x", "f", "g", "h", "incumbent", "iteration", "status")
 
 FULL_ENTRY_KEYS = (
     "iteration", "success", "kind", "incumbent_eval_index", "incumbent_merit",
@@ -40,13 +44,32 @@ def _terms(row, frame):
     return violation_summary(g, row["h"], partition, _failed(row))
 
 
+def with_row_keys(lines):
+    """The lines of a history, in memory or read back, with each row given
+    back the ``incumbent`` and ``iteration`` keys that rows held before they
+    held only their evaluation's facts, at their old positions: ``iteration``
+    is the preceding frame line's ``frame``, and ``incumbent`` holds for the
+    start row (the row after frame 0) and every ``*-success`` row.  Other
+    lines pass unchanged, so event indices stay."""
+    out = []
+    k = None
+    for line in lines:
+        if "frame" in line:
+            k = line["frame"]
+        elif "eval_index" in line:
+            row = dict(line, incumbent=k == 0 or line["status"].endswith("-success"), iteration=k)
+            line = {key: row[key] for key in EIGHT_ROW_KEYS}
+        out.append(line)
+    return out
+
+
 def expand(lines):
     """The lines of a history, in memory or read back, with each frame line
     dropped and each row expanded to the full row; other lines (the stop
     line) pass unchanged."""
     out = []
     frame = None
-    for line in lines:
+    for line in with_row_keys(lines):
         if "frame" in line:
             frame = line
             continue
@@ -88,7 +111,8 @@ def expand_iterations(record):
     ``rho`` cut or partition move re-picks the incumbent as the earliest
     minimizer, under the next frame, of every evaluation so far.  ``b_ext``
     comes from the start row's ``f``."""
-    frames, rows, pip = record.frames, record.rows, record.mode == "pip"
+    frames, pip = record.frames, record.mode == "pip"
+    rows = [line for line in with_row_keys(record.events) if "eval_index" in line]
     b_ext = compute_b_ext(rows[0]["f"]) if rows else None
     evaluations = []  # each evaluation's first row, in evaluation order
     successes = {}
@@ -136,9 +160,19 @@ def expand_iterations(record):
     return out
 
 
-def expanded_bytes(data: bytes) -> bytes:
-    """A history file's bytes as the full-row writer wrote them."""
+def _rewritten(data, layout):
     lines = [json.loads(text) for text in data.decode("utf-8").splitlines() if text.strip()]
     return b"".join(
-        json.dumps(line, separators=(",", ":")).encode() + b"\n" for line in expand(lines)
+        json.dumps(line, separators=(",", ":")).encode() + b"\n" for line in layout(lines)
     )
+
+
+def expanded_bytes(data: bytes) -> bytes:
+    """A history file's bytes as the full-row writer wrote them."""
+    return _rewritten(data, expand)
+
+
+def bytes_with_row_keys(data: bytes) -> bytes:
+    """A history file's bytes as the 8-key row writer wrote them, frame and
+    stop lines included."""
+    return _rewritten(data, with_row_keys)

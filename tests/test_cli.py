@@ -18,7 +18,7 @@ import madspip.suite
 from madspip.cli import main, _read_config_file, _parse_history_name, _run_name
 from madspip.suite import check_name_part, load_problem_file
 
-from history_expansion import expanded_bytes
+from history_expansion import bytes_with_row_keys, expanded_bytes
 
 
 def run_cli(capsys, *argv):
@@ -520,9 +520,14 @@ class TestBenchCommand:
     HISTORY_SHA256 = "45fa419510397c9f84ee0364cbd01bce0ff3711766a453498db0102aea997f5d"
     # the same 20 histories expanded, stop lines included
     HISTORY_WITH_STOP_SHA256 = "317ee5518765fc53a29de4f11d145b8a5843adfc8c6f908f2dc25030d24f9e77"
-    # the same 20 histories as written: frame lines, rows and stop lines
+    # the same 20 histories as written: frame lines, 6-key rows and stop
+    # lines
+    SIX_KEY_HISTORY_SHA256 = "29bea1a01c0b21bbc3fba334b7a1cf2024d19c8edd1b08dc3c4cc6c76e4dfc54"
+    # the same 20 histories with each row given back its incumbent and
+    # iteration keys (history_expansion.bytes_with_row_keys), as they were
+    # written while rows held 8 keys
     WRITTEN_HISTORY_SHA256 = "1887d949ea8c108405cb68735de942709b03e9a97b71f6daa852452c353d9d66"
-    # the same 20 histories with each last frame line that no row follows
+    # those 8-key histories with each last frame line that no row follows
     # removed, as they were written before every frame was
     COMPACT_HISTORY_SHA256 = "3040c606f49bb42abc2fa0ab3f33aab038d24b8a3e784b9a028219d6b2563b93"
     # the bench's stdout between its machine line and its last line (both
@@ -544,8 +549,10 @@ class TestBenchCommand:
         paths = sorted(out_dir.glob("*.jsonl"), key=lambda p: p.name)
         assert len(paths) == 20
         written = [p.read_bytes() for p in paths]
-        assert hashlib.sha256(b"".join(written)).hexdigest() == self.WRITTEN_HISTORY_SHA256
-        compact = [without_stopping_frame(data) for data in written]
+        assert hashlib.sha256(b"".join(written)).hexdigest() == self.SIX_KEY_HISTORY_SHA256
+        eight_key = [bytes_with_row_keys(data) for data in written]
+        assert hashlib.sha256(b"".join(eight_key)).hexdigest() == self.WRITTEN_HISTORY_SHA256
+        compact = [without_stopping_frame(data) for data in eight_key]
         assert hashlib.sha256(b"".join(compact)).hexdigest() == self.COMPACT_HISTORY_SHA256
         whole = [expanded_bytes(data) for data in written]
         assert hashlib.sha256(b"".join(whole)).hexdigest() == self.HISTORY_WITH_STOP_SHA256

@@ -325,7 +325,8 @@ class TestRunExternal:
 
 def _row(eval_index=0, x=(0.0,), f=1.0, g=(), h=(), cint=None, cext=None, rho=None,
         delta_frame=1.0, incumbent=False, iteration=0, status="unsuccessful"):
-    """A history row, keys in the order the solver writes them."""
+    """A row in the 12-key layout histories held before frame lines;
+    ``write_history`` and ``read_history`` take any dicts."""
     return {
         "eval_index": eval_index,
         "x": list(x),

@@ -33,14 +33,17 @@ from madspip.solver import (
 )
 from madspip.suite import Instance, builtin_problem, builtin_problems, initial_point, x0_ids
 
-from history_expansion import expand, expand_iterations, params_of
+from history_expansion import expand, expand_iterations, params_of, with_row_keys
 
 INF = math.inf
 
 
 def succeeded(record, k):
     """Whether iteration ``k`` has a ``*-success`` row."""
-    return any(row["status"].endswith("-success") for row in record.rows if row["iteration"] == k)
+    return any(
+        row["status"].endswith("-success")
+        for row in with_row_keys(record.events) if row.get("iteration") == k
+    )
 
 
 def constrained_problem(g_of_x, name="toy", n=2, bounds=None):
@@ -428,7 +431,7 @@ class TestSolve:
         # x, g and h (None on a bounds rejection), written as JSON arrays;
         # what the iteration priced a row under is its frame line's, with
         # rho and the interior set None outside pip mode
-        keys = ["eval_index", "x", "f", "g", "h", "incumbent", "iteration", "status"]
+        keys = ["eval_index", "x", "f", "g", "h", "status"]
         known = {
             "search-success", "poll-success", "unsuccessful", "cache-hit", "rejected-bounds", "failed",
         }
@@ -517,7 +520,7 @@ class TestSolve:
         record = solve(problem, x0, SolverConfig(max_evaluations=1, seed=1))
         assert record.outcome == "budget-exhausted"
         assert record.evals_used == 1
-        assert len(record.rows) == 1 and record.rows[0]["incumbent"]
+        assert len(record.rows) == 1 and with_row_keys(record.events)[1]["incumbent"]
 
     def test_histories_byte_identical(self, tmp_path):
         from madspip.problem import write_history
@@ -618,12 +621,13 @@ class TestFrames:
         moves = 0
         for record in _frame_runs():
             frames, entries = record.frames, expand_iterations(record)
+            last_row = [row for row in with_row_keys(record.events) if "eval_index" in row][-1]
             pip = record.mode == MODE_PIP
             assert [frame["frame"] for frame in frames] == list(range(len(frames)))
             # frame k + 1 is what iteration k left, so the last frame is the
             # state the run stopped in, whether the budget cut an iteration
             # or not
-            assert record.rows[-1]["iteration"] in (len(frames) - 2, len(frames) - 1)
+            assert last_row["iteration"] in (len(frames) - 2, len(frames) - 1)
             assert (frames[-1]["delta_frame"] < DELTA_STOP) == (record.outcome == "delta-converged")
             # history_lines writes every frame, the one the run stopped in too
             lines = list(history_lines(record, True))
@@ -649,7 +653,7 @@ class TestFrames:
                     moved = before["g_int"] + tuple(entry["partition_moved"])
                     assert after["g_int"] == tuple(sorted(moved))
             # a last iteration that the budget cut has rows and no entry
-            cut = record.rows[-1]["iteration"] == len(entries) + 1
+            cut = last_row["iteration"] == len(entries) + 1
             outcomes.add((record.outcome, cut, not entries))
             moves += len(record.partition_trace)
         assert outcomes == {
@@ -695,8 +699,10 @@ class TestExtremeBarrier:
         config = SolverConfig(max_evaluations=1500, seed=1, mode=MODE_EXTREME_BARRIER)
         record = solve(problem, initial_point(problem, "feasible-0"), config)
         events = record.events
-        i, row = next((i, row) for i, row in enumerate(events) if row.get("status") == "poll-success")
-        events[i] = dict(row, status="unsuccessful")
+        i, row = next(
+            (i, row) for i, row in enumerate(with_row_keys(events)) if row.get("status") == "poll-success"
+        )
+        events[i] = dict(events[i], status="unsuccessful")
         assert check_run_invariants(record) == (
             [f"iteration {row['iteration']}: eval {row['eval_index']} lowers the merit but is unsuccessful"],
             [],
@@ -709,9 +715,14 @@ class TestExtremeBarrier:
         config = SolverConfig(max_evaluations=300, seed=7, search_enabled=False)
         pip = solve(problem, (1.0, -0.7), config)
         baseline = solve(problem, (1.0, -0.7), replace(config, mode="extreme-barrier"))
-        pip_rows = [(r["x"], r["f"], r["status"], r["iteration"]) for r in pip.rows]
-        eb_rows = [(r["x"], r["f"], r["status"], r["iteration"]) for r in baseline.rows]
-        assert pip_rows == eb_rows
+
+        def rows(record):
+            return [
+                (r["x"], r["f"], r["status"], r["iteration"])
+                for r in with_row_keys(record.events) if "eval_index" in r
+            ]
+
+        assert rows(pip) == rows(baseline)
 
 
 # (problem, x0_id): (iterations of the rho cuts, partition moves) at seed 5
@@ -812,8 +823,8 @@ class TestPinnedTraces:
     def test_replay_needs_only_the_history(self, tmp_path, budget):
         # the written history, stop line aside, is the run's events, last
         # frame included (at budget 1 that is frame 1, with no row after
-        # it), and a record of the events read back replays to the
-        # in-memory verdict
+        # it), and a record of the events read back, with or without the
+        # stop line, replays to the in-memory verdict
         replayed = 0
         for problem, _ in builtin_problems():
             for x0_id in ("feasible-0", "infeasible-0"):
@@ -832,8 +843,10 @@ class TestPinnedTraces:
                     assert last == json.loads(json.dumps(record.frames[-1]))
                     if budget == 1:
                         assert events[-1] == last and last["frame"] == 1
-                    rebuilt = RunRecord(*record.key, record.n, events=events)
-                    assert check_run_invariants(rebuilt) == check_run_invariants(record)
+                    verdict = check_run_invariants(record)
+                    assert check_run_invariants(RunRecord(*record.key, record.n, events=events)) == verdict
+                    whole = RunRecord(*record.key, record.n, events=[*events, stop])
+                    assert check_run_invariants(whole) == verdict
                     replayed += 1
         assert replayed == 15  # 12 pip runs, 3 extreme-barrier
 
@@ -856,7 +869,8 @@ class TestPinnedTraces:
             # unsuccessful one
             statuses = ("search-success", "poll-success") if success else ("unsuccessful",)
             return next(
-                i for i, row in enumerate(events) if row.get("iteration") == k and row["status"] in statuses
+                i for i, row in enumerate(with_row_keys(events))
+                if row.get("iteration") == k and row["status"] in statuses
             )
 
         for i, status in ((first(13, True), "unsuccessful"), (first(48, False), "poll-success")):
@@ -895,13 +909,17 @@ class TestPinnedTraces:
         events, frames = record.events, record.frames
         cuts = [k for k, _ in record.rho_trace]
         if case == "lowers-but-unsuccessful":
-            i, row = next((i, row) for i, row in enumerate(events) if row.get("status") == "poll-success")
-            events[i] = dict(row, status="unsuccessful")
+            i, row = next(
+                (i, row) for i, row in enumerate(with_row_keys(events)) if row.get("status") == "poll-success"
+            )
+            events[i] = dict(events[i], status="unsuccessful")
             message = f"iteration {row['iteration']}: eval {row['eval_index']} lowers the merit but is unsuccessful"
         elif case == "success-not-lowering":
             # past frame 0 and the start row
-            i, row = next((i, row) for i, row in enumerate(events[2:], 2) if row.get("status") == "unsuccessful")
-            events[i] = dict(row, status="poll-success")
+            i, row = next(
+                (i, row) for i, row in enumerate(with_row_keys(events)[2:], 2) if row.get("status") == "unsuccessful"
+            )
+            events[i] = dict(events[i], status="poll-success")
             message = f"iteration {row['iteration']}: eval {row['eval_index']} is poll-success but does not lower the merit"
         elif case == "contraction":
             # every frame after the last cut at half its rho
@@ -960,10 +978,10 @@ class TestInvariantChecker:
         # a strictly interior frame point whose f came back NaN is stored
         # as a failure, f = +inf beside finite g, and its c_int is +inf
         i, row = next(
-            (i, row) for i, row in enumerate(record.events)
+            (i, row) for i, row in enumerate(with_row_keys(record.events))
             if row.get("iteration") == 134 and row["eval_index"] is not None and row["g"][0] < 0.0
         )
-        record.events[i] = dict(row, f=INF, status="failed")
+        record.events[i] = dict(record.events[i], f=INF, status="failed")
         assert sorted(check_run_invariants(record)[1]) == [
             late.format("4.146211152189494e-10"), late.format("inf"),
         ]
@@ -994,16 +1012,35 @@ class TestInvariantChecker:
         # the last success row in an iteration that leaves rho and g_int as
         # they were, its f raised
         i = max(
-            i for i, row in enumerate(record.events)
+            i for i, row in enumerate(with_row_keys(record.events))
             if row.get("status") in ("search-success", "poll-success") and row["iteration"] + 1 < len(frames)
             and frames[row["iteration"] + 1]["rho"] == frames[row["iteration"]]["rho"]
         )
-        row = record.events[i]
-        record.events[i] = dict(row, f=row["f"] + 1.0)
+        row = with_row_keys(record.events)[i]
+        record.events[i] = dict(record.events[i], f=row["f"] + 1.0)
         violations, _ = check_run_invariants(record)
         assert violations[0] == (
             f"iteration {row['iteration']}: eval {row['eval_index']} is {row['status']} "
             "but does not lower the merit"
+        )
+
+    FRAME_0 = {"frame": 0, "rho": 0.1, "delta_frame": 10.0, "g_int": ()}
+    START = {"eval_index": 0, "x": (0.5, 0.5), "f": 0.5, "g": (-0.5,), "h": (), "status": "unsuccessful"}
+    STOP = {"stop": "budget-exhausted", "n": 2, "count": 1, "steps": [], "builtin": True}
+
+    @pytest.mark.parametrize("events", [
+        [FRAME_0],
+        [FRAME_0, dict(FRAME_0, frame=1)],
+        [FRAME_0, STOP],
+        [STOP],
+        [START, FRAME_0],
+        [dict(FRAME_0, frame=1), START],
+        [FRAME_0, dict(START, eval_index=None, f=None, g=None, h=None, status="rejected-bounds")],
+    ], ids=["frame-0", "two-frames", "frame-0-stop", "stop", "row-first", "frame-1-first", "rejection"])
+    def test_events_that_do_not_start_a_run_give_one_violation(self, events):
+        record = RunRecord("unit-disk", "feasible-0", 1, MODE_PIP, 2, events=events)
+        assert check_run_invariants(record) == (
+            ["the events do not start with frame 0 and the start row"], []
         )
 
     def test_rho_reductions_only_at_failures(self):

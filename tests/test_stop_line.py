@@ -14,8 +14,10 @@ import madspip.problem
 from madspip.bench import view_of_history, view_of_stop
 from madspip.cli import _parse_history_name, main
 from madspip.problem import read_history, read_stop_line, write_history
-from madspip.solver import SolverConfig, history_lines, solve
+from madspip.solver import RunRecord, SolverConfig, check_run_invariants, history_lines, solve
 from madspip.suite import builtin_problems, initial_point
+
+from history_expansion import bytes_with_row_keys
 
 ALL_BUILTINS = ",".join(problem.name for problem, _ in builtin_problems())
 
@@ -58,7 +60,41 @@ def test_stop_line_view_is_the_rows_view(bench_dir):
     assert stopped >= len(paths) / 2
 
 
-ROW_KEYS = ["eval_index", "x", "f", "g", "h", "incumbent", "iteration", "status"]
+def test_histories_with_8_key_rows_read_as_written(bench_dir, tmp_path):
+    # histories written while rows also held incumbent and iteration give
+    # the same profile, from their stop lines or, cut before them, from
+    # their rows, and read back the same views and replay verdicts
+    layouts = {name: tmp_path / name for name in ("written", "8-key", "8-key-cut")}
+    for directory in layouts.values():
+        directory.mkdir()
+    for path in bench_dir.glob("*.jsonl"):
+        data = path.read_bytes()
+        old = bytes_with_row_keys(data)
+        assert (b'"iteration"' in old) == bool(data), path.name
+        (layouts["written"] / path.name).write_bytes(data)
+        (layouts["8-key"] / path.name).write_bytes(old)
+        (layouts["8-key-cut"] / path.name).write_bytes(old[: old.rstrip(b"\n").rfind(b"\n") + 1])
+    profiles = []
+    for directory in layouts.values():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["profile", "--histories", str(directory), "--out", str(directory / "out")]) == 0
+        profiles.append({p.name: p.read_bytes() for p in (directory / "out").iterdir()})
+    assert profiles[0] and profiles[1] == profiles[0] and profiles[2] == profiles[0]
+    replayed = 0
+    for path in sorted(bench_dir.glob("*.jsonl")):
+        key = _parse_history_name(path.name)
+        lines, old = (read_history(layouts[name] / path.name) for name in ("written", "8-key"))
+        if not lines:  # an error run
+            continue
+        assert view_of_history(old, *key) == view_of_history(lines, *key), path.name
+        n = lines[-1]["n"]
+        verdict = check_run_invariants(RunRecord(*key, n, events=lines))
+        assert check_run_invariants(RunRecord(*key, n, events=old)) == verdict, path.name
+        replayed += 1
+    assert replayed >= 15  # the started runs of either fixture
+
+
+ROW_KEYS = ["eval_index", "x", "f", "g", "h", "status"]
 FRAME_KEYS = ["frame", "rho", "delta_frame", "g_int"]
 STOP_KEYS = ["stop", "n", "count", "steps", "builtin"]
 
@@ -80,7 +116,6 @@ def test_every_line_is_a_row_a_frame_or_the_last_stop(bench_dir):
                 frame = line["frame"]
             else:
                 assert list(line) == ROW_KEYS, path.name
-                assert line["iteration"] == frame, path.name
         for line in [stop] + [line for line in body if "frame" in line]:
             assert not {"eval_index", "f", "status"} & set(line), path.name
 
