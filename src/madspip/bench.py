@@ -131,8 +131,8 @@ def _evaluations(rows: Iterable[dict]) -> Iterator[Tuple[float, bool]]:
 def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, mode: str) -> RunView:
     """Build a view from history rows, in memory or read back from JSONL
     (``n`` comes from the first row's ``x``).  Frame lines
-    (:func:`madspip.solver.history_lines`) are passed over, and so is a stop
-    line, which has no ``eval_index``.
+    (:func:`madspip.solver._append_frame`) are passed over, and so is a stop
+    line (:func:`madspip.solver._append_stop`), which has no ``eval_index``.
 
     A run numbers its evaluations 0, 1, 2, ... in the order it makes them,
     so a row's ``eval_index`` is the next number (a new evaluation), an
@@ -154,7 +154,7 @@ def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, m
 
 def view_of_stop(stop: dict, problem: str, x0_id: str, seed: int, mode: str) -> RunView:
     """Build a view from a history's stop line
-    (:func:`madspip.solver.stop_line`) alone, without its rows.
+    (:func:`madspip.solver._append_stop`) alone, without its rows.
 
     The line is checked as strictly as :func:`view_of_history` checks rows:
     ``n >= 1`` and ``count >= 0`` are integers (not booleans), ``builtin``

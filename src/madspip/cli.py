@@ -36,7 +36,6 @@ from .solver import (
     InitializationError,
     SolverConfig,
     check_run_invariants,
-    history_lines,
     solve,
     summary_line,
 )
@@ -46,7 +45,6 @@ from .suite import (
     builtin_problems,
     check_name_part,
     initial_point,
-    is_builtin,
     load_problem_file,
     make_instances,
     read_key_values,
@@ -145,7 +143,7 @@ def cmd_solve(args) -> int:
     record = solve(problem, x0, config, x0_id=x0_id)
 
     history_path = out_dir / f"{_run_name(problem.name, x0_id, args.seed, args.mode)}.jsonl"
-    write_history(history_lines(record, is_builtin(problem)), history_path)
+    write_history(record.events, history_path)
 
     machine = {
         "command": "solve",
@@ -204,8 +202,8 @@ def cmd_bench(args) -> int:
 
     def _keep(key, record):
         # write each run as it finishes, so an interrupted bench keeps it; an
-        # error run (it has no lines) leaves a 0-byte history
-        write_history(history_lines(record, builtin=True), out_dir / f"{_run_name(*key)}.jsonl")
+        # error run (it has no events) leaves a 0-byte history
+        write_history(record.events, out_dir / f"{_run_name(*key)}.jsonl")
         return summary_line(record), record.outcome
 
     results = run_matrix(

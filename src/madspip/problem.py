@@ -303,8 +303,8 @@ def _atomic_file(path):
 
 def write_history(lines: Iterable[dict], path) -> None:
     """Persist a history's lines as JSONL, one object per line, atomically:
-    a run's :func:`madspip.solver.history_lines`, its rows alone, or any
-    other dicts.
+    a finished run's ``RunRecord.events``, its rows alone, or any other
+    dicts.
 
     Each line is ``_ROW_ENCODER.encode(line)``; tuples and lists both become
     arrays.  Non-finite values are emitted as ``Infinity`` tokens, which

@@ -18,9 +18,10 @@ the switch check is skipped whenever ``rho`` was just reduced, so the two
 subproblem changes stay serialized.
 
 A run's record is one event stream, ``RunRecord.events``: each frame, the
-state an iteration is priced under, followed by that iteration's rows.  A
-history is the events and a stop line, and :func:`check_run_invariants`
-replays a record, or a history read back, from its events alone.
+state an iteration is priced under, followed by that iteration's rows, and
+last the stop line that :func:`solve` appends.  The events are the run's
+history as written, and :func:`check_run_invariants` replays a record, or a
+history read back, from them alone.
 
 The ``extreme-barrier`` mode runs the identical loop with the merit replaced
 by ``f`` on feasible points and ``+inf`` elsewhere; it requires an
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .merit import (
     B_C,
@@ -49,6 +50,7 @@ from .merit import (
 )
 from .mesh import MeshState, initial_frame_size, poll_directions, snap_steps, update_frame
 from .problem import Cache, Evaluation, Problem, evaluate, is_feasible
+from .suite import is_builtin
 
 if TYPE_CHECKING:
     import numpy as np
@@ -118,15 +120,15 @@ class SolverConfig:
 
 @dataclass
 class RunRecord:
-    """Everything observable about one run: its event stream and summary
-    fields.  ``events`` holds the run's frames (:func:`_append_frame`) and
-    rows (:func:`_append_row`) in the order the run made them: frame 0, the
-    start row, frame 1, iteration 1's rows, frame 2, and so on.  Frame ``k``
-    is what iteration ``k`` is priced under and frame ``k + 1`` what it left,
-    so the last frame is the state the run stopped in.  The events are the
-    whole record of the run and, with the stop line, its history: ``rows``,
-    ``frames`` and the rho and partition traces are views of them, and
-    :func:`check_run_invariants` replays them alone."""
+    """Everything observable about one run: its event stream.  ``events``
+    holds the run's frames (:func:`_append_frame`) and rows
+    (:func:`_append_row`) in the order the run made them, frame 0, the start
+    row, frame 1, iteration 1's rows and so on, then the stop line
+    (:func:`_append_stop`): the run's history as written, so ``RunRecord(*key,
+    n, events=read_history(path))`` is the run again.  Every other attribute
+    is a view of them; ``outcome``, ``evals_used`` and ``steps`` are the stop
+    line's ``stop``, ``count`` and ``steps`` (lists when read back), and an
+    error record, with no events, reads ``"error"``, 0 and ``()``."""
 
     problem_name: str
     x0_id: str
@@ -134,14 +136,28 @@ class RunRecord:
     mode: str
     n: int
     events: List[dict] = field(default_factory=list)
-    outcome: str = "error"
     flags: List[str] = field(default_factory=list)
-    evals_used: int = 0
-    steps: Steps = ()  # improvement_steps of the run's evaluations
 
     @property
     def key(self) -> Tuple[str, str, int, str]:
         return (self.problem_name, self.x0_id, self.seed, self.mode)
+
+    @property
+    def _stop(self) -> dict:
+        last = self.events[-1] if self.events else {}
+        return last if "stop" in last else {}
+
+    @property
+    def outcome(self) -> str:
+        return self._stop.get("stop", "error")
+
+    @property
+    def evals_used(self) -> int:
+        return self._stop.get("count", 0)
+
+    @property
+    def steps(self) -> Steps:
+        return self._stop.get("steps", ())
 
     @property
     def best_feasible_f(self) -> Optional[float]:
@@ -315,6 +331,31 @@ def _append_frame(state: SolverState, k: int) -> None:
         "rho": state.merit_params.rho if state.pip else None,
         "delta_frame": state.mesh.delta_frame,
         "g_int": state.partition.g_int if state.pip else None,
+    })
+
+
+def _append_stop(state: SolverState, outcome: str) -> None:
+    """Append the stop line that ends a finished run's events; this is the
+    one statement of its layout.
+
+    ``stop`` is the outcome, ``n`` the dimension, ``count`` the evaluations
+    and ``steps`` the run's :func:`improvement_steps`, ``[position, f]``
+    each, from which a profile builds the run's view without reading the
+    rows.  ``builtin`` says whether the run's problem is the builtin of its
+    name (:func:`madspip.suite.is_builtin`), whose ``f*`` a profile may then
+    use.  The line carries none of the row keys (``eval_index``, ``f``,
+    ``status``), so a reader of rows passes over it as it does over a bounds
+    rejection and a frame line (:func:`_append_frame`).
+    """
+    count, steps = improvement_steps(
+        (ev.f, is_feasible(ev)) for ev in state.cache.entries.values()  # in evaluation order
+    )
+    state.record.events.append({
+        "stop": outcome,
+        "n": state.problem.n,
+        "count": count,
+        "steps": steps,
+        "builtin": is_builtin(state.problem),
     })
 
 
@@ -535,23 +576,41 @@ def solve(
     falls below ``DELTA_STOP`` (``delta-converged``).  ``rho`` needs no stop
     of its own: a cut needs the next frame at most ``B_RHO * rho**BETA``, and
     that frame is at least ``DELTA_STOP / 2``, so ``rho`` never falls below
-    ``RHO0 * THETA_RHO**5 = 1e-11``.
+    ``RHO0 * THETA_RHO**5 = 1e-11``.  The record's last event is the stop
+    line (:func:`_append_stop`).
     """
     state = init_state(problem, x0, config)
-    record = state.record
-    record.x0_id = x0_id
+    state.record.x0_id = x0_id
     while True:
         if len(state.cache.entries) >= config.max_evaluations:
-            record.outcome = "budget-exhausted"
+            outcome = "budget-exhausted"
             break
         if state.mesh.delta_frame < DELTA_STOP:
-            record.outcome = "delta-converged"
+            outcome = "delta-converged"
             break
         iterate(state)
-    record.evals_used, record.steps = improvement_steps(
-        (ev.f, is_feasible(ev)) for ev in state.cache.entries.values()  # in evaluation order
-    )
-    return record
+    _append_stop(state, outcome)
+    return state.record
+
+
+def _row_fault(row: dict, fresh: int) -> Optional[str]:
+    """Why the replay cannot price ``row``, which follows ``fresh``
+    evaluations, or ``None`` when it can: a ``status`` that is not a
+    string, an ``eval_index`` that is not ``None`` or an integer in
+    ``[0, fresh]``, or an evaluated row's ``f`` that is not a float or
+    ``g`` or ``h`` not a list of floats."""
+    status, e, f, g, h = (row.get(key) for key in ("status", "eval_index", "f", "g", "h"))
+    if not isinstance(status, str):
+        return f"status {status!r} is not a string"
+    if e is None:  # a bounds rejection
+        return None
+    if type(e) is not int or not 0 <= e <= fresh:  # true is not index 1
+        return f"eval_index {e!r} is not an integer in [0, {fresh}]"
+    if not (type(f) is float and all(
+        isinstance(part, (list, tuple)) and all(type(v) is float for v in part) for part in (g, h)
+    )):
+        return f"f {f!r}, g {g!r} or h {h!r} is not a float or a list of floats"
+    return None
 
 
 def check_run_invariants(record: RunRecord):
@@ -576,18 +635,22 @@ def check_run_invariants(record: RunRecord):
     changes, stays strictly interior.  The late-run frame-feasibility
     property is asymptotic: a late cut's evaluated row whose ``c_int`` is
     not negative gives a warning, not a violation.  Events that do not
-    start with frame 0 and the start row give that one violation.
+    start with frame 0 and the start row give that one violation, and a row
+    that cannot be priced (:func:`_row_fault`) gives one violation naming
+    its event and ends the replay, as the rows after it can no longer be
+    matched to their evaluations.
     """
     violations, warnings = [], []
-    events = record.events
-    if not events:  # an error record
+    if not record.events:  # an error record
         return violations, warnings
-    if "stop" in events[-1]:  # a history read back whole
-        events = events[:-1]
+    events = record.events[:-1] if record._stop else record.events
     if len(events) < 2 or events[0].get("frame") != 0 or events[1].get("eval_index") != 0:
         return ["the events do not start with frame 0 and the start row"], warnings
     pip = record.mode == MODE_PIP
     start = events[1]  # after frame 0
+    fault = _row_fault(start, 0)
+    if fault is not None:
+        return [f"event 1: {fault}"], warnings
     m, b_ext = len(start["g"]), compute_b_ext(start["f"]) if pip else None
     completed = len(record.frames) - 2  # the iterations that left a frame
     evaluations, terms = [], []  # each one's (f, g, h, failed), and terms under partition
@@ -601,8 +664,12 @@ def check_run_invariants(record: RunRecord):
             return f if is_feasible(Evaluation((), f, g, h, e, failed)) else _INF
         return merit(f, terms[e][1], terms[e][2], merit_params)
 
-    for event in events:
+    for i, event in enumerate(events):
         if "frame" not in event:  # a row of iteration k
+            fault = _row_fault(event, len(evaluations))
+            if fault is not None:
+                violations.append(f"event {i}: {fault}")
+                return violations, warnings
             e, status, value = event["eval_index"], event["status"], _INF
             if e is not None:
                 if e == len(evaluations):
@@ -667,40 +734,6 @@ def check_run_invariants(record: RunRecord):
         frame, k = event, event["frame"]
         succeeded, cints = False, []
     return violations, warnings
-
-
-def stop_line(record: RunRecord, builtin: bool) -> dict:
-    """The last line of a finished run's history; this is the one statement
-    of its layout.
-
-    ``stop`` is the outcome, ``n`` the dimension, ``count`` the evaluations
-    and ``steps`` the run's improvement steps, ``[position, f]`` each, from
-    which a profile builds the run's view without reading the rows.
-    ``builtin`` says whether the run's problem is the builtin of its name,
-    whose ``f*`` a profile may then use.  The line carries none of the row
-    keys (``eval_index``, ``f``, ``status``), so a reader of rows passes
-    over it as it does over a bounds rejection and a frame line
-    (:func:`_append_frame`).
-    """
-    return {
-        "stop": record.outcome,
-        "n": record.n,
-        "count": record.evals_used,
-        "steps": record.steps,
-        "builtin": builtin,
-    }
-
-
-def history_lines(record: RunRecord, builtin: bool) -> Iterator[dict]:
-    """The lines of a finished run's history, in order: ``record.events``,
-    then :func:`stop_line`.  Read back without its stop line, a history is
-    the run's events again.  An error record has no events and gives no
-    lines.
-    """
-    if record.outcome == "error":
-        return
-    yield from record.events
-    yield stop_line(record, builtin)
 
 
 def summary_line(record: RunRecord) -> str:

@@ -14,6 +14,7 @@ import pytest
 
 import madspip.bench
 import madspip.cli
+import madspip.problem
 import madspip.suite
 from madspip.cli import main, _read_config_file, _parse_history_name, _run_name
 from madspip.suite import check_name_part, load_problem_file
@@ -224,6 +225,10 @@ class TestSolveCommand:
         assert code == 0
         # the external stub answers for the builtin's analytic formula
         assert machine_line(out)["best_feasible_f"] == 7.0
+        # so the run's problem is not the builtin, and a profile will not
+        # normalize it against the builtin's f*
+        stop = madspip.problem.read_stop_line(machine_line(out)["history"])
+        assert stop["builtin"] is False
 
     def test_eval_exe_keeps_the_builtin_starting_point(self, tmp_path, capsys):
         exe = tmp_path / "const.sh"

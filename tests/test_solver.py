@@ -23,7 +23,6 @@ from madspip.solver import (
     RunRecord,
     SolverConfig,
     check_run_invariants,
-    history_lines,
     init_state,
     iterate,
     reselect_incumbent,
@@ -449,7 +448,7 @@ class TestSolve:
                 statuses.add(row["status"])
             assert statuses <= known
             assert {"unsuccessful", "poll-success", "rejected-bounds"} <= statuses
-            frames = [line for line in history_lines(record, True) if "frame" in line]
+            frames = [line for line in record.events if "frame" in line]
             assert [list(line) for line in frames] == [["frame", "rho", "delta_frame", "g_int"]] * len(frames)
             for line in frames:
                 assert (line["rho"] is None) == (line["g_int"] is None) == (mode == MODE_EXTREME_BARRIER)
@@ -511,7 +510,7 @@ class TestSolve:
         assert check_run_invariants(record) == ([], [])
         # a failed point's violation terms are +inf, as the solver priced
         # it: its stored f = +inf says it failed, whatever its g
-        full = expand(history_lines(record, True))[:-1]
+        full = expand(record.events)[:-1]
         assert all(row["cint"] == row["cext"] == INF for row in full if row["status"] == "failed")
 
     def test_budget_exhausted_after_init(self):
@@ -629,8 +628,8 @@ class TestFrames:
             # or not
             assert last_row["iteration"] in (len(frames) - 2, len(frames) - 1)
             assert (frames[-1]["delta_frame"] < DELTA_STOP) == (record.outcome == "delta-converged")
-            # history_lines writes every frame, the one the run stopped in too
-            lines = list(history_lines(record, True))
+            # the history holds every frame, the one the run stopped in too
+            lines = record.events
             assert [line for line in lines if "frame" in line] == list(frames)
             for frame in frames:
                 assert (frame["rho"] is None) == (frame["g_int"] is None) == (not pip)
@@ -777,7 +776,7 @@ PINNED_RUNS = {
 def _run_digest(record):
     # the rows, and the iteration entries rebuilt from frames and rows, in
     # the full layouts they were pinned in
-    rows = expand(history_lines(record, True))[:-1]
+    rows = expand(record.events)[:-1]
     blob = json.dumps(
         [rows, expand_iterations(record), params_of(record), check_run_invariants(record)],
         separators=(",", ":"),
@@ -821,10 +820,10 @@ class TestPinnedTraces:
 
     @pytest.mark.parametrize("budget", [1, 37, 1500])
     def test_replay_needs_only_the_history(self, tmp_path, budget):
-        # the written history, stop line aside, is the run's events, last
-        # frame included (at budget 1 that is frame 1, with no row after
-        # it), and a record of the events read back, with or without the
-        # stop line, replays to the in-memory verdict
+        # the written history is the run's events, last frame and stop line
+        # included (at budget 1 the last frame is frame 1, with no row
+        # after it), and a record of it read back is the run again: the
+        # same summary attributes and the in-memory replay verdict
         replayed = 0
         for problem, _ in builtin_problems():
             for x0_id in ("feasible-0", "infeasible-0"):
@@ -835,18 +834,19 @@ class TestPinnedTraces:
                     except InitializationError:
                         continue
                     path = tmp_path / f"{problem.name}-{x0_id}-{mode}.jsonl"
-                    write_history(history_lines(record, True), path)
-                    *events, stop = read_history(path)
-                    assert "stop" in stop
-                    assert events == json.loads(json.dumps(record.events))
-                    last = [line for line in events if "frame" in line][-1]
+                    write_history(record.events, path)
+                    back = RunRecord(*record.key, record.n, events=read_history(path))
+                    assert back.events == json.loads(json.dumps(record.events))
+                    assert "stop" in back.events[-1]
+                    last = back.frames[-1]
                     assert last == json.loads(json.dumps(record.frames[-1]))
                     if budget == 1:
-                        assert events[-1] == last and last["frame"] == 1
-                    verdict = check_run_invariants(record)
-                    assert check_run_invariants(RunRecord(*record.key, record.n, events=events)) == verdict
-                    whole = RunRecord(*record.key, record.n, events=[*events, stop])
-                    assert check_run_invariants(whole) == verdict
+                        assert back.events[-2] == last and last["frame"] == 1
+                    assert (back.outcome, back.evals_used, back.best_feasible_f) == (
+                        record.outcome, record.evals_used, record.best_feasible_f
+                    )
+                    assert back.steps == [list(step) for step in record.steps]
+                    assert check_run_invariants(back) == check_run_invariants(record)
                     replayed += 1
         assert replayed == 15  # 12 pip runs, 3 extreme-barrier
 
@@ -1042,6 +1042,42 @@ class TestInvariantChecker:
         assert check_run_invariants(record) == (
             ["the events do not start with frame 0 and the start row"], []
         )
+
+    @staticmethod
+    def _budget_60_run():
+        problem, _ = builtin_problem("unit-disk")
+        return solve(
+            problem, initial_point(problem, "feasible-0"),
+            SolverConfig(max_evaluations=60, seed=3), x0_id="feasible-0",
+        )
+
+    @pytest.mark.parametrize("edit", [
+        {"eval_index": 31}, {"eval_index": -1}, {"eval_index": 30.0}, {"eval_index": "30"},
+        {"eval_index": True}, {"g": None}, {"f": None}, {"status": None},
+    ], ids=["skips-ahead", "negative", "float", "string", "bool", "g-null", "f-null", "status-null"])
+    @pytest.mark.parametrize("read_back", [False, True], ids=["in-memory", "read-back"])
+    def test_a_row_the_replay_cannot_price_gives_one_violation(self, tmp_path, edit, read_back):
+        record = self._budget_60_run()
+        assert check_run_invariants(record) == ([], [])
+        if read_back:
+            path = tmp_path / "run.jsonl"
+            write_history(record.events, path)
+            record = RunRecord(*record.key, record.n, events=read_history(path))
+        # the new evaluation 30, mid-run
+        i = next(i for i, event in enumerate(record.events) if event.get("eval_index") == 30)
+        record.events[i] = dict(record.events[i], **edit)
+        violations, _ = check_run_invariants(record)
+        assert len(violations) == 1 and violations[0].startswith(f"event {i}: ")
+
+    @pytest.mark.parametrize("edit", [{"g": None}, {"status": None}], ids=["g-null", "status-null"])
+    def test_a_bad_cache_hit_or_start_row_gives_one_violation(self, edit):
+        record = self._budget_60_run()
+        hit = next(i for i, event in enumerate(record.events) if event.get("status") == "cache-hit")
+        for i in (1, hit):  # the start row, and a cache hit
+            events = list(record.events)
+            events[i] = dict(events[i], **edit)
+            violations, _ = check_run_invariants(RunRecord(*record.key, record.n, events=events))
+            assert len(violations) == 1 and violations[0].startswith(f"event {i}: ")
 
     def test_rho_reductions_only_at_failures(self):
         problem, _ = builtin_problem("two-ring")

@@ -3,6 +3,7 @@
 rows give, and a line that no run writes is skipped with one warning."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -13,9 +14,9 @@ import pytest
 import madspip.problem
 from madspip.bench import view_of_history, view_of_stop
 from madspip.cli import _parse_history_name, main
-from madspip.problem import read_history, read_stop_line, write_history
-from madspip.solver import RunRecord, SolverConfig, check_run_invariants, history_lines, solve
-from madspip.suite import builtin_problems, initial_point
+from madspip.problem import ExternalEvaluator, Problem, read_history, read_stop_line, write_history
+from madspip.solver import RunRecord, SolverConfig, check_run_invariants, solve
+from madspip.suite import builtin_problem, builtin_problems, initial_point
 
 from history_expansion import bytes_with_row_keys
 
@@ -126,7 +127,7 @@ def test_rows_are_written_as_without_a_stop(tmp_path):
     problem, _ = builtin_problems()[0]
     record = solve(problem, initial_point(problem, "feasible-0"), SolverConfig(60, seed=3))
     write_history(record.rows, tmp_path / "rows.jsonl")
-    write_history(history_lines(record, True), tmp_path / "both.jsonl")
+    write_history(record.events, tmp_path / "both.jsonl")
     rows = (tmp_path / "rows.jsonl").read_bytes().splitlines(keepends=True)
     both = (tmp_path / "both.jsonl").read_bytes().splitlines(keepends=True)
     assert [line for line in both[:-1] if b'"frame"' not in line] == rows
@@ -138,6 +139,22 @@ def test_rows_are_written_as_without_a_stop(tmp_path):
         "steps": [list(step) for step in record.steps], "builtin": True,
     }
     assert not {"eval_index", "f", "status"} & set(stop)
+
+
+def test_solve_decides_whether_the_problem_is_the_builtin(tmp_path):
+    # the builtin object itself is; its evaluator swapped for an external
+    # one, or its name on an in-code evaluator (the problem perfbench's
+    # external-blackbox workload builds), is not
+    builtin, _ = builtin_problem("two-ring")
+    exe = tmp_path / "const.sh"
+    exe.write_text('#!/bin/sh\nread line\necho "1.0 -1.0 -1.0"\n')
+    exe.chmod(0o755)
+    external = dataclasses.replace(builtin, evaluator=ExternalEvaluator(str(exe), builtin.m, builtin.p))
+    in_code = Problem(builtin.name, builtin.n, builtin.m, builtin.p, lambda x: builtin.evaluator(x), builtin.bounds)
+    x0 = initial_point(builtin, "feasible-0")
+    for problem, expected in ((builtin, True), (external, False), (in_code, False)):
+        record = solve(problem, x0, SolverConfig(5, seed=1))
+        assert record.events[-1]["builtin"] is expected
 
 
 def test_compact_history_cut_before_its_stop_line_profiles_from_its_rows(tmp_path, capsys):
