@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .problem import Evaluation, is_feasible
+from .problem import is_feasible
 from .solver import RunRecord, SolverConfig, InitializationError, Steps, improvement_steps, solve
+from .solver import _is_frame, _read_row
 from .suite import Instance
 
 __all__ = [
@@ -91,65 +92,27 @@ class RunView:
         return math.ceil(self.count / (self.n + 1))
 
 
-def _row_entry(row: dict, idx: int) -> Tuple[float, bool]:
-    """``(f, feasible)`` of an evaluation row; ``ValueError`` when ``f`` or an
-    entry of ``g`` or ``h`` is not a float (a run writes each as one), ``g``
-    or ``h`` is not a list or tuple, or ``f`` is NaN, ``-inf``, or ``+inf``
-    on a feasible row."""
-    f, g, h = row.get("f"), row.get("g") or (), row.get("h") or ()
-    if not (type(f) is float and isinstance(g, (list, tuple)) and isinstance(h, (list, tuple))):
-        raise ValueError(f"evaluation {idx}: f is not a float or g, h are not lists")
-    for part in (g, h):
-        for v in part:  # false and 0 would pass the feasibility test as 0.0
-            if type(v) is not float:
-                raise ValueError(f"evaluation {idx}: g or h entry {v!r} is not a float")
-    feasible = is_feasible(Evaluation((), f, g, h, idx, row.get("status") == "failed"))
-    # a run stores a non-finite f as +inf, and only on a failed evaluation
-    if f != f or f == -math.inf or (feasible and f == math.inf):
-        raise ValueError(f"evaluation {idx}: f {f!r} on a row that no run writes")
-    return f, feasible
-
-
-def _evaluations(rows: Iterable[dict]) -> Iterator[Tuple[float, bool]]:
-    """``(f, feasible)`` of each evaluation in ``rows``, in one pass."""
-    count = 0
-    for row in rows:
-        if not isinstance(row, dict):
-            raise ValueError("history row is not an object")
-        idx = row.get("eval_index")
-        if idx is None:  # a bounds rejection
-            continue
-        if type(idx) is not int:  # true is not index 1
-            raise ValueError(f"eval_index {idx!r} is not an integer")
-        if idx == count:
-            count += 1
-            yield _row_entry(row, idx)
-        elif not 0 <= idx < count:
-            raise ValueError(f"eval_index {idx} skips ahead or is negative (next is {count})")
-
-
 def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, mode: str) -> RunView:
     """Build a view from history rows, in memory or read back from JSONL
-    (``n`` comes from the first row's ``x``).  Frame lines
-    (:func:`madspip.solver._append_frame`) are passed over, and so is a stop
-    line (:func:`madspip.solver._append_stop`), which has no ``eval_index``.
-
-    A run numbers its evaluations 0, 1, 2, ... in the order it makes them,
-    so a row's ``eval_index`` is the next number (a new evaluation), an
-    earlier one (a cache hit) or ``None`` (a bound rejection); the last two
-    spend no budget.  ``x``, ``g`` and ``h`` may be lists (read back) or
-    tuples (a record's rows in memory).  A row that no run writes (not an
-    object, an index that is not an integer, skips ahead or is negative, a
-    bad ``f``, ``g`` or ``h``, a non-finite ``f`` that is not ``+inf`` on an
-    infeasible row, or no nonempty ``x`` array in the first row) raises
-    ``ValueError``.
+    (``n`` comes from the first row's ``x``), each read by
+    :func:`madspip.solver._read_row`, which raises ``ValueError`` for a row
+    no run writes.  Frame lines (:func:`madspip.solver._append_frame`) are
+    passed over, and so is a last line that is a stop line
+    (:func:`madspip.solver._append_stop`).  A row whose ``eval_index`` is
+    the next number is a new evaluation; a cache hit (an earlier index) and
+    a bound rejection (``None``) spend no budget.
     """
-    rows = [row for row in rows if not (isinstance(row, dict) and "frame" in row)]
-    x = rows[0].get("x") if rows and isinstance(rows[0], dict) else ()
-    # no rows at all is a run that could not start; n = 0 is no run's
-    if not isinstance(x, (list, tuple)) or (rows and not x):
-        raise ValueError("history row has no nonempty x list")
-    return RunView(problem, x0_id, seed, mode, len(x), *improvement_steps(_evaluations(rows)))
+    if rows and isinstance(rows[-1], dict) and "stop" in rows[-1]:
+        rows = rows[:-1]
+    n, fresh = 0, []  # each new evaluation's (f, feasible)
+    for row in rows:
+        if _is_frame(row):
+            continue
+        ev = _read_row(row, len(fresh))
+        n = n or len(row["x"])
+        if ev is not None and ev.eval_index == len(fresh):
+            fresh.append((ev.f, is_feasible(ev)))
+    return RunView(problem, x0_id, seed, mode, n, *improvement_steps(fresh))
 
 
 def view_of_stop(stop: dict, problem: str, x0_id: str, seed: int, mode: str) -> RunView:

@@ -173,8 +173,6 @@ def cmd_bench(args) -> int:
     if args.seeds is None:
         raise ValueError("--seeds is required for bench")
     seeds = _parse_list(args.seeds, int)
-    if not seeds:
-        raise ValueError("at least one seed is required")
     names = DEFAULT_BENCH_NAMES if args.problem is None else _parse_list(args.problem, str)
     modes = _parse_list(args.mode, str)
     if not names or not modes:

@@ -145,7 +145,7 @@ class RunRecord:
     @property
     def _stop(self) -> dict:
         last = self.events[-1] if self.events else {}
-        return last if "stop" in last else {}
+        return last if isinstance(last, dict) and "stop" in last else {}
 
     @property
     def outcome(self) -> str:
@@ -171,7 +171,7 @@ class RunRecord:
     @property
     def frames(self) -> Tuple[dict, ...]:
         """The frames of ``events``; ``frames[k]`` is frame ``k``."""
-        return tuple(event for event in self.events if "frame" in event)
+        return tuple(event for event in self.events if _is_frame(event))
 
     @property
     def rho_trace(self) -> List[Tuple[int, float]]:
@@ -308,6 +308,57 @@ def _append_row(
     )
 
 
+def _read_row(row, fresh: int) -> Optional[Evaluation]:
+    """The one statement of a row read back: the evaluation of ``row``,
+    which follows ``fresh`` evaluations, or ``None`` for a bounds rejection.
+    It is failed exactly when ``f``, ``g`` or ``h`` holds ``+inf``, which
+    :func:`madspip.problem._sanitize` stores only for a failed evaluation.
+    A row no run writes raises ``ValueError``: not an object, a ``status``
+    that is not a string, an ``x`` that is not a nonempty list, an
+    ``eval_index`` that is not ``None`` or an integer in ``[0, fresh]``, or
+    an evaluated row's ``f`` that is not a float, ``g`` or ``h`` not a list
+    of floats, or a NaN or ``-inf`` in any of them."""
+    if not isinstance(row, dict):
+        raise ValueError("the line is not an object")
+    x, status, e, f, g, h = (row.get(key) for key in ("x", "status", "eval_index", "f", "g", "h"))
+    if not isinstance(status, str):
+        raise ValueError(f"status {status!r} is not a string")
+    if not (isinstance(x, (list, tuple)) and x):
+        raise ValueError(f"x {x!r} is not a nonempty list")
+    if e is None:  # a bounds rejection
+        return None
+    if type(e) is not int or not 0 <= e <= fresh:  # true is not index 1
+        raise ValueError(f"eval_index {e!r} is not an integer in [0, {fresh}]")
+    # a float above -inf is neither NaN nor -inf; true and 0 are no floats
+    if not (type(f) is float and f > -_INF and all(
+        isinstance(part, (list, tuple)) and all(type(v) is float and v > -_INF for v in part)
+        for part in (g, h)
+    )):
+        raise ValueError(f"f {f!r}, g {g!r} or h {h!r} is not a float or a list of floats above -inf")
+    return Evaluation(x, f, g, h, e, f == _INF or _INF in g or _INF in h)
+
+
+def _is_frame(event) -> bool:
+    return isinstance(event, dict) and "frame" in event
+
+
+def _check_frame(frame: dict, pip: bool, m: int) -> None:
+    """Raise ``ValueError`` for a frame line (:func:`_append_frame`) that no
+    run writes: a ``frame`` that is not an integer, a ``delta_frame`` that
+    is not a positive finite float, or in pip mode a ``rho`` that is not one
+    or a ``g_int`` that is not an increasing list of indices below ``m``."""
+    k, delta, rho, g_int = (frame.get(key) for key in ("frame", "delta_frame", "rho", "g_int"))
+    if type(k) is not int:
+        raise ValueError(f"frame {k!r} is not an integer")
+    if not (type(delta) is float and 0.0 < delta < _INF):
+        raise ValueError(f"delta_frame {delta!r} is not a positive finite float")
+    if pip and not (type(rho) is float and 0.0 < rho < _INF):
+        raise ValueError(f"rho {rho!r} is not a positive finite float")
+    if pip and not (isinstance(g_int, (list, tuple)) and all(type(i) is int for i in g_int)
+                    and list(g_int) == [i for i in range(m) if i in g_int]):
+        raise ValueError(f"g_int {g_int!r} is not an increasing list of indices below {m}")
+
+
 def _append_frame(state: SolverState, k: int) -> None:
     """Append frame ``k``, the state iteration ``k`` is priced under; this
     is the one statement of the frame line's layout.  ``init_state``
@@ -322,9 +373,9 @@ def _append_frame(state: SolverState, k: int) -> None:
     under, and the interior set in force; ``rho`` and ``g_int`` are ``None``
     outside pip mode.  In pip mode an evaluated row's ``(c_int, c_ext)`` is
     ``merit.violation_summary(g, h, partition, failed)[1:]`` under the
-    partition whose interior set is ``g_int``, where ``failed`` holds
-    exactly when ``f`` or an entry of ``g`` or ``h`` is ``+inf``.  The line
-    carries none of the row keys ``eval_index``, ``f`` and ``status``.
+    partition whose interior set is ``g_int``, with the row as
+    :func:`_read_row` reads it.  The line carries none of the row keys
+    ``eval_index``, ``f`` and ``status``.
     """
     state.record.events.append({
         "frame": k,
@@ -417,18 +468,13 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
         q_incumbent=q0,
     )
 
+    if ev0.failed:  # only a failed evaluation has a non-finite f
+        raise InitializationError("starting evaluation failed")
     if config.mode == MODE_PIP:
-        if ev0.failed or not math.isfinite(ev0.f):
-            raise InitializationError(
-                "starting evaluation failed; the exterior scaling needs a finite f(x0)"
-            )
         state.partition = Partition.from_initial(ev0.g)
         state.merit_params = MeritParams(rho=RHO0, b_ext=compute_b_ext(ev0.f))
-    else:
-        if ev0.failed:
-            raise InitializationError("starting evaluation failed")
-        if not is_feasible(ev0):
-            raise InitializationError("extreme-barrier mode needs a feasible starting point")
+    elif not is_feasible(ev0):
+        raise InitializationError("extreme-barrier mode needs a feasible starting point")
 
     state.incumbent_merit = _merit_of(state, q0, ev0)
     _append_frame(state, 0)
@@ -593,26 +639,6 @@ def solve(
     return state.record
 
 
-def _row_fault(row: dict, fresh: int) -> Optional[str]:
-    """Why the replay cannot price ``row``, which follows ``fresh``
-    evaluations, or ``None`` when it can: a ``status`` that is not a
-    string, an ``eval_index`` that is not ``None`` or an integer in
-    ``[0, fresh]``, or an evaluated row's ``f`` that is not a float or
-    ``g`` or ``h`` not a list of floats."""
-    status, e, f, g, h = (row.get(key) for key in ("status", "eval_index", "f", "g", "h"))
-    if not isinstance(status, str):
-        return f"status {status!r} is not a string"
-    if e is None:  # a bounds rejection
-        return None
-    if type(e) is not int or not 0 <= e <= fresh:  # true is not index 1
-        return f"eval_index {e!r} is not an integer in [0, {fresh}]"
-    if not (type(f) is float and all(
-        isinstance(part, (list, tuple)) and all(type(v) is float for v in part) for part in (g, h)
-    )):
-        return f"f {f!r}, g {g!r} or h {h!r} is not a float or a list of floats"
-    return None
-
-
 def check_run_invariants(record: RunRecord):
     """Replay a run from its events alone against the convergence-theory
     properties; returns ``(violations, warnings)`` in iteration order.
@@ -621,9 +647,9 @@ def check_run_invariants(record: RunRecord):
     as a history read back gives them, stop line or not, and takes its
     inputs as the solver does: ``b_ext`` is ``compute_b_ext`` of the start
     row's ``f``, ``m`` the length of its ``g``, and the ``rho`` update's
-    constants are ``merit``'s.  Each evaluated row is priced under the frame
-    before it: in pip mode ``merit`` of its ``violation_summary``, failed
-    exactly when ``f``, ``g`` or ``h`` holds ``+inf``; otherwise ``f`` when
+    constants are ``merit``'s.  Each row is read by :func:`_read_row`, and
+    each evaluated one is priced under the frame before it: in pip mode
+    ``merit`` of its ``violation_summary``, otherwise ``f`` when
     :func:`is_feasible` holds and ``+inf`` if not.  The start row sets the
     incumbent, each ``*-success`` row and no other must strictly lower its
     merit, and one that does becomes the incumbent.  In pip mode frame
@@ -635,49 +661,59 @@ def check_run_invariants(record: RunRecord):
     changes, stays strictly interior.  The late-run frame-feasibility
     property is asymptotic: a late cut's evaluated row whose ``c_int`` is
     not negative gives a warning, not a violation.  Events that do not
-    start with frame 0 and the start row give that one violation, and a row
-    that cannot be priced (:func:`_row_fault`) gives one violation naming
-    its event and ends the replay, as the rows after it can no longer be
-    matched to their evaluations.
+    start with frame 0 and the start row give that one violation, and a
+    line no run writes (:func:`_read_row`, :func:`_check_frame`, a failed
+    start row or an evaluated ``g`` not ``m`` long) gives one violation
+    naming its event and ends the replay, as the events after it can no
+    longer be matched to the run.
     """
     violations, warnings = [], []
     if not record.events:  # an error record
         return violations, warnings
     events = record.events[:-1] if record._stop else record.events
-    if len(events) < 2 or events[0].get("frame") != 0 or events[1].get("eval_index") != 0:
+    head = [event.get(key) if isinstance(event, dict) else None
+            for event, key in zip(events, ("frame", "eval_index"))]
+    if head != [0, 0]:
         return ["the events do not start with frame 0 and the start row"], warnings
     pip = record.mode == MODE_PIP
-    start = events[1]  # after frame 0
-    fault = _row_fault(start, 0)
-    if fault is not None:
-        return [f"event 1: {fault}"], warnings
-    m, b_ext = len(start["g"]), compute_b_ext(start["f"]) if pip else None
-    completed = len(record.frames) - 2  # the iterations that left a frame
-    evaluations, terms = [], []  # each one's (f, g, h, failed), and terms under partition
+    try:
+        start = _read_row(events[1], 0)  # after frame 0
+    except ValueError as exc:
+        return [f"event 1: {exc}"], warnings
+    if start.failed:
+        return ["event 1: the start evaluation failed"], warnings
+    m, b_ext = len(start.g), compute_b_ext(start.f) if pip else None
+    completed = sum(map(_is_frame, events)) - 2  # the iterations that left a frame
+    evaluations, terms = [], []  # each Evaluation, and its terms under partition
     frame = partition = merit_params = None
     k, incumbent, best = 0, 0, _INF
     succeeded, cints = False, []
 
     def price(e):
-        f, g, h, failed = evaluations[e]
+        ev = evaluations[e]
         if not pip:
-            return f if is_feasible(Evaluation((), f, g, h, e, failed)) else _INF
-        return merit(f, terms[e][1], terms[e][2], merit_params)
+            return ev.f if is_feasible(ev) else _INF
+        return merit(ev.f, terms[e][1], terms[e][2], merit_params)
 
     for i, event in enumerate(events):
-        if "frame" not in event:  # a row of iteration k
-            fault = _row_fault(event, len(evaluations))
-            if fault is not None:
-                violations.append(f"event {i}: {fault}")
-                return violations, warnings
-            e, status, value = event["eval_index"], event["status"], _INF
-            if e is not None:
+        is_frame = _is_frame(event)
+        try:
+            if is_frame:
+                _check_frame(event, pip, m)
+            else:
+                ev = _read_row(event, len(evaluations))
+                if ev is not None and len(ev.g) != m:
+                    raise ValueError(f"g has {len(ev.g)} entries, the start row {m}")
+        except ValueError as exc:
+            violations.append(f"event {i}: {exc}")
+            return violations, warnings
+        if not is_frame:  # a row of iteration k
+            e, status, value = None if ev is None else ev.eval_index, event["status"], _INF
+            if ev is not None:
                 if e == len(evaluations):
-                    f, g, h = event["f"], event["g"], event["h"]
-                    failed = f == _INF or _INF in g or _INF in h  # only a failure stores +inf
-                    evaluations.append((f, g, h, failed))
+                    evaluations.append(ev)
                     if pip:
-                        terms.append(violation_summary(g, h, partition, failed))
+                        terms.append(violation_summary(ev.g, ev.h, partition, ev.failed))
                 value = price(e)
                 cints.append(terms[e][1] if pip else None)
             if k == 0:
@@ -723,7 +759,7 @@ def check_run_invariants(record: RunRecord):
             merit_params = MeritParams(rho, b_ext)
             if partition is None or g_next != partition.g_int:
                 partition = Partition(g_next, [i for i in range(m) if i not in g_next])
-                terms = [violation_summary(g, h, partition, failed) for _, g, h, failed in evaluations]
+                terms = [violation_summary(ev.g, ev.h, partition, ev.failed) for ev in evaluations]
             if changed:
                 values = [price(e) for e in range(len(evaluations))]
                 best = min(values)

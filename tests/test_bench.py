@@ -398,39 +398,45 @@ class TestRunMatrix:
     @pytest.mark.parametrize(
         "row",
         [
-            {"eval_index": 0, "x": [0.0]},
-            {"eval_index": 0, "x": [0.0], "f": "1.0"},
-            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": 5},
-            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": "abc"},
-            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [None]},
-            {"eval_index": 0, "x": [0.0], "f": 1.0, "h": {"a": 1.0}},
-            {"eval_index": "0", "x": [0.0], "f": 1.0},
-            {"eval_index": [0], "x": [0.0], "f": 1.0},
-            {"eval_index": 0, "f": 1.0},
+            {"eval_index": 0, "x": [0.0], "g": [], "h": [], "status": "unsuccessful"},
+            {"eval_index": 0, "x": [0.0], "f": "1.0", "g": [], "h": [], "status": "unsuccessful"},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": 5, "h": [], "status": "unsuccessful"},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": "abc", "h": [], "status": "unsuccessful"},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [None], "h": [], "status": "unsuccessful"},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [], "h": {"a": 1.0}, "status": "unsuccessful"},
+            {"eval_index": "0", "x": [0.0], "f": 1.0, "g": [], "h": [], "status": "unsuccessful"},
+            {"eval_index": [0], "x": [0.0], "f": 1.0, "g": [], "h": [], "status": "unsuccessful"},
+            {"eval_index": 0, "f": 1.0, "g": [], "h": [], "status": "unsuccessful"},
             [0.0, 1.0],
+            # a run writes every row with its status
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [], "h": []},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [], "h": [], "status": None},
             # true is not index 1, nor the number 1
-            {"eval_index": True, "x": [0.0], "f": 1.0},
-            {"eval_index": 0, "x": [0.0], "f": True},
+            {"eval_index": True, "x": [0.0], "f": 1.0, "g": [], "h": [], "status": "unsuccessful"},
+            {"eval_index": 0, "x": [0.0], "f": True, "g": [], "h": [], "status": "unsuccessful"},
             # a run writes f as a float; this integer overflows one
-            {"eval_index": 0, "x": [0.0], "f": 10**400},
-            # a feasible non-finite f would become every mode's f*
-            {"eval_index": 0, "x": [0.0], "f": math.nan, "g": [], "h": []},
-            {"eval_index": 0, "x": [0.0], "f": -math.inf, "g": [-1.0], "h": [0.0]},
-            {"eval_index": 0, "x": [0.0], "f": math.inf, "g": [-1.0], "h": []},
+            {"eval_index": 0, "x": [0.0], "f": 10**400, "g": [], "h": [], "status": "unsuccessful"},
+            # a run stores a non-finite output as +inf: a NaN or -inf f would
+            # become every mode's f*, and a NaN or -inf g or h is no output
+            {"eval_index": 0, "x": [0.0], "f": math.nan, "g": [], "h": [], "status": "unsuccessful"},
+            {"eval_index": 0, "x": [0.0], "f": -math.inf, "g": [-1.0], "h": [0.0], "status": "unsuccessful"},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [math.nan], "h": [], "status": "unsuccessful"},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [], "h": [math.nan], "status": "unsuccessful"},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [], "h": [-math.inf], "status": "unsuccessful"},
             # a run writes every g and h entry as a float; false and 0 compare
             # as the number 0 and would make these rows feasible
-            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [False], "h": []},
-            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [], "h": [False]},
-            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [0], "h": []},
-            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [-1.0, 0], "h": []},
-            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [], "h": [0]},
-            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [True], "h": []},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [False], "h": [], "status": "unsuccessful"},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [], "h": [False], "status": "unsuccessful"},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [0], "h": [], "status": "unsuccessful"},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [-1.0, 0], "h": [], "status": "unsuccessful"},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [], "h": [0], "status": "unsuccessful"},
+            {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [True], "h": [], "status": "unsuccessful"},
             # a run numbers its evaluations 0, 1, 2, ...: a lone row is index 0
-            {"eval_index": 1, "x": [0.0], "f": 1.0},
-            {"eval_index": 3, "x": [0.0], "f": 1.0},
-            {"eval_index": -1, "x": [0.0], "f": 1.0},
+            {"eval_index": 1, "x": [0.0], "f": 1.0, "g": [], "h": [], "status": "unsuccessful"},
+            {"eval_index": 3, "x": [0.0], "f": 1.0, "g": [], "h": [], "status": "unsuccessful"},
+            {"eval_index": -1, "x": [0.0], "f": 1.0, "g": [], "h": [], "status": "unsuccessful"},
             # a run has at least one variable: an empty x would make n = 0
-            {"eval_index": 0, "x": [], "f": 1.0},
+            {"eval_index": 0, "x": [], "f": 1.0, "g": [], "h": [], "status": "unsuccessful"},
         ],
     )
     def test_view_of_history_rejects_rows_no_run_writes(self, row):
@@ -439,13 +445,23 @@ class TestRunMatrix:
 
     def test_view_of_history_reads_failed_and_constraint_free_rows(self):
         rows = [
-            {"eval_index": 0, "x": [0.0], "f": 2.0, "g": None, "h": None},
-            {"eval_index": 1, "x": [1.0], "f": math.inf, "g": [math.inf], "h": [],
-             "status": "failed"},
-            {"eval_index": None, "x": [9.0], "f": None, "g": None, "h": None},
+            {"eval_index": 0, "x": [0.0], "f": 2.0, "g": [], "h": [], "status": "unsuccessful"},
+            {"eval_index": 1, "x": [1.0], "f": math.inf, "g": [], "h": [], "status": "failed"},
+            {"eval_index": None, "x": [9.0], "f": None, "g": None, "h": None,
+             "status": "rejected-bounds"},
         ]
         v = view_of_history(rows, "p", "feasible-0", 1, "pip")
         assert v.n == 1 and v.count == 2 and v.steps == ((0, 2.0),)
+
+    def test_view_of_history_reads_an_inf_f_as_a_failed_infeasible_row(self):
+        # failed is +inf in f, g or h, whatever the status says
+        rows = [
+            {"eval_index": 0, "x": [0.0], "f": math.inf, "g": [-1.0], "h": [],
+             "status": "unsuccessful"},
+            {"eval_index": 1, "x": [1.0], "f": 3.0, "g": [-1.0], "h": [], "status": "unsuccessful"},
+        ]
+        v = view_of_history(rows, "p", "feasible-0", 1, "pip")
+        assert v.count == 2 and v.steps == ((1, 3.0),)
 
     def test_view_of_record_counts_true_evaluations(self):
         problem, _ = builtin_problem("unit-disk")

@@ -780,15 +780,16 @@ class TestProfileCommand:
     @pytest.mark.parametrize(
         "line",
         [
-            '{"eval_index": 0, "x": [0.0]}',
-            '{"eval_index": 0, "x": [0.0], "f": 1.0, "g": 5}',
-            '{"eval_index": 0, "x": [0.0], "f": 1.0, "g": [false], "h": []}',
+            '{"eval_index": 0, "x": [0.0], "g": [], "h": [], "status": "unsuccessful"}',
+            '{"eval_index": 0, "x": [0.0], "f": 1.0, "g": 5, "h": [], "status": "unsuccessful"}',
+            '{"eval_index": 0, "x": [0.0], "f": 1.0, "g": [false], "h": [], "status": "unsuccessful"}',
             '[0.0, 1.0]',
             # evaluation 7 right after evaluation 0
-            '{"eval_index": 0, "x": [0.0, 0.0], "f": 1.0, "g": [], "h": []}\n'
-            '{"eval_index": 7, "x": [0.5, 0.0], "f": 0.5, "g": [], "h": []}',
+            '{"eval_index": 0, "x": [0.0, 0.0], "f": 1.0, "g": [], "h": [], "status": "unsuccessful"}\n'
+            '{"eval_index": 7, "x": [0.5, 0.0], "f": 0.5, "g": [], "h": [], "status": "unsuccessful"}',
             # a row that is not an object after a well-formed first row
-            '{"eval_index": 0, "x": [0.0, 0.0], "f": 1.0, "g": [], "h": []}\n[0.0, 1.0]',
+            '{"eval_index": 0, "x": [0.0, 0.0], "f": 1.0, "g": [], "h": [], "status": "unsuccessful"}\n'
+            '[0.0, 1.0]',
         ],
     )
     def test_hostile_json_history_warns_but_succeeds(self, bench_dir, capsys, line):

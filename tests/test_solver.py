@@ -1051,23 +1051,87 @@ class TestInvariantChecker:
             SolverConfig(max_evaluations=60, seed=3), x0_id="feasible-0",
         )
 
-    @pytest.mark.parametrize("edit", [
-        {"eval_index": 31}, {"eval_index": -1}, {"eval_index": 30.0}, {"eval_index": "30"},
-        {"eval_index": True}, {"g": None}, {"f": None}, {"status": None},
-    ], ids=["skips-ahead", "negative", "float", "string", "bool", "g-null", "f-null", "status-null"])
-    @pytest.mark.parametrize("read_back", [False, True], ids=["in-memory", "read-back"])
-    def test_a_row_the_replay_cannot_price_gives_one_violation(self, tmp_path, edit, read_back):
+    def _budget_60_record(self, tmp_path, read_back):
+        """The budget-60 run, as solved or read back from its history."""
         record = self._budget_60_run()
         assert check_run_invariants(record) == ([], [])
         if read_back:
             path = tmp_path / "run.jsonl"
             write_history(record.events, path)
             record = RunRecord(*record.key, record.n, events=read_history(path))
+        return record
+
+    @pytest.mark.parametrize("edit", [
+        {"eval_index": 31}, {"eval_index": -1}, {"eval_index": 30.0}, {"eval_index": "30"},
+        {"eval_index": True}, {"g": None}, {"f": None}, {"status": None}, {"g": []},
+    ], ids=[
+        "skips-ahead", "negative", "float", "string", "bool", "g-null", "f-null", "status-null",
+        "g-shorter-than-m",
+    ])
+    @pytest.mark.parametrize("read_back", [False, True], ids=["in-memory", "read-back"])
+    def test_a_row_the_replay_cannot_price_gives_one_violation(self, tmp_path, edit, read_back):
+        record = self._budget_60_record(tmp_path, read_back)
         # the new evaluation 30, mid-run
         i = next(i for i, event in enumerate(record.events) if event.get("eval_index") == 30)
         record.events[i] = dict(record.events[i], **edit)
         violations, _ = check_run_invariants(record)
         assert len(violations) == 1 and violations[0].startswith(f"event {i}: ")
+
+    @pytest.mark.parametrize("line", [[0.0, 1.0], 5, None], ids=["array", "number", "null"])
+    @pytest.mark.parametrize("read_back", [False, True], ids=["in-memory", "read-back"])
+    def test_a_line_that_is_not_an_object_gives_one_violation(self, tmp_path, read_back, line):
+        record = self._budget_60_record(tmp_path, read_back)
+        mid = next(i for i, event in enumerate(record.events) if event.get("eval_index") == 30)
+        for i, expected in (
+            (0, "the events do not start with frame 0 and the start row"),
+            (mid, f"event {mid}: the line is not an object"),
+        ):
+            events = list(record.events)
+            events[i] = line
+            violations, _ = check_run_invariants(RunRecord(*record.key, record.n, events=events))
+            assert violations == [expected]
+
+    @pytest.mark.parametrize("edit", [
+        {"rho": None}, {"rho": 0.0}, {"rho": "0.1"}, {"g_int": None}, {"g_int": [1]},
+        {"g_int": [0.0]}, {"g_int": [0, 0]}, {"delta_frame": None}, {"delta_frame": 0.0},
+        {"delta_frame": -10.0}, {"delta_frame": INF}, {"delta_frame": "10.0"}, {"frame": None},
+        {"frame": 5.0}, {"frame": "5"}, {"frame": True},
+    ], ids=[
+        "rho-null", "rho-zero", "rho-string", "g_int-null", "g_int-past-m", "g_int-float",
+        "g_int-twice", "delta-null", "delta-zero", "delta-negative", "delta-inf",
+        "delta-string", "frame-null", "frame-float", "frame-string", "frame-bool",
+    ])
+    @pytest.mark.parametrize("read_back", [False, True], ids=["in-memory", "read-back"])
+    def test_a_frame_the_replay_cannot_use_gives_one_violation(self, tmp_path, edit, read_back):
+        record = self._budget_60_record(tmp_path, read_back)
+        frames = [i for i, event in enumerate(record.events) if "frame" in event]
+        # frame 5 mid-run, and frame 0 where the edit keeps it frame 0
+        for i in frames[5:6] + frames[:1] * ("frame" not in edit):
+            events = list(record.events)
+            events[i] = dict(events[i], **edit)
+            violations, _ = check_run_invariants(RunRecord(*record.key, record.n, events=events))
+            assert len(violations) == 1 and violations[0].startswith(f"event {i}: "), violations
+
+    def test_an_extreme_barrier_frame_needs_no_rho_or_g_int(self):
+        problem, _ = builtin_problem("unit-disk")
+        record = solve(
+            problem, initial_point(problem, "feasible-0"),
+            SolverConfig(max_evaluations=60, seed=3, mode=MODE_EXTREME_BARRIER),
+        )
+        assert all(frame["rho"] is None and frame["g_int"] is None for frame in record.frames)
+        assert check_run_invariants(record) == ([], [])
+        i = [i for i, event in enumerate(record.events) if "frame" in event][5]
+        record.events[i] = dict(record.events[i], delta_frame=None)
+        violations, _ = check_run_invariants(record)
+        assert len(violations) == 1 and violations[0].startswith(f"event {i}: ")
+
+    @pytest.mark.parametrize("mode", [MODE_PIP, MODE_EXTREME_BARRIER])
+    def test_a_failed_start_row_gives_one_violation(self, mode):
+        # a run that cannot evaluate its start stops before any history
+        record = self._budget_60_run()
+        record.mode = mode
+        record.events[1] = dict(record.events[1], f=INF, status="failed")
+        assert check_run_invariants(record) == (["event 1: the start evaluation failed"], [])
 
     @pytest.mark.parametrize("edit", [{"g": None}, {"status": None}], ids=["g-null", "status-null"])
     def test_a_bad_cache_hit_or_start_row_gives_one_violation(self, edit):
