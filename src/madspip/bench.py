@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .problem import is_feasible
 from .solver import RunRecord, SolverConfig, InitializationError, Steps, improvement_steps, solve
-from .solver import _is_frame, _read_row
+from .solver import _is_frame, _is_stop, _read_row, _read_stop
 from .suite import Instance
 
 __all__ = [
@@ -98,11 +98,11 @@ def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, m
     :func:`madspip.solver._read_row`, which raises ``ValueError`` for a row
     no run writes.  Frame lines (:func:`madspip.solver._append_frame`) are
     passed over, and so is a last line that is a stop line
-    (:func:`madspip.solver._append_stop`).  A row whose ``eval_index`` is
+    (:func:`madspip.solver._is_stop`).  A row whose ``eval_index`` is
     the next number is a new evaluation; a cache hit (an earlier index) and
     a bound rejection (``None``) spend no budget.
     """
-    if rows and isinstance(rows[-1], dict) and "stop" in rows[-1]:
+    if rows and _is_stop(rows[-1]):
         rows = rows[:-1]
     n, fresh = 0, []  # each new evaluation's (f, feasible)
     for row in rows:
@@ -116,40 +116,9 @@ def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, m
 
 
 def view_of_stop(stop: dict, problem: str, x0_id: str, seed: int, mode: str) -> RunView:
-    """Build a view from a history's stop line
-    (:func:`madspip.solver._append_stop`) alone, without its rows.
-
-    The line is checked as strictly as :func:`view_of_history` checks rows:
-    ``n >= 1`` and ``count >= 0`` are integers (not booleans), ``builtin``
-    is a boolean, and ``steps`` is a list of ``[position, f]`` pairs whose
-    positions are integers that strictly increase within ``[0, count)``
-    and whose ``f`` values are finite floats that strictly decrease.  Any
-    other line raises ``ValueError``.
-    """
-    n, count, steps = stop.get("n"), stop.get("count"), stop.get("steps")
-    if not (type(n) is int and n >= 1):
-        raise ValueError(f"stop line: n {n!r} is not a positive integer")
-    if not (type(count) is int and count >= 0):
-        raise ValueError(f"stop line: count {count!r} is not a non-negative integer")
-    if type(stop.get("builtin")) is not bool:
-        raise ValueError(f"stop line: builtin {stop.get('builtin')!r} is not a boolean")
-    if not isinstance(steps, list):
-        raise ValueError("stop line: steps is not a list")
-    checked = []
-    position, f = -1, math.inf
-    for step in steps:
-        if not (isinstance(step, list) and len(step) == 2):
-            raise ValueError(f"stop line: step {step!r} is not a [position, f] pair")
-        if not (type(step[0]) is int and position < step[0] < count):
-            raise ValueError(
-                f"stop line: position {step[0]!r} does not lie above {position} and below {count}"
-            )
-        # a NaN fails every comparison, and +inf is never below the start
-        if not (type(step[1]) is float and -math.inf < step[1] < f):
-            raise ValueError(f"stop line: f {step[1]!r} is not a finite float below {f!r}")
-        position, f = step
-        checked.append((position, f))
-    return RunView(problem, x0_id, seed, mode, n, count, tuple(checked))
+    """Build a view from a history's stop line alone, without its rows, as
+    :func:`madspip.solver._read_stop` reads it, which raises ``ValueError``."""
+    return RunView(problem, x0_id, seed, mode, *_read_stop(stop)[1:4])
 
 
 def run_matrix(

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence
 
 from .bench import (
+    RunView,
     best_feasible_table,
     data_profile,
     export,
@@ -27,7 +28,6 @@ from .bench import (
     reference_table,
     run_matrix,
     view_of_history,
-    view_of_stop,
 )
 from .problem import ExternalEvaluator, read_history, read_stop_line, write_history
 from .solver import (
@@ -35,6 +35,7 @@ from .solver import (
     MODE_PIP,
     InitializationError,
     SolverConfig,
+    _read_stop,
     check_run_invariants,
     solve,
     summary_line,
@@ -275,11 +276,11 @@ def cmd_profile(args) -> int:
             if stop is None:  # no stop line: a history of rows only
                 views.append(view_of_history(read_history(path), *key))
             else:  # the stop line holds the view; the rows go unread
-                view = view_of_stop(stop, *key)
-                if view.count > path.stat().st_size:  # each evaluation writes 50+ bytes
-                    raise ValueError(f"stop line: count {view.count} exceeds the file's bytes")
-                views.append(view)
-                if not stop["builtin"]:
+                _, n, count, steps, builtin = _read_stop(stop)
+                if count > path.stat().st_size:  # each evaluation writes 50+ bytes
+                    raise ValueError(f"stop line: count {count} exceeds the file's bytes")
+                views.append(RunView(*key, n, count, steps))
+                if not builtin:
                     foreign.add(key[0])
         except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             warnings.append(f"skipping {path.name}: {exc}")

@@ -126,9 +126,9 @@ class RunRecord:
     row, frame 1, iteration 1's rows and so on, then the stop line
     (:func:`_append_stop`): the run's history as written, so ``RunRecord(*key,
     n, events=read_history(path))`` is the run again.  Every other attribute
-    is a view of them; ``outcome``, ``evals_used`` and ``steps`` are the stop
-    line's ``stop``, ``count`` and ``steps`` (lists when read back), and an
-    error record, with no events, reads ``"error"``, 0 and ``()``."""
+    is a view of them; ``outcome``, ``evals_used`` and ``steps`` are the
+    stop line's fields as :func:`_read_stop` reads them, and without a stop
+    line it accepts, as in an error record, ``"error"``, 0 and ``()``."""
 
     problem_name: str
     x0_id: str
@@ -143,21 +143,23 @@ class RunRecord:
         return (self.problem_name, self.x0_id, self.seed, self.mode)
 
     @property
-    def _stop(self) -> dict:
-        last = self.events[-1] if self.events else {}
-        return last if isinstance(last, dict) and "stop" in last else {}
+    def _stop(self) -> Tuple[str, int, int, Steps, Optional[bool]]:
+        try:
+            return _read_stop(self.events[-1] if self.events else None)
+        except ValueError:
+            return "error", self.n, 0, (), None
 
     @property
     def outcome(self) -> str:
-        return self._stop.get("stop", "error")
+        return self._stop[0]
 
     @property
     def evals_used(self) -> int:
-        return self._stop.get("count", 0)
+        return self._stop[2]
 
     @property
     def steps(self) -> Steps:
-        return self._stop.get("steps", ())
+        return self._stop[3]
 
     @property
     def best_feasible_f(self) -> Optional[float]:
@@ -166,7 +168,7 @@ class RunRecord:
     @property
     def rows(self) -> Tuple[dict, ...]:
         """The rows of ``events``, in order."""
-        return tuple(event for event in self.events if "eval_index" in event)
+        return tuple(event for event in self.events if isinstance(event, dict) and "eval_index" in event)
 
     @property
     def frames(self) -> Tuple[dict, ...]:
@@ -342,14 +344,18 @@ def _is_frame(event) -> bool:
     return isinstance(event, dict) and "frame" in event
 
 
-def _check_frame(frame: dict, pip: bool, m: int) -> None:
+def _is_stop(event) -> bool:
+    return isinstance(event, dict) and "stop" in event
+
+
+def _check_frame(frame: dict, pip: bool, m: int, expected: int) -> None:
     """Raise ``ValueError`` for a frame line (:func:`_append_frame`) that no
-    run writes: a ``frame`` that is not an integer, a ``delta_frame`` that
-    is not a positive finite float, or in pip mode a ``rho`` that is not one
-    or a ``g_int`` that is not an increasing list of indices below ``m``."""
+    run writes as frame ``expected``: a ``frame`` that is not that integer,
+    a ``delta_frame`` that is not a positive finite float, or in pip mode a
+    ``rho`` that is not one or a ``g_int`` not increasing indices below ``m``."""
     k, delta, rho, g_int = (frame.get(key) for key in ("frame", "delta_frame", "rho", "g_int"))
-    if type(k) is not int:
-        raise ValueError(f"frame {k!r} is not an integer")
+    if not (type(k) is int and k == expected):
+        raise ValueError(f"frame {k!r} is not frame {expected}, the next one")
     if not (type(delta) is float and 0.0 < delta < _INF):
         raise ValueError(f"delta_frame {delta!r} is not a positive finite float")
     if pip and not (type(rho) is float and 0.0 < rho < _INF):
@@ -408,6 +414,37 @@ def _append_stop(state: SolverState, outcome: str) -> None:
         "steps": steps,
         "builtin": is_builtin(state.problem),
     })
+
+
+def _read_stop(line) -> Tuple[str, int, int, Steps, bool]:
+    """The one statement of a stop line read back, in memory or from JSON:
+    ``(outcome, n, count, steps, builtin)``, with ``steps`` as ``(position,
+    f)`` tuples.  A line that is not a stop line, or one no run writes,
+    raises ``ValueError``."""
+    if not _is_stop(line):
+        raise ValueError("the line is not a stop line")
+    outcome, n, count, steps, builtin = (line.get(key) for key in ("stop", "n", "count", "steps", "builtin"))
+    if not isinstance(outcome, str):
+        raise ValueError(f"stop line: stop {outcome!r} is not a string")
+    if not (type(n) is int and n >= 1):  # true is no integer here
+        raise ValueError(f"stop line: n {n!r} is not a positive integer")
+    if not (type(count) is int and count >= 0):
+        raise ValueError(f"stop line: count {count!r} is not a non-negative integer")
+    if type(builtin) is not bool:
+        raise ValueError(f"stop line: builtin {builtin!r} is not a boolean")
+    if not isinstance(steps, (list, tuple)):
+        raise ValueError(f"stop line: steps {steps!r} is not a list")
+    position, f = -1, _INF
+    for step in steps:
+        if not (isinstance(step, (list, tuple)) and len(step) == 2):
+            raise ValueError(f"stop line: step {step!r} is not a [position, f] pair")
+        if not (type(step[0]) is int and position < step[0] < count):
+            raise ValueError(f"stop line: position {step[0]!r} does not lie above {position} and below {count}")
+        # a NaN fails every comparison, and +inf is never below the start
+        if not (type(step[1]) is float and -_INF < step[1] < f):
+            raise ValueError(f"stop line: f {step[1]!r} is not a finite float below {f!r}")
+        position, f = step
+    return outcome, n, count, tuple(map(tuple, steps)), builtin
 
 
 def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> SolverState:
@@ -662,15 +699,17 @@ def check_run_invariants(record: RunRecord):
     property is asymptotic: a late cut's evaluated row whose ``c_int`` is
     not negative gives a warning, not a violation.  Events that do not
     start with frame 0 and the start row give that one violation, and a
-    line no run writes (:func:`_read_row`, :func:`_check_frame`, a failed
-    start row or an evaluated ``g`` not ``m`` long) gives one violation
-    naming its event and ends the replay, as the events after it can no
-    longer be matched to the run.
+    line no run writes (:func:`_read_row`, :func:`_check_frame`, frames out
+    of order, :func:`_read_stop`, a stop line before the last line or whose
+    ``n``, ``count``, ``steps`` or outcome is not the run's, a failed start
+    row or an evaluated ``g`` not ``m`` long) gives one violation naming its
+    event and ends the replay, as the events after it can no longer be
+    matched to the run.
     """
     violations, warnings = [], []
     if not record.events:  # an error record
         return violations, warnings
-    events = record.events[:-1] if record._stop else record.events
+    events = record.events
     head = [event.get(key) if isinstance(event, dict) else None
             for event, key in zip(events, ("frame", "eval_index"))]
     if head != [0, 0]:
@@ -699,7 +738,20 @@ def check_run_invariants(record: RunRecord):
         is_frame = _is_frame(event)
         try:
             if is_frame:
-                _check_frame(event, pip, m)
+                _check_frame(event, pip, m, 0 if frame is None else k + 1)
+            elif _is_stop(event):  # held to the rows and to the frame the run stopped in
+                if i < len(events) - 1:
+                    raise ValueError("a stop line before the last line")
+                outcome, n, count, steps, _ = _read_stop(event)
+                rows = improvement_steps((ev.f, is_feasible(ev)) for ev in evaluations)
+                if n != len(start.point):
+                    raise ValueError(f"stop line: n {n} is not the length of the start row's x")
+                if (count, steps) != rows:
+                    raise ValueError(f"stop line: count {count} and steps {steps!r} are not the rows' {rows!r}")
+                converged = frame is events[-2] and frame["delta_frame"] < DELTA_STOP
+                if not (outcome == "budget-exhausted" or outcome == "delta-converged" and converged):
+                    raise ValueError(f"stop line: stop {outcome!r} is not how the events end")
+                break
             else:
                 ev = _read_row(event, len(evaluations))
                 if ev is not None and len(ev.g) != m:

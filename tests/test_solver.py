@@ -845,7 +845,7 @@ class TestPinnedTraces:
                     assert (back.outcome, back.evals_used, back.best_feasible_f) == (
                         record.outcome, record.evals_used, record.best_feasible_f
                     )
-                    assert back.steps == [list(step) for step in record.steps]
+                    assert back.steps == record.steps
                     assert check_run_invariants(back) == check_run_invariants(record)
                     replayed += 1
         assert replayed == 15  # 12 pip runs, 3 extreme-barrier
@@ -1091,6 +1091,16 @@ class TestInvariantChecker:
             violations, _ = check_run_invariants(RunRecord(*record.key, record.n, events=events))
             assert violations == [expected]
 
+    @pytest.mark.parametrize("line", [[0.0, 1.0], 5, None, "eval_index frame"], ids=["array", "number", "null", "string"])
+    @pytest.mark.parametrize("read_back", [False, True], ids=["in-memory", "read-back"])
+    def test_rows_and_frames_pass_over_a_line_that_is_not_an_object(self, tmp_path, read_back, line):
+        record = self._budget_60_record(tmp_path, read_back)
+        mid = next(i for i, event in enumerate(record.events) if event.get("eval_index") == 30)
+        events = list(record.events)
+        events.insert(mid, line)
+        edited = RunRecord(*record.key, record.n, events=events)
+        assert (edited.rows, edited.frames) == (record.rows, record.frames)
+
     @pytest.mark.parametrize("edit", [
         {"rho": None}, {"rho": 0.0}, {"rho": "0.1"}, {"g_int": None}, {"g_int": [1]},
         {"g_int": [0.0]}, {"g_int": [0, 0]}, {"delta_frame": None}, {"delta_frame": 0.0},
@@ -1142,6 +1152,71 @@ class TestInvariantChecker:
             events[i] = dict(events[i], **edit)
             violations, _ = check_run_invariants(RunRecord(*record.key, record.n, events=events))
             assert len(violations) == 1 and violations[0].startswith(f"event {i}: ")
+
+    @pytest.mark.parametrize("edit", [
+        lambda stop: {"count": stop["count"] + 5}, lambda stop: {"count": stop["count"] - 1},
+        lambda stop: {"steps": [[0, -5.0]]}, lambda stop: {"steps": stop["steps"][:-1]},
+        lambda stop: {"n": 7}, lambda stop: {"n": 1}, lambda stop: {"stop": "delta-converged"},
+        lambda stop: {"stop": "interrupted"},
+    ], ids=[
+        "count-more", "count-less", "steps-other", "steps-fewer", "n-more", "n-less",
+        "converged-unconverged", "unknown-outcome",
+    ])
+    @pytest.mark.parametrize("read_back", [False, True], ids=["in-memory", "read-back"])
+    def test_a_stop_line_that_lies_gives_one_violation(self, tmp_path, edit, read_back):
+        # each edit leaves a line that profile reads, but not the one this
+        # run's rows and frames end in: a budget-exhausted run of 60
+        # evaluations in 2 variables with 8 improvements
+        record = self._budget_60_record(tmp_path, read_back)
+        stop = record.events[-1]
+        record.events[-1] = dict(stop, **edit(stop))
+        violations, _ = check_run_invariants(record)
+        last = len(record.events) - 1
+        assert len(violations) == 1 and violations[0].startswith(f"event {last}: stop line: "), violations
+
+    @pytest.mark.parametrize("edit", [
+        {"steps": 5}, {"steps": "ab"}, {"steps": None}, {"steps": [[0, "1.0"]]}, {"count": -1},
+        {"count": 60.0}, {"n": True}, {"builtin": 1}, {"stop": None}, {"stop": ["budget-exhausted"]},
+    ], ids=[
+        "steps-number", "steps-string", "steps-null", "f-string", "count-negative", "count-float",
+        "n-bool", "builtin-number", "stop-null", "stop-list",
+    ])
+    @pytest.mark.parametrize("read_back", [False, True], ids=["in-memory", "read-back"])
+    def test_a_stop_line_no_run_writes_gives_one_violation(self, tmp_path, edit, read_back):
+        record = self._budget_60_record(tmp_path, read_back)
+        record.events[-1] = dict(record.events[-1], **edit)
+        violations, _ = check_run_invariants(record)
+        last = len(record.events) - 1
+        assert len(violations) == 1 and violations[0].startswith(f"event {last}: stop line: "), violations
+        # the record reads a stop line it refuses as none
+        assert (record.outcome, record.evals_used, record.steps, record.best_feasible_f) == (
+            "error", 0, (), None
+        )
+        assert "outcome=error" in summary_line(record)
+
+    @pytest.mark.parametrize("read_back", [False, True], ids=["in-memory", "read-back"])
+    def test_a_stop_line_before_the_last_line_gives_one_violation(self, tmp_path, read_back):
+        record = self._budget_60_record(tmp_path, read_back)
+        *body, stop = record.events
+        mid = next(i for i, event in enumerate(body) if event.get("eval_index") == 30)
+        for events in (body[:mid] + [stop] + body[mid:] + [stop], body[:mid] + [stop] + body[mid:]):
+            violations, _ = check_run_invariants(RunRecord(*record.key, record.n, events=events))
+            assert violations == [f"event {mid}: a stop line before the last line"]
+
+    @pytest.mark.parametrize("number", [7, 0, -3, 100, None], ids=["7", "0", "-3", "100", "dropped"])
+    @pytest.mark.parametrize("read_back", [False, True], ids=["in-memory", "read-back"])
+    def test_a_frame_out_of_order_gives_one_violation(self, tmp_path, number, read_back):
+        # frame k + 1 follows frame k: frame 5 renumbered or dropped
+        record = self._budget_60_record(tmp_path, read_back)
+        events = list(record.events)
+        i = [i for i, event in enumerate(events) if "frame" in event][5]
+        if number is None:
+            del events[i]
+            i = next(j for j in range(i, len(events)) if "frame" in events[j])  # frame 6
+        else:
+            events[i] = dict(events[i], frame=number)
+        violations, _ = check_run_invariants(RunRecord(*record.key, record.n, events=events))
+        assert len(violations) == 1 and violations[0].startswith(f"event {i}: frame "), violations
 
     def test_rho_reductions_only_at_failures(self):
         problem, _ = builtin_problem("two-ring")

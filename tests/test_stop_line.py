@@ -10,12 +10,13 @@ import math
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import madspip.problem
 from madspip.bench import view_of_history, view_of_stop
 from madspip.cli import _parse_history_name, main
 from madspip.problem import ExternalEvaluator, Problem, read_history, read_stop_line, write_history
-from madspip.solver import RunRecord, SolverConfig, check_run_invariants, solve
+from madspip.solver import RunRecord, SolverConfig, _read_stop, check_run_invariants, solve, summary_line
 from madspip.suite import builtin_problem, builtin_problems, initial_point
 
 from history_expansion import bytes_with_row_keys
@@ -216,6 +217,9 @@ def stop_text(**changes):
         stop_text(n=True),
         stop_text(builtin=1),
         stop_text(builtin=None),
+        stop_text(stop=None),  # an outcome that is not a string
+        stop_text(stop=5),
+        stop_text(stop=["budget-exhausted"]),
     ],
 )
 def test_hostile_stop_line_is_skipped_once(tmp_path, capsys, stop):
@@ -272,3 +276,124 @@ def test_only_a_last_object_with_a_stop_key_is_a_stop_line(tmp_path, text):
     path = tmp_path / "run.jsonl"
     path.write_text(text)
     assert read_stop_line(path) is None
+
+
+def _budget_60_run():
+    # budget-exhausted after 60 evaluations in 2 variables, 8 improvements,
+    # none of them at f = 0.0 (whose negation -0.0 equals it)
+    problem, _ = builtin_problem("unit-disk")
+    return solve(problem, initial_point(problem, "feasible-0"), SolverConfig(60, seed=3), x0_id="feasible-0")
+
+
+RUN = _budget_60_run()
+RUN_READ_BACK = json.loads(json.dumps(RUN.events))
+
+
+def test_a_stop_line_reads_the_same_in_memory_and_read_back():
+    stop = RUN.events[-1]
+    assert type(stop["steps"]) is tuple and type(RUN_READ_BACK[-1]["steps"]) is list
+    fields = _read_stop(stop)
+    assert fields == _read_stop(RUN_READ_BACK[-1]) == (
+        "budget-exhausted", 2, 60, stop["steps"], True
+    )
+    assert all(type(step) is tuple for step in _read_stop(RUN_READ_BACK[-1])[3])
+    back = RunRecord(*RUN.key, RUN.n, events=RUN_READ_BACK)
+    assert (back.outcome, back.evals_used, back.steps, back.best_feasible_f) == (
+        RUN.outcome, RUN.evals_used, RUN.steps, RUN.best_feasible_f
+    )
+    assert all(f != 0.0 for _, f in RUN.steps)
+
+
+def _replace(value, path, new):
+    """``value`` with the entry at ``path`` (keys and indices) replaced by
+    ``new``, each container rebuilt as its own type."""
+    if not path:
+        return new
+    head, *rest = path
+    if isinstance(value, dict):
+        return {**value, head: _replace(value[head], rest, new)}
+    return type(value)(_replace(v, rest, new) if j == head else v for j, v in enumerate(value))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+def _edited(value, edit):
+    """One edit of one field's value, or ``None`` when it does not apply:
+    its type, its sign, its order, a NaN or infinity, a list for a scalar
+    or a scalar for a list."""
+    number = isinstance(value, (int, float))
+    edits = {
+        "null": lambda: None,
+        "string": lambda: str(value),
+        "bool": lambda: True,
+        "float": lambda: float(value) if type(value) in (int, bool) else None,
+        "int": lambda: int(value) if type(value) is float else None,
+        "negate": lambda: -value if number else None,
+        "nan": lambda: math.nan,
+        "inf": lambda: math.inf,
+        "-inf": lambda: -math.inf,
+        "wrap": lambda: [value],
+        "unwrap": lambda: value[0] if isinstance(value, (list, tuple)) and value else None,
+        "reverse": lambda: value[::-1] if isinstance(value, (list, tuple)) else None,
+        "swap-with-next": lambda: None,  # applied to a step by the caller
+    }
+    return edits[edit]()
+
+
+_STEPS = len(RUN.events[-1]["steps"])
+_PATHS = (
+    [("stop",), ("n",), ("count",), ("steps",), ("builtin",)]
+    + [("steps", j) for j in range(_STEPS)]
+    + [("steps", j, part) for j in range(_STEPS) for part in (0, 1)]
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.sampled_from(_PATHS),
+    st.sampled_from(["null", "string", "bool", "float", "int", "negate", "nan", "inf", "-inf",
+                     "wrap", "unwrap", "reverse", "swap-with-next"]),
+    st.booleans(),
+)
+def test_one_field_edit_of_a_real_stop_line(path, edit, read_back):
+    events = RUN_READ_BACK if read_back else RUN.events
+    stop = events[-1]
+    if edit == "swap-with-next":  # the order of two steps
+        assume(len(path) == 2 and path[1] + 1 < _STEPS)
+        j = path[1]
+        steps = stop["steps"]
+        new_steps = type(steps)([*steps[:j], steps[j + 1], steps[j], *steps[j + 2:]])
+        edited = _replace(stop, ("steps",), new_steps)
+    else:
+        new = _edited(_at(stop, path), edit)
+        assume(new is not None or edit == "null")
+        edited = _replace(stop, path, new)
+    same = json.dumps(edited) == json.dumps(stop)  # a line this run writes
+    record = RunRecord(*RUN.key, RUN.n, events=[*events[:-1], edited])
+    try:
+        fields, refused = _read_stop(edited), False
+    except ValueError:
+        fields, refused = ("error", RUN.n, 0, (), None), True
+        assert not same
+    # the summary attributes never raise, and read the line or, refused,
+    # an error record's values
+    outcome, _, count, steps, _ = fields
+    assert (record.outcome, record.evals_used, record.steps) == (outcome, count, steps)
+    assert record.best_feasible_f == (steps[-1][1] if steps else None)
+    summary_line(record)
+    try:
+        view = view_of_stop(edited, *RUN.key)
+    except ValueError:  # the one way a profile refuses a stop line
+        assert refused
+    else:
+        assert (view.n, view.count, view.steps) == fields[1:4]
+    violations, _ = check_run_invariants(record)
+    if same:
+        assert violations == []
+    else:
+        last = len(events) - 1
+        assert len(violations) == 1 and violations[0].startswith(f"event {last}: stop line: "), violations
