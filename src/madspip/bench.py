@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .problem import is_feasible
 from .solver import RunRecord, SolverConfig, InitializationError, Steps, improvement_steps, solve
-from .solver import _is_frame, _is_stop, _read_row, _read_stop
+from .solver import _is_frame, _is_stop, _read_row
 from .suite import Instance
 
 __all__ = [
@@ -98,9 +98,10 @@ def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, m
     :func:`madspip.solver._read_row`, which raises ``ValueError`` for a row
     no run writes.  Frame lines (:func:`madspip.solver._append_frame`) are
     passed over, and so is a last line that is a stop line
-    (:func:`madspip.solver._is_stop`).  A row whose ``eval_index`` is
-    the next number is a new evaluation; a cache hit (an earlier index) and
-    a bound rejection (``None``) spend no budget.
+    (:func:`madspip.solver._is_stop`); one before the last line is refused.
+    A row whose ``eval_index`` is the next number is a new evaluation; a
+    cache hit (an earlier index) and a bound rejection (``None``) spend no
+    budget.
     """
     if rows and _is_stop(rows[-1]):
         rows = rows[:-1]
@@ -108,17 +109,13 @@ def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, m
     for row in rows:
         if _is_frame(row):
             continue
+        if _is_stop(row):
+            raise ValueError("a stop line before the last line")
         ev = _read_row(row, len(fresh))
         n = n or len(row["x"])
         if ev is not None and ev.eval_index == len(fresh):
             fresh.append((ev.f, is_feasible(ev)))
     return RunView(problem, x0_id, seed, mode, n, *improvement_steps(fresh))
-
-
-def view_of_stop(stop: dict, problem: str, x0_id: str, seed: int, mode: str) -> RunView:
-    """Build a view from a history's stop line alone, without its rows, as
-    :func:`madspip.solver._read_stop` reads it, which raises ``ValueError``."""
-    return RunView(problem, x0_id, seed, mode, *_read_stop(stop)[1:4])
 
 
 def run_matrix(

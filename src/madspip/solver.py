@@ -175,25 +175,25 @@ class RunRecord:
         """The frames of ``events``; ``frames[k]`` is frame ``k``."""
         return tuple(event for event in self.events if _is_frame(event))
 
+    def _changes(self):
+        """``(k, frame k, frame k + 1)`` per iteration ``k`` that left a frame,
+        each frame as :func:`_read_frame` reads it or refuses it."""
+        frames = [_read_frame(frame, self.mode == MODE_PIP) for frame in self.frames]
+        return [(k, before, after) for k, (before, after) in enumerate(zip(frames[1:], frames[2:]), 1)]
+
     @property
     def rho_trace(self) -> List[Tuple[int, float]]:
         """``(iteration, new rho)`` for each iteration that cut ``rho``."""
-        frames = self.frames
-        return [
-            (k, after["rho"])
-            for k, (before, after) in enumerate(zip(frames[1:], frames[2:]), 1)
-            if after["rho"] != before["rho"]
-        ]
+        return [(k, after[1]) for k, before, after in self._changes() if after[1] != before[1]]
 
     @property
     def partition_trace(self) -> List[Tuple[int, int]]:
         """``(iteration, index)`` for each inequality moved to the interior set."""
-        frames = self.frames
         return [
             (k, i)
-            for k, (before, after) in enumerate(zip(frames[1:], frames[2:]), 1)
-            for i in after["g_int"] or ()  # None outside pip mode
-            if i not in before["g_int"]
+            for k, before, after in self._changes()
+            for i in after[3] or ()  # None outside pip mode
+            if i not in before[3]
         ]
 
 
@@ -348,23 +348,6 @@ def _is_stop(event) -> bool:
     return isinstance(event, dict) and "stop" in event
 
 
-def _check_frame(frame: dict, pip: bool, m: int, expected: int) -> None:
-    """Raise ``ValueError`` for a frame line (:func:`_append_frame`) that no
-    run writes as frame ``expected``: a ``frame`` that is not that integer,
-    a ``delta_frame`` that is not a positive finite float, or in pip mode a
-    ``rho`` that is not one or a ``g_int`` not increasing indices below ``m``."""
-    k, delta, rho, g_int = (frame.get(key) for key in ("frame", "delta_frame", "rho", "g_int"))
-    if not (type(k) is int and k == expected):
-        raise ValueError(f"frame {k!r} is not frame {expected}, the next one")
-    if not (type(delta) is float and 0.0 < delta < _INF):
-        raise ValueError(f"delta_frame {delta!r} is not a positive finite float")
-    if pip and not (type(rho) is float and 0.0 < rho < _INF):
-        raise ValueError(f"rho {rho!r} is not a positive finite float")
-    if pip and not (isinstance(g_int, (list, tuple)) and all(type(i) is int for i in g_int)
-                    and list(g_int) == [i for i in range(m) if i in g_int]):
-        raise ValueError(f"g_int {g_int!r} is not an increasing list of indices below {m}")
-
-
 def _append_frame(state: SolverState, k: int) -> None:
     """Append frame ``k``, the state iteration ``k`` is priced under; this
     is the one statement of the frame line's layout.  ``init_state``
@@ -389,6 +372,32 @@ def _append_frame(state: SolverState, k: int) -> None:
         "delta_frame": state.mesh.delta_frame,
         "g_int": state.partition.g_int if state.pip else None,
     })
+
+
+def _read_frame(line, pip: bool) -> Tuple[int, Optional[float], float, Optional[Tuple[int, ...]]]:
+    """The one statement of a frame line read back, in memory or from JSON:
+    ``(k, rho, delta_frame, g_int)``, ``g_int`` as a tuple.  A line that is
+    not a frame line, or one no run of the mode writes, raises
+    ``ValueError``: a ``frame`` not a non-negative integer, a ``delta_frame``
+    not a positive finite float, and in pip mode a ``rho`` not one or a
+    ``g_int`` not increasing non-negative integers, outside it either not null."""
+    if not _is_frame(line):
+        raise ValueError("the line is not a frame line")
+    k, rho, delta, g_int = (line.get(key) for key in ("frame", "rho", "delta_frame", "g_int"))
+    if not (type(k) is int and k >= 0):  # true is no integer here
+        raise ValueError(f"frame {k!r} is not a non-negative integer")
+    if not (type(delta) is float and 0.0 < delta < _INF):
+        raise ValueError(f"delta_frame {delta!r} is not a positive finite float")
+    if not pip:
+        if rho is not None or g_int is not None:
+            raise ValueError(f"rho {rho!r} or g_int {g_int!r} is not null outside pip mode")
+        return k, None, delta, None
+    if not (type(rho) is float and 0.0 < rho < _INF):
+        raise ValueError(f"rho {rho!r} is not a positive finite float")
+    if not (isinstance(g_int, (list, tuple)) and all(type(i) is int for i in g_int)
+            and all(a < b for a, b in zip((-1, *g_int), g_int))):
+        raise ValueError(f"g_int {g_int!r} is not an increasing list of non-negative integers")
+    return k, rho, delta, tuple(g_int)
 
 
 def _append_stop(state: SolverState, outcome: str) -> None:
@@ -699,10 +708,11 @@ def check_run_invariants(record: RunRecord):
     property is asymptotic: a late cut's evaluated row whose ``c_int`` is
     not negative gives a warning, not a violation.  Events that do not
     start with frame 0 and the start row give that one violation, and a
-    line no run writes (:func:`_read_row`, :func:`_check_frame`, frames out
-    of order, :func:`_read_stop`, a stop line before the last line or whose
-    ``n``, ``count``, ``steps`` or outcome is not the run's, a failed start
-    row or an evaluated ``g`` not ``m`` long) gives one violation naming its
+    line no run writes (:func:`_read_row`, :func:`_read_frame`, frames out
+    of order, a ``g_int`` index not below ``m``, :func:`_read_stop`, a stop
+    line before the last line or whose ``n``, ``count``, ``steps`` or
+    outcome is not the run's, a failed start row or an evaluated ``g`` not
+    ``m`` long) gives one violation naming its
     event and ends the replay, as the events after it can no longer be
     matched to the run.
     """
@@ -724,8 +734,8 @@ def check_run_invariants(record: RunRecord):
     m, b_ext = len(start.g), compute_b_ext(start.f) if pip else None
     completed = sum(map(_is_frame, events)) - 2  # the iterations that left a frame
     evaluations, terms = [], []  # each Evaluation, and its terms under partition
-    frame = partition = merit_params = None
-    k, incumbent, best = 0, 0, _INF
+    frame = partition = merit_params = None  # frame: the last frame as read
+    k, incumbent, best = -1, 0, _INF
     succeeded, cints = False, []
 
     def price(e):
@@ -738,7 +748,11 @@ def check_run_invariants(record: RunRecord):
         is_frame = _is_frame(event)
         try:
             if is_frame:
-                _check_frame(event, pip, m, 0 if frame is None else k + 1)
+                read = _read_frame(event, pip)
+                if read[0] != k + 1:
+                    raise ValueError(f"frame {read[0]} is not frame {k + 1}, the next one")
+                if read[3] and read[3][-1] >= m:  # g_int is None outside pip mode
+                    raise ValueError(f"g_int {read[3]!r} holds an index not below {m}")
             elif _is_stop(event):  # held to the rows and to the frame the run stopped in
                 if i < len(events) - 1:
                     raise ValueError("a stop line before the last line")
@@ -748,7 +762,7 @@ def check_run_invariants(record: RunRecord):
                     raise ValueError(f"stop line: n {n} is not the length of the start row's x")
                 if (count, steps) != rows:
                     raise ValueError(f"stop line: count {count} and steps {steps!r} are not the rows' {rows!r}")
-                converged = frame is events[-2] and frame["delta_frame"] < DELTA_STOP
+                converged = _is_frame(events[i - 1]) and frame[2] < DELTA_STOP
                 if not (outcome == "budget-exhausted" or outcome == "delta-converged" and converged):
                     raise ValueError(f"stop line: stop {outcome!r} is not how the events end")
                 break
@@ -780,10 +794,10 @@ def check_run_invariants(record: RunRecord):
             continue
 
         if pip:  # frame k + 1 closes iteration k, then prices iteration k + 1
-            rho, g_next = event["rho"], tuple(event["g_int"])
+            _, rho, delta, g_next = read
             changed = False
             if k > 0:
-                rho_before, g_int = frame["rho"], tuple(frame["g_int"])
+                _, rho_before, _, g_int = frame
                 changed = rho != rho_before or g_next != g_int
                 if not set(g_int) <= set(g_next):
                     violations.append(f"iteration {k}: frame {k + 1}'s g_int does not contain frame {k}'s")
@@ -795,10 +809,8 @@ def check_run_invariants(record: RunRecord):
                     bound = min(B_RHO * rho_before**BETA, B_C * phi * phi)
                     if succeeded:
                         violations.append(f"rho reduced at successful iteration {k}")
-                    elif not event["delta_frame"] <= bound:
-                        violations.append(
-                            f"iteration {k}: delta_next {event['delta_frame']!r} exceeds criterion bound {bound!r}"
-                        )
+                    elif not delta <= bound:
+                        violations.append(f"iteration {k}: delta_next {delta!r} exceeds criterion bound {bound!r}")
                     violations.extend(
                         f"iteration {k}: partition switch and rho reduction in the same iteration"
                         for i in g_next if i not in g_int
@@ -819,18 +831,19 @@ def check_run_invariants(record: RunRecord):
                     incumbent = values.index(best)
             if k > 0 and not terms[incumbent][1] < 0.0:
                 violations.append(f"iteration {k}: incumbent c_int {terms[incumbent][1]!r} not negative")
-        frame, k = event, event["frame"]
+        frame, k = read, read[0]
         succeeded, cints = False, []
     return violations, warnings
 
 
 def summary_line(record: RunRecord) -> str:
-    """One human-readable line per run for console output."""
+    """One human-readable line per run for console output; its last frame
+    is read by :func:`_read_frame`, which raises ``ValueError``."""
     best = "none" if record.best_feasible_f is None else f"{record.best_feasible_f:.10g}"
-    frames = record.frames
-    last = frames[-1] if frames else {"rho": None, "delta_frame": None}
-    rho = "-" if last["rho"] is None else f"{last['rho']:.3g}"
-    delta = "-" if last["delta_frame"] is None else f"{last['delta_frame']:.3g}"
+    last = next(filter(_is_frame, reversed(record.events)), None)
+    _, rho, delta, _ = (None,) * 4 if last is None else _read_frame(last, record.mode == MODE_PIP)
+    rho = "-" if rho is None else f"{rho:.3g}"
+    delta = "-" if delta is None else f"{delta:.3g}"
     return (
         f"problem={record.problem_name} x0={record.x0_id} seed={record.seed} "
         f"mode={record.mode} evals={record.evals_used} best_feasible_f={best} "

@@ -12,8 +12,9 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import madspip.cli
 import madspip.problem
-from madspip.bench import view_of_history, view_of_stop
+from madspip.bench import view_of_history
 from madspip.cli import _parse_history_name, main
 from madspip.problem import ExternalEvaluator, Problem, read_history, read_stop_line, write_history
 from madspip.solver import RunRecord, SolverConfig, _read_stop, check_run_invariants, solve, summary_line
@@ -47,8 +48,20 @@ def bench_dir(tmp_path_factory, request):
     return out
 
 
-def test_stop_line_view_is_the_rows_view(bench_dir):
+def test_stop_line_view_is_the_rows_view(bench_dir, tmp_path, monkeypatch):
+    # the views profile builds, from the stop lines, are the rows' views
+    built = {}
+    best_feasible_table = madspip.cli.best_feasible_table
+
+    def recording(views, known):
+        built.update((view.key, view) for view in views)
+        return best_feasible_table(views, known=known)
+
+    monkeypatch.setattr(madspip.cli, "best_feasible_table", recording)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["profile", "--histories", str(bench_dir), "--out", str(tmp_path)]) == 0
     paths = sorted(bench_dir.glob("*.jsonl"))
+    assert len(built) == len(paths)
     stopped = 0
     for path in paths:
         key = _parse_history_name(path.name)
@@ -57,7 +70,7 @@ def test_stop_line_view_is_the_rows_view(bench_dir):
             assert path.stat().st_size == 0, path.name
             continue
         stopped += 1
-        assert view_of_stop(stop, *key) == view_of_history(read_history(path), *key), path.name
+        assert built[key] == view_of_history(read_history(path), *key), path.name
         assert stop["builtin"] is True
     assert stopped >= len(paths) / 2
 
@@ -245,8 +258,8 @@ def test_stop_line_longer_than_a_block_is_read(tmp_path, capsys):
     # trailing blank lines do not hide it
     path.write_text(f"{ROW}\n{stop}\n\n \r\n")
     assert read_stop_line(path) == json.loads(stop)
-    view = view_of_stop(read_stop_line(path), "p", "feasible-0", 1, "pip")
-    assert view.count == count and view.steps[-1] == (count - 1, steps[-1][1])
+    _, _, read_count, read_steps, _ = _read_stop(read_stop_line(path))
+    assert read_count == count and read_steps[-1] == (count - 1, steps[-1][1])
     machine = profile(capsys, tmp_path)
     assert machine["histories"] == 1 and machine["warnings"] == []
 
@@ -385,15 +398,20 @@ def test_one_field_edit_of_a_real_stop_line(path, edit, read_back):
     assert (record.outcome, record.evals_used, record.steps) == (outcome, count, steps)
     assert record.best_feasible_f == (steps[-1][1] if steps else None)
     summary_line(record)
-    try:
-        view = view_of_stop(edited, *RUN.key)
-    except ValueError:  # the one way a profile refuses a stop line
-        assert refused
-    else:
-        assert (view.n, view.count, view.steps) == fields[1:4]
     violations, _ = check_run_invariants(record)
     if same:
         assert violations == []
     else:
         last = len(events) - 1
         assert len(violations) == 1 and violations[0].startswith(f"event {last}: stop line: "), violations
+
+
+def test_a_stop_line_before_the_last_line_is_refused_as_one():
+    # the rows' view refuses it as the replay does, not as a row whose
+    # status is missing
+    events = [*RUN.events[:10], RUN.events[-1], *RUN.events[10:]]
+    with pytest.raises(ValueError, match="^a stop line before the last line$"):
+        view_of_history(events, *RUN.key)
+    assert check_run_invariants(RunRecord(*RUN.key, RUN.n, events=events))[0] == [
+        "event 10: a stop line before the last line"
+    ]
