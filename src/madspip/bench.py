@@ -10,7 +10,8 @@ is ``f(x0)`` when the starting point is feasible and otherwise the largest
 objective among the modes' first feasible evaluations.  Instances where no
 mode ever reaches feasibility are dropped from data-profile denominators.
 Feasibility profiles count instances with any feasible evaluation within the
-first ``k`` groups, over all instances.
+first ``k`` groups, over all instances.  A run's view is built from its
+history's lines, read through :mod:`madspip.history` alone.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .history import Steps, improvement_steps, is_frame, is_stop, read_frame, read_row
 from .problem import is_feasible
-from .solver import RunRecord, SolverConfig, InitializationError, Steps, improvement_steps, solve
-from .solver import _is_frame, _is_stop, _read_row
+from .solver import MODE_PIP, RunRecord, SolverConfig, InitializationError, solve
 from .suite import Instance
 
 __all__ = [
@@ -67,7 +68,7 @@ class RunView:
     best feasible ``f``, so the view keeps ``count``, the number of
     evaluations, and ``steps``: one ``(position, f)`` pair per improvement,
     the first feasible evaluation included
-    (:func:`madspip.solver.improvement_steps`).  Its memory grows with the
+    (:func:`madspip.history.improvement_steps`).  Its memory grows with the
     improvements, not the evaluations.
     """
 
@@ -93,26 +94,26 @@ class RunView:
 
 
 def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, mode: str) -> RunView:
-    """Build a view from history rows, in memory or read back from JSONL
-    (``n`` comes from the first row's ``x``), each read by
-    :func:`madspip.solver._read_row`, which raises ``ValueError`` for a row
-    no run writes.  Frame lines (:func:`madspip.solver._append_frame`) are
-    passed over, and so is a last line that is a stop line
-    (:func:`madspip.solver._is_stop`); one before the last line is refused.
-    A row whose ``eval_index`` is the next number is a new evaluation; a
-    cache hit (an earlier index) and a bound rejection (``None``) spend no
-    budget.
+    """Build a view from a history's lines, in memory or read back from
+    JSONL (``n`` comes from the first row's ``x``).  Each row and frame is
+    read by :mod:`madspip.history`, which raises ``ValueError`` for a line
+    no run of ``mode`` writes; a last stop line is passed over, and one
+    before the last line is refused.  A row whose ``eval_index`` is the next
+    number is a new evaluation; a cache hit (an earlier index) and a bound
+    rejection (``None``) spend no budget.
     """
-    if rows and _is_stop(rows[-1]):
+    if rows and is_stop(rows[-1]):
         rows = rows[:-1]
+    pip = mode == MODE_PIP
     n, fresh = 0, []  # each new evaluation's (f, feasible)
     for row in rows:
-        if _is_frame(row):
+        if is_frame(row):
+            read_frame(row, pip)
             continue
-        if _is_stop(row):
+        if is_stop(row):
             raise ValueError("a stop line before the last line")
-        ev = _read_row(row, len(fresh))
-        n = n or len(row["x"])
+        x, _, ev = read_row(row, len(fresh))
+        n = n or len(x)
         if ev is not None and ev.eval_index == len(fresh):
             fresh.append((ev.f, is_feasible(ev)))
     return RunView(problem, x0_id, seed, mode, n, *improvement_steps(fresh))

@@ -29,13 +29,13 @@ from .bench import (
     run_matrix,
     view_of_history,
 )
-from .problem import ExternalEvaluator, read_history, read_stop_line, write_history
+from .history import read_stop, read_stop_line
+from .problem import ExternalEvaluator, read_history, write_history
 from .solver import (
     MODE_EXTREME_BARRIER,
     MODE_PIP,
     InitializationError,
     SolverConfig,
-    _read_stop,
     check_run_invariants,
     solve,
     summary_line,
@@ -276,7 +276,7 @@ def cmd_profile(args) -> int:
             if stop is None:  # no stop line: a history of rows only
                 views.append(view_of_history(read_history(path), *key))
             else:  # the stop line holds the view; the rows go unread
-                _, n, count, steps, builtin = _read_stop(stop)
+                _, n, count, steps, builtin = read_stop(stop)
                 if count > path.stat().st_size:  # each evaluation writes 50+ bytes
                     raise ValueError(f"stop line: count {count} exceeds the file's bytes")
                 views.append(RunView(*key, n, count, steps))

@@ -10,7 +10,9 @@ infinite merit downstream.
 
 The cache maps exact point keys to evaluations so the budget counts true
 blackbox calls only.  External executables are driven through a one-line
-stdin/stdout protocol (decimals with 17 significant digits).
+stdin/stdout protocol (decimals with 17 significant digits).  A history is
+written and read back here as JSONL, whole lines at a time; what its lines
+hold is :mod:`madspip.history`'s.
 """
 
 from __future__ import annotations
@@ -281,9 +283,6 @@ class ExternalEvaluator:
 
 _ROW_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
-#: Bytes :func:`read_stop_line` reads per step back from a history's end.
-_TAIL_BLOCK = 4096
-
 
 @contextmanager
 def _atomic_file(path):
@@ -326,40 +325,6 @@ def write_history(lines: Iterable[dict], path) -> None:
     )
     with _atomic_file(path) as fh:
         fh.writelines("".join(encode(line, 0)) + "\n" for line in lines)
-
-
-def read_stop_line(path) -> Optional[dict]:
-    """The stop line that ends a history, or ``None`` when the file's last
-    nonblank line is not one: a 0-byte history, a line that is not JSON, or
-    a value that is not an object with a ``stop`` key.
-
-    Only the tail is read: blocks of ``_TAIL_BLOCK`` bytes back from the
-    end, until they hold the line break before the last line, so a stop
-    line longer than one block still reads.
-    """
-    with open(path, "rb") as fh:
-        start = fh.seek(0, os.SEEK_END)
-        blocks = []  # the last line's pieces, last first
-        while start > 0:
-            step = min(_TAIL_BLOCK, start)
-            start -= step
-            fh.seek(start)
-            block = fh.read(step)
-            if not blocks:  # only blanks after this block so far
-                block = block.rstrip()
-                if not block:
-                    continue
-            # only the new block is searched, so the read stays linear
-            cut = max(block.rfind(b"\n"), block.rfind(b"\r"))
-            blocks.append(block[cut + 1 :])
-            if cut >= 0:
-                break
-    line = b"".join(reversed(blocks))
-    try:
-        stop = json.loads(line.decode("utf-8"))
-    except ValueError:  # UnicodeDecodeError and JSONDecodeError both are
-        return None
-    return stop if isinstance(stop, dict) and "stop" in stop else None
 
 
 def read_history(path) -> List[dict]:

@@ -19,9 +19,10 @@ subproblem changes stay serialized.
 
 A run's record is one event stream, ``RunRecord.events``: each frame, the
 state an iteration is priced under, followed by that iteration's rows, and
-last the stop line that :func:`solve` appends.  The events are the run's
-history as written, and :func:`check_run_invariants` replays a record, or a
-history read back, from them alone.
+last the stop line that :func:`solve` appends, each line as
+:mod:`madspip.history` writes it.  The events are the run's history as
+written, and :func:`check_run_invariants` replays a record, or a history
+read back, from them alone, through the history's readers.
 
 The ``extreme-barrier`` mode runs the identical loop with the merit replaced
 by ``f`` on feasible points and ``+inf`` elsewhere; it requires an
@@ -32,8 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from .history import (
+    Steps, frame_line, improvement_steps, is_frame, is_stop, read_frame, read_row, read_stop, row_line,
+    starts_run, stop_line,
+)
 from .merit import (
     B_C,
     B_RHO,
@@ -65,8 +70,6 @@ __all__ = [
     "check_run_invariants",
 ]
 
-Steps = Tuple[Tuple[int, float], ...]  # (position, f) per improvement
-
 MODE_PIP = "pip"
 MODE_EXTREME_BARRIER = "extreme-barrier"
 
@@ -78,25 +81,6 @@ DELTA_STOP = 1e-9
 
 class InitializationError(Exception):
     """The run cannot start: bad starting point or inapplicable mode."""
-
-
-def improvement_steps(evals: Iterable[Tuple[float, bool]]) -> Tuple[int, Steps]:
-    """``(count, steps)`` of a run's ``(f, feasible)`` pairs in evaluation
-    order: the number of evaluations, and one ``(position, f)`` step per
-    strict improvement of the best feasible ``f``.
-
-    This is the one statement of "improvement": the first feasible ``f``,
-    then each one below the best so far; an equal ``f`` (``-0.0`` after
-    ``0.0`` too) is no improvement.
-    """
-    steps = []
-    best = None
-    count = 0
-    for count, (f, feasible) in enumerate(evals, 1):
-        if feasible and (best is None or f < best):
-            best = f
-            steps.append((count - 1, f))
-    return count, tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -121,14 +105,14 @@ class SolverConfig:
 @dataclass
 class RunRecord:
     """Everything observable about one run: its event stream.  ``events``
-    holds the run's frames (:func:`_append_frame`) and rows
-    (:func:`_append_row`) in the order the run made them, frame 0, the start
-    row, frame 1, iteration 1's rows and so on, then the stop line
-    (:func:`_append_stop`): the run's history as written, so ``RunRecord(*key,
-    n, events=read_history(path))`` is the run again.  Every other attribute
-    is a view of them; ``outcome``, ``evals_used`` and ``steps`` are the
-    stop line's fields as :func:`_read_stop` reads them, and without a stop
-    line it accepts, as in an error record, ``"error"``, 0 and ``()``."""
+    holds the run's frames and rows (:mod:`madspip.history`) in the order
+    the run made them, frame 0, the start row, frame 1, iteration 1's rows
+    and so on, then the stop line: the run's history as written, so
+    ``RunRecord(*key, n, events=read_history(path))`` is the run again.
+    Every other attribute is a view of them; ``outcome``, ``evals_used`` and
+    ``steps`` are the stop line's fields as :func:`read_stop` reads them, and
+    without a stop line it accepts, as in an error record, ``"error"``, 0
+    and ``()``."""
 
     problem_name: str
     x0_id: str
@@ -145,7 +129,7 @@ class RunRecord:
     @property
     def _stop(self) -> Tuple[str, int, int, Steps, Optional[bool]]:
         try:
-            return _read_stop(self.events[-1] if self.events else None)
+            return read_stop(self.events[-1] if self.events else None)
         except ValueError:
             return "error", self.n, 0, (), None
 
@@ -167,18 +151,18 @@ class RunRecord:
 
     @property
     def rows(self) -> Tuple[dict, ...]:
-        """The rows of ``events``, in order."""
-        return tuple(event for event in self.events if isinstance(event, dict) and "eval_index" in event)
+        """The objects of ``events`` that are neither a frame nor the stop line."""
+        return tuple(e for e in self.events if isinstance(e, dict) and not (is_frame(e) or is_stop(e)))
 
     @property
     def frames(self) -> Tuple[dict, ...]:
         """The frames of ``events``; ``frames[k]`` is frame ``k``."""
-        return tuple(event for event in self.events if _is_frame(event))
+        return tuple(event for event in self.events if is_frame(event))
 
     def _changes(self):
         """``(k, frame k, frame k + 1)`` per iteration ``k`` that left a frame,
-        each frame as :func:`_read_frame` reads it or refuses it."""
-        frames = [_read_frame(frame, self.mode == MODE_PIP) for frame in self.frames]
+        each frame as :func:`read_frame` reads it or refuses it."""
+        frames = [read_frame(frame, self.mode == MODE_PIP) for frame in self.frames]
         return [(k, before, after) for k, (before, after) in enumerate(zip(frames[1:], frames[2:]), 1)]
 
     @property
@@ -189,12 +173,8 @@ class RunRecord:
     @property
     def partition_trace(self) -> List[Tuple[int, int]]:
         """``(iteration, index)`` for each inequality moved to the interior set."""
-        return [
-            (k, i)
-            for k, before, after in self._changes()
-            for i in after[3] or ()  # None outside pip mode
-            if i not in before[3]
-        ]
+        # after[3] is None outside pip mode
+        return [(k, i) for k, before, after in self._changes() for i in after[3] or () if i not in before[3]]
 
 
 @dataclass
@@ -278,182 +258,10 @@ def _point_of(state: SolverState, q: Sequence[int]) -> List[float]:
     return [a + unit * (qi * scale) for a, qi in zip(state.anchor, q)]
 
 
-def _append_row(
-    state: SolverState,
-    evaluation: Optional[Evaluation],
-    x: Tuple[float, ...],
-    status: str,
-) -> None:
-    """Append one history row; this is the one statement of the row layout.
-
-    A row holds one evaluation's own facts, keys in this order:
-    ``eval_index``, ``x``, ``f``, ``g``, ``h`` and ``status``, one of
-    ``search-success``, ``poll-success``, ``unsuccessful``, ``cache-hit``,
-    ``rejected-bounds`` and ``failed``; a bounds rejection (no
-    ``evaluation``) has ``None`` for every evaluation field.  Its iteration
-    and ``rho``, frame size and interior set are the last frame's before it
-    (:func:`_append_frame`); the start row and ``*-success`` rows made
-    their point the incumbent.
-
-    An evaluated row holds the cached evaluation's own ``point`` (as ``x``),
-    ``g`` and ``h`` tuples, never copies, and a bounds rejection its mapped
-    point as a tuple: each value is stored once, and the cyclic GC stops
-    tracking the row at its next full collection.  The JSON encoder writes
-    the tuples as arrays.
-    """
-    if evaluation is None:
-        f = g = h = eval_index = None
-    else:
-        f, g, h, eval_index = evaluation.f, evaluation.g, evaluation.h, evaluation.eval_index
-    state.record.events.append(
-        {"eval_index": eval_index, "x": x, "f": f, "g": g, "h": h, "status": status}
-    )
-
-
-def _read_row(row, fresh: int) -> Optional[Evaluation]:
-    """The one statement of a row read back: the evaluation of ``row``,
-    which follows ``fresh`` evaluations, or ``None`` for a bounds rejection.
-    It is failed exactly when ``f``, ``g`` or ``h`` holds ``+inf``, which
-    :func:`madspip.problem._sanitize` stores only for a failed evaluation.
-    A row no run writes raises ``ValueError``: not an object, a ``status``
-    that is not a string, an ``x`` that is not a nonempty list, an
-    ``eval_index`` that is not ``None`` or an integer in ``[0, fresh]``, or
-    an evaluated row's ``f`` that is not a float, ``g`` or ``h`` not a list
-    of floats, or a NaN or ``-inf`` in any of them."""
-    if not isinstance(row, dict):
-        raise ValueError("the line is not an object")
-    x, status, e, f, g, h = (row.get(key) for key in ("x", "status", "eval_index", "f", "g", "h"))
-    if not isinstance(status, str):
-        raise ValueError(f"status {status!r} is not a string")
-    if not (isinstance(x, (list, tuple)) and x):
-        raise ValueError(f"x {x!r} is not a nonempty list")
-    if e is None:  # a bounds rejection
-        return None
-    if type(e) is not int or not 0 <= e <= fresh:  # true is not index 1
-        raise ValueError(f"eval_index {e!r} is not an integer in [0, {fresh}]")
-    # a float above -inf is neither NaN nor -inf; true and 0 are no floats
-    if not (type(f) is float and f > -_INF and all(
-        isinstance(part, (list, tuple)) and all(type(v) is float and v > -_INF for v in part)
-        for part in (g, h)
-    )):
-        raise ValueError(f"f {f!r}, g {g!r} or h {h!r} is not a float or a list of floats above -inf")
-    return Evaluation(x, f, g, h, e, f == _INF or _INF in g or _INF in h)
-
-
-def _is_frame(event) -> bool:
-    return isinstance(event, dict) and "frame" in event
-
-
-def _is_stop(event) -> bool:
-    return isinstance(event, dict) and "stop" in event
-
-
-def _append_frame(state: SolverState, k: int) -> None:
-    """Append frame ``k``, the state iteration ``k`` is priced under; this
-    is the one statement of the frame line's layout.  ``init_state``
-    appends frame 0 before the start row and frame 1 after it, and
-    iteration ``k`` appends frame ``k + 1`` after its rows: a ``rho`` that
-    differs from frame ``k``'s is a cut at iteration ``k``, and an index new
-    to ``g_int`` a move to the interior set.  Every frame is written to the
-    history, the one the run stopped in too.
-
-    ``{"frame": k, "rho", "delta_frame", "g_int"}``: the iteration (0 for
-    the start row), the ``rho`` and frame size its trial points are priced
-    under, and the interior set in force; ``rho`` and ``g_int`` are ``None``
-    outside pip mode.  In pip mode an evaluated row's ``(c_int, c_ext)`` is
-    ``merit.violation_summary(g, h, partition, failed)[1:]`` under the
-    partition whose interior set is ``g_int``, with the row as
-    :func:`_read_row` reads it.  The line carries none of the row keys
-    ``eval_index``, ``f`` and ``status``.
-    """
-    state.record.events.append({
-        "frame": k,
-        "rho": state.merit_params.rho if state.pip else None,
-        "delta_frame": state.mesh.delta_frame,
-        "g_int": state.partition.g_int if state.pip else None,
-    })
-
-
-def _read_frame(line, pip: bool) -> Tuple[int, Optional[float], float, Optional[Tuple[int, ...]]]:
-    """The one statement of a frame line read back, in memory or from JSON:
-    ``(k, rho, delta_frame, g_int)``, ``g_int`` as a tuple.  A line that is
-    not a frame line, or one no run of the mode writes, raises
-    ``ValueError``: a ``frame`` not a non-negative integer, a ``delta_frame``
-    not a positive finite float, and in pip mode a ``rho`` not one or a
-    ``g_int`` not increasing non-negative integers, outside it either not null."""
-    if not _is_frame(line):
-        raise ValueError("the line is not a frame line")
-    k, rho, delta, g_int = (line.get(key) for key in ("frame", "rho", "delta_frame", "g_int"))
-    if not (type(k) is int and k >= 0):  # true is no integer here
-        raise ValueError(f"frame {k!r} is not a non-negative integer")
-    if not (type(delta) is float and 0.0 < delta < _INF):
-        raise ValueError(f"delta_frame {delta!r} is not a positive finite float")
-    if not pip:
-        if rho is not None or g_int is not None:
-            raise ValueError(f"rho {rho!r} or g_int {g_int!r} is not null outside pip mode")
-        return k, None, delta, None
-    if not (type(rho) is float and 0.0 < rho < _INF):
-        raise ValueError(f"rho {rho!r} is not a positive finite float")
-    if not (isinstance(g_int, (list, tuple)) and all(type(i) is int for i in g_int)
-            and all(a < b for a, b in zip((-1, *g_int), g_int))):
-        raise ValueError(f"g_int {g_int!r} is not an increasing list of non-negative integers")
-    return k, rho, delta, tuple(g_int)
-
-
-def _append_stop(state: SolverState, outcome: str) -> None:
-    """Append the stop line that ends a finished run's events; this is the
-    one statement of its layout.
-
-    ``stop`` is the outcome, ``n`` the dimension, ``count`` the evaluations
-    and ``steps`` the run's :func:`improvement_steps`, ``[position, f]``
-    each, from which a profile builds the run's view without reading the
-    rows.  ``builtin`` says whether the run's problem is the builtin of its
-    name (:func:`madspip.suite.is_builtin`), whose ``f*`` a profile may then
-    use.  The line carries none of the row keys (``eval_index``, ``f``,
-    ``status``), so a reader of rows passes over it as it does over a bounds
-    rejection and a frame line (:func:`_append_frame`).
-    """
-    count, steps = improvement_steps(
-        (ev.f, is_feasible(ev)) for ev in state.cache.entries.values()  # in evaluation order
-    )
-    state.record.events.append({
-        "stop": outcome,
-        "n": state.problem.n,
-        "count": count,
-        "steps": steps,
-        "builtin": is_builtin(state.problem),
-    })
-
-
-def _read_stop(line) -> Tuple[str, int, int, Steps, bool]:
-    """The one statement of a stop line read back, in memory or from JSON:
-    ``(outcome, n, count, steps, builtin)``, with ``steps`` as ``(position,
-    f)`` tuples.  A line that is not a stop line, or one no run writes,
-    raises ``ValueError``."""
-    if not _is_stop(line):
-        raise ValueError("the line is not a stop line")
-    outcome, n, count, steps, builtin = (line.get(key) for key in ("stop", "n", "count", "steps", "builtin"))
-    if not isinstance(outcome, str):
-        raise ValueError(f"stop line: stop {outcome!r} is not a string")
-    if not (type(n) is int and n >= 1):  # true is no integer here
-        raise ValueError(f"stop line: n {n!r} is not a positive integer")
-    if not (type(count) is int and count >= 0):
-        raise ValueError(f"stop line: count {count!r} is not a non-negative integer")
-    if type(builtin) is not bool:
-        raise ValueError(f"stop line: builtin {builtin!r} is not a boolean")
-    if not isinstance(steps, (list, tuple)):
-        raise ValueError(f"stop line: steps {steps!r} is not a list")
-    position, f = -1, _INF
-    for step in steps:
-        if not (isinstance(step, (list, tuple)) and len(step) == 2):
-            raise ValueError(f"stop line: step {step!r} is not a [position, f] pair")
-        if not (type(step[0]) is int and position < step[0] < count):
-            raise ValueError(f"stop line: position {step[0]!r} does not lie above {position} and below {count}")
-        # a NaN fails every comparison, and +inf is never below the start
-        if not (type(step[1]) is float and -_INF < step[1] < f):
-            raise ValueError(f"stop line: f {step[1]!r} is not a finite float below {f!r}")
-        position, f = step
-    return outcome, n, count, tuple(map(tuple, steps)), builtin
+def _frame(state: SolverState, k: int) -> dict:
+    """Frame ``k`` (:func:`madspip.history.frame_line`) of ``state``."""
+    rho, g_int = (state.merit_params.rho, state.partition.g_int) if state.pip else (None, None)
+    return frame_line(k, rho, state.mesh.delta_frame, g_int)
 
 
 def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> SolverState:
@@ -493,13 +301,7 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
     q0 = (0,) * problem.n
     ev0 = evaluate(problem, x0, cache, key=q0)
 
-    record = RunRecord(
-        problem_name=problem.name,
-        x0_id="x0",
-        seed=config.seed,
-        mode=config.mode,
-        n=problem.n,
-    )
+    record = RunRecord(problem.name, "x0", config.seed, config.mode, problem.n)
 
     state = SolverState(
         problem=problem,
@@ -523,9 +325,7 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
         raise InitializationError("extreme-barrier mode needs a feasible starting point")
 
     state.incumbent_merit = _merit_of(state, q0, ev0)
-    _append_frame(state, 0)
-    _append_row(state, ev0, ev0.point, "unsuccessful")
-    _append_frame(state, 1)
+    record.events += [_frame(state, 0), row_line(ev0, ev0.point, "unsuccessful"), _frame(state, 1)]
     return state
 
 
@@ -583,7 +383,7 @@ def _try_candidate(
     if x is None:
         x = _point_of(state, q)
         if not state.problem.contains(x):
-            _append_row(state, None, tuple(x), "rejected-bounds")
+            state.record.events.append(row_line(None, tuple(x), "rejected-bounds"))
             return False, None, None
     cache = state.cache
     count = len(cache.entries)
@@ -604,7 +404,7 @@ def _try_candidate(
         status = "failed"
     else:
         status = "unsuccessful"
-    _append_row(state, ev, ev.point, status)
+    state.record.events.append(row_line(ev, ev.point, status))
     return improving, ev, value
 
 
@@ -653,7 +453,7 @@ def iterate(state: SolverState) -> None:
             state.kept.clear()
             reselect_incumbent(state)
 
-    _append_frame(state, state.iteration + 1)
+    state.record.events.append(_frame(state, state.iteration + 1))
 
 
 def solve(
@@ -669,7 +469,7 @@ def solve(
     of its own: a cut needs the next frame at most ``B_RHO * rho**BETA``, and
     that frame is at least ``DELTA_STOP / 2``, so ``rho`` never falls below
     ``RHO0 * THETA_RHO**5 = 1e-11``.  The record's last event is the stop
-    line (:func:`_append_stop`).
+    line (:func:`madspip.history.stop_line`).
     """
     state = init_state(problem, x0, config)
     state.record.x0_id = x0_id
@@ -681,7 +481,7 @@ def solve(
             outcome = "delta-converged"
             break
         iterate(state)
-    _append_stop(state, outcome)
+    state.record.events.append(stop_line(outcome, problem.n, state.cache.entries.values(), is_builtin(problem)))
     return state.record
 
 
@@ -693,7 +493,7 @@ def check_run_invariants(record: RunRecord):
     as a history read back gives them, stop line or not, and takes its
     inputs as the solver does: ``b_ext`` is ``compute_b_ext`` of the start
     row's ``f``, ``m`` the length of its ``g``, and the ``rho`` update's
-    constants are ``merit``'s.  Each row is read by :func:`_read_row`, and
+    constants are ``merit``'s.  Each row is read by :func:`read_row`, and
     each evaluated one is priced under the frame before it: in pip mode
     ``merit`` of its ``violation_summary``, otherwise ``f`` when
     :func:`is_feasible` holds and ``+inf`` if not.  The start row sets the
@@ -708,31 +508,28 @@ def check_run_invariants(record: RunRecord):
     property is asymptotic: a late cut's evaluated row whose ``c_int`` is
     not negative gives a warning, not a violation.  Events that do not
     start with frame 0 and the start row give that one violation, and a
-    line no run writes (:func:`_read_row`, :func:`_read_frame`, frames out
-    of order, a ``g_int`` index not below ``m``, :func:`_read_stop`, a stop
+    line no run writes (:func:`read_row`, :func:`read_frame`, frames out
+    of order, a ``g_int`` index not below ``m``, :func:`read_stop`, a stop
     line before the last line or whose ``n``, ``count``, ``steps`` or
     outcome is not the run's, a failed start row or an evaluated ``g`` not
-    ``m`` long) gives one violation naming its
-    event and ends the replay, as the events after it can no longer be
-    matched to the run.
+    ``m`` long) gives one violation naming its event and ends the replay, as
+    the events after it can no longer be matched to the run.
     """
     violations, warnings = [], []
     if not record.events:  # an error record
         return violations, warnings
     events = record.events
-    head = [event.get(key) if isinstance(event, dict) else None
-            for event, key in zip(events, ("frame", "eval_index"))]
-    if head != [0, 0]:
+    if not starts_run(events):
         return ["the events do not start with frame 0 and the start row"], warnings
     pip = record.mode == MODE_PIP
     try:
-        start = _read_row(events[1], 0)  # after frame 0
+        _, _, start = read_row(events[1], 0)  # after frame 0
     except ValueError as exc:
         return [f"event 1: {exc}"], warnings
     if start.failed:
         return ["event 1: the start evaluation failed"], warnings
     m, b_ext = len(start.g), compute_b_ext(start.f) if pip else None
-    completed = sum(map(_is_frame, events)) - 2  # the iterations that left a frame
+    completed = sum(map(is_frame, events)) - 2  # the iterations that left a frame
     evaluations, terms = [], []  # each Evaluation, and its terms under partition
     frame = partition = merit_params = None  # frame: the last frame as read
     k, incumbent, best = -1, 0, _INF
@@ -745,36 +542,36 @@ def check_run_invariants(record: RunRecord):
         return merit(ev.f, terms[e][1], terms[e][2], merit_params)
 
     for i, event in enumerate(events):
-        is_frame = _is_frame(event)
+        framed = is_frame(event)
         try:
-            if is_frame:
-                read = _read_frame(event, pip)
+            if framed:
+                read = read_frame(event, pip)
                 if read[0] != k + 1:
                     raise ValueError(f"frame {read[0]} is not frame {k + 1}, the next one")
                 if read[3] and read[3][-1] >= m:  # g_int is None outside pip mode
                     raise ValueError(f"g_int {read[3]!r} holds an index not below {m}")
-            elif _is_stop(event):  # held to the rows and to the frame the run stopped in
+            elif is_stop(event):  # held to the rows and to the frame the run stopped in
                 if i < len(events) - 1:
                     raise ValueError("a stop line before the last line")
-                outcome, n, count, steps, _ = _read_stop(event)
+                outcome, n, count, steps, _ = read_stop(event)
                 rows = improvement_steps((ev.f, is_feasible(ev)) for ev in evaluations)
                 if n != len(start.point):
                     raise ValueError(f"stop line: n {n} is not the length of the start row's x")
                 if (count, steps) != rows:
                     raise ValueError(f"stop line: count {count} and steps {steps!r} are not the rows' {rows!r}")
-                converged = _is_frame(events[i - 1]) and frame[2] < DELTA_STOP
+                converged = is_frame(events[i - 1]) and frame[2] < DELTA_STOP
                 if not (outcome == "budget-exhausted" or outcome == "delta-converged" and converged):
                     raise ValueError(f"stop line: stop {outcome!r} is not how the events end")
                 break
             else:
-                ev = _read_row(event, len(evaluations))
+                _, status, ev = read_row(event, len(evaluations))
                 if ev is not None and len(ev.g) != m:
                     raise ValueError(f"g has {len(ev.g)} entries, the start row {m}")
         except ValueError as exc:
             violations.append(f"event {i}: {exc}")
             return violations, warnings
-        if not is_frame:  # a row of iteration k
-            e, status, value = None if ev is None else ev.eval_index, event["status"], _INF
+        if not framed:  # a row of iteration k
+            e, value = None if ev is None else ev.eval_index, _INF
             if ev is not None:
                 if e == len(evaluations):
                     evaluations.append(ev)
@@ -838,10 +635,10 @@ def check_run_invariants(record: RunRecord):
 
 def summary_line(record: RunRecord) -> str:
     """One human-readable line per run for console output; its last frame
-    is read by :func:`_read_frame`, which raises ``ValueError``."""
+    is read by :func:`read_frame`, which raises ``ValueError``."""
     best = "none" if record.best_feasible_f is None else f"{record.best_feasible_f:.10g}"
-    last = next(filter(_is_frame, reversed(record.events)), None)
-    _, rho, delta, _ = (None,) * 4 if last is None else _read_frame(last, record.mode == MODE_PIP)
+    last = next(filter(is_frame, reversed(record.events)), None)
+    _, rho, delta, _ = (None,) * 4 if last is None else read_frame(last, record.mode == MODE_PIP)
     rho = "-" if rho is None else f"{rho:.3g}"
     delta = "-" if delta is None else f"{delta:.3g}"
     return (

@@ -33,7 +33,8 @@ from madspip.merit import (
 )
 from madspip.mesh import MeshState, snap_steps, update_frame
 from madspip.problem import is_feasible, Evaluation
-from madspip.solver import SolverConfig, check_run_invariants, improvement_steps, solve
+from madspip.history import improvement_steps
+from madspip.solver import SolverConfig, check_run_invariants, solve
 from madspip.suite import builtin_problem, initial_point, make_instances
 
 

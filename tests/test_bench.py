@@ -22,7 +22,8 @@ from madspip.bench import (
     view_of_history,
 )
 from madspip.problem import read_history, write_history
-from madspip.solver import SolverConfig, improvement_steps, solve
+from madspip.history import improvement_steps
+from madspip.solver import SolverConfig, solve
 from madspip.suite import Instance, builtin_problem, builtin_problems, initial_point, make_instances
 
 

@@ -227,7 +227,7 @@ class TestSolveCommand:
         assert machine_line(out)["best_feasible_f"] == 7.0
         # so the run's problem is not the builtin, and a profile will not
         # normalize it against the builtin's f*
-        stop = madspip.problem.read_stop_line(machine_line(out)["history"])
+        stop = madspip.history.read_stop_line(machine_line(out)["history"])
         assert stop["builtin"] is False
 
     def test_eval_exe_keeps_the_builtin_starting_point(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""A frame line has one reader, ``madspip.solver._read_frame``: the replay,
+"""A frame line has one reader, ``madspip.history.read_frame``: the replay,
 ``RunRecord``'s traces and ``summary_line`` read frames through it alone,
 so a frame that no run writes is refused with ``ValueError`` by each of
 them and gives the replay one violation naming its event."""
@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import madspip.history
 import madspip.solver
 from madspip.problem import read_history, write_history
 from madspip.solver import (
@@ -67,8 +68,8 @@ def _views(record):
 def test_real_frames_read_the_same_in_memory_and_read_back():
     for mode, record in RUNS.items():
         pip = mode == MODE_PIP
-        frames = [madspip.solver._read_frame(frame, pip) for frame in record.frames]
-        back = [madspip.solver._read_frame(READ_BACK[mode][i], pip) for i in _frame_events(record.events)]
+        frames = [madspip.history.read_frame(frame, pip) for frame in record.frames]
+        back = [madspip.history.read_frame(READ_BACK[mode][i], pip) for i in _frame_events(record.events)]
         assert frames == back and [k for k, *_ in frames] == list(range(len(frames)))
         assert all(type(g_int) is tuple if pip else (rho, g_int) == (None, None) for _, rho, _, g_int in frames)
         assert check_run_invariants(record)[0] == []
@@ -166,10 +167,10 @@ def test_one_field_edit_of_a_real_frame_line(mode, read_back, data, key, edit):
         assume(new is not None or edit == "null")
         edited = {**frame, key: new}
     record_edited = RunRecord(*record.key, record.n, events=_with_line(events, i, edited))
-    original = madspip.solver._read_frame(frame, pip)
+    original = madspip.history.read_frame(frame, pip)
     is_frame = "frame" in edited
     try:
-        read = madspip.solver._read_frame(edited, pip)
+        read = madspip.history.read_frame(edited, pip)
     except ValueError:
         read = None
 
@@ -196,7 +197,7 @@ def test_one_field_edit_of_a_real_frame_line(mode, read_back, data, key, edit):
 # -- one reader: no other function in the package reads a frame's values
 
 GUARDED = {"rho", "delta_frame", "g_int"}
-READERS = {"_append_frame", "_read_frame"}
+READERS = {"frame_line", "read_frame"}
 
 
 def _frame_key_reads(source):
@@ -232,7 +233,7 @@ def test_the_guard_finds_each_kind_of_read():
         "def a(line):\n    return line['rho']\n"
         "def b(line):\n    return line.get('g_int')\n"
         "def c(line):\n    return [line.get(key) for key in ('frame', 'delta_frame')]\n"
-        "def _read_frame(line):\n    return line['rho'], line.get('g_int')\n"
+        "def read_frame(line):\n    return line['rho'], line.get('g_int')\n"
         "def d(state):\n    return {'rho': 1.0}, line['frame'], object.__setattr__(state, 'g_int', ())\n"
     )
     assert _frame_key_reads(source) == [("a", 2), ("b", 4), ("c", 6)]

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import madspip.cli
-import madspip.problem
+import madspip.history
 from madspip.bench import view_of_history
 from madspip.cli import _parse_history_name, main
-from madspip.problem import ExternalEvaluator, Problem, read_history, read_stop_line, write_history
-from madspip.solver import RunRecord, SolverConfig, _read_stop, check_run_invariants, solve, summary_line
+from madspip.history import read_stop, read_stop_line
+from madspip.problem import ExternalEvaluator, Problem, read_history, write_history
+from madspip.solver import RunRecord, SolverConfig, check_run_invariants, solve, summary_line
 from madspip.suite import builtin_problem, builtin_problems, initial_point
 
 from history_expansion import bytes_with_row_keys
@@ -253,12 +254,12 @@ def test_stop_line_longer_than_a_block_is_read(tmp_path, capsys):
     count = 2000
     steps = [[i, 1000.0 - i * 0.123456789] for i in range(count)]
     stop = stop_text(count=count, steps=steps)
-    assert len(stop) > 8 * madspip.problem._TAIL_BLOCK
+    assert len(stop) > 8 * madspip.history._TAIL_BLOCK
     path = tmp_path / "p__feasible-0__seed1__pip.jsonl"
     # trailing blank lines do not hide it
     path.write_text(f"{ROW}\n{stop}\n\n \r\n")
     assert read_stop_line(path) == json.loads(stop)
-    _, _, read_count, read_steps, _ = _read_stop(read_stop_line(path))
+    _, _, read_count, read_steps, _ = read_stop(read_stop_line(path))
     assert read_count == count and read_steps[-1] == (count - 1, steps[-1][1])
     machine = profile(capsys, tmp_path)
     assert machine["histories"] == 1 and machine["warnings"] == []
@@ -305,11 +306,11 @@ RUN_READ_BACK = json.loads(json.dumps(RUN.events))
 def test_a_stop_line_reads_the_same_in_memory_and_read_back():
     stop = RUN.events[-1]
     assert type(stop["steps"]) is tuple and type(RUN_READ_BACK[-1]["steps"]) is list
-    fields = _read_stop(stop)
-    assert fields == _read_stop(RUN_READ_BACK[-1]) == (
+    fields = read_stop(stop)
+    assert fields == read_stop(RUN_READ_BACK[-1]) == (
         "budget-exhausted", 2, 60, stop["steps"], True
     )
-    assert all(type(step) is tuple for step in _read_stop(RUN_READ_BACK[-1])[3])
+    assert all(type(step) is tuple for step in read_stop(RUN_READ_BACK[-1])[3])
     back = RunRecord(*RUN.key, RUN.n, events=RUN_READ_BACK)
     assert (back.outcome, back.evals_used, back.steps, back.best_feasible_f) == (
         RUN.outcome, RUN.evals_used, RUN.steps, RUN.best_feasible_f
@@ -388,7 +389,7 @@ def test_one_field_edit_of_a_real_stop_line(path, edit, read_back):
     same = json.dumps(edited) == json.dumps(stop)  # a line this run writes
     record = RunRecord(*RUN.key, RUN.n, events=[*events[:-1], edited])
     try:
-        fields, refused = _read_stop(edited), False
+        fields, refused = read_stop(edited), False
     except ValueError:
         fields, refused = ("error", RUN.n, 0, (), None), True
         assert not same

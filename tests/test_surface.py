@@ -44,6 +44,10 @@ MODULE_NAMES = {
         "feasibility_profile", "export",
     ],
     "cli": None,
+    "history": [
+        "Steps", "improvement_steps", "row_line", "read_row", "frame_line", "read_frame",
+        "is_frame", "stop_line", "read_stop", "is_stop", "starts_run", "read_stop_line",
+    ],
     "merit": [
         "Partition", "MeritParams", "merit", "compute_b_ext",
         "penalty_update_check", "violation_summary",
