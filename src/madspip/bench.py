@@ -10,8 +10,8 @@ is ``f(x0)`` when the starting point is feasible and otherwise the largest
 objective among the modes' first feasible evaluations.  Instances where no
 mode ever reaches feasibility are dropped from data-profile denominators.
 Feasibility profiles count instances with any feasible evaluation within the
-first ``k`` groups, over all instances.  A run's view is built from its
-history's lines, read through :mod:`madspip.history` alone.
+first ``k`` groups, over all instances.  A run's view is its history's
+stop line, read through :mod:`madspip.history` alone.
 """
 
 from __future__ import annotations
@@ -20,15 +20,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .history import Steps, improvement_steps, is_frame, is_stop, read_frame, read_row
-from .problem import is_feasible
-from .solver import MODE_PIP, RunRecord, SolverConfig, InitializationError, solve
+from .history import Steps
+from .solver import RunRecord, SolverConfig, InitializationError, solve
 from .suite import Instance
 
 __all__ = [
     "ProfileCurve",
     "RunView",
-    "view_of_history",
     "run_matrix",
     "best_feasible_table",
     "reference_table",
@@ -94,29 +92,13 @@ class RunView:
 
 
 def view_of_history(rows: Sequence[dict], problem: str, x0_id: str, seed: int, mode: str) -> RunView:
-    """Build a view from a history's lines, in memory or read back from
-    JSONL (``n`` comes from the first row's ``x``).  Each row and frame is
-    read by :mod:`madspip.history`, which raises ``ValueError`` for a line
-    no run of ``mode`` writes; a last stop line is passed over, and one
-    before the last line is refused.  A row whose ``eval_index`` is the next
-    number is a new evaluation; a cache hit (an earlier index) and a bound
-    rejection (``None``) spend no budget.
+    """The view of a history with no stop line: an error run's empty file
+    gives an empty view, and any line raises ``ValueError``, as only a
+    finished run's stop line holds its view (:func:`madspip.history.read_stop`).
     """
-    if rows and is_stop(rows[-1]):
-        rows = rows[:-1]
-    pip = mode == MODE_PIP
-    n, fresh = 0, []  # each new evaluation's (f, feasible)
-    for row in rows:
-        if is_frame(row):
-            read_frame(row, pip)
-            continue
-        if is_stop(row):
-            raise ValueError("a stop line before the last line")
-        x, _, ev = read_row(row, len(fresh))
-        n = n or len(x)
-        if ev is not None and ev.eval_index == len(fresh):
-            fresh.append((ev.f, is_feasible(ev)))
-    return RunView(problem, x0_id, seed, mode, n, *improvement_steps(fresh))
+    if rows:
+        raise ValueError("no stop line")
+    return RunView(problem, x0_id, seed, mode, 0, 0, ())
 
 
 def run_matrix(

@@ -273,7 +273,7 @@ def cmd_profile(args) -> int:
         try:
             key = _parse_history_name(path.name)
             stop = read_stop_line(path)
-            if stop is None:  # no stop line: a history of rows only
+            if stop is None:  # no stop line: an empty view for an error run's empty file
                 views.append(view_of_history(read_history(path), *key))
             else:  # the stop line holds the view; the rows go unread
                 _, n, count, steps, builtin = read_stop(stop)

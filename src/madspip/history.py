@@ -70,8 +70,8 @@ def row_line(evaluation: Optional[Evaluation], x: Tuple[float, ...], status: str
     return {"eval_index": eval_index, "x": x, "f": f, "g": g, "h": h, "status": status}
 
 
-def read_row(row, fresh: int) -> Tuple[Sequence[float], str, Optional[Evaluation]]:
-    """The one statement of a row read back: ``(x, status, evaluation)`` of
+def read_row(row, fresh: int) -> Tuple[str, Optional[Evaluation]]:
+    """The one statement of a row read back: ``(status, evaluation)`` of
     ``row``, which follows ``fresh`` evaluations, with ``evaluation`` ``None``
     for a bounds rejection.  It is failed exactly when ``f``, ``g`` or ``h``
     holds ``+inf``, which :func:`madspip.problem._sanitize` stores only for a
@@ -92,7 +92,7 @@ def read_row(row, fresh: int) -> Tuple[Sequence[float], str, Optional[Evaluation
     if not (isinstance(x, (list, tuple)) and x):
         raise ValueError(f"x {x!r} is not a nonempty list")
     if e is None:  # a bounds rejection
-        return x, status, None
+        return status, None
     if type(e) is not int or not 0 <= e <= fresh:  # true is not index 1
         raise ValueError(f"eval_index {e!r} is not an integer in [0, {fresh}]")
     # a float above -inf is neither NaN nor -inf; true and 0 are no floats
@@ -101,7 +101,7 @@ def read_row(row, fresh: int) -> Tuple[Sequence[float], str, Optional[Evaluation
         for part in (g, h)
     )):
         raise ValueError(f"f {f!r}, g {g!r} or h {h!r} is not a float or a list of floats above -inf")
-    return x, status, Evaluation(x, f, g, h, e, f == _INF or _INF in g or _INF in h)
+    return status, Evaluation(x, f, g, h, e, f == _INF or _INF in g or _INF in h)
 
 
 def is_frame(event) -> bool:

@@ -523,7 +523,7 @@ def check_run_invariants(record: RunRecord):
         return ["the events do not start with frame 0 and the start row"], warnings
     pip = record.mode == MODE_PIP
     try:
-        _, _, start = read_row(events[1], 0)  # after frame 0
+        _, start = read_row(events[1], 0)  # after frame 0
     except ValueError as exc:
         return [f"event 1: {exc}"], warnings
     if start.failed:
@@ -564,7 +564,7 @@ def check_run_invariants(record: RunRecord):
                     raise ValueError(f"stop line: stop {outcome!r} is not how the events end")
                 break
             else:
-                _, status, ev = read_row(event, len(evaluations))
+                status, ev = read_row(event, len(evaluations))
                 if ev is not None and len(ev.g) != m:
                     raise ValueError(f"g has {len(ev.g)} entries, the start row {m}")
         except ValueError as exc:

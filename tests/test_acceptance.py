@@ -20,7 +20,6 @@ from madspip.bench import (
     feasibility_profile,
     reference_table,
     run_matrix,
-    view_of_history,
 )
 from madspip.cli import main as cli_main
 from madspip.merit import (
@@ -208,7 +207,9 @@ class TestCriterion4BaselineContrast:
                 SolverConfig(max_evaluations=1500, seed=seed, mode="extreme-barrier"),
                 x0_id="feasible-0",
             )
-            pair = [view_of_history(r.rows, *r.key) for r in (pip_record, eb_record)]
+            # the replay holds each stop line, and so each view, to the rows
+            assert all(check_run_invariants(r)[0] == [] for r in (pip_record, eb_record))
+            pair = [RunView(*r.key, r.n, r.evals_used, r.steps) for r in (pip_record, eb_record)]
             f_star = best_feasible_table(pair, known={"unit-disk": optimum.f_star})
             f_ref = reference_table(pair)
             curves = {c.label: c for c in data_profile(pair, 1e-3, f_star, f_ref)}

@@ -21,14 +21,32 @@ from madspip.bench import (
     run_matrix,
     view_of_history,
 )
-from madspip.problem import read_history, write_history
-from madspip.history import improvement_steps
-from madspip.solver import SolverConfig, solve
+from madspip.problem import is_feasible, read_history, write_history
+from madspip.history import improvement_steps, read_row, read_stop, read_stop_line
+from madspip.solver import RunRecord, SolverConfig, check_run_invariants, solve
 from madspip.suite import Instance, builtin_problem, builtin_problems, initial_point, make_instances
 
 
 def view(problem, x0_id, seed, mode, n, evals):
     return RunView(problem, x0_id, seed, mode, n, *improvement_steps(evals))
+
+
+def record_view(record):
+    """A finished record's view, from its stop line, with the replay holding
+    that stop line to the rows."""
+    assert check_run_invariants(record)[0] == [], record.key
+    return RunView(*record.key, record.n, record.evals_used, record.steps)
+
+
+def read_rows(rows):
+    """``(status, evaluation)`` of each row, each read after the evaluations
+    before it, as the replay reads them."""
+    fresh, read = 0, []
+    for row in rows:
+        status, ev = read_row(row, fresh)
+        fresh += ev is not None and ev.eval_index == fresh
+        read.append((status, ev))
+    return read
 
 
 A_EVALS = [(10.0, True), (9.0, True), (8.5, True), (8.0, True), (7.0, True), (6.0, True),
@@ -92,7 +110,7 @@ class TestConvergenceIndex:
             SolverConfig(max_evaluations=300, seed=1),
             x0_id="feasible-0",
         )
-        view = view_of_history(record.rows, *record.key)
+        view = record_view(record)
         k = convergence_index(view, optimum.f_star, record.rows[0]["f"], tau=0.5)
         assert k is not None and k >= 1
 
@@ -295,6 +313,14 @@ class TestCompressedViews:
         assert feasibility_index(v) is None
         assert best_feasible_table([v]) == reference_table([v]) == {("P", "feasible-0", 1): None}
 
+    def test_a_history_with_lines_and_no_stop_line_has_no_view(self):
+        problem, _ = builtin_problem("unit-disk")
+        record = solve(problem, initial_point(problem, "feasible-0"), SolverConfig(60, 3),
+                       x0_id="feasible-0")
+        for events in (record.events[:-1], record.events[:2], record.rows):
+            with pytest.raises(ValueError, match="^no stop line$"):
+                view_of_history(events, *record.key)
+
 
 class TestExport:
     def test_csv_round_trip(self, tmp_path):
@@ -384,14 +410,16 @@ class TestRunMatrix:
         )
         assert all(outcomes[key] != "error" for key in outcomes if key[3] == "pip")
 
-    def test_view_of_history_strict_equality_threshold(self):
+    def test_read_row_strict_equality_threshold(self):
         rows = [
             {"eval_index": 0, "x": [0.0, 0.0], "f": 1.0, "g": [], "h": [1e-7],
              "status": "unsuccessful"},
             {"eval_index": 1, "x": [0.1, 0.0], "f": 0.5, "g": [], "h": [2e-7],
              "status": "unsuccessful"},
         ]
-        v = view_of_history(rows, "eqp", "infeasible-0", 1, "pip")
+        evs = [ev for _, ev in read_rows(rows)]
+        v = RunView("eqp", "infeasible-0", 1, "pip", 2,
+                    *improvement_steps((ev.f, is_feasible(ev)) for ev in evs))
         assert v.count == 2 and v.steps == ()  # neither evaluation is feasible
         curve = feasibility_profile([v])[0]
         assert all(f == 0.0 for f in curve.fraction)
@@ -440,29 +468,32 @@ class TestRunMatrix:
             {"eval_index": 0, "x": [], "f": 1.0, "g": [], "h": [], "status": "unsuccessful"},
         ],
     )
-    def test_view_of_history_rejects_rows_no_run_writes(self, row):
+    def test_read_row_rejects_rows_no_run_writes(self, row):
         with pytest.raises(ValueError):
-            view_of_history([row], "p", "feasible-0", 1, "pip")
+            read_row(row, 0)
 
-    def test_view_of_history_reads_failed_and_constraint_free_rows(self):
+    def test_read_row_reads_failed_and_constraint_free_rows(self):
         rows = [
             {"eval_index": 0, "x": [0.0], "f": 2.0, "g": [], "h": [], "status": "unsuccessful"},
             {"eval_index": 1, "x": [1.0], "f": math.inf, "g": [], "h": [], "status": "failed"},
             {"eval_index": None, "x": [9.0], "f": None, "g": None, "h": None,
              "status": "rejected-bounds"},
         ]
-        v = view_of_history(rows, "p", "feasible-0", 1, "pip")
-        assert v.n == 1 and v.count == 2 and v.steps == ((0, 2.0),)
+        (_, start), (_, failed), rejected = read_rows(rows)
+        assert start.point == [0.0] and is_feasible(start) and not start.failed
+        assert failed.failed and not is_feasible(failed)
+        assert rejected == ("rejected-bounds", None)
 
-    def test_view_of_history_reads_an_inf_f_as_a_failed_infeasible_row(self):
+    def test_read_row_reads_an_inf_f_as_a_failed_infeasible_row(self):
         # failed is +inf in f, g or h, whatever the status says
         rows = [
             {"eval_index": 0, "x": [0.0], "f": math.inf, "g": [-1.0], "h": [],
              "status": "unsuccessful"},
             {"eval_index": 1, "x": [1.0], "f": 3.0, "g": [-1.0], "h": [], "status": "unsuccessful"},
         ]
-        v = view_of_history(rows, "p", "feasible-0", 1, "pip")
-        assert v.count == 2 and v.steps == ((1, 3.0),)
+        (_, inf_f), (_, ev) = read_rows(rows)
+        assert inf_f.failed and not is_feasible(inf_f)
+        assert not ev.failed and is_feasible(ev)
 
     def test_view_of_record_counts_true_evaluations(self):
         problem, _ = builtin_problem("unit-disk")
@@ -472,12 +503,14 @@ class TestRunMatrix:
             SolverConfig(max_evaluations=100, seed=1),
             x0_id="feasible-0",
         )
-        v = view_of_history(record.rows, *record.key)
-        assert v.count == record.evals_used
+        v = record_view(record)
+        # a cache hit repeats an eval_index and a bound rejection has none
+        assert v.count == len({row["eval_index"] for row in record.rows} - {None})
 
     def test_solver_and_bench_agree_on_feasibility(self, tmp_path):
-        # the solver's best feasible f and the bench's view of the history
-        # written to disk must apply the same feasibility rule
+        # the solver's best feasible f and the view profile reads from the
+        # history written to disk must apply the same feasibility rule; the
+        # replay holds the stop line to the rows read back
         problems = [p for p, _ in builtin_problems()]
         instances = make_instances(problems, 2, [1])
         jobs = [(inst, mode) for inst in instances for mode in ("pip", "extreme-barrier")]
@@ -486,8 +519,9 @@ class TestRunMatrix:
             if record.outcome == "error":
                 continue  # extreme-barrier on equalities or infeasible starts
             path = tmp_path / ("__".join(map(str, key)) + ".jsonl")
-            write_history(record.rows, path)
-            view = view_of_history(read_history(path), *key)
+            write_history(record.events, path)
+            assert check_run_invariants(RunRecord(*key, record.n, events=read_history(path)))[0] == []
+            view = RunView(*key, *read_stop(read_stop_line(path))[1:4])
             best = view.steps[-1][1] if view.steps else None
             assert record.best_feasible_f == best, key
             feasible_starts.add(bool(view.steps) and view.steps[0][0] == 0)

@@ -15,6 +15,7 @@ import pytest
 import madspip.bench
 import madspip.cli
 import madspip.problem
+import madspip.solver
 import madspip.suite
 from madspip.cli import main, _read_config_file, _parse_history_name, _run_name
 from madspip.suite import check_name_part, load_problem_file
@@ -819,8 +820,11 @@ class TestProfileCommand:
     def test_hostile_mode_label_keeps_the_profiles_well_formed(self, tmp_path, capsys, mode):
         # a mode label comes from the file name, which may hold XML and CSV
         # metacharacters
-        row = {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [], "h": [], "status": "unsuccessful"}
-        (tmp_path / f"p__feasible-0__seed1__{mode}.jsonl").write_text(json.dumps(row) + "\n")
+        problem, _ = madspip.suite.builtin_problem("unit-disk")
+        record = madspip.solver.solve(
+            problem, madspip.suite.initial_point(problem, "feasible-0"), madspip.solver.SolverConfig(30, 1)
+        )
+        madspip.problem.write_history(record.events, tmp_path / f"p__feasible-0__seed1__{mode}.jsonl")
         code, out, _ = run_cli(capsys, "profile", "--histories", str(tmp_path), "--tau", "0.1")
         assert code == 0 and machine_line(out)["warnings"] == []
         for name in ("data_profile_tau0.1", "feasibility_profile"):

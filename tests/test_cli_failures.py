@@ -10,7 +10,9 @@ import pytest
 
 import madspip.cli
 from madspip.cli import main, _parse_history_name
-from madspip.suite import check_name_part
+from madspip.problem import write_history
+from madspip.solver import SolverConfig, solve
+from madspip.suite import builtin_problem, check_name_part, initial_point
 
 
 def run_cli(capsys, *argv):
@@ -28,14 +30,12 @@ def one_error_line(err: str) -> bool:
     return len(lines) == 1 and lines[0].startswith("error: ")
 
 
-ROW = {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [], "h": [], "status": "unsuccessful"}
-
-
 def write_history_file(directory, name):
-    """One one-row history under ``name`` (``str``, or ``bytes`` for a file
-    name that is not UTF-8)."""
-    with open(os.path.join(os.fsencode(directory), os.fsencode(name)), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(ROW) + "\n")
+    """A finished run's history, stop line and all, under ``name`` (``str``,
+    or ``bytes`` for a file name that is not UTF-8)."""
+    problem, _ = builtin_problem("unit-disk")
+    record = solve(problem, initial_point(problem, "feasible-0"), SolverConfig(30, 1))
+    write_history(record.events, os.fsdecode(os.path.join(os.fsencode(directory), os.fsencode(name))))
 
 
 def solve_histories(capsys, out_dir):

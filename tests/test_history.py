@@ -1,7 +1,8 @@
 """``madspip.history`` is the one module that knows a history's lines: each
-line kind has one writer and one reader there, and no other function in the
-package reads a row's or a stop line's keys.  A row that lacks a key, or a
-frame no run writes, is refused by whichever reader meets it."""
+line kind has one writer and one reader there, no other function in the
+package reads a row's or a stop line's keys, and only the replay reads rows.
+A row that lacks a key, or a frame no run writes, is refused by whichever
+reader meets it, and ``profile`` skips a history with no stop line."""
 
 import ast
 import contextlib
@@ -14,6 +15,7 @@ import pytest
 import madspip
 from madspip.bench import view_of_history
 from madspip.cli import main
+from madspip.history import read_row
 from madspip.problem import read_history, write_history
 from madspip.solver import RunRecord, SolverConfig, check_run_invariants, solve
 from madspip.suite import builtin_problem, initial_point
@@ -51,16 +53,27 @@ def test_a_row_without_one_of_its_keys_is_refused(tmp_path, key):
     assert len(violations) == 1 and violations[0].startswith("event 3: "), violations
     assert repr(key) in violations[0]
     with pytest.raises(ValueError, match=repr(key)):
-        view_of_history(events[:-1], *RUN.key)
+        read_row(events[3], 1)
 
 
-def test_view_of_history_reads_each_frame(tmp_path):
-    # a stop-less history whose frame 1 no run writes is skipped by profile
-    # with one warning, not read past
+@pytest.mark.parametrize(
+    "frame, violation",
+    [
+        ({"frame": "x", "rho": -1.0}, "frame 'x' is not a non-negative integer"),
+        # a frame line read_frame accepts, which only the replay's order
+        # check refuses
+        ({"frame": 7}, "frame 7 is not frame 1, the next one"),
+    ],
+    ids=["unreadable", "out-of-order"],
+)
+def test_a_stop_less_history_is_skipped_whatever_its_frames(tmp_path, frame, violation):
+    # profile skips a stop-less history with one warning and reads none of
+    # its lines; the replay refuses its frame 1
     events = _read_back(RUN, tmp_path)[:-1]
     assert events[2]["frame"] == 1
-    events[2] = {"frame": "x", "rho": -1.0}
-    with pytest.raises(ValueError, match="^frame 'x' is not a non-negative integer$"):
+    events[2] = {**events[2], **frame}
+    assert check_run_invariants(RunRecord(*RUN.key, RUN.n, events=events))[0] == [f"event 2: {violation}"]
+    with pytest.raises(ValueError, match="^no stop line$"):
         view_of_history(events, *RUN.key)
     histories = tmp_path / "histories"
     histories.mkdir()
@@ -70,7 +83,52 @@ def test_view_of_history_reads_each_frame(tmp_path):
         assert main(["profile", "--histories", str(histories), "--out", str(tmp_path / "out")]) == 0
     machine = json.loads(out.getvalue().splitlines()[0])
     assert machine["histories"] == 1
-    assert machine["warnings"] == [f"skipping {NAME}: frame 'x' is not a non-negative integer"]
+    assert machine["warnings"] == [f"skipping {NAME}: no stop line"]
+
+
+# -- one row reader: only the replay reads a row back
+
+
+def _read_row_uses(source):
+    """``(function, line)`` for each use of a name ``read_row`` outside
+    ``check_run_invariants``: a call, or the function taken as a value."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", function)
+        used = (
+            isinstance(node, ast.Name) and node.id == "read_row"
+            or isinstance(node, ast.Attribute) and node.attr == "read_row"
+        )
+        if used and function != "check_run_invariants":
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_row_reader_guard_finds_each_use():
+    source = (
+        "from .history import read_row\n"
+        "def check_run_invariants(record):\n    return read_row(record, 0)\n"
+        "def a(rows):\n    return [read_row(row, 0) for row in rows]\n"
+        "def b(rows):\n    return map(history.read_row, rows)\n"
+        "reader = read_row\n"
+        "def read_row(row, fresh):\n    return 'read_row'\n"
+    )
+    assert _read_row_uses(source) == [("a", 5), ("b", 7), ("<module>", 8)]
+
+
+def test_only_the_replay_reads_a_row():
+    found = {
+        path.name: uses
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (uses := _read_row_uses(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
 
 
 # -- one reader per line kind: no function outside history's writers and

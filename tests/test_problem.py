@@ -13,8 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from madspip.bench import view_of_history
 from madspip.cli import main
+from madspip.history import read_row
 from madspip.problem import (
     EQ_TOL,
     Cache,
@@ -457,8 +457,9 @@ class TestReadHistory:
         assert outcome(read_history, path) == expected
 
     def test_profile_skips_each_rejected_file_once(self, tmp_path, capsys):
-        good = {"eval_index": 0, "x": [0.0], "f": 1.0, "g": [], "h": [], "status": "unsuccessful"}
-        (tmp_path / "good__feasible-0__seed1__pip.jsonl").write_text(json.dumps(good) + "\n")
+        problem, _ = builtin_problem("unit-disk")
+        good = solve(problem, initial_point(problem, "feasible-0"), SolverConfig(30, 1))
+        write_history(good.events, tmp_path / "good__feasible-0__seed1__pip.jsonl")
         expected = []
         for i, name in enumerate(sorted(self.REJECTED)):
             path = tmp_path / f"bad{i}__feasible-0__seed1__pip.jsonl"
@@ -564,10 +565,9 @@ class TestEvaluation:
             ((-1.0,), (INF,), "unsuccessful"),
         ],
     )
-    def test_view_feasibility_is_is_feasible(self, g, h, status):
+    def test_read_row_feasibility_is_is_feasible(self, g, h, status):
         # a row is failed when f, g or h holds +inf, as _sanitize stores it
         row = {"eval_index": 0, "x": [0.0], "f": 2.0, "g": list(g), "h": list(h), "status": status}
-        view = view_of_history([row], "p", "feasible-0", 1, MODE_PIP)
-        assert view.count == 1
-        feasible = view.steps == ((0, 2.0),)
-        assert feasible is is_feasible(Evaluation((0.0,), 2.0, g, h, 0, INF in g + h))
+        read_status, ev = read_row(row, 0)
+        assert read_status == status and ev.eval_index == 0 and ev.failed is (INF in g + h)
+        assert is_feasible(ev) is is_feasible(Evaluation((0.0,), 2.0, g, h, 0, INF in g + h))

@@ -9,12 +9,13 @@ from fractions import Fraction
 import pytest
 
 import madspip.solver
-from madspip.bench import run_matrix, view_of_history
+from madspip.bench import RunView, run_matrix
 from madspip.merit import (
     B_RHO, BETA, RHO0, THETA_RHO, MeritParams, Partition, merit, penalty_update_check,
     violation_summary,
 )
-from madspip.problem import Cache, Evaluation, Problem, read_history, write_history
+from madspip.history import read_row
+from madspip.problem import Cache, Evaluation, Problem, is_feasible, read_history, write_history
 from madspip.solver import (
     DELTA_STOP,
     MODE_EXTREME_BARRIER,
@@ -502,11 +503,13 @@ class TestSolve:
         failed = [row for row in record.rows if row["status"] == "failed"]
         assert any(row["g"][0] <= 0.0 for row in failed)
         assert all(row["f"] == INF and row["x"][0] > 0.55 for row in failed)
-        # only the status keeps a failed row with g <= 0 infeasible: a view
-        # that took it as feasible would refuse its infinite f
-        view = view_of_history(record.rows, problem.name, "x0", 1, MODE_PIP)
-        assert view.count == record.evals_used == 300
-        assert view.steps[-1][1] == record.best_feasible_f
+        # read back, a failed row with g <= 0 is failed and so infeasible: a
+        # view that took it as feasible would hold its infinite f, and the
+        # replay holds the stop line's view to the rows
+        read = [read_row(row, record.evals_used)[1] for row in failed]
+        assert all(ev.failed and not is_feasible(ev) for ev in read)
+        view = RunView(*record.key, record.n, record.evals_used, record.steps)
+        assert view.count == 300 and view.steps and all(f < INF for _, f in view.steps)
         assert check_run_invariants(record) == ([], [])
         # a failed point's violation terms are +inf, as the solver priced
         # it: its stored f = +inf says it failed, whatever its g

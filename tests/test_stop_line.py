@@ -1,6 +1,7 @@
 """A history ends in one stop line that holds its run's view, and
-``profile`` reads that line alone: the view it gives must equal the one the
-rows give, and a line that no run writes is skipped with one warning."""
+``profile`` reads that line alone: the replay holds the view it gives to the
+rows, a history with lines and no stop line has no view, and a line that no
+run writes is skipped with one warning."""
 
 import contextlib
 import dataclasses
@@ -14,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import madspip.cli
 import madspip.history
-from madspip.bench import view_of_history
+from madspip.bench import RunView, view_of_history
 from madspip.cli import _parse_history_name, main
 from madspip.history import read_stop, read_stop_line
 from madspip.problem import ExternalEvaluator, Problem, read_history, write_history
@@ -49,8 +50,9 @@ def bench_dir(tmp_path_factory, request):
     return out
 
 
-def test_stop_line_view_is_the_rows_view(bench_dir, tmp_path, monkeypatch):
-    # the views profile builds, from the stop lines, are the rows' views
+def test_stop_line_view_is_held_to_the_rows(bench_dir, tmp_path, monkeypatch):
+    # the views profile builds are the stop lines' views, which the replay
+    # holds to the rows; an error run's empty file gives an empty view
     built = {}
     best_feasible_table = madspip.cli.best_feasible_table
 
@@ -69,17 +71,20 @@ def test_stop_line_view_is_the_rows_view(bench_dir, tmp_path, monkeypatch):
         stop = read_stop_line(path)
         if stop is None:  # an error run: nothing written
             assert path.stat().st_size == 0, path.name
+            assert built[key] == view_of_history([], *key), path.name
             continue
         stopped += 1
-        assert built[key] == view_of_history(read_history(path), *key), path.name
-        assert stop["builtin"] is True
+        _, n, count, steps, builtin = read_stop(stop)
+        assert built[key] == RunView(*key, n, count, steps) and builtin is True, path.name
+        assert check_run_invariants(RunRecord(*key, n, events=read_history(path)))[0] == [], path.name
     assert stopped >= len(paths) / 2
 
 
 def test_histories_with_8_key_rows_read_as_written(bench_dir, tmp_path):
     # histories written while rows also held incumbent and iteration give
-    # the same profile, from their stop lines or, cut before them, from
-    # their rows, and read back the same views and replay verdicts
+    # the same profile from their stop lines, and read back the same stop
+    # lines and replay verdicts; cut before their stop lines, they have no
+    # view, and profile skips each with one warning
     layouts = {name: tmp_path / name for name in ("written", "8-key", "8-key-cut")}
     for directory in layouts.values():
         directory.mkdir()
@@ -90,19 +95,24 @@ def test_histories_with_8_key_rows_read_as_written(bench_dir, tmp_path):
         (layouts["written"] / path.name).write_bytes(data)
         (layouts["8-key"] / path.name).write_bytes(old)
         (layouts["8-key-cut"] / path.name).write_bytes(old[: old.rstrip(b"\n").rfind(b"\n") + 1])
-    profiles = []
+    profiles, machines = [], []
     for directory in layouts.values():
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
             assert main(["profile", "--histories", str(directory), "--out", str(directory / "out")]) == 0
         profiles.append({p.name: p.read_bytes() for p in (directory / "out").iterdir()})
-    assert profiles[0] and profiles[1] == profiles[0] and profiles[2] == profiles[0]
+        machines.append(json.loads(out.getvalue().splitlines()[0]))
+    assert profiles[0] and profiles[1] == profiles[0]
+    assert machines[0]["warnings"] == machines[1]["warnings"] == []
+    started = sorted(path.name for path in bench_dir.glob("*.jsonl") if path.stat().st_size)
+    assert machines[2]["warnings"] == [f"skipping {name}: no stop line" for name in started]
+    assert machines[2]["histories"] == machines[0]["histories"] - len(started)
     replayed = 0
     for path in sorted(bench_dir.glob("*.jsonl")):
         key = _parse_history_name(path.name)
         lines, old = (read_history(layouts[name] / path.name) for name in ("written", "8-key"))
         if not lines:  # an error run
             continue
-        assert view_of_history(old, *key) == view_of_history(lines, *key), path.name
+        assert read_stop(old[-1]) == read_stop(lines[-1]), path.name
         n = lines[-1]["n"]
         verdict = check_run_invariants(RunRecord(*key, n, events=lines))
         assert check_run_invariants(RunRecord(*key, n, events=old)) == verdict, path.name
@@ -172,10 +182,10 @@ def test_solve_decides_whether_the_problem_is_the_builtin(tmp_path):
         assert record.events[-1]["builtin"] is expected
 
 
-def test_compact_history_cut_before_its_stop_line_profiles_from_its_rows(tmp_path, capsys):
+def test_compact_history_cut_before_its_stop_line_is_skipped(tmp_path, capsys):
     # a history whose stop line was cut off (as a copy interrupted at its
-    # last line leaves it) is read row by row, past its frame lines, to the
-    # view its stop line gave
+    # last line leaves it) has no view: profile skips it with one warning
+    # and profiles the rest, and its rows go unread
     out = tmp_path / "bench"
     assert main([
         "bench", "--problem", "unit-disk,two-ring", "--x0-count", "2", "--seeds", "1",
@@ -183,17 +193,20 @@ def test_compact_history_cut_before_its_stop_line_profiles_from_its_rows(tmp_pat
     ]) == 0
     capsys.readouterr()
     whole = profile(capsys, out)
-    profiles = {p.name: p.read_bytes() for p in (out / "out").iterdir()}
-    cut = 0
-    for path in out.glob("*.jsonl"):
+    cut = []
+    for path in sorted(out.glob("*.jsonl")):
         data = path.read_bytes()
         if data:
+            key = _parse_history_name(path.name)
+            events = read_history(path)
+            assert check_run_invariants(RunRecord(*key, events[-1]["n"], events=events))[0] == []
             path.write_bytes(data[: data.rstrip(b"\n").rfind(b"\n") + 1])
             assert read_stop_line(path) is None and b'"frame"' in path.read_bytes()
-            cut += 1
-    assert cut >= 4
-    assert profile(capsys, out) == whole and whole["warnings"] == []
-    assert {p.name: p.read_bytes() for p in (out / "out").iterdir()} == profiles
+            cut.append(path.name)
+    assert len(cut) >= 4 and whole["warnings"] == []
+    machine = profile(capsys, out)
+    assert machine["warnings"] == [f"skipping {name}: no stop line" for name in cut]
+    assert machine["histories"] == whole["histories"] - len(cut) > 0
 
 
 ROW = '{"eval_index":0,"x":[0.0,0.0],"f":1.0,"g":[],"h":[],"status":"unsuccessful"}'
@@ -408,11 +421,11 @@ def test_one_field_edit_of_a_real_stop_line(path, edit, read_back):
 
 
 def test_a_stop_line_before_the_last_line_is_refused_as_one():
-    # the rows' view refuses it as the replay does, not as a row whose
-    # status is missing
+    # the replay refuses it as a stop line, not as a row whose status is
+    # missing, and cut before its last line the history has no view
     events = [*RUN.events[:10], RUN.events[-1], *RUN.events[10:]]
-    with pytest.raises(ValueError, match="^a stop line before the last line$"):
-        view_of_history(events, *RUN.key)
+    with pytest.raises(ValueError, match="^no stop line$"):
+        view_of_history(events[:-1], *RUN.key)
     assert check_run_invariants(RunRecord(*RUN.key, RUN.n, events=events))[0] == [
         "event 10: a stop line before the last line"
     ]

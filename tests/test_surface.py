@@ -39,7 +39,7 @@ PACKAGE_NAMES = [
 # each submodule's __all__, in order; None where the module declares none
 MODULE_NAMES = {
     "bench": [
-        "ProfileCurve", "RunView", "view_of_history", "run_matrix",
+        "ProfileCurve", "RunView", "run_matrix",
         "best_feasible_table", "reference_table", "data_profile",
         "feasibility_profile", "export",
     ],
