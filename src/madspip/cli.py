@@ -123,8 +123,10 @@ def _run_name(problem: str, x0_id: str, seed: int, mode: str) -> str:
 
 def cmd_solve(args) -> int:
     eval_exe = args.eval_exe
-    if eval_exe is not None and not Path(eval_exe).exists():
-        raise ValueError(f"evaluator executable {eval_exe!r} does not exist")
+    if eval_exe is not None:
+        if not Path(eval_exe).exists():
+            raise ValueError(f"evaluator executable {eval_exe!r} does not exist")
+        eval_exe = os.path.abspath(eval_exe)  # the file checked, not a PATH lookup of a bare name
     problem = _resolve_problem(args.problem, eval_exe)
     # a builtin's starting points hold when its evaluator is swapped out
     x0, x0_id = _resolve_x0(problem, args.x0, args.x0_file)

@@ -8,22 +8,21 @@ reachable normalized directions becomes dense on the unit sphere as the frame
 shrinks.
 
 The frame only ever halves or doubles, so every frame and mesh size is
-``delta0`` times a power of two and is held as its integer exponent.  Step
-arithmetic is integer arithmetic, free of floating-point drift: point
-identity reduces to integer-step identity.
+``delta0`` times a power of two and a frame is its integer exponent ``exp``:
+``delta_frame = delta0 * 2**exp`` and ``delta_mesh = delta0 *
+2**mesh_exp(exp)``.  Step arithmetic is integer arithmetic, free of
+floating-point drift: point identity reduces to integer-step identity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "MeshState",
     "update_frame",
     "poll_directions",
     "snap_steps",
@@ -35,57 +34,38 @@ __all__ = [
 FRAME_CAP_EXP = 9
 
 
-@dataclass(frozen=True)
-class MeshState:
-    """Frame size ``delta_frame = delta0 * 2**exp``.
-
-    The mesh exponent is derived, never stored, so
-    ``delta_mesh = min(delta_frame, delta_frame**2/delta0)`` holds by
-    construction.
-    """
-
-    delta0: float
-    exp: int = 0
-
-    def __post_init__(self):
-        if not (self.delta0 > 0.0):
-            raise ValueError("delta0 must be positive")
-
-    @property
-    def delta_frame(self) -> float:
-        return math.ldexp(self.delta0, self.exp)
-
-    @property
-    def mesh_exp(self) -> int:
-        return min(self.exp, 2 * self.exp)
+def mesh_exp(exp: int) -> int:
+    """The mesh exponent of the frame exponent ``exp``, so that
+    ``delta_mesh = min(delta_frame, delta_frame**2/delta0)``."""
+    return min(exp, 2 * exp)
 
 
-def update_frame(mesh: MeshState, success: bool) -> MeshState:
-    """Grow the frame after a success, shrink it after a failure.
+def update_frame(exp: int, success: bool) -> int:
+    """The frame exponent after an iteration: grown after a success, shrunk
+    after a failure.
 
-    Growth past ``FRAME_CAP_EXP`` is skipped (the state is returned
+    Growth past ``FRAME_CAP_EXP`` is skipped (the exponent is returned
     unchanged), which bounds the frame by ``1000 * delta0``.
     """
-    if success:
-        if mesh.exp >= FRAME_CAP_EXP:
-            return mesh
-        return MeshState(mesh.delta0, mesh.exp + 1)
-    return MeshState(mesh.delta0, mesh.exp - 1)
+    if not success:
+        return exp - 1
+    return exp + 1 if exp < FRAME_CAP_EXP else exp
 
 
-def poll_directions(n: int, mesh: MeshState, rng: np.random.Generator) -> list:
+def poll_directions(n: int, exp: int, rng: np.random.Generator) -> list:
     """Generate 2n poll step vectors on the mesh, closed under negation.
 
     A random unit vector defines a Householder basis; each column is scaled
-    to max-norm ``delta_frame``, its coordinates are rounded toward zero onto
-    the mesh, and the negated set is appended.  Every direction keeps at
+    to max-norm ``delta_frame`` of the frame exponent ``exp``, its
+    coordinates are rounded toward zero onto the mesh, and the negated set is
+    appended.  Every direction keeps at
     least one coordinate of magnitude ``delta_frame`` (exact on the leading
     coordinate), and all trial points stay inside the frame.  Each direction
     is a tuple of integer steps of size ``delta_mesh``.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    radius = float(1 << (mesh.exp - mesh.mesh_exp))  # frame radius in mesh steps
+    radius = float(1 << (exp - mesh_exp(exp)))  # frame radius in mesh steps
 
     v = rng.standard_normal(n)
     norm = math.sqrt(v.dot(v))  # what np.linalg.norm computes for a real vector

@@ -46,14 +46,12 @@ from .merit import (
     EPS_EXT,
     RHO0,
     THETA_RHO,
-    MeritParams,
-    Partition,
     compute_b_ext,
     merit,
     penalty_update_check,
     violation_summary,
 )
-from .mesh import MeshState, initial_frame_size, poll_directions, snap_steps, update_frame
+from .mesh import initial_frame_size, mesh_exp, poll_directions, snap_steps, update_frame
 from .problem import Cache, Evaluation, Problem, evaluate, is_feasible
 from .suite import is_builtin
 
@@ -183,7 +181,7 @@ class SolverState:
     config: SolverConfig
     cache: Cache
     rng: np.random.Generator
-    mesh: MeshState
+    delta0: float  # the frame size of exponent 0: 10 with bounds, 1 without
     record: RunRecord
     anchor: Tuple[float, ...]
     x_unit: float  # original-variable length of one delta0 unit
@@ -192,12 +190,15 @@ class SolverState:
     lattice_bits: int
     q_incumbent: Tuple[int, ...]  # the incumbent's cache key
     incumbent_merit: float = _INF
-    partition: Optional[Partition] = None
-    merit_params: Optional[MeritParams] = None
+    frame_exp: int = 0  # delta_frame = delta0 * 2**frame_exp
+    # pip mode: the interior set, rho and the exterior scaling; None otherwise
+    g_int: Optional[Tuple[int, ...]] = None
+    rho: Optional[float] = None
+    b_ext: Optional[float] = None
     iteration: int = 0
     last_success_offset: Optional[Tuple[int, ...]] = None
     # pip mode: each cached key's (phi_prox, c_int, c_ext) under the current
-    # partition, as plain float tuples, which the cyclic GC stops tracking
+    # g_int, as plain float tuples, which the cyclic GC stops tracking
     kept: Dict[Tuple[int, ...], Tuple[float, float, float]] = field(default_factory=dict)
     pip: bool = field(init=False)
     lattice_scale: float = field(init=False)  # 2**-lattice_bits
@@ -207,32 +208,36 @@ class SolverState:
         self.lattice_scale = math.ldexp(1.0, -self.lattice_bits)
 
     @property
+    def delta_frame(self) -> float:
+        return math.ldexp(self.delta0, self.frame_exp)
+
+    @property
     def mesh_step(self) -> int:
         """Mesh size in lattice units."""
-        shift = self.lattice_bits + self.mesh.mesh_exp
+        shift = self.lattice_bits + mesh_exp(self.frame_exp)
         if shift < 0:
             raise ValueError(
-                f"mesh 2**{self.mesh.mesh_exp} is finer than the lattice 2**-{self.lattice_bits}"
+                f"mesh 2**{mesh_exp(self.frame_exp)} is finer than the lattice 2**-{self.lattice_bits}"
             )
         return 1 << shift
 
 
 def _merit_of(state: SolverState, key: Tuple[int, ...], evaluation: Evaluation) -> float:
-    """Merit of the cached ``key`` under the current partition and ``rho``.
+    """Merit of the cached ``key`` under the current ``g_int`` and ``rho``.
 
-    In pip mode the violation terms are computed once per key and partition
+    In pip mode the violation terms are computed once per key and ``g_int``
     and kept in ``state.kept``; kept terms are only re-priced.  In
     extreme-barrier mode the merit is ``f`` on feasible points, ``+inf``
     elsewhere.
     """
     kept = state.kept.get(key)  # never set in extreme-barrier mode
     if kept is not None:
-        return merit(evaluation.f, kept[1], kept[2], state.merit_params)
+        return merit(evaluation.f, kept[1], kept[2], state.rho, state.b_ext)
     if not state.pip:
         return evaluation.f if is_feasible(evaluation) else _INF
-    terms = violation_summary(evaluation.g, evaluation.h, state.partition, evaluation.failed)
+    terms = violation_summary(evaluation.g, evaluation.h, state.g_int, evaluation.failed)
     state.kept[key] = terms
-    return merit(evaluation.f, terms[1], terms[2], state.merit_params)
+    return merit(evaluation.f, terms[1], terms[2], state.rho, state.b_ext)
 
 
 def _lattice_bits(delta0: float) -> int:
@@ -260,12 +265,11 @@ def _point_of(state: SolverState, q: Sequence[int]) -> List[float]:
 
 def _frame(state: SolverState, k: int) -> dict:
     """Frame ``k`` (:func:`madspip.history.frame_line`) of ``state``."""
-    rho, g_int = (state.merit_params.rho, state.partition.g_int) if state.pip else (None, None)
-    return frame_line(k, rho, state.mesh.delta_frame, g_int)
+    return frame_line(k, state.rho, state.delta_frame, state.g_int)
 
 
 def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> SolverState:
-    """Evaluate the starting point and set up partition, scalings and mesh.
+    """Evaluate the starting point and set up the interior set, scalings and frame.
 
     In pip mode the inequality indices strictly inside by ``merit.EPS_EXT``
     seed the interior set, ``rho`` starts at ``merit.RHO0`` and the exterior
@@ -293,8 +297,8 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
     # criterion and stopping thresholds compare against this scaled frame
     # size; evaluation points are mapped back to original coordinates.
     x_unit = initial_frame_size(problem.bounds)
-    mesh = MeshState(10.0 if problem.bounds is not None else x_unit)
-    lattice_bits = _lattice_bits(mesh.delta0)
+    delta0 = 10.0 if problem.bounds is not None else 1.0
+    lattice_bits = _lattice_bits(delta0)
     cache = Cache()
     import numpy as np  # only the poll directions' random stream needs it
     rng = np.random.default_rng(config.seed)
@@ -308,7 +312,7 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
         config=config,
         cache=cache,
         rng=rng,
-        mesh=mesh,
+        delta0=delta0,
         record=record,
         anchor=x0,
         x_unit=x_unit,
@@ -319,8 +323,8 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
     if ev0.failed:  # only a failed evaluation has a non-finite f
         raise InitializationError("starting evaluation failed")
     if config.mode == MODE_PIP:
-        state.partition = Partition.from_initial(ev0.g)
-        state.merit_params = MeritParams(rho=RHO0, b_ext=compute_b_ext(ev0.f))
+        state.g_int = tuple([i for i, v in enumerate(ev0.g) if v <= -EPS_EXT])
+        state.rho, state.b_ext = RHO0, compute_b_ext(ev0.f)
     elif not is_feasible(ev0):
         raise InitializationError("extreme-barrier mode needs a feasible starting point")
 
@@ -354,7 +358,7 @@ def speculative_search(state: SolverState) -> Optional[Tuple[Tuple[int, ...], Li
 def reselect_incumbent(state: SolverState) -> None:
     """Re-pick the incumbent as the cache-wide merit minimizer.
 
-    Called after ``rho`` or the partition changed (a partition move first
+    Called after ``rho`` or ``g_int`` changed (a partition move first
     drops ``state.kept``).  Kept violation terms are only re-priced under the
     new ``rho``; keys without them are summarized afresh.  Ties go to the
     earliest evaluation; if every cached point has infinite merit, the
@@ -426,7 +430,7 @@ def iterate(state: SolverState) -> None:
 
     if not success:
         mesh_step = state.mesh_step
-        for steps in poll_directions(state.problem.n, state.mesh, state.rng):
+        for steps in poll_directions(state.problem.n, state.frame_exp, state.rng):
             q = tuple([qi + mesh_step * s for qi, s in zip(q_center, steps)])
             success = _try_candidate(state, q, kind="poll")[0]
             if success is None:
@@ -436,20 +440,20 @@ def iterate(state: SolverState) -> None:
 
     if success:
         state.last_success_offset = tuple([a - b for a, b in zip(state.q_incumbent, q_center)])
-    state.mesh = update_frame(state.mesh, success)
+    state.frame_exp = update_frame(state.frame_exp, success)
 
     # a rho cut, on the incumbent's phi_prox, or else a partition move
     incumbent = state.cache.entries[state.q_incumbent]
     if state.pip and not success and penalty_update_check(
-        state.mesh.delta_frame, state.kept[state.q_incumbent][0], state.merit_params
+        state.delta_frame, state.kept[state.q_incumbent][0], state.rho
     ):
-        p = state.merit_params
-        state.merit_params = MeritParams(p.rho * THETA_RHO, p.b_ext)
+        state.rho *= THETA_RHO
         reselect_incumbent(state)
     elif state.pip and not incumbent.failed:
-        moved = [i for i in state.partition.g_ext if incumbent.g[i] <= -EPS_EXT]
+        g_int = state.g_int
+        moved = tuple([i for i, v in enumerate(incumbent.g) if i not in g_int and v <= -EPS_EXT])
         if moved:
-            state.partition = state.partition.moved_to_interior(moved)
+            state.g_int = tuple(sorted(g_int + moved))
             state.kept.clear()
             reselect_incumbent(state)
 
@@ -477,7 +481,7 @@ def solve(
         if len(state.cache.entries) >= config.max_evaluations:
             outcome = "budget-exhausted"
             break
-        if state.mesh.delta_frame < DELTA_STOP:
+        if state.delta_frame < DELTA_STOP:
             outcome = "delta-converged"
             break
         iterate(state)
@@ -530,8 +534,8 @@ def check_run_invariants(record: RunRecord):
         return ["event 1: the start evaluation failed"], warnings
     m, b_ext = len(start.g), compute_b_ext(start.f) if pip else None
     completed = sum(map(is_frame, events)) - 2  # the iterations that left a frame
-    evaluations, terms = [], []  # each Evaluation, and its terms under partition
-    frame = partition = merit_params = None  # frame: the last frame as read
+    evaluations, terms = [], []  # each Evaluation, and its terms under interior
+    frame = interior = rho = None  # the last frame as read, its g_int and its rho
     k, incumbent, best = -1, 0, _INF
     succeeded, cints = False, []
 
@@ -539,7 +543,7 @@ def check_run_invariants(record: RunRecord):
         ev = evaluations[e]
         if not pip:
             return ev.f if is_feasible(ev) else _INF
-        return merit(ev.f, terms[e][1], terms[e][2], merit_params)
+        return merit(ev.f, terms[e][1], terms[e][2], rho, b_ext)
 
     for i, event in enumerate(events):
         framed = is_frame(event)
@@ -576,7 +580,7 @@ def check_run_invariants(record: RunRecord):
                 if e == len(evaluations):
                     evaluations.append(ev)
                     if pip:
-                        terms.append(violation_summary(ev.g, ev.h, partition, ev.failed))
+                        terms.append(violation_summary(ev.g, ev.h, interior, ev.failed))
                 value = price(e)
                 cints.append(terms[e][1] if pip else None)
             if k == 0:
@@ -617,10 +621,9 @@ def check_run_invariants(record: RunRecord):
                             f"iteration {k}: evaluated frame point with c_int {cint!r} (late-run frame not strictly interior)"
                             for cint in cints if not cint < 0.0
                         )
-            merit_params = MeritParams(rho, b_ext)
-            if partition is None or g_next != partition.g_int:
-                partition = Partition(g_next, [i for i in range(m) if i not in g_next])
-                terms = [violation_summary(ev.g, ev.h, partition, ev.failed) for ev in evaluations]
+            if g_next != interior:
+                interior = g_next
+                terms = [violation_summary(ev.g, ev.h, interior, ev.failed) for ev in evaluations]
             if changed:
                 values = [price(e) for e in range(len(evaluations))]
                 best = min(values)

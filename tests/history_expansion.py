@@ -12,7 +12,7 @@ import json
 import math
 
 from madspip.merit import (
-    B_C, B_INT, B_RHO, BETA, EPS_EXT, RHO0, THETA_RHO, MeritParams, Partition, compute_b_ext, merit,
+    B_C, B_INT, B_RHO, BETA, EPS_EXT, RHO0, THETA_RHO, compute_b_ext, merit,
     violation_summary,
 )
 from madspip.problem import Evaluation, is_feasible
@@ -39,9 +39,7 @@ def _failed(row):
 def _terms(row, frame):
     """``(phi_prox, c_int, c_ext)`` of an evaluated row under the frame's
     interior set."""
-    g, g_int = row["g"], frame["g_int"]
-    partition = Partition(g_int, [i for i in range(len(g)) if i not in g_int])
-    return violation_summary(g, row["h"], partition, _failed(row))
+    return violation_summary(row["g"], row["h"], frame["g_int"], _failed(row))
 
 
 def with_row_keys(lines):
@@ -127,7 +125,7 @@ def expand_iterations(record):
             evaluation = Evaluation(row["x"], row["f"], row["g"], row["h"], row["eval_index"], _failed(row))
             return row["f"] if is_feasible(evaluation) else math.inf
         _, cint, cext = _terms(row, frame)
-        return merit(row["f"], cint, cext, MeritParams(frame["rho"], b_ext))
+        return merit(row["f"], cint, cext, frame["rho"], b_ext)
 
     out = []
     incumbent = rows[0] if rows else None

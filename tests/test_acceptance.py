@@ -22,15 +22,8 @@ from madspip.bench import (
     run_matrix,
 )
 from madspip.cli import main as cli_main
-from madspip.merit import (
-    MeritParams,
-    Partition,
-    compute_b_ext,
-    merit,
-    penalty_update_check,
-    violation_summary,
-)
-from madspip.mesh import MeshState, snap_steps, update_frame
+from madspip.merit import compute_b_ext, merit, penalty_update_check, violation_summary
+from madspip.mesh import mesh_exp, snap_steps, update_frame
 from madspip.problem import is_feasible, Evaluation
 from madspip.history import improvement_steps
 from madspip.solver import SolverConfig, check_run_invariants, solve
@@ -69,7 +62,7 @@ class TestCriterion1FormulaSuite:
         # interior violation and proximity: (phi_prox, c_int) with every
         # constraint interior
         def interior(g):
-            return violation_summary(g, [], Partition(range(len(g)), ()))[:2]
+            return violation_summary(g, [], tuple(range(len(g))))[:2]
 
         assert interior([-2.0, -0.5])[0] == -0.5
         assert interior([0.5, -2.0])[0] == 0.5
@@ -81,37 +74,37 @@ class TestCriterion1FormulaSuite:
 
         # exterior violation: c_ext with every inequality exterior
         def exterior(g, h):
-            return violation_summary(g, h, Partition((), range(len(g))))[2]
+            return violation_summary(g, h, ())[2]
 
         assert exterior([0.3, -1.0], [0.2]) == pytest.approx(0.13)
         assert exterior([-1.0, -2.0], []) == 0.0
         assert exterior([], [1.0, -1.0]) == pytest.approx(2.0)
         # merit values incl. the high-precision oracle fixture
-        p = MeritParams(rho=0.1)
-        assert merit(1.0, -1.0, 0.0, p) == 1.0
-        assert merit(2.0, 0.0, 0.0, p) == math.inf
+        rho, b_ext = 0.1, 1.0
+        assert merit(1.0, -1.0, 0.0, rho, b_ext) == 1.0
+        assert merit(2.0, 0.0, 0.0, rho, b_ext) == math.inf
         mpmath.mp.dps = 50
         oracle = float(
             mpmath.mpf(2)
             - mpmath.mpf("0.1") * mpmath.log(mpmath.mpf("0.5"))
             + 10 * mpmath.mpf("0.04")
         )
-        assert merit(2.0, -0.5, 0.04, p) == pytest.approx(oracle, rel=1e-15)
+        assert merit(2.0, -0.5, 0.04, rho, b_ext) == pytest.approx(oracle, rel=1e-15)
         # exterior scaling
         assert [compute_b_ext(v) for v in (523.0, 0.0, 0.05, -523.0)] == [100.0, 1.0, 1.0, 100.0]
         # penalty criterion incl. the oracle-settled boundary case
-        assert penalty_update_check(1e-4, -1e-3, p) is True
-        assert penalty_update_check(0.5, -1.0, p) is True
-        assert penalty_update_check(2.0, -1.0, p) is False
-        assert penalty_update_check(1e-4, 0.0, p) is False
-        # mesh arithmetic: frame delta0 * 2**exp, mesh min(frame, frame**2/delta0)
+        assert penalty_update_check(1e-4, -1e-3, rho) is True
+        assert penalty_update_check(0.5, -1.0, rho) is True
+        assert penalty_update_check(2.0, -1.0, rho) is False
+        assert penalty_update_check(1e-4, 0.0, rho) is False
+        # mesh arithmetic: frame delta0 * 2**exp, mesh min(frame, frame**2/delta0),
+        # here with delta0 = 1
         for exp, delta_mesh in ((0, 1.0), (-1, 0.25), (1, 2.0)):
-            m = MeshState(1.0, exp)
-            assert math.ldexp(m.delta0, m.mesh_exp) == delta_mesh
-        assert update_frame(MeshState(1.0), True).delta_frame == 2.0
-        shrunk = update_frame(MeshState(1.0), False)
-        assert (shrunk.delta_frame, math.ldexp(shrunk.delta0, shrunk.mesh_exp)) == (0.5, 0.25)
-        assert update_frame(MeshState(1.0, 9), True).delta_frame == 512.0  # growth cap
+            assert math.ldexp(1.0, mesh_exp(exp)) == delta_mesh
+        assert math.ldexp(1.0, update_frame(0, True)) == 2.0
+        shrunk = update_frame(0, False)
+        assert (math.ldexp(1.0, shrunk), math.ldexp(1.0, mesh_exp(shrunk))) == (0.5, 0.25)
+        assert math.ldexp(1.0, update_frame(9, True)) == 512.0  # growth cap
         # snapping (0.26, -0.24) and 0.125 onto mesh 0.25, in units of 0.001
         assert snap_steps((260, -240), 250) == (1, -1)
         assert snap_steps((125,), 250) == (1,)

@@ -231,6 +231,21 @@ class TestSolveCommand:
         stop = madspip.history.read_stop_line(machine_line(out)["history"])
         assert stop["builtin"] is False
 
+    def test_eval_exe_bare_name_runs_the_checked_file(self, tmp_path, capsys, monkeypatch):
+        # a bare name passes the existence check in the current directory, so
+        # it must run that file, not a PATH lookup of the name
+        exe = tmp_path / "const.sh"
+        exe.write_text('#!/bin/sh\nread line\necho "7.0 -1.0"\n')
+        exe.chmod(0o755)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys,
+            "solve", "--problem", "unit-disk", "--x0", "0.1,0.1",
+            "--eval-exe", "const.sh", "--budget", "15", "--out", "out",
+        )
+        assert (code, err) == (0, "")
+        assert machine_line(out)["best_feasible_f"] == 7.0
+
     def test_eval_exe_keeps_the_builtin_starting_point(self, tmp_path, capsys):
         exe = tmp_path / "const.sh"
         exe.write_text('#!/bin/sh\nread line\necho "1.0 -1.0 -1.0"\n')

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath
@@ -11,8 +10,6 @@ from madspip.merit import (
     B_RHO,
     BETA,
     THETA_RHO,
-    MeritParams,
-    Partition,
     compute_b_ext,
     merit,
     penalty_update_check,
@@ -22,45 +19,15 @@ from madspip.merit import (
 INF = math.inf
 
 
-def params(rho=0.1):
-    return MeritParams(rho=rho)
-
-
 def interior_terms(g):
     """``(phi_prox, c_int)`` of ``g`` with every constraint interior."""
-    phi, cint, _ = violation_summary(g, [], Partition(range(len(g)), ()))
+    phi, cint, _ = violation_summary(g, [], tuple(range(len(g))))
     return phi, cint
 
 
 def exterior_term(g, h):
     """``c_ext`` of ``g`` and ``h`` with every inequality exterior."""
-    return violation_summary(g, h, Partition((), range(len(g))))[2]
-
-
-class TestPartition:
-    def test_disjoint_cover(self):
-        p = Partition([2, 0], [1])
-        assert p.m == 3
-        assert p.g_int == (0, 2) and p.g_ext == (1,)
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            Partition([0], [0, 1])
-
-    def test_gap_rejected(self):
-        with pytest.raises(ValueError):
-            Partition([0], [2])
-
-    def test_from_initial_threshold(self):
-        p = Partition.from_initial([-0.5, 0.3])
-        assert p.g_int == (0,) and p.g_ext == (1,)
-
-    def test_move_is_one_directional(self):
-        p = Partition((), (0, 1, 2))
-        moved = p.moved_to_interior([2, 1])
-        assert moved.g_int == (1, 2) and moved.g_ext == (0,)
-        with pytest.raises(ValueError):
-            moved.moved_to_interior([1])
+    return violation_summary(g, h, ())[2]
 
 
 class TestPhiProx:
@@ -129,21 +96,21 @@ class TestCExt:
 
 class TestMerit:
     def test_interior_feasible_no_penalty(self):
-        assert merit(1.0, -1.0, 0.0, params(rho=0.1)) == 1.0
+        assert merit(1.0, -1.0, 0.0, 0.1, 1.0) == 1.0
 
     def test_boundary_is_infinite(self):
-        assert merit(2.0, 0.0, 0.0, params(rho=0.1)) == INF
-        assert merit(2.0, -0.0, 0.0, params(rho=0.1)) == INF
+        assert merit(2.0, 0.0, 0.0, 0.1, 1.0) == INF
+        assert merit(2.0, -0.0, 0.0, 0.1, 1.0) == INF
 
     def test_infinite_objective(self):
-        assert merit(INF, -1.0, 0.0, params(rho=0.1)) == INF
+        assert merit(INF, -1.0, 0.0, 0.1, 1.0) == INF
 
     def test_scaled_value_against_oracle(self):
         # high-precision oracle for f - rho*log(0.5) + (1/rho)*0.04
         mpmath.mp.dps = 50
         expected = mpmath.mpf(2) - mpmath.mpf("0.1") * mpmath.log(mpmath.mpf("0.5"))
         expected += (1 / mpmath.mpf("0.1")) * mpmath.mpf("0.04")
-        got = merit(2.0, -0.5, 0.04, params(rho=0.1))
+        got = merit(2.0, -0.5, 0.04, 0.1, 1.0)
         assert got == pytest.approx(float(expected), rel=1e-15)
         assert got == pytest.approx(2.46931471805, abs=1e-11)
 
@@ -155,13 +122,13 @@ class TestMerit:
     )
     def test_merit_dominates_objective(self, f, cint, cext, rho):
         # -cint <= 1 always, so the barrier term never pushes z below f
-        assert merit(f, cint, cext, params(rho=rho)) >= f
+        assert merit(f, cint, cext, rho, 1.0) >= f
 
     def test_limit_in_rho_feasible(self):
         # with no exterior violation the merit tends to f from above
         previous = None
         for k in range(1, 12):
-            z = merit(3.0, -0.25, 0.0, params(rho=10.0**-k))
+            z = merit(3.0, -0.25, 0.0, 10.0**-k, 1.0)
             assert z >= 3.0
             if previous is not None:
                 assert z <= previous
@@ -169,7 +136,7 @@ class TestMerit:
         assert previous == pytest.approx(3.0, abs=1e-9)
 
     def test_limit_in_rho_infeasible(self):
-        values = [merit(3.0, -0.25, 0.5, params(rho=10.0**-k)) for k in range(1, 12)]
+        values = [merit(3.0, -0.25, 0.5, 10.0**-k, 1.0) for k in range(1, 12)]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] > 1e9
 
@@ -196,28 +163,28 @@ class TestComputeBExt:
 class TestPenaltyUpdateCheck:
     def test_fires_small_frame(self):
         # oracle: min(10 * 0.1**(1+1e-9), 1e10 * 1e-6) ~ 0.9999999977 >= 1e-4
-        assert penalty_update_check(1e-4, -1e-3, params(rho=0.1)) is True
+        assert penalty_update_check(1e-4, -1e-3, 0.1) is True
 
     def test_boundary_case_settled_by_oracle(self):
         # 0.5 <= 10 * 0.1**(1+1e-9): verified with 50-digit arithmetic
         mpmath.mp.dps = 50
         bound = 10 * mpmath.mpf("0.1") ** (1 + mpmath.mpf(10) ** -9)
         assert mpmath.mpf("0.5") <= bound
-        assert penalty_update_check(0.5, -1.0, params(rho=0.1)) is True
+        assert penalty_update_check(0.5, -1.0, 0.1) is True
 
     def test_large_frame_does_not_fire(self):
         mpmath.mp.dps = 50
         bound = 10 * mpmath.mpf("0.1") ** (1 + mpmath.mpf(10) ** -9)
         assert mpmath.mpf("2.0") > bound
-        assert penalty_update_check(2.0, -1.0, params(rho=0.1)) is False
+        assert penalty_update_check(2.0, -1.0, 0.1) is False
 
     def test_boundary_proximity_blocks(self):
-        assert penalty_update_check(1e-4, 0.0, params(rho=0.1)) is False
+        assert penalty_update_check(1e-4, 0.0, 0.1) is False
 
     def test_empty_interior_set(self):
         # criterion reduces to the rho term when no constraint is interior
-        assert penalty_update_check(0.5, -INF, params(rho=0.1)) is True
-        assert penalty_update_check(2.0, -INF, params(rho=0.1)) is False
+        assert penalty_update_check(0.5, -INF, 0.1) is True
+        assert penalty_update_check(2.0, -INF, 0.1) is False
 
     @given(
         st.floats(min_value=1e-12, max_value=1e3),
@@ -225,15 +192,14 @@ class TestPenaltyUpdateCheck:
         st.floats(min_value=-10, max_value=-1e-9),
     )
     def test_monotone_in_delta(self, delta, smaller, phi):
-        p = params(rho=0.1)
-        if penalty_update_check(delta, phi, p):
-            assert penalty_update_check(min(delta, smaller), phi, p)
+        rho = 0.1
+        if penalty_update_check(delta, phi, rho):
+            assert penalty_update_check(min(delta, smaller), phi, rho)
 
 
 class TestViolationSummary:
     def test_summary_consistency(self):
-        partition = Partition([0], [1])
-        terms = violation_summary([-0.5, 0.3], [0.2], partition)
+        terms = violation_summary([-0.5, 0.3], [0.2], (0,))
         assert type(terms) is tuple
         phi, cint, cext = terms
         assert phi == -0.5
@@ -241,12 +207,10 @@ class TestViolationSummary:
         assert cext == pytest.approx(0.09 + 0.04)
 
     def test_failed_evaluation(self):
-        partition = Partition((), [0])
-        assert violation_summary([0.0], [], partition, failed=True) == (INF, INF, INF)
+        assert violation_summary([0.0], [], (), failed=True) == (INF, INF, INF)
 
     def test_empty_interior_phi_is_minus_infinity(self):
-        partition = Partition((), [0])
-        phi, cint, _ = violation_summary([0.5], [], partition)
+        phi, cint, _ = violation_summary([0.5], [], ())
         assert phi == -INF
         assert cint == -1.0
 
@@ -263,10 +227,8 @@ _g_value = st.one_of(
 )
 def test_summary_matches_the_term_helpers(g, h, interior):
     # bit for bit the formulas, each written out as its own left-to-right loop
-    partition = Partition(
-        [i for i in range(len(g)) if i in interior], [i for i in range(len(g)) if i not in interior]
-    )
-    gi = [g[i] for i in partition.g_int]
+    g_int = tuple(i for i in range(len(g)) if i in interior)
+    gi = [g[i] for i in g_int]
     phi = -INF
     for v in gi:
         phi = max(phi, v)
@@ -278,26 +240,15 @@ def test_summary_matches_the_term_helpers(g, h, interior):
             prod *= min(1.0, -v)
         cint = -prod
     cext = 0.0
-    for i in partition.g_ext:
+    for i in (i for i in range(len(g)) if i not in interior):
         v = max(0.0, g[i])
         cext += v * v
     for v in h:
         cext += v * v
-    got = violation_summary(g, h, partition)
+    got = violation_summary(g, h, g_int)
     assert [v.hex() for v in got] == [v.hex() for v in (phi, cint, cext)]
 
 
-class TestMeritParams:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MeritParams(rho=0.0)
-        with pytest.raises(ValueError):
-            MeritParams(rho=0.1, b_ext=0.0)
-        with pytest.raises(ValueError):
-            MeritParams(rho=math.nan)
-
-    def test_defaults(self):
-        # a run varies rho and b_ext only; the rest are module constants
-        assert [f.name for f in dataclasses.fields(MeritParams)] == ["rho", "b_ext"]
-        assert MeritParams(rho=0.1).b_ext == 1.0
-        assert (THETA_RHO, BETA, B_RHO, B_C, B_INT) == (1e-2, 1.0 + 1e-9, 10.0, 1e10, 1.0)
+def test_update_constants():
+    # a run varies rho, b_ext and g_int only; the rest are module constants
+    assert (THETA_RHO, BETA, B_RHO, B_C, B_INT) == (1e-2, 1.0 + 1e-9, 10.0, 1e10, 1.0)

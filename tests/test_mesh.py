@@ -6,94 +6,71 @@ import pytest
 import madspip.mesh
 from madspip.mesh import (
     FRAME_CAP_EXP,
-    MeshState,
     initial_frame_size,
+    mesh_exp,
     poll_directions,
     snap_steps,
     update_frame,
 )
 
 
+def mesh_size(delta0, exp):
+    """``delta_mesh`` of the frame ``delta0 * 2**exp``."""
+    return math.ldexp(delta0, mesh_exp(exp))
+
+
 class TestMeshSize:
     def test_at_initial(self):
-        m = MeshState(1.0, 0)
-        assert math.ldexp(m.delta0, m.mesh_exp) == 1.0
+        assert mesh_size(1.0, 0) == 1.0
 
     def test_quadratic_branch(self):
-        m = MeshState(1.0, -1)
-        assert (m.delta_frame, math.ldexp(m.delta0, m.mesh_exp)) == (0.5, 0.25)
-        assert m.mesh_exp == -2
+        assert (math.ldexp(1.0, -1), mesh_size(1.0, -1)) == (0.5, 0.25)
+        assert mesh_exp(-1) == -2
 
     def test_linear_branch(self):
-        m = MeshState(1.0, 1)
-        assert (m.delta_frame, math.ldexp(m.delta0, m.mesh_exp)) == (2.0, 2.0)
-        assert m.mesh_exp == 1
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            MeshState(0.0, -1)
-        with pytest.raises(ValueError):
-            MeshState(-1.0, 1)
-
-
-class TestMeshState:
-    def test_initial_state(self):
-        m = MeshState(1.0)
-        assert m.exp == 0
-        assert m.delta_frame == 1.0
-        assert math.ldexp(m.delta0, m.mesh_exp) == 1.0
+        assert (math.ldexp(1.0, 1), mesh_size(1.0, 1)) == (2.0, 2.0)
+        assert mesh_exp(1) == 1
 
     def test_mesh_follows_frame(self):
         for delta0 in (1.0, 10.0, 0.3):
             for exp in range(-6, 4):
-                m = MeshState(delta0, exp)
-                d = m.delta_frame
-                delta_mesh = math.ldexp(m.delta0, m.mesh_exp)
-                assert delta_mesh == pytest.approx(min(d, d * d / delta0), rel=1e-15)
+                d = math.ldexp(delta0, exp)
+                assert mesh_size(delta0, exp) == pytest.approx(min(d, d * d / delta0), rel=1e-15)
 
     def test_sizes_scale_with_delta0(self):
-        m = MeshState(10.0, -3)
-        assert m.delta_frame == 10.0 / 8
-        assert math.ldexp(m.delta0, m.mesh_exp) == 10.0 / 64
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MeshState(delta0=0.0)
-        with pytest.raises(ValueError):
-            MeshState(delta0=-1.0)
+        assert math.ldexp(10.0, -3) == 10.0 / 8
+        assert mesh_size(10.0, -3) == 10.0 / 64
 
 
 class TestUpdateFrame:
     def test_success_grows(self):
-        m = update_frame(MeshState(1.0), success=True)
-        assert m.delta_frame == 2.0
+        assert math.ldexp(1.0, update_frame(0, success=True)) == 2.0
 
     def test_failure_shrinks_and_recomputes_mesh(self):
-        m = update_frame(MeshState(1.0), success=False)
-        assert m.delta_frame == 0.5
-        assert math.ldexp(m.delta0, m.mesh_exp) == 0.25
+        exp = update_frame(0, success=False)
+        assert math.ldexp(1.0, exp) == 0.5
+        assert mesh_size(1.0, exp) == 0.25
 
     def test_growth_cap(self):
         # 2**9 = 512 is the largest frame ratio not above 1000
         assert FRAME_CAP_EXP == 9
-        at_cap = MeshState(1.0, FRAME_CAP_EXP)
-        grown = update_frame(at_cap, success=True)
-        assert grown == at_cap  # cap leaves the whole state unchanged
-        assert grown.delta_frame == 512.0
+        grown = update_frame(FRAME_CAP_EXP, success=True)
+        assert grown == FRAME_CAP_EXP  # cap leaves the frame unchanged
+        assert math.ldexp(1.0, grown) == 512.0
         # the cap is reached by growth from the start and never passed
-        m = MeshState(1.0)
+        exp = 0
         for _ in range(20):
-            m = update_frame(m, success=True)
-            assert m.delta_frame <= 1000.0
-        assert m == at_cap
+            exp = update_frame(exp, success=True)
+            assert math.ldexp(1.0, exp) <= 1000.0
+        assert exp == FRAME_CAP_EXP
         # shrinking away from the cap still works
-        assert update_frame(at_cap, success=False).delta_frame == 256.0
+        assert math.ldexp(1.0, update_frame(FRAME_CAP_EXP, success=False)) == 256.0
 
     def test_mesh_never_exceeds_frame(self):
-        m = MeshState(1.0)
+        exp = 0
         for success in [True, True, False, False, False, True, False] * 4:
-            m = update_frame(m, success)
-            assert math.ldexp(m.delta0, m.mesh_exp) <= m.delta_frame
+            exp = update_frame(exp, success)
+            assert mesh_size(1.0, exp) <= math.ldexp(1.0, exp)
 
 
 def _max_step(steps):
@@ -102,59 +79,57 @@ def _max_step(steps):
 
 class TestPollDirections:
     def test_n1_unit_mesh(self):
-        dirs = poll_directions(1, MeshState(1.0), np.random.default_rng(0))
+        dirs = poll_directions(1, 0, np.random.default_rng(0))
         assert sorted(dirs) == [(-1,), (1,)]
 
     def test_negation_closure(self):
-        dirs = poll_directions(2, MeshState(1.0), np.random.default_rng(1))
+        dirs = poll_directions(2, 0, np.random.default_rng(1))
         assert len(dirs) == 4
         for d, neg in zip(dirs[:2], dirs[2:]):
             assert tuple(-s for s in d) == neg
 
     def test_steps_are_ints(self):
-        dirs = poll_directions(3, MeshState(1.0, -3), np.random.default_rng(5))
+        dirs = poll_directions(3, -3, np.random.default_rng(5))
         assert all(type(s) is int for d in dirs for s in d)
 
     def test_frame_membership_and_step_bound(self):
         # fixed seed, delta=0.0625 so integer steps live on a radius-4 lattice
-        mesh = MeshState(1.0, -2)
-        delta_mesh = math.ldexp(mesh.delta0, mesh.mesh_exp)
+        delta_mesh = mesh_size(1.0, -2)
         assert delta_mesh == 0.0625
-        dirs = poll_directions(3, mesh, np.random.default_rng(42))
+        dirs = poll_directions(3, -2, np.random.default_rng(42))
         assert len(dirs) == 6
         for d in dirs:
             assert _max_step(d) <= 4
-            assert _max_step(d) * delta_mesh <= mesh.delta_frame
+            assert _max_step(d) * delta_mesh <= math.ldexp(1.0, -2)
 
     def test_leading_coordinate_spans_frame(self):
-        mesh = MeshState(1.0, -3)
-        radius = 2 ** (mesh.exp - mesh.mesh_exp)
-        delta_mesh = math.ldexp(mesh.delta0, mesh.mesh_exp)
+        exp = -3
+        radius = 2 ** (exp - mesh_exp(exp))
+        delta_mesh = mesh_size(1.0, exp)
         for seed in range(20):
-            dirs = poll_directions(3, mesh, np.random.default_rng(seed))
+            dirs = poll_directions(3, exp, np.random.default_rng(seed))
             for d in dirs:
                 assert _max_step(d) == radius
-                assert _max_step(d) * delta_mesh >= mesh.delta_frame * 0.5
+                assert _max_step(d) * delta_mesh >= math.ldexp(1.0, exp) * 0.5
 
     def test_determinism(self):
-        mesh = MeshState(1.0, -4)
-        a = poll_directions(4, mesh, np.random.default_rng(123))
-        b = poll_directions(4, mesh, np.random.default_rng(123))
+        a = poll_directions(4, -4, np.random.default_rng(123))
+        b = poll_directions(4, -4, np.random.default_rng(123))
         assert a == b
 
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
-            poll_directions(0, MeshState(1.0), np.random.default_rng(0))
+            poll_directions(0, 0, np.random.default_rng(0))
 
     def test_density_proxy(self):
         # no 30-degree spherical cap stays empty across a shrinking-frame sweep
         rng = np.random.default_rng(2024)
         samples = []
-        mesh = MeshState(1.0)
+        exp = 0
         for i in range(10_000):
             if i % 100 == 0:
-                mesh = MeshState(1.0, -(4 + (i // 100) % 8))
-            first = poll_directions(3, mesh, rng)[0]
+                exp = -(4 + (i // 100) % 8)
+            first = poll_directions(3, exp, rng)[0]
             v = np.array(first, dtype=float)
             samples.append(v / np.linalg.norm(v))
         samples = np.array(samples)
@@ -306,15 +281,15 @@ PINNED_POLLS = {
 
 @pytest.mark.parametrize("n,exp,seed", sorted(PINNED_POLLS))
 def test_poll_directions_pinned(n, exp, seed):
-    dirs = poll_directions(n, MeshState(1.0, exp), np.random.default_rng(seed))
+    dirs = poll_directions(n, exp, np.random.default_rng(seed))
     expected = PINNED_POLLS[(n, exp, seed)]
     assert dirs == expected + [tuple(-s for s in steps) for steps in expected]
 
 
-def _numpy_poll_directions(n, mesh, rng):
+def _numpy_poll_directions(n, exp, rng):
     """The basis as numpy computes it: I - 2 v v^T, columns scaled by their
     largest magnitude, truncated onto the mesh."""
-    radius = float(1 << (mesh.exp - mesh.mesh_exp))
+    radius = float(1 << (exp - mesh_exp(exp)))
     v = rng.standard_normal(n)
     norm = math.sqrt(v.dot(v))
     while norm < 1e-12:
@@ -331,9 +306,8 @@ def _numpy_poll_directions(n, mesh, rng):
 def test_poll_directions_match_the_numpy_basis(n):
     for exp in (9, 2, 0, -1, -7, -30):
         for seed in range(60):
-            mesh = MeshState(1.0, exp)
-            assert poll_directions(n, mesh, np.random.default_rng(seed)) == _numpy_poll_directions(
-                n, mesh, np.random.default_rng(seed)
+            assert poll_directions(n, exp, np.random.default_rng(seed)) == _numpy_poll_directions(
+                n, exp, np.random.default_rng(seed)
             ), (n, exp, seed)
 
 

@@ -11,10 +11,9 @@ import pytest
 import madspip.solver
 from madspip.bench import RunView, run_matrix
 from madspip.merit import (
-    B_RHO, BETA, RHO0, THETA_RHO, MeritParams, Partition, merit, penalty_update_check,
-    violation_summary,
+    B_RHO, BETA, RHO0, THETA_RHO, merit, penalty_update_check, violation_summary,
 )
-from madspip.history import read_row
+from madspip.history import read_frame, read_row
 from madspip.problem import Cache, Evaluation, Problem, is_feasible, read_history, write_history
 from madspip.solver import (
     DELTA_STOP,
@@ -60,23 +59,53 @@ class TestSolverConfig:
             SolverConfig(max_evaluations=10, seed=seed)
 
 
+def exterior(state):
+    """The inequality indices outside ``state.g_int``."""
+    return tuple(i for i in range(state.problem.m) if i not in state.g_int)
+
+
 class TestInitState:
     def test_partition_split(self):
         problem = constrained_problem([lambda x: -0.5, lambda x: 0.3])
         state = init_state(problem, (0.0, 0.0), SolverConfig(max_evaluations=10))
-        assert state.partition.g_int == (0,)
-        assert state.partition.g_ext == (1,)
+        assert state.g_int == (0,)
+        assert exterior(state) == (1,)
 
     def test_all_violated_gives_empty_interior(self):
         problem = constrained_problem([lambda x: 0.1, lambda x: 0.2])
         state = init_state(problem, (0.0, 0.0), SolverConfig(max_evaluations=10))
-        assert state.partition.g_int == ()
-        assert state.partition.g_ext == (0, 1)
+        assert state.g_int == ()
+        assert exterior(state) == (0, 1)
 
     def test_boundary_within_tolerance_goes_exterior(self):
         problem = constrained_problem([lambda x: -1e-16])
         state = init_state(problem, (0.0, 0.0), SolverConfig(max_evaluations=10))
-        assert state.partition.g_ext == (0,)
+        assert exterior(state) == (0,)
+
+    def test_initial_frame(self):
+        # without bounds the frame starts at exponent 0 of delta0 = 1, where
+        # the mesh equals the frame
+        problem = constrained_problem([lambda x: -1.0])
+        state = init_state(problem, (0.0, 0.0), SolverConfig(max_evaluations=10))
+        assert state.frame_exp == 0
+        assert state.delta_frame == 1.0
+        assert state.mesh_step * state.lattice_scale == 1.0
+
+    def test_partition_move_is_one_directional(self):
+        # inequalities 1 and 2 are violated at the start only: the first
+        # success moves them to the interior set, in index order, for good
+        def evaluator(x):
+            g = 0.2 if all(v == 0.0 for v in x) else -1.0
+            return 0.0, (0.5, g, g), ()
+
+        problem = Problem("moves", 2, 3, 0, evaluator)
+        state = init_state(problem, (0.0, 0.0), SolverConfig(max_evaluations=50))
+        assert state.g_int == ()
+        iterate(state)
+        assert state.g_int == (1, 2) and exterior(state) == (0,)
+        for _ in range(3):
+            iterate(state)
+            assert state.g_int == (1, 2)
 
     def test_b_ext_from_f0(self):
         def evaluator(x):
@@ -84,7 +113,7 @@ class TestInitState:
 
         problem = Problem("f523", 1, 0, 0, evaluator)
         state = init_state(problem, (0.0,), SolverConfig(max_evaluations=10))
-        assert state.merit_params.b_ext == 100.0
+        assert state.b_ext == 100.0
 
     def test_failed_x0_is_error(self):
         problem = Problem("nanstart", 1, 0, 0, lambda x: (float("nan"), (), ()))
@@ -116,28 +145,28 @@ class TestIterate:
 
         problem = Problem("flat", 1, 0, 0, evaluator)
         state = init_state(problem, (0.0,), SolverConfig(max_evaluations=50, search_enabled=False))
-        delta_before = state.mesh.delta_frame
+        delta_before = state.delta_frame
         iterate(state)
         assert succeeded(state.record, 1)
-        assert state.mesh.delta_frame == 2 * delta_before
+        assert state.delta_frame == 2 * delta_before
 
     def test_unsuccessful_iteration_shrinks(self):
         problem = Problem("bowl", 1, 0, 0, lambda x: (x[0] ** 2, (), ()))
         state = init_state(problem, (0.0,), SolverConfig(max_evaluations=50, search_enabled=False))
-        delta_before = state.mesh.delta_frame
+        delta_before = state.delta_frame
         iterate(state)
         assert not succeeded(state.record, 1)
-        assert state.mesh.delta_frame == 0.5 * delta_before
+        assert state.delta_frame == 0.5 * delta_before
 
     def test_rho_cut_gated_by_criterion(self):
         problem = Problem("bowl", 1, 0, 0, lambda x: (x[0] ** 2, (), ()))
         state = init_state(problem, (0.0,), SolverConfig(max_evaluations=500, search_enabled=False))
         # frame starts at 1 (no bounds): the first failures do not satisfy
         # delta <= ~1 until the frame halves below it, then rho drops by 100
-        rhos = [state.merit_params.rho]
+        rhos = [state.rho]
         for _ in range(3):
             iterate(state)
-            rhos.append(state.merit_params.rho)
+            rhos.append(state.rho)
         assert rhos[0] == 0.1
         assert rhos[-1] == pytest.approx(0.001)
         trace = state.record.rho_trace
@@ -147,8 +176,33 @@ class TestIterate:
         problem = Problem("bowl", 1, 0, 0, lambda x: (x[0] ** 2, (), ()), bounds=((-50.0,), (50.0,)))
         state = init_state(problem, (0.0,), SolverConfig(max_evaluations=500, search_enabled=False))
         iterate(state)  # frame 10 -> 5, far above the criterion bound ~1
-        assert state.merit_params.rho == 0.1
+        assert state.rho == 0.1
         assert state.record.rho_trace == []
+
+
+    @pytest.mark.parametrize("mode,x0_id", [(MODE_PIP, "infeasible-0"), (MODE_EXTREME_BARRIER, "feasible-0")])
+    def test_frame_line_holds_the_state(self, mode, x0_id):
+        # each iteration's frame line reads back as the state's rho, frame
+        # size and interior set, unchanged, through the cut, the move, growth
+        # and shrinking that a two-ring run makes in its first 30 iterations
+        problem, _ = builtin_problem("two-ring")
+        config = SolverConfig(max_evaluations=300, seed=1, mode=mode)
+        state = init_state(problem, initial_point(problem, x0_id), config)
+        assert state.delta0 == 10.0  # two-ring has bounds
+        rhos, g_ints, exps = set(), set(), set()
+        for k in range(1, 31):
+            iterate(state)
+            line = read_frame(state.record.events[-1], mode == MODE_PIP)
+            assert line == (k + 1, state.rho, state.delta_frame, state.g_int)
+            assert state.delta_frame == state.delta0 * 2.0**state.frame_exp
+            rhos.add(state.rho)
+            g_ints.add(state.g_int)
+            exps.add(state.frame_exp)
+        assert min(exps) < 0
+        if mode == MODE_PIP:
+            assert rhos == {0.1, 0.001} and g_ints == {(1,), (0, 1)} and max(exps) > 0
+        else:
+            assert rhos == {None} and g_ints == {None}
 
 
 class TestSpeculativeSearch:
@@ -237,7 +291,7 @@ class TestLattice:
         problem = Problem("bowl", 1, 0, 0, lambda x: (x[0] ** 2, (), ()))
         state = init_state(problem, (0.0,), SolverConfig(max_evaluations=500))
         assert state.lattice_bits == 58
-        state.mesh = replace(state.mesh, exp=-30)
+        state.frame_exp = -30
         with pytest.raises(ValueError):
             iterate(state)
 
@@ -246,7 +300,7 @@ class TestReselectIncumbent:
     def _state_with_cache(self, entries):
         problem = Problem("stub", 1, 0, 0, lambda x: (100.0, (), ()))
         state = init_state(problem, (0.0,), SolverConfig(max_evaluations=10))
-        state.partition = Partition((), ())
+        state.g_int = ()
         for key, ev in entries.items():
             state.cache.entries[key] = ev
         return state
@@ -281,7 +335,7 @@ class TestReselectIncumbent:
         state.cache.entries.clear()
         state.cache.entries[("a",)] = a
         state.cache.entries[("b",)] = b
-        state.merit_params = replace(state.merit_params, rho=0.1, b_ext=1.0)
+        state.rho, state.b_ext = 0.1, 1.0
         reselect_incumbent(state)
         assert state.cache.entries[state.q_incumbent] is b
         # the second call, under the same partition, only re-prices the
@@ -291,12 +345,12 @@ class TestReselectIncumbent:
             madspip.solver, "violation_summary",
             lambda *args, **kw: summarized.append(args) or violation_summary(*args, **kw),
         )
-        state.merit_params = replace(state.merit_params, rho=0.001)
+        state.rho = 0.001
         reselect_incumbent(state)
         assert state.cache.entries[state.q_incumbent] is a
         assert state.incumbent_merit == 5.0
         assert summarized == []
-        assert state.kept[state.q_incumbent] == violation_summary(a.g, a.h, state.partition)
+        assert state.kept[state.q_incumbent] == violation_summary(a.g, a.h, state.g_int)
 
     def test_all_infinite_keeps_incumbent_and_flags(self):
         state = self._state_with_cache({})
@@ -311,8 +365,8 @@ class TestReselectIncumbent:
 
 def _fresh(state, ev):
     """``(terms, merit)`` of ``ev`` from a fresh violation summary."""
-    terms = violation_summary(ev.g, ev.h, state.partition, failed=ev.failed)
-    return terms, merit(ev.f, terms[1], terms[2], state.merit_params)
+    terms = violation_summary(ev.g, ev.h, state.g_int, failed=ev.failed)
+    return terms, merit(ev.f, terms[1], terms[2], state.rho, state.b_ext)
 
 
 def _rescan(state):
@@ -371,7 +425,7 @@ class TestKeptViolationTerms:
     def test_cache_hit_repriced_after_rho_cut(self):
         problem = constrained_problem([lambda x: x[0] - 1.0])
         state = init_state(problem, (0.5, 0.0), SolverConfig(max_evaluations=10))
-        state.merit_params = replace(state.merit_params, rho=1e-3)
+        state.rho = 1e-3
         merit_before = state.incumbent_merit
         _, ev, value = madspip.solver._try_candidate(state, state.q_incumbent, "poll")
         assert ev is state.cache.entries[state.q_incumbent]  # a cache hit
@@ -464,7 +518,7 @@ class TestSolve:
             problem, initial_point(problem, "infeasible-0"),
             SolverConfig(max_evaluations=300, seed=2),
         )
-        while state.mesh.delta_frame >= DELTA_STOP and len(state.cache.entries) < 300:
+        while state.delta_frame >= DELTA_STOP and len(state.cache.entries) < 300:
             iterate(state)
         entries = list(state.cache.entries.values())  # in eval_index order
         rows = state.record.rows
@@ -645,9 +699,8 @@ class TestFrames:
                 changed = after["rho"] != before["rho"]
                 assert changed == (entry["iteration"] in cuts)
                 if pip:
-                    params = MeritParams(before["rho"], params_of(record)["b_ext"])
                     fires = not entry["success"] and penalty_update_check(
-                        after["delta_frame"], entry["phi_prox"], params
+                        after["delta_frame"], entry["phi_prox"], before["rho"]
                     )
                     assert changed == fires
                     if changed:

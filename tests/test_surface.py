@@ -48,11 +48,8 @@ MODULE_NAMES = {
         "Steps", "improvement_steps", "row_line", "read_row", "frame_line", "read_frame",
         "is_frame", "stop_line", "read_stop", "is_stop", "starts_run", "read_stop_line",
     ],
-    "merit": [
-        "Partition", "MeritParams", "merit", "compute_b_ext",
-        "penalty_update_check", "violation_summary",
-    ],
-    "mesh": ["MeshState", "update_frame", "poll_directions", "snap_steps", "initial_frame_size"],
+    "merit": ["merit", "compute_b_ext", "penalty_update_check", "violation_summary"],
+    "mesh": ["update_frame", "poll_directions", "snap_steps", "initial_frame_size"],
     "problem": [
         "Problem", "Evaluation", "Cache", "evaluate", "is_feasible", "run_external",
         "ExternalEvaluator", "write_history", "read_history",
