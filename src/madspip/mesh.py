@@ -17,10 +17,10 @@ floating-point drift: point identity reduces to integer-step identity.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .stream import Stream
 
 __all__ = [
     "update_frame",
@@ -52,7 +52,27 @@ def update_frame(exp: int, success: bool) -> int:
     return exp + 1 if exp < FRAME_CAP_EXP else exp
 
 
-def poll_directions(n: int, exp: int, rng: np.random.Generator) -> list:
+def sum_of_squares(values: Iterable[float]) -> float:
+    """``sum(v * v)`` as a chain of fused multiply-adds from ``0.0``, left to
+    right, each step rounded once: what OpenBLAS's ``ddot`` of a vector with
+    itself computes for fewer than 16 entries on a CPU with FMA.
+
+    Each step is ``fma(v, v, total)``: Dekker's split gives ``v * v`` exactly
+    as ``p + e``, and :func:`math.fsum` rounds ``p + e + total`` once
+    (``math.fma`` exists only from Python 3.13).
+    """
+    total = 0.0
+    for v in values:
+        p = v * v
+        c = v * 134217729.0  # 2**27 + 1: Veltkamp's split into halves whose products are exact
+        hi = c - (c - v)
+        lo = v - hi
+        e = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+        total = math.fsum((p, e, total))
+    return total
+
+
+def poll_directions(n: int, exp: int, rng: Stream) -> list:
     """Generate 2n poll step vectors on the mesh, closed under negation.
 
     A random unit vector defines a Householder basis; each column is scaled
@@ -68,11 +88,11 @@ def poll_directions(n: int, exp: int, rng: np.random.Generator) -> list:
     radius = float(1 << (exp - mesh_exp(exp)))  # frame radius in mesh steps
 
     v = rng.standard_normal(n)
-    norm = math.sqrt(v.dot(v))  # what np.linalg.norm computes for a real vector
+    norm = math.sqrt(sum_of_squares(v))  # numpy's norm of v, bit for bit
     while norm < 1e-12:  # essentially never; keeps the basis well defined
         v = rng.standard_normal(n)
-        norm = math.sqrt(v.dot(v))
-    u = [vi / norm for vi in v.tolist()]
+        norm = math.sqrt(sum_of_squares(v))
+    u = [vi / norm for vi in v]
 
     # The Householder basis I - 2 u u^T, one row at a time, in the operation
     # order numpy uses for it: (u_i * u_j), doubled, subtracted from the

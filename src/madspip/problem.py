@@ -150,7 +150,9 @@ def _sanitize(
     # the sum is finite only when every output is: an inf or nan propagates,
     # and finite outputs that overflow it merely take the path below
     if math.isfinite(f + sum(g) + sum(h)):
-        return Evaluation(point, f, g, h, eval_index)
+        # tuple.__new__ skips the named tuple's Python-level __new__: one
+        # Evaluation is built per evaluation
+        return tuple.__new__(Evaluation, (point, f, g, h, eval_index, False))
     # a non-finite output is stored as +inf and fails the point; an equality
     # residual enters the penalty squared, where a non-finite value is
     # meaningless, so it fails the whole point too
@@ -331,8 +333,21 @@ def read_history(path) -> List[dict]:
     """The values of the nonblank lines of a JSONL file, one per line.
 
     Lines are read in text mode and stripped; each must hold exactly one
-    JSON value, as :func:`json.loads` reads it, or its
-    ``json.JSONDecodeError`` is raised.
+    JSON value, as :func:`json.loads` reads it.  Otherwise its
+    ``json.JSONDecodeError`` is raised, positioned in the file as text mode
+    reads it: its line, column and character count from the file's start.
     """
+    values = []
+    offset = 0  # characters before the current line
     with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in map(str.strip, fh) if line]
+        for line in fh:
+            stripped = line.strip()
+            if stripped:
+                try:
+                    values.append(json.loads(stripped))
+                except json.JSONDecodeError as exc:
+                    fh.seek(0)
+                    start = offset + len(line) - len(line.lstrip())
+                    raise json.JSONDecodeError(exc.msg, fh.read(), start + exc.pos) from None
+            offset += len(line)
+    return values

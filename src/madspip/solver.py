@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .history import (
     Steps, frame_line, improvement_steps, is_frame, is_stop, read_frame, read_row, read_stop, row_line,
@@ -53,10 +53,8 @@ from .merit import (
 )
 from .mesh import initial_frame_size, mesh_exp, poll_directions, snap_steps, update_frame
 from .problem import Cache, Evaluation, Problem, evaluate, is_feasible
+from .stream import Stream
 from .suite import is_builtin
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "MODE_PIP",
@@ -180,7 +178,7 @@ class SolverState:
     problem: Problem
     config: SolverConfig
     cache: Cache
-    rng: np.random.Generator
+    rng: Stream
     delta0: float  # the frame size of exponent 0: 10 with bounds, 1 without
     record: RunRecord
     anchor: Tuple[float, ...]
@@ -233,10 +231,15 @@ def _merit_of(state: SolverState, key: Tuple[int, ...], evaluation: Evaluation) 
     kept = state.kept.get(key)  # never set in extreme-barrier mode
     if kept is not None:
         return merit(evaluation.f, kept[1], kept[2], state.rho, state.b_ext)
+    return _fresh_merit(state, key, evaluation)
+
+
+def _fresh_merit(state: SolverState, key: Tuple[int, ...], evaluation: Evaluation) -> float:
+    """:func:`_merit_of` of a ``key`` without kept terms, such as a point
+    just evaluated."""
     if not state.pip:
         return evaluation.f if is_feasible(evaluation) else _INF
-    terms = violation_summary(evaluation.g, evaluation.h, state.g_int, evaluation.failed)
-    state.kept[key] = terms
+    terms = state.kept[key] = violation_summary(evaluation.g, evaluation.h, state.g_int, evaluation.failed)
     return merit(evaluation.f, terms[1], terms[2], state.rho, state.b_ext)
 
 
@@ -300,8 +303,7 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
     delta0 = 10.0 if problem.bounds is not None else 1.0
     lattice_bits = _lattice_bits(delta0)
     cache = Cache()
-    import numpy as np  # only the poll directions' random stream needs it
-    rng = np.random.default_rng(config.seed)
+    rng = Stream(config.seed)
     q0 = (0,) * problem.n
     ev0 = evaluate(problem, x0, cache, key=q0)
 
@@ -328,7 +330,7 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
     elif not is_feasible(ev0):
         raise InitializationError("extreme-barrier mode needs a feasible starting point")
 
-    state.incumbent_merit = _merit_of(state, q0, ev0)
+    state.incumbent_merit = _fresh_merit(state, q0, ev0)
     record.events += [_frame(state, 0), row_line(ev0, ev0.point, "unsuccessful"), _frame(state, 1)]
     return state
 
@@ -350,7 +352,7 @@ def speculative_search(state: SolverState) -> Optional[Tuple[Tuple[int, ...], Li
     x = _point_of(state, q)
     if not state.problem.contains(x):
         return None
-    if q in state.cache:
+    if q in state.cache.entries:
         return None
     return q, x
 
@@ -358,16 +360,20 @@ def speculative_search(state: SolverState) -> Optional[Tuple[Tuple[int, ...], Li
 def reselect_incumbent(state: SolverState) -> None:
     """Re-pick the incumbent as the cache-wide merit minimizer.
 
-    Called after ``rho`` or ``g_int`` changed (a partition move first
-    drops ``state.kept``).  Kept violation terms are only re-priced under the
-    new ``rho``; keys without them are summarized afresh.  Ties go to the
-    earliest evaluation; if every cached point has infinite merit, the
+    Called in pip mode, after ``rho`` or ``g_int`` changed (a partition move
+    first drops ``state.kept``).  Kept violation terms are only re-priced
+    under the new ``rho``; keys without them are summarized afresh.  Ties go
+    to the earliest evaluation; if every cached point has infinite merit, the
     incumbent's among them, the incumbent is kept and the run is flagged.
     """
     best_key = None
     best_merit = _INF
+    kept, g_int, rho, b_ext = state.kept, state.g_int, state.rho, state.b_ext
     for key, ev in state.cache.entries.items():  # insertion order = eval order
-        value = _merit_of(state, key, ev)
+        terms = kept.get(key)
+        if terms is None:
+            terms = kept[key] = violation_summary(ev.g, ev.h, g_int, ev.failed)
+        value = merit(ev.f, terms[1], terms[2], rho, b_ext)
         if value < best_merit:
             best_key, best_merit = key, value
     if best_key is None:
@@ -397,7 +403,7 @@ def _try_candidate(
     # as stored, and only a fresh one grows the cache
     ev = evaluate(state.problem, x, cache, key=q)
     fresh = len(cache.entries) > count
-    value = _merit_of(state, q, ev)
+    value = _fresh_merit(state, q, ev) if fresh else _merit_of(state, q, ev)
     improving = value < state.incumbent_merit
     if improving:
         status = "search-success" if kind == "search" else "poll-success"

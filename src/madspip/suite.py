@@ -14,12 +14,10 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .problem import ExternalEvaluator, Problem
-
-if TYPE_CHECKING:
-    import numpy as np
+from .stream import Stream
 
 __all__ = [
     "Instance",
@@ -140,10 +138,9 @@ def is_builtin(problem: Problem) -> bool:
     return any(problem == builtin for builtin, _ in _BUILTINS)
 
 
-def _x0_rng(problem_name: str, x0_id: str) -> np.random.Generator:
-    import numpy as np  # only the starting points' random stream needs it
+def _x0_rng(problem_name: str, x0_id: str) -> Stream:
     digest = hashlib.blake2b(f"{problem_name}:{x0_id}".encode(), digest_size=8).digest()
-    return np.random.default_rng(int.from_bytes(digest, "big"))
+    return Stream(int.from_bytes(digest, "big"))
 
 
 def _disk_point(rng, feasible: bool):
@@ -156,8 +153,8 @@ def _disk_point(rng, feasible: bool):
 
 def _plane_point(rng, n: int, feasible: bool):
     y = rng.uniform(-0.1, 0.3, size=n)
-    shift = (1.0 - float(y.sum())) / n
-    x = [float(v) + shift for v in y]
+    shift = (1.0 - _fold(y)) / n
+    x = [v + shift for v in y]
     if not feasible:
         offset = rng.uniform(0.2, 0.32) / math.sqrt(n)
         x = [v + offset for v in x]
@@ -168,7 +165,7 @@ def _mixed_point(rng, feasible: bool):
     x1 = rng.uniform(-0.2, 0.1)
     rest = 1.0 - x1
     t = rng.uniform(-0.25, 0.25)
-    x = [float(x1), rest / 2.0 + float(t), rest / 2.0 - float(t)]
+    x = [x1, rest / 2.0 + t, rest / 2.0 - t]
     if not feasible:
         offset = rng.uniform(0.2, 0.32) / math.sqrt(3.0)
         x = [v + offset for v in x]
@@ -180,7 +177,7 @@ def _halfplane_point(rng, feasible: bool):
     t = rng.uniform(-0.7, 0.7)
     if not feasible:
         s = 2.0 - s  # reflected sum falls strictly below the constraint line
-    return (s / 2.0 + float(t), s / 2.0 - float(t))
+    return (s / 2.0 + t, s / 2.0 - t)
 
 
 def _ring_point(rng, feasible: bool):
@@ -218,10 +215,10 @@ def initial_point(problem: Problem, x0_id: str) -> Tuple[float, ...]:
     if sampler is not None and is_builtin(problem):
         return sampler(rng, kind == "feasible")
     if problem.bounds is None:
-        return tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=problem.n))
+        return tuple(rng.uniform(-1.0, 1.0, size=problem.n))
     lower, upper = problem.bounds
     # a draw l + (u - l) * r never rounds below l, but can round past u
-    return tuple(min(float(rng.uniform(l, u)), u) for l, u in zip(lower, upper))
+    return tuple(min(rng.uniform(l, u), u) for l, u in zip(lower, upper))
 
 
 def x0_ids(count: int) -> List[str]:

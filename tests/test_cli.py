@@ -929,9 +929,9 @@ class TestListCommand:
         assert "unit-disk" in names and "sphere-eq" in names
 
 
-def test_list_and_profile_leave_numpy_unloaded(tmp_path, capsys):
-    # numpy serves only the random streams of a solve and of starting
-    # points, so a fresh interpreter that lists or profiles never imports it
+def test_commands_leave_numpy_unloaded(tmp_path, capsys):
+    # the random streams are madspip.stream's, in pure Python, so a fresh
+    # interpreter that lists, profiles, solves or benches never imports numpy
     bench_dir = tmp_path / "bench"
     code, _, _ = run_cli(
         capsys, "bench", "--problem", "unit-disk", "--seeds", "1", "--budget", "60",
@@ -946,13 +946,60 @@ def test_list_and_profile_leave_numpy_unloaded(tmp_path, capsys):
         "print('numpy' in sys.modules)\n"
         "sys.exit(code)\n"
     )
-    for argv in (["list"], ["profile", "--histories", str(bench_dir), "--out", str(tmp_path / "out")]):
+    for argv in (
+        ["list"],
+        ["profile", "--histories", str(bench_dir), "--out", str(tmp_path / "out")],
+        ["solve", "--problem", "sphere-eq", "--x0", "infeasible-0", "--budget", "60", "--out", str(tmp_path / "solve")],
+        ["bench", "--problem", "two-ring", "--seeds", "1", "--budget", "60", "--out", str(tmp_path / "bench2")],
+    ):
         proc = subprocess.run(
             [sys.executable, "-c", script, *argv],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False", argv
+
+
+def _interpreter(version):
+    """A ``python3`` of ``version`` ("3.10", ...): a pyenv install under
+    ``$PYENV_ROOT`` (default ``~/.pyenv``), else this one when it is that
+    version, else ``None``."""
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv"))
+    found = sorted(root.glob(f"versions/{version}.*/bin/python3"))
+    if found:
+        return str(found[-1])
+    return sys.executable if "%d.%d" % sys.version_info[:2] == version else None
+
+
+def _history_digests(out_dir):
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out_dir.glob("*.jsonl"))}
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
+def test_bench_bytes_need_no_numpy_on_any_interpreter(version, tmp_path, capsys):
+    # the history bytes are one function of the seed on every interpreter,
+    # with or without numpy installed: a bench in a fresh interpreter where
+    # `import numpy` fails writes the histories this process writes
+    python = _interpreter(version)
+    if python is None:
+        pytest.skip(f"no python {version} here")
+    argv = ["bench", "--x0-count", "2", "--seeds", "1,2", "--budget", "200", "--mode", "pip,extreme-barrier"]
+    assert main([*argv, "--out", str(tmp_path / "here")]) == 0
+    capsys.readouterr()
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from madspip import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(madspip.bench.__file__).parents[1]))
+    proc = subprocess.run(
+        [python, "-c", script, *argv, "--out", str(tmp_path / "there")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    here, there = _history_digests(tmp_path / "here"), _history_digests(tmp_path / "there")
+    assert len(here) == 40 and there == here
 
 
 class TestConfigPrecedence:

@@ -395,13 +395,20 @@ class TestHistory:
 
 
 def read_per_line(path):
-    """The reference reader: one ``json.loads`` per stripped, nonblank line."""
-    rows = []
+    """The reference reader: one ``json.loads`` per stripped, nonblank line
+    of the whole text, as text mode reads it, whose error is positioned in
+    that text."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+        text = fh.read()
+    rows = []
+    offset = 0
+    for line in text.split("\n"):
+        try:
+            if line.strip():
+                rows.append(json.loads(line.strip()))
+        except json.JSONDecodeError as exc:
+            raise json.JSONDecodeError(exc.msg, text, offset + len(line) - len(line.lstrip()) + exc.pos)
+        offset += len(line) + 1
     return rows
 
 
@@ -438,6 +445,7 @@ class TestReadHistory:
         "byte_order_mark": '\ufeff{"a":1}\n',
         "bare_word": "nan\n",
         "control_character_in_string": '{"s":"a\tb"}\n',
+        "indented_error_after_crlf_lines": '{"a":1}\r\n\r\n \t{"b":x}\r\n',
     }
 
     @pytest.mark.parametrize("name", sorted(ACCEPTED))
@@ -455,6 +463,26 @@ class TestReadHistory:
         expected = outcome(read_per_line, path)
         assert expected[0] == "error"
         assert outcome(read_history, path) == expected
+
+    def test_an_error_names_the_line_of_the_file(self, tmp_path, capsys):
+        # a canonical history cut 41 characters into its line 46: the error
+        # is positioned in the file, read directly and in profile's warning
+        problem, _ = builtin_problem("unit-disk")
+        record = solve(problem, initial_point(problem, "feasible-0"), SolverConfig(1500, 1))
+        whole = tmp_path / "unit-disk__feasible-0__seed1__pip.jsonl"
+        write_history(record.events, whole)
+        text = whole.read_bytes()
+        start = sum(len(line) + 1 for line in text.split(b"\n")[:45])
+        cut = tmp_path / "unit-disk__infeasible-0__seed1__pip.jsonl"
+        cut.write_bytes(text[: start + 41])
+        with pytest.raises(json.JSONDecodeError) as info:
+            read_history(cut)
+        error = info.value
+        assert (error.lineno, error.colno, error.pos) == (46, 42, start + 41)
+        assert str(error) == f"{error.msg}: line 46 column 42 (char {start + 41})"
+        assert main(["profile", "--histories", str(tmp_path), "--out", str(tmp_path / "out")]) == 0
+        warnings = json.loads(capsys.readouterr().out.splitlines()[0])["warnings"]
+        assert warnings == [f"skipping {cut.name}: {error}"]
 
     def test_profile_skips_each_rejected_file_once(self, tmp_path, capsys):
         problem, _ = builtin_problem("unit-disk")

@@ -58,6 +58,7 @@ MODULE_NAMES = {
         "MODE_PIP", "MODE_EXTREME_BARRIER", "SolverConfig", "RunRecord",
         "InitializationError", "solve", "check_run_invariants",
     ],
+    "stream": ["Stream"],
     "suite": [
         "Instance", "builtin_problems", "builtin_problem", "DEFAULT_BENCH_NAMES",
         "initial_point", "make_instances", "load_problem_file",
