@@ -221,25 +221,19 @@ class SolverState:
 
 
 def _merit_of(state: SolverState, key: Tuple[int, ...], evaluation: Evaluation) -> float:
-    """Merit of the cached ``key`` under the current ``g_int`` and ``rho``.
+    """Merit of the cached ``key`` under the current ``g_int`` and ``rho``,
+    the solver's one pricing of a point and the one writer of ``state.kept``.
 
     In pip mode the violation terms are computed once per key and ``g_int``
     and kept in ``state.kept``; kept terms are only re-priced.  In
     extreme-barrier mode the merit is ``f`` on feasible points, ``+inf``
     elsewhere.
     """
-    kept = state.kept.get(key)  # never set in extreme-barrier mode
-    if kept is not None:
-        return merit(evaluation.f, kept[1], kept[2], state.rho, state.b_ext)
-    return _fresh_merit(state, key, evaluation)
-
-
-def _fresh_merit(state: SolverState, key: Tuple[int, ...], evaluation: Evaluation) -> float:
-    """:func:`_merit_of` of a ``key`` without kept terms, such as a point
-    just evaluated."""
     if not state.pip:
         return evaluation.f if is_feasible(evaluation) else _INF
-    terms = state.kept[key] = violation_summary(evaluation.g, evaluation.h, state.g_int, evaluation.failed)
+    terms = state.kept.get(key)
+    if terms is None:
+        terms = state.kept[key] = violation_summary(evaluation.g, evaluation.h, state.g_int, evaluation.failed)
     return merit(evaluation.f, terms[1], terms[2], state.rho, state.b_ext)
 
 
@@ -330,7 +324,7 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
     elif not is_feasible(ev0):
         raise InitializationError("extreme-barrier mode needs a feasible starting point")
 
-    state.incumbent_merit = _fresh_merit(state, q0, ev0)
+    state.incumbent_merit = _merit_of(state, q0, ev0)
     record.events += [_frame(state, 0), row_line(ev0, ev0.point, "unsuccessful"), _frame(state, 1)]
     return state
 
@@ -354,7 +348,7 @@ def speculative_search(state: SolverState) -> Optional[Tuple[Tuple[int, ...], Li
         return None
     if q in state.cache.entries:
         return None
-    return q, x
+    return q, x  # so that _try_candidate neither maps nor bounds-checks q again
 
 
 def reselect_incumbent(state: SolverState) -> None:
@@ -368,12 +362,8 @@ def reselect_incumbent(state: SolverState) -> None:
     """
     best_key = None
     best_merit = _INF
-    kept, g_int, rho, b_ext = state.kept, state.g_int, state.rho, state.b_ext
     for key, ev in state.cache.entries.items():  # insertion order = eval order
-        terms = kept.get(key)
-        if terms is None:
-            terms = kept[key] = violation_summary(ev.g, ev.h, g_int, ev.failed)
-        value = merit(ev.f, terms[1], terms[2], rho, b_ext)
+        value = _merit_of(state, key, ev)
         if value < best_merit:
             best_key, best_merit = key, value
     if best_key is None:
@@ -403,7 +393,7 @@ def _try_candidate(
     # as stored, and only a fresh one grows the cache
     ev = evaluate(state.problem, x, cache, key=q)
     fresh = len(cache.entries) > count
-    value = _fresh_merit(state, q, ev) if fresh else _merit_of(state, q, ev)
+    value = _merit_of(state, q, ev)
     improving = value < state.incumbent_merit
     if improving:
         status = "search-success" if kind == "search" else "poll-success"

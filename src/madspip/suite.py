@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -293,9 +294,11 @@ def load_problem_file(path, eval_exe: Optional[str] = None) -> Problem:
 
     Keys: ``name``, ``n``, ``m``, ``p``, optional ``lower``/``upper``
     (comma-separated), and ``evaluator`` (path to an executable speaking the
-    one-line stdin/stdout protocol).  ``eval_exe`` overrides the file's
-    evaluator path.  The name becomes part of history file names, so it must
-    pass :func:`check_name_part`.
+    one-line stdin/stdout protocol).  An ``evaluator`` path holding a ``/``
+    that is not absolute resolves against the definition file's directory;
+    a bare name stays a ``PATH`` lookup.  ``eval_exe`` overrides the file's
+    evaluator path and is passed on as given.  The name becomes part of
+    history file names, so it must pass :func:`check_name_part`.
     """
     fields = read_key_values(path, "problem definition")
     try:
@@ -316,4 +319,6 @@ def load_problem_file(path, eval_exe: Optional[str] = None) -> Problem:
     exe = eval_exe or fields.get("evaluator")
     if exe is None:
         raise ValueError("problem definition needs an evaluator (or pass --eval-exe)")
+    if not eval_exe and "/" in exe and not os.path.isabs(exe):
+        exe = os.path.abspath(os.path.join(os.path.dirname(path), exe))
     return Problem(name, n, m, p, ExternalEvaluator(exe, m, p), bounds)

@@ -246,6 +246,25 @@ class TestSolveCommand:
         assert (code, err) == (0, "")
         assert machine_line(out)["best_feasible_f"] == 7.0
 
+    def test_problem_file_evaluator_path_is_relative_to_the_file(self, tmp_path, capsys, monkeypatch):
+        # "./two_ring.sh" beside the problem file once resolved against the
+        # current directory, and the run failed at its starting evaluation
+        problems = tmp_path / "problems"
+        problems.mkdir()
+        exe = problems / "two_ring.sh"
+        exe.write_text("#!/bin/sh\nawk '{print $1*$1 + $2*$2}'\n")
+        exe.chmod(0o755)
+        definition = problems / "ring.txt"
+        definition.write_text("name = ring\nn = 2\nm = 0\np = 0\nevaluator = ./two_ring.sh\n")
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        code, out, err = run_cli(
+            capsys,
+            "solve", "--problem", str(definition), "--x0", "1,1", "--budget", "20", "--out", "out",
+        )
+        assert (code, err) == (0, "")
+        assert machine_line(out)["best_feasible_f"] < 2.0
+
     def test_eval_exe_keeps_the_builtin_starting_point(self, tmp_path, capsys):
         exe = tmp_path / "const.sh"
         exe.write_text('#!/bin/sh\nread line\necho "1.0 -1.0 -1.0"\n')

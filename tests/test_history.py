@@ -239,3 +239,66 @@ def test_the_import_guard_finds_each_kind_of_import():
 def test_modules_import_only_public_names_from_below():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert _import_faults(sources) == []
+
+
+# -- one pricing: the solver prices a point in _merit_of alone, the one
+# writer of SolverState.kept; the replay prices rows on its own
+
+PRICERS = {"_merit_of", "check_run_invariants"}
+
+
+def _pricing_faults(source):
+    """``(function, line, what)`` for each call of ``violation_summary`` or
+    ``merit`` outside ``PRICERS``, and each item assignment to a ``kept``
+    (``state.kept[key] = ...``, or a local alias ``kept[key] = ...``)
+    outside ``_merit_of``.  A function is named by its outermost enclosing
+    one, so the replay's nested helpers are the replay."""
+    found = []
+
+    def kept_item(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(map(kept_item, target.elts))
+        return isinstance(target, ast.Subscript) and (
+            isinstance(target.value, ast.Attribute) and target.value.attr == "kept"
+            or isinstance(target.value, ast.Name) and target.value.id == "kept"
+        )
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) and function == "<module>":
+            function = getattr(node, "name", function)
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called in ("violation_summary", "merit") and function not in PRICERS:
+                found.append((function, node.lineno, called))
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+        )
+        if any(map(kept_item, targets)) and function != "_merit_of":
+            found.append((function, node.lineno, "kept[...] ="))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_pricing_guard_finds_each_call_and_write():
+    source = (
+        "def _merit_of(state, key, ev):\n"
+        "    terms = state.kept[key] = violation_summary(ev.g, ev.h, state.g_int, ev.failed)\n"
+        "    return merit(ev.f, terms[1], terms[2], state.rho, state.b_ext)\n"
+        "def check_run_invariants(record):\n    def price(e):\n        return merit.merit(e, 0.0, 0.0, 1.0, 1.0)\n"
+        "def a(state, key, ev):\n    state.kept[key] = terms = violation_summary(ev.g, ev.h, (), False)\n"
+        "def b(state, key):\n    kept = state.kept\n    kept[key], x = (0.0, 0.0, 0.0), 1\n"
+        "def c(state):\n    return [merit.merit(ev.f, 0.0, 0.0, 1.0, 1.0) for ev in state.cache.entries.values()]\n"
+        "def d(state):\n    state.kept.clear()\n    return state.kept[0], merit_of(state)\n"
+    )
+    assert _pricing_faults(source) == [
+        ("a", 8, "kept[...] ="), ("a", 8, "violation_summary"), ("b", 11, "kept[...] ="), ("c", 13, "merit"),
+    ]
+
+
+def test_the_solver_prices_a_point_only_in_merit_of():
+    assert _pricing_faults((PACKAGE / "solver.py").read_text(encoding="utf-8")) == []

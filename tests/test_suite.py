@@ -1,5 +1,6 @@
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +282,22 @@ class TestProblemFile:
         problem = load_problem_file(definition, eval_exe=str(other))
         ev = evaluate(problem, (0.0,), Cache())
         assert ev.f == 9.0
+
+    @pytest.mark.parametrize(
+        "value, resolved",
+        [("./bb.sh", "{dir}/bb.sh"), ("sub/../bb.sh", "{dir}/bb.sh"), ("bb.sh", "bb.sh"), ("/bin/true", "/bin/true")],
+        ids=["dot-slash", "with-a-slash", "bare-name", "absolute"],
+    )
+    def test_relative_evaluator_resolves_against_the_file(self, tmp_path, monkeypatch, value, resolved):
+        # a path with a slash is the file's neighbour whatever the current
+        # directory; a bare name stays a PATH lookup
+        definition = tmp_path / "prob.txt"
+        definition.write_text(f"name = t\nn = 1\nm = 0\np = 0\nevaluator = {value}\n")
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path / "sub")
+        expected = resolved.format(dir=tmp_path)
+        assert load_problem_file(definition).evaluator.path == expected
+        assert load_problem_file(Path("..") / "prob.txt").evaluator.path == expected
 
     def test_key_value_lines(self, tmp_path):
         path = tmp_path / "flat.txt"
