@@ -52,13 +52,12 @@ EPS_EXT = 1e-14
 def merit(f: float, cint: float, cext: float, rho: float, b_ext: float) -> float:
     """Merit value of a point given its objective and violation measures.
 
-    ``+inf`` outside the strict interior (``cint >= 0``) and whenever the
-    objective itself is ``+inf``; finite otherwise.  NaN never comes out of
-    this function: callers sanitize raw outputs to ``+inf`` beforehand.
+    ``+inf`` outside the strict interior (``cint >= 0``), and the formula
+    gives ``+inf`` whenever the objective itself is ``+inf``.  NaN never
+    comes out of this function: callers sanitize raw outputs to ``+inf``
+    beforehand, so no objective is ``-inf``.
     """
     if not cint < 0.0:
-        return _INF
-    if math.isinf(f):
         return _INF
     barrier = B_INT * rho * math.log(-cint)
     return f - barrier + (b_ext / rho) * cext

@@ -51,7 +51,7 @@ from .merit import (
     penalty_update_check,
     violation_summary,
 )
-from .mesh import initial_frame_size, mesh_exp, poll_directions, snap_steps, update_frame
+from .mesh import FRAME_CAP_EXP, initial_frame_size, mesh_exp, poll_directions, snap_steps, update_frame
 from .problem import Cache, Evaluation, Problem, evaluate, is_feasible
 from .stream import Stream
 from .suite import is_builtin
@@ -199,11 +199,11 @@ class SolverState:
     # g_int, as plain float tuples, which the cyclic GC stops tracking
     kept: Dict[Tuple[int, ...], Tuple[float, float, float]] = field(default_factory=dict)
     pip: bool = field(init=False)
-    lattice_scale: float = field(init=False)  # 2**-lattice_bits
+    lattice_step: float = field(init=False)  # x_unit * 2**-lattice_bits, exact
 
     def __post_init__(self):
         self.pip = self.config.mode == MODE_PIP
-        self.lattice_scale = math.ldexp(1.0, -self.lattice_bits)
+        self.lattice_step = math.ldexp(self.x_unit, -self.lattice_bits)
 
     @property
     def delta_frame(self) -> float:
@@ -243,7 +243,7 @@ def _lattice_bits(delta0: float) -> int:
     Iterations run only while ``delta_frame >= DELTA_STOP``; at the lowest
     such frame exponent ``e`` the mesh exponent is ``2 * e``.  That is 58
     bits for ``delta0 = 1`` and 66 for ``delta0 = 10``, far from the 2**-1022
-    normal-float bound below which ``_point_of``'s scaling stops being exact.
+    normal-float bound below which ``lattice_step`` stops being exact.
     """
     exp = 0
     while math.ldexp(delta0, exp - 1) >= DELTA_STOP:
@@ -253,11 +253,10 @@ def _lattice_bits(delta0: float) -> int:
 
 def _point_of(state: SolverState, q: Sequence[int]) -> List[float]:
     """Original coordinates of the lattice point ``q``."""
-    unit = state.x_unit
-    scale = state.lattice_scale
-    # qi * scale is the exact offset qi / 2**lattice_bits rounded once:
-    # float(qi) rounds, and the power-of-two scale is exact in normal range
-    return [a + unit * (qi * scale) for a, qi in zip(state.anchor, q)]
+    step = state.lattice_step
+    # qi * step is x_unit * qi / 2**lattice_bits with float(qi) rounded once:
+    # in normal range the power-of-two factor of step changes no bit
+    return [a + qi * step for a, qi in zip(state.anchor, q)]
 
 
 def _frame(state: SolverState, k: int) -> dict:
@@ -329,13 +328,13 @@ def init_state(problem: Problem, x0: Sequence[float], config: SolverConfig) -> S
     return state
 
 
-def speculative_search(state: SolverState) -> Optional[Tuple[Tuple[int, ...], List[float]]]:
+def speculative_search(state: SolverState) -> Optional[Tuple[int, ...]]:
     """Candidate doubling the last successful displacement, on the mesh, as
-    its lattice point and mapped point ``(q, x)``.
+    its lattice point ``q``.
 
     Nothing is proposed without a prior success, when the point leaves the
     bounds, or when it is cached, as the incumbent always is: a step that
-    snaps to zero proposes nothing.
+    snaps to zero proposes nothing, and an unproposed point writes no row.
     """
     offset = state.last_success_offset
     if offset is None:
@@ -343,12 +342,11 @@ def speculative_search(state: SolverState) -> Optional[Tuple[Tuple[int, ...], Li
     mesh_step = state.mesh_step
     steps = snap_steps([2 * q for q in offset], mesh_step)
     q = tuple([qi + mesh_step * s for qi, s in zip(state.q_incumbent, steps)])
-    x = _point_of(state, q)
-    if not state.problem.contains(x):
+    if not state.problem.contains(_point_of(state, q)):
         return None
     if q in state.cache.entries:
         return None
-    return q, x  # so that _try_candidate neither maps nor bounds-checks q again
+    return q
 
 
 def reselect_incumbent(state: SolverState) -> None:
@@ -373,18 +371,16 @@ def reselect_incumbent(state: SolverState) -> None:
     state.incumbent_merit = best_merit
 
 
-def _try_candidate(
-    state: SolverState, q: Tuple[int, ...], kind: str, x: Optional[List[float]] = None
-):
-    """Evaluate one trial point and install it as the incumbent when its
-    merit strictly improves.  Returns ``(accepted, evaluation, merit)``;
-    ``accepted`` is ``None`` when the budget is spent.  A given ``x`` is the
-    point ``q`` already mapped and inside the bounds."""
-    if x is None:
-        x = _point_of(state, q)
-        if not state.problem.contains(x):
-            state.record.events.append(row_line(None, tuple(x), "rejected-bounds"))
-            return False, None, None
+def _try_candidate(state: SolverState, q: Tuple[int, ...], kind: str):
+    """Evaluate the trial point of the lattice point ``q``, from the search
+    or the poll, and install it as the incumbent when its merit strictly
+    improves.  A point outside the bounds is not evaluated and writes a
+    ``rejected-bounds`` row.  Returns ``(accepted, evaluation, merit)``;
+    ``accepted`` is ``None`` when the budget is spent."""
+    x = _point_of(state, q)
+    if not state.problem.contains(x):
+        state.record.events.append(row_line(None, tuple(x), "rejected-bounds"))
+        return False, None, None
     cache = state.cache
     count = len(cache.entries)
     if count >= state.config.max_evaluations and q not in cache:
@@ -417,10 +413,9 @@ def iterate(state: SolverState) -> None:
     success = False
 
     if state.config.search_enabled:
-        proposed = speculative_search(state)
-        if proposed is not None:
-            q, x = proposed
-            success = _try_candidate(state, q, kind="search", x=x)[0]
+        q = speculative_search(state)
+        if q is not None:
+            success = _try_candidate(state, q, kind="search")[0]
             if success is None:
                 return
 
@@ -498,7 +493,13 @@ def check_run_invariants(record: RunRecord):
     ``merit`` of its ``violation_summary``, otherwise ``f`` when
     :func:`is_feasible` holds and ``+inf`` if not.  The start row sets the
     incumbent, each ``*-success`` row and no other must strictly lower its
-    merit, and one that does becomes the incumbent.  In pip mode frame
+    merit, and one that does becomes the incumbent.  In both modes frame 1
+    repeats frame 0's ``delta_frame``, ``delta0``; frame ``k + 1``'s is
+    twice frame ``k``'s after an iteration in which a row lowered the merit,
+    or the same at the cap ``delta0 * 2**FRAME_CAP_EXP``, and half of it
+    after one in which none did, which then has ``2n`` rows, or ``2n + 1``
+    when a search point came first, ``n`` the length of the start row's
+    ``x``.  In pip mode frame
     ``k + 1`` closes iteration ``k`` and prices iteration ``k + 1``: ``rho``
     shrinks only by exactly ``THETA_RHO``, at failures whose next frame size
     meets the criterion bound on the incumbent's ``phi_prox``; ``g_int``
@@ -529,11 +530,12 @@ def check_run_invariants(record: RunRecord):
     if start.failed:
         return ["event 1: the start evaluation failed"], warnings
     m, b_ext = len(start.g), compute_b_ext(start.f) if pip else None
+    polled = 2 * len(start.point)  # the rows of a full poll
     completed = sum(map(is_frame, events)) - 2  # the iterations that left a frame
     evaluations, terms = [], []  # each Evaluation, and its terms under interior
-    frame = interior = rho = None  # the last frame as read, its g_int and its rho
+    frame = interior = rho = cap = None  # the last frame as read, its g_int and rho, the frame cap
     k, incumbent, best = -1, 0, _INF
-    succeeded, cints = False, []
+    succeeded, cints, rows = False, [], 0
 
     def price(e):
         ev = evaluations[e]
@@ -571,6 +573,7 @@ def check_run_invariants(record: RunRecord):
             violations.append(f"event {i}: {exc}")
             return violations, warnings
         if not framed:  # a row of iteration k
+            rows += 1
             e, value = None if ev is None else ev.eval_index, _INF
             if ev is not None:
                 if e == len(evaluations):
@@ -590,6 +593,17 @@ def check_run_invariants(record: RunRecord):
                 incumbent, best, succeeded = e, value, True
             continue
 
+        if k == 0:  # frame 0's delta_frame is delta0
+            cap = math.ldexp(frame[2], FRAME_CAP_EXP)
+            if read[2] != frame[2]:
+                violations.append(f"frame 1's delta_frame {read[2]!r} is not frame 0's {frame[2]!r}")
+        elif k > 0:  # the frame rule, and a full poll after a failure
+            before = frame[2]
+            after = (2.0 * before if before < cap else before) if succeeded else before / 2
+            if read[2] != after:
+                violations.append(f"iteration {k}: frame {k + 1}'s delta_frame {read[2]!r} is not {after!r}")
+            if not succeeded and rows not in (polled, polled + 1):
+                violations.append(f"iteration {k}: {rows} rows without a success, not {polled} or {polled + 1}")
         if pip:  # frame k + 1 closes iteration k, then prices iteration k + 1
             _, rho, delta, g_next = read
             changed = False
@@ -628,7 +642,7 @@ def check_run_invariants(record: RunRecord):
             if k > 0 and not terms[incumbent][1] < 0.0:
                 violations.append(f"iteration {k}: incumbent c_int {terms[incumbent][1]!r} not negative")
         frame, k = read, read[0]
-        succeeded, cints = False, []
+        succeeded, cints, rows = False, [], 0
     return violations, warnings
 
 

@@ -224,14 +224,14 @@ class Stream:
             return low + span * self.random()
         return [low + span * self.random() for _ in range(size)]
 
-    def standard_normal(self, size: Optional[int] = None) -> Union[float, List[float]]:
-        """One standard normal float, or a list of ``size`` of them."""
+    def standard_normal(self, size: int) -> List[float]:
+        """A list of ``size`` standard normal floats."""
         # the 128-bit step and output of _next64 are inlined: most draws
         # take one step and one table lookup
         state, inc = self._state, self._inc
         ki, wi = _KI, _WI
         out = []
-        for _ in range(1 if size is None else size):
+        for _ in range(size):
             while True:
                 state = (state * _PCG_MULT + inc) & _MASK128
                 high = state >> 64
@@ -250,7 +250,7 @@ class Stream:
                     break
             out.append(value)
         self._state = state
-        return out[0] if size is None else out
+        return out
 
     def _outside(self, idx: int, rabs: int, x: float) -> Optional[float]:
         """The ziggurat's draw ``x`` that fell outside its layer's rectangle:

@@ -89,7 +89,7 @@ class TestInitState:
         state = init_state(problem, (0.0, 0.0), SolverConfig(max_evaluations=10))
         assert state.frame_exp == 0
         assert state.delta_frame == 1.0
-        assert state.mesh_step * state.lattice_scale == 1.0
+        assert state.mesh_step * state.lattice_step == 1.0
 
     def test_partition_move_is_one_directional(self):
         # inequalities 1 and 2 are violated at the start only: the first
@@ -220,16 +220,15 @@ class TestSpeculativeSearch:
 
     def test_doubles_last_displacement(self):
         state = self._state_after_success()
-        q, x = speculative_search(state)
+        q = speculative_search(state)
         expected = tuple(
             qi + 2 * off for qi, off in zip(state.q_incumbent, state.last_success_offset)
         )
         assert q == expected
-        assert x == madspip.solver._point_of(state, q)
 
     def test_skips_cached_candidate(self):
         state = self._state_after_success()
-        q, _ = speculative_search(state)
+        q = speculative_search(state)
         state.cache.store(q, Evaluation(tuple(map(float, q)), 0.0, (), (), 99))
         assert speculative_search(state) is None
 
@@ -281,8 +280,8 @@ class TestLattice:
         for _ in range(3000):
             bits = rng.randint(0, 900)
             state.lattice_bits = bits
-            state.lattice_scale = math.ldexp(1.0, -bits)
             state.x_unit = rng.uniform(1e-3, 1e3)
+            state.lattice_step = math.ldexp(state.x_unit, -bits)
             q = rng.randint(-(1 << (bits + 40)), 1 << (bits + 40))
             exact = float(Fraction(q, 1 << bits))
             assert madspip.solver._point_of(state, (q,)) == [0.3 + state.x_unit * exact]
@@ -385,8 +384,8 @@ class TestKeptViolationTerms:
         real_try = madspip.solver._try_candidate
         causes = []
 
-        def checked_try(state, q, kind, x=None):
-            accepted, ev, value = real_try(state, q, kind, x)
+        def checked_try(state, q, kind):
+            accepted, ev, value = real_try(state, q, kind)
             if ev is not None:
                 terms, fresh = _fresh(state, ev)
                 assert value == fresh
@@ -935,11 +934,18 @@ class TestPinnedTraces:
         events[i] = dict(events[i], f=events[i]["f"] + 1.0)
         record.frames[13]["delta_frame"] = 1.0
         violations, warnings = check_run_invariants(record)
+        # the frame rule follows the re-priced merits: frame 13 neither
+        # halves frame 12 nor is halved by frame 14, and iteration 100, no
+        # success once re-priced, grew its frame after one row
         assert violations == [
+            "iteration 12: frame 13's delta_frame 1.0 is not 0.625",
             "iteration 12: delta_next 1.0 exceeds criterion bound 0.9999999976974148",
             "iteration 13: eval 44 lowers the merit but is unsuccessful",
+            "iteration 13: frame 14's delta_frame 1.25 is not 2.0",
             "iteration 48: eval 168 is poll-success but does not lower the merit",
             "iteration 100: eval 337 is search-success but does not lower the merit",
+            "iteration 100: frame 101's delta_frame 2.384185791015625e-06 is not 5.960464477539062e-07",
+            "iteration 100: 1 rows without a success, not 4 or 5",
         ]
         assert warnings == []
 
@@ -959,6 +965,7 @@ class TestPinnedTraces:
     @pytest.mark.parametrize("case", [
         "lowers-but-unsuccessful", "success-not-lowering", "contraction", "cut-at-success",
         "criterion-bound", "move-at-cut", "interior-shrinks", "incumbent-not-interior",
+        "frame-1-resized", "success-keeps-the-frame", "poll-too-long",
     ])
     def test_each_corruption_gives_its_one_message(self, case):
         record = self._flat_run()
@@ -990,9 +997,13 @@ class TestPinnedTraces:
                 frame["rho"] *= THETA_RHO
             message = f"rho reduced at successful iteration {k}"
         elif case == "criterion-bound":
-            frames[cuts[0] + 1]["delta_frame"] = 1.0
-            bound = B_RHO * frames[cuts[0]]["rho"] ** BETA
-            message = f"iteration {cuts[0]}: delta_next 1.0 exceeds criterion bound {bound!r}"
+            # the first cut moves to the last failure before it, whose next
+            # frame the solver found still above the bound
+            k = max(k for k in range(1, cuts[0]) if not succeeded(record, k))
+            for frame in frames[k + 1:cuts[0] + 1]:
+                frame["rho"] *= THETA_RHO
+            bound = B_RHO * frames[k]["rho"] ** BETA
+            message = f"iteration {k}: delta_next {frames[k + 1]['delta_frame']!r} exceeds criterion bound {bound!r}"
         elif case == "move-at-cut":
             # index 0 enters the interior set at the first cut
             for frame in frames[:cuts[0] + 1]:
@@ -1002,6 +1013,26 @@ class TestPinnedTraces:
             for frame in frames[2:]:
                 frame["g_int"] = ()
             message = "iteration 1: frame 2's g_int does not contain frame 1's"
+        elif case == "frame-1-resized":
+            frames[0]["delta_frame"] *= 2
+            message = f"frame 1's delta_frame {frames[1]['delta_frame']!r} is not frame 0's {frames[0]['delta_frame']!r}"
+        elif case == "success-keeps-the-frame":
+            # every frame after the first success at half its size
+            k = next(k for k in range(1, len(frames) - 1) if succeeded(record, k))
+            for frame in frames[k + 1:]:
+                frame["delta_frame"] /= 2
+            before = frames[k]["delta_frame"]
+            message = f"iteration {k}: frame {k + 1}'s delta_frame {before!r} is not {2 * before!r}"
+        elif case == "poll-too-long":
+            # a cache-hit row of a failed iteration written twice more
+            i, row = next(
+                (i, row) for i, row in enumerate(with_row_keys(events))
+                if row.get("status") == "cache-hit" and not succeeded(record, row["iteration"])
+            )
+            k = row["iteration"]
+            rows = sum(row.get("iteration") == k for row in with_row_keys(events)) + 2
+            events[i:i] = [events[i], events[i]]
+            message = f"iteration {k}: {rows} rows without a success, not 4 or 5"
         else:
             # index 1 (g = 0, never strictly feasible) enters at the last
             # iteration, so no evaluation has a finite merit
@@ -1052,10 +1083,13 @@ class TestInvariantChecker:
         assert any("expected" in v for v in violations)
         # the corrupted frame prices iteration 13 under rho = 0.05, where
         # its poll success does not lower the merit, so 13 reads as an
-        # unsuccessful cut whose next frame misses the criterion bound
+        # unsuccessful cut whose next frame neither halves nor meets the
+        # criterion bound, after a poll cut short
         assert violations == [
             "rho at iteration 12 is 0.05, expected 0.001",
             "iteration 13: eval 44 is poll-success but does not lower the merit",
+            "iteration 13: frame 14's delta_frame 1.25 is not 0.3125",
+            "iteration 13: 3 rows without a success, not 4 or 5",
             "rho at iteration 13 is 0.001, expected 0.0005",
             "iteration 13: delta_next 1.25 exceeds criterion bound 0.4999999985021337",
         ]
